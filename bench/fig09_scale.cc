@@ -633,10 +633,6 @@ runMeshOnce(unsigned tiles, unsigned jobs)
     // (256 lanes * the default budget would be gigabytes).
     sim::LaneScheduler sched(routers, jobs, min_link,
                              /*mailbox_capacity=*/4);
-    // Only adjacent router lanes ever post (declared by finalize());
-    // everything else stays kNoCrossing so distant lanes earn
-    // hop-proportional windows from the distance matrix.
-    sched.fillPairLookaheads(sim::LaneScheduler::kNoCrossing);
     noc::Noc fabric(sched.lane(0), np);
     std::vector<unsigned> lane_of_router(routers);
     for (unsigned r = 0; r < routers; r++)

@@ -8,7 +8,8 @@
 set -eu
 
 echo "== plain build =="
-cmake -B build -S . >/dev/null
+# Warnings (-Wall -Wextra) are errors here, on incremental builds too.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
@@ -103,8 +104,8 @@ echo "== sanitized re-run: observability + lifecycle regressions =="
     'MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|ResetAct|Restart')
 
 echo "== TSan build: parallel event execution =="
-# Everything that runs worker threads: the SPSC mailboxes, the lane
-# scheduler's barrier rounds, the sharded NoC, and the --jobs cell
+# Everything that runs worker threads: the MPSC fan-in rings, the
+# lane scheduler's barrier rounds, the sharded NoC, and the --jobs cell
 # runner. Death tests are excluded (fork under TSan is unreliable);
 # the plain and ASan passes above cover them.
 cmake -B build-tsan -S . -DM3VSIM_SANITIZE=thread >/dev/null

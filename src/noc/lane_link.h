@@ -1,9 +1,9 @@
 /**
  * @file
  * The cross-lane boundary of the sharded NoC: a HopTarget that
- * forwards packets from one event lane into a component on another
- * lane with a fixed latency (the fabric's minimum link traversal
- * time, which is exactly the LaneScheduler's lookahead).
+ * forwards packets from one router's lane into a neighbouring router
+ * on another lane with a fixed latency (the fabric's minimum link
+ * traversal time, which is exactly the pair's declared lookahead).
  *
  * Used together with OutPort::setLaunchEarly(latency): the port hands
  * its head packet to the LaneLink `latency` ticks before the drain
@@ -36,8 +36,8 @@ class LaneLink : public HopTarget
   public:
     /**
      * @param latency  Cross-lane delivery latency in ticks; must be
-     *                 >= the scheduler's lookahead (the Noc passes
-     *                 exactly minLinkLatency() for both).
+     *                 >= the pair's declared lookahead (the Noc
+     *                 declares and passes minLinkLatency() for both).
      * @param credits  Packets in flight (posted or queued in the
      *                 relay) before the tx side reports "full".
      */

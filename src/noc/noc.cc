@@ -27,11 +27,8 @@ nocConfigErrorName(NocConfigError e)
 
 /**
  * Per-tile plumbing: an injection port (tile -> router) and an exit
- * adapter (router -> tile sink) that counts deliveries. In lane mode
- * the adapter runs on the tile's lane and counts into that lane's
- * registry, and both directions cross lanes through LaneLinks; in
- * router-plan mode everything lives on the home router's lane and the
- * handover is direct.
+ * adapter (router -> tile sink) that counts deliveries. Both live on
+ * the home router's queue, so the handover is direct.
  */
 struct Noc::TileAttachment
 {
@@ -61,16 +58,13 @@ struct Noc::TileAttachment
     /** Router-side port index toward the tile. */
     std::size_t exitPortIdx = 0;
     ExitAdapter exit;
-    /** Tile-plan lane mode only: the two lane-crossing directions. */
-    std::unique_ptr<LaneLink> injectLink;
-    std::unique_ptr<LaneLink> exitLink;
 };
 
 Noc::Noc(sim::EventQueue &eq, NocParams params)
     : SimObject(eq, "noc"), params_(params), clk_(params.freqHz)
 {
-    delivered_ = statCounter("delivered");
-    deliveredBytes_ = statCounter("delivered_bytes");
+    delivered_.push_back(statCounter("delivered"));
+    deliveredBytes_.push_back(statCounter("delivered_bytes"));
     if (eq.tracer().anyEnabled())
         eq.tracer().setProcessName(sim::kTracePidNoc, "noc");
     unsigned n = params_.meshCols * params_.meshRows;
@@ -102,28 +96,6 @@ Noc::minLinkLatency() const
 }
 
 void
-Noc::setLanePlan(sim::LaneScheduler &sched,
-                 std::vector<unsigned> lane_of_tile, unsigned noc_lane)
-{
-    if (!tiles_.empty() || finalized_)
-        sim::panic("Noc: setLanePlan after attach/finalize");
-    if (laneSched_)
-        sim::panic("Noc: lane plan already set");
-    if (&sched.lane(noc_lane) != &eq_)
-        sim::panic("Noc: noc_lane %u is not this Noc's event queue",
-                   noc_lane);
-    laneLatency_ = minLinkLatency();
-    if (laneLatency_ < sched.lookahead())
-        sim::panic("Noc: min link latency %llu below scheduler "
-                   "lookahead %llu",
-                   static_cast<unsigned long long>(laneLatency_),
-                   static_cast<unsigned long long>(sched.lookahead()));
-    laneSched_ = &sched;
-    laneOfTile_ = std::move(lane_of_tile);
-    nocLane_ = noc_lane;
-}
-
-void
 Noc::setRouterLanePlan(sim::LaneScheduler &sched,
                        std::vector<unsigned> lane_of_router)
 {
@@ -140,8 +112,11 @@ Noc::setRouterLanePlan(sim::LaneScheduler &sched,
                        sched.lanes());
     laneLatency_ = minLinkLatency();
     laneSched_ = &sched;
-    routerPlan_ = true;
     laneOfRouter_ = std::move(lane_of_router);
+    // Only adjacent routers on different lanes ever cross (finalize()
+    // declares those pairs); every other pair's window comes from the
+    // scheduler's distance closure.
+    sched.fillPairLookaheads(sim::LaneScheduler::kNoCrossing);
     // Rebuild the routers against their lanes' event queues: each
     // router's ports, metrics, and tracer become lane-local, so a
     // whole router (and its star of tiles) is one shard.
@@ -155,7 +130,7 @@ Noc::setRouterLanePlan(sim::LaneScheduler &sched,
 unsigned
 Noc::laneOfRouter(unsigned r) const
 {
-    if (!routerPlan_)
+    if (!laneSched_)
         sim::panic("Noc: laneOfRouter without a router lane plan");
     if (r >= laneOfRouter_.size())
         sim::panic("Noc: router %u outside mesh", r);
@@ -204,68 +179,28 @@ Noc::attachTile(TileId id, HopTarget *sink)
     if (tileIndexOf_[id] == SIZE_MAX)
         tileIndexOf_[id] = tiles_.size();
 
+    // The tile lives on its home router's queue (this Noc's own queue
+    // without a lane plan), so both handover directions stay
+    // queue-local; only mesh links between routers on different lanes
+    // cross (see finalize()). Every queue counts into the same
+    // noc.delivered keys, so merged lane metrics sum to the
+    // single-queue values.
     Router &r = *routers_[att->router];
     att->exitPortIdx = r.addPort();
-    unsigned assigned = att->router;
-
-    std::string inj_name = "noc.tile" + std::to_string(id) + ".inj";
-    if (!laneSched_) {
-        att->exit.delivered = delivered_;
-        att->exit.deliveredBytes = deliveredBytes_;
-        r.port(att->exitPortIdx).connect(&att->exit);
-        att->injectPort = std::make_unique<OutPort>(eq_, clk_,
-                                                    params_, inj_name);
-        att->injectPort->connect(&r);
-        tiles_.push_back(std::move(att));
-        return assigned;
-    }
-
-    std::string base = "noc.tile" + std::to_string(id);
-    if (routerPlan_) {
-        // Router-sharded mode: the tile lives on its home router's
-        // lane, so both handover directions stay lane-local. Only the
-        // mesh links between routers cross lanes (see finalize()).
-        sim::EventQueue &req = laneSched_->lane(laneOfRouter_[att->router]);
-        att->exit.delivered = req.metrics().counter(base + ".delivered");
-        att->exit.deliveredBytes =
-            req.metrics().counter(base + ".delivered_bytes");
-        r.port(att->exitPortIdx).connect(&att->exit);
-        att->injectPort =
-            std::make_unique<OutPort>(req, clk_, params_, inj_name);
-        att->injectPort->connect(&r);
-        tiles_.push_back(std::move(att));
-        return assigned;
-    }
-
-    // Lane mode: the injection port and the exit adapter live on the
-    // tile's lane; both handover directions cross through LaneLinks
-    // launched minLinkLatency() early, so arrival ticks match the
-    // single-queue fabric.
-    if (id >= laneOfTile_.size())
-        sim::panic("Noc: no lane for tile %u", id);
-    unsigned lt = laneOfTile_[id];
-    sim::EventQueue &teq = laneSched_->lane(lt);
-    att->exit.delivered = teq.metrics().counter(base + ".delivered");
+    sim::EventQueue &q = r.eventQueue();
+    att->exit.delivered = q.metrics().counter(name() + ".delivered");
     att->exit.deliveredBytes =
-        teq.metrics().counter(base + ".delivered_bytes");
-
-    // Enough credits that the uncongested steady state (at most two
-    // packets between launch and credit return) never stalls, plus
-    // headroom for the congested case.
-    std::size_t credits = params_.portQueuePackets + 2;
-
-    att->exitLink = std::make_unique<LaneLink>(
-        *laneSched_, nocLane_, lt, laneLatency_, &att->exit, credits);
-    r.port(att->exitPortIdx).connect(att->exitLink.get());
-    r.port(att->exitPortIdx).setLaunchEarly(laneLatency_);
-
-    att->injectPort =
-        std::make_unique<OutPort>(teq, clk_, params_, inj_name);
-    att->injectLink = std::make_unique<LaneLink>(
-        *laneSched_, lt, nocLane_, laneLatency_, &r, credits);
-    att->injectPort->connect(att->injectLink.get());
-    att->injectPort->setLaunchEarly(laneLatency_);
-
+        q.metrics().counter(name() + ".delivered_bytes");
+    if (std::find(delivered_.begin(), delivered_.end(),
+                  att->exit.delivered) == delivered_.end()) {
+        delivered_.push_back(att->exit.delivered);
+        deliveredBytes_.push_back(att->exit.deliveredBytes);
+    }
+    r.port(att->exitPortIdx).connect(&att->exit);
+    att->injectPort = std::make_unique<OutPort>(
+        q, clk_, params_, "noc.tile" + std::to_string(id) + ".inj");
+    att->injectPort->connect(&r);
+    unsigned assigned = att->router;
     tiles_.push_back(std::move(att));
     return assigned;
 }
@@ -353,7 +288,7 @@ Noc::finalize()
         unsigned x = routerX(r), y = routerY(r);
         auto link_to = [&](unsigned other) {
             std::size_t p = routers_[r]->addPort();
-            if (routerPlan_ &&
+            if (laneSched_ &&
                 laneOfRouter_[r] != laneOfRouter_[other]) {
                 unsigned a = laneOfRouter_[r];
                 unsigned b = laneOfRouter_[other];
@@ -437,22 +372,18 @@ Noc::inject(Packet &pkt, sim::UniqueFunction<void()> on_space)
 std::uint64_t
 Noc::delivered() const
 {
-    if (!laneSched_)
-        return delivered_->value();
     std::uint64_t sum = 0;
-    for (const auto &t : tiles_)
-        sum += t->exit.delivered->value();
+    for (const sim::Counter *c : delivered_)
+        sum += c->value();
     return sum;
 }
 
 std::uint64_t
 Noc::deliveredBytes() const
 {
-    if (!laneSched_)
-        return deliveredBytes_->value();
     std::uint64_t sum = 0;
-    for (const auto &t : tiles_)
-        sum += t->exit.deliveredBytes->value();
+    for (const sim::Counter *c : deliveredBytes_)
+        sum += c->value();
     return sum;
 }
 
@@ -464,8 +395,7 @@ Noc::portStalls() const
         for (std::size_t p = 0; p < r->numPorts(); p++)
             sum += r->port(p).stalls();
     for (const auto &t : tiles_)
-        if (t->injectPort)
-            sum += t->injectPort->stalls();
+        sum += t->injectPort->stalls();
     return sum;
 }
 
@@ -484,7 +414,7 @@ Noc::registerInvariants(sim::Invariants &inv)
                 }
             }
             for (const auto &t : tiles_) {
-                if (t->injectPort && !t->injectPort->idle())
+                if (!t->injectPort->idle())
                     i.fail("tile %u inject port not drained at "
                            "quiescence",
                            t->id);

@@ -72,34 +72,18 @@ class Noc : public sim::SimObject
     const sim::SlabPool &payloadPool() const { return payloadPool_; }
 
     /**
-     * Switch the fabric into sharded (parallel) mode. Must be called
-     * before any attachTile(). Tile @p id's sink and injection port
-     * then live on lane @p lane_of_tile[id]; routers and mesh links
-     * live on @p noc_lane, which must be the lane this Noc was
-     * constructed against. Tile<->router handovers cross lanes
-     * through LaneLinks with latency minLinkLatency() — exactly the
-     * minimum time any packet occupies a link, so uncongested
-     * handover timing is identical to the single-queue build, and
-     * minLinkLatency() is a valid lookahead for @p sched.
-     */
-    void setLanePlan(sim::LaneScheduler &sched,
-                     std::vector<unsigned> lane_of_tile,
-                     unsigned noc_lane);
-
-    /**
-     * Shard the fabric by *router* instead of funnelling every hop
-     * through one NoC lane: router r, its tile exits, and its tiles'
-     * injection ports live on lane @p lane_of_router[r]. Mesh links
-     * between routers on different lanes cross through LaneLinks
-     * launched minLinkLatency() early, so uncongested hop timing is
-     * identical to the single-queue fabric. finalize() declares the
-     * per-lane-pair lookaheads for every adjacent link on @p sched
-     * (both directions — packets and credit returns); non-adjacent
-     * lane pairs are left as declared by the caller, so the usual
-     * setup is sched.fillPairLookaheads(LaneScheduler::kNoCrossing)
-     * first, letting the scheduler derive distant-pair windows from
-     * the mesh distance matrix. Tile sinks must be built on their
-     * home router's lane (tiles are assigned round-robin; attachTile
+     * Shard the fabric by router: router r, its tile exits, and its
+     * tiles' injection ports live on lane @p lane_of_router[r]. Mesh
+     * links between routers on different lanes cross through
+     * LaneLinks launched minLinkLatency() early, so uncongested hop
+     * timing is identical to the single-queue fabric (which is the
+     * same plan with every router on this Noc's own queue). Fills
+     * @p sched's pair matrix with LaneScheduler::kNoCrossing;
+     * finalize() then declares the per-lane-pair lookahead of every
+     * adjacent link (both directions — packets and credit returns),
+     * and the scheduler derives distant-pair windows from the mesh
+     * distance matrix. Tile sinks must be built on their home
+     * router's lane (tiles are assigned round-robin; attachTile
      * returns the router). Must be called before any attachTile();
      * this Noc must have been constructed against one of @p sched's
      * lanes.
@@ -116,8 +100,8 @@ class Noc : public sim::SimObject
     /**
      * Minimum time any packet occupies a link: router pipeline plus
      * the serialization of an empty (header-only) packet. The
-     * conservative lookahead of lane mode. The static overload lets
-     * callers size a LaneScheduler before constructing the Noc
+     * lookahead of a lane-crossing mesh link. The static overload
+     * lets callers size a LaneScheduler before constructing the Noc
      * against one of its lanes.
      */
     sim::Tick minLinkLatency() const;
@@ -161,8 +145,8 @@ class Noc : public sim::SimObject
      */
     unsigned routeStep(unsigned router, TileId dst) const;
 
-    /** Total packets delivered to tile sinks (in lane mode, summed
-     *  over the per-tile counters; read after the lanes quiesce). */
+    /** Total packets delivered to tile sinks (summed over the lanes'
+     *  noc.delivered counters; read after the lanes quiesce). */
     std::uint64_t delivered() const;
 
     /** Total payload bytes delivered. */
@@ -178,9 +162,9 @@ class Noc : public sim::SimObject
      * output port and every tile injection port must be idle — no
      * queued packet, no drain in progress, no backpressure waiter
      * still parked. A violation means a packet or a flow-control
-     * wake-up was lost in the fabric. In lane mode the ports live on
-     * several lanes, so evaluate the registry only after
-     * LaneScheduler::run() returns (see sim/invariants.h).
+     * wake-up was lost in the fabric. Under a router lane plan the
+     * ports live on several lanes, so evaluate the registry only
+     * after LaneScheduler::run() returns (see sim/invariants.h).
      */
     void registerInvariants(sim::Invariants &inv);
 
@@ -214,18 +198,16 @@ class Noc : public sim::SimObject
     std::vector<std::unique_ptr<TileAttachment>> tiles_;
     /** TileId -> index into tiles_ (SIZE_MAX = not attached). */
     std::vector<std::size_t> tileIndexOf_;
-    sim::Counter *delivered_;
-    sim::Counter *deliveredBytes_;
+    /** The distinct noc.delivered / noc.delivered_bytes counters:
+     *  one per queue the routers live on. */
+    std::vector<sim::Counter *> delivered_;
+    std::vector<sim::Counter *> deliveredBytes_;
 
-    /** Lane mode (null = classic single-queue fabric). */
+    /** Router lane plan (null = every router on this Noc's queue). */
     sim::LaneScheduler *laneSched_ = nullptr;
-    std::vector<unsigned> laneOfTile_;
-    unsigned nocLane_ = 0;
     sim::Tick laneLatency_ = 0;
-    /** Router-sharded lane mode (setRouterLanePlan). */
-    bool routerPlan_ = false;
     std::vector<unsigned> laneOfRouter_;
-    /** Lane-crossing mesh links (router plan only). */
+    /** Lane-crossing mesh links. */
     std::vector<std::unique_ptr<LaneLink>> meshLinks_;
 };
 

@@ -35,7 +35,6 @@ LaneScheduler::LaneScheduler(unsigned lanes, unsigned jobs,
     if (lookahead == 0)
         panic("LaneScheduler: zero lookahead");
     pairL_.assign(n_ * n_, lookahead);
-    minPairL_ = lookahead;
     lanes_.reserve(n_);
     for (std::size_t i = 0; i < n_; i++)
         lanes_.push_back(std::make_unique<EventQueue>());
@@ -183,24 +182,6 @@ LaneScheduler::mergeMailboxes()
 void
 LaneScheduler::recomputeDistances()
 {
-    minPairL_ = kNever;
-    uniform_ = true;
-    Tick first = pairL_.empty() ? kNever : pairL_[0];
-    for (std::size_t i = 0; i < n_; i++) {
-        for (std::size_t j = 0; j < n_; j++) {
-            Tick l = pairL_[i * n_ + j];
-            if (l != first)
-                uniform_ = false;
-            if (i != j && l < minPairL_)
-                minPairL_ = l;
-        }
-    }
-    if (uniform_) {
-        // The global-window fast path never reads dist_.
-        dist_.clear();
-        distDirty_ = false;
-        return;
-    }
     // Floyd-Warshall closure with saturating adds: D(i, j) is the
     // cheapest chain of declared crossings from lane i to lane j —
     // the earliest any event in lane i can influence lane j. The
@@ -230,17 +211,6 @@ void
 LaneScheduler::computeLimits()
 {
     limits_.assign(n_, kNever);
-    if (uniform_) {
-        // All pairs share one lookahead: the classic global window.
-        // W = min next tick; every lane may run to W + lookahead.
-        Tick w = kNever;
-        for (std::size_t i = 0; i < n_; i++)
-            if (nts_[i] < w)
-                w = nts_[i];
-        Tick limit = satAdd(w, minPairL_);
-        std::fill(limits_.begin(), limits_.end(), limit);
-        return;
-    }
     // Per-lane windows from the distance matrix: lane i may run
     // until the earliest tick any lane's pending work could reach it
     // — including its own, whose influence can return through the

@@ -30,8 +30,9 @@
  * shortest-path closure (Floyd-Warshall with saturating adds), so a
  * lane that is h hops away contributes a window allowance of h link
  * latencies, not one. The scalar constructor fills the matrix
- * uniformly, which degenerates to the classic single-lookahead
- * windows: W = min next tick, limit = W + lookahead for every lane.
+ * uniformly with L, diagonal included; its closure is D(i, j) = L for
+ * every pair, so the per-lane limits reduce to the classic global
+ * window min_j NT_j + L.
  *
  * Safety: a message posted by lane j during a round is due no earlier
  * than NT_j + L(j, k) >= NT_j + D(j, k) >= limit_k, where NT_j was
@@ -58,17 +59,16 @@
  * determinism, is untouched by who executes the lane.
  *
  * Cross-lane posts land in one MPSC combining ring per *destination*
- * lane (sim/mpsc.h) rather than one SPSC mailbox per (src, dst) pair:
- * a high-fan-in lane (the NoC lane, a controller tile) is drained
- * with one ring walk instead of n, and capacity is pooled across
- * sources instead of fragmented per pair. Each (src, dst) pair still
- * stamps its own sender-order sequence, so the canonical sort — and
- * therefore bit-identical determinism — is unchanged.
+ * lane (sim/mpsc.h) rather than one mailbox per (src, dst) pair: a
+ * high-fan-in lane is drained with one ring walk instead of n, and
+ * capacity is pooled across sources instead of fragmented per pair.
+ * Each (src, dst) pair still stamps its own sender-order sequence, so
+ * the canonical sort — and therefore bit-identical determinism — is
+ * unchanged.
  *
- * The lookahead values come from the model: for the NoC boundary, the
- * minimum link traversal time derived from NocParams (see
- * noc::Noc::minLinkLatency()), and for a mesh of router lanes the
- * per-link latencies declared by Noc::setRouterLanePlan().
+ * The lookahead values come from the model: for a mesh of router
+ * lanes, the per-link latencies (noc::Noc::minLinkLatency()) that
+ * Noc::setRouterLanePlan() declares for every adjacent lane pair.
  *
  * jobs = 1 runs every window on the calling thread; a model built on
  * a single lane degenerates to exactly the sequential event loop.
@@ -106,7 +106,7 @@ class LaneScheduler
      * @param lanes     Number of event lanes (model shards).
      * @param jobs      Worker threads executing lane windows. 1 means
      *                  everything runs on the calling thread.
-     * @param lookahead Uniform conservative lookahead in ticks: every
+     * @param lookahead Initial conservative lookahead in ticks: every
      *                  pair (src, dst) starts at this value, so every
      *                  cross-lane post must be due at least this far
      *                  after the sender's current time. Must be > 0.
@@ -128,10 +128,6 @@ class LaneScheduler
 
     unsigned lanes() const { return static_cast<unsigned>(n_); }
     unsigned jobs() const { return jobs_; }
-
-    /** Minimum finite pair lookahead — the tightest crossing any
-     *  pair allows. Uniform models: the constructor value. */
-    Tick lookahead() const { return minPairL_; }
 
     /** Declared direct lookahead for (src, dst); kNoCrossing if the
      *  pair may never post. */
@@ -233,8 +229,12 @@ class LaneScheduler
     /** Drain all fan-in rings and schedule the messages canonically. */
     void mergeMailboxes();
 
-    /** Shortest-path closure of pairL_ into dist_; refreshes
-     *  minPairL_ and the uniform fast-path flag. */
+    /**
+     * Shortest-path closure of pairL_ into dist_. The diagonal is not
+     * zeroed: D(i, i) is the smaller of lane i's declared self entry
+     * and its cheapest round trip through other lanes. A uniform
+     * matrix L closes to L everywhere, diagonal included.
+     */
     void recomputeDistances();
 
     /** Fill limits_ from nts_ (per-lane next ticks). */
@@ -249,9 +249,6 @@ class LaneScheduler
     std::vector<Tick> pairL_;
     /** Shortest-path crossing latency, src * n_ + dst. */
     std::vector<Tick> dist_;
-    Tick minPairL_ = 0;
-    /** All off-diagonal pairs equal: use the O(n) global window. */
-    bool uniform_ = true;
     bool distDirty_ = true;
     bool running_ = false;
     std::uint64_t rounds_ = 0;

@@ -3,8 +3,8 @@
  * A bounded multi-producer single-consumer ring (Vyukov's bounded
  * MPMC queue, used with one consumer).
  *
- * The lane scheduler's fan-in aggregation: instead of one SPSC
- * mailbox per (src, dst) lane pair — n² rings, each drained at every
+ * The lane scheduler's fan-in aggregation: instead of one mailbox
+ * per (src, dst) lane pair — n² rings, each drained at every
  * barrier — every destination lane owns a single combining ring that
  * all source lanes push into concurrently. Producers claim cells with
  * one fetch_add on the enqueue cursor; the per-cell sequence number
@@ -14,8 +14,7 @@
  *
  * Note the ring's pop order interleaves producers arbitrarily; the
  * scheduler restores the canonical (due, srcLane, dstLane, seq) order
- * by sorting at the barrier, exactly as it did for SPSC mailboxes, so
- * determinism is unaffected.
+ * by sorting at the barrier, so determinism is unaffected.
  */
 
 #ifndef M3VSIM_SIM_MPSC_H_

@@ -42,7 +42,10 @@ constexpr unsigned kCoreTiles = 2;
 constexpr unsigned kActsPerTile = 3;
 constexpr unsigned kNumActs = kCoreTiles * kActsPerTile;
 constexpr noc::TileId kMemTile = 2;
-constexpr unsigned kNumLanes = 4; ///< tile 0, tile 1, mem, NoC
+/** One lane per router of the 2x2 mesh. Tile 0, tile 1 and the
+ *  memory tile attach to routers 0, 1, 2 in that order, so each
+ *  keeps the lane of its router; router 3 carries no tile. */
+constexpr unsigned kNumLanes = 4;
 
 /** EP layout per tile: recv EP of local activity li, plus one send EP
  *  to the next local activity and one to the remote partner. */
@@ -791,12 +794,10 @@ runScenario(const Scenario &sc, RigMode mode, unsigned jobs,
         modelCheck(plat, rs, sc, progs, out);
         out.digest = computeDigest(plat, rs, noc);
     } else {
-        sim::Tick lookahead = noc::Noc::minLinkLatency(np);
-        sim::LaneScheduler sched(kNumLanes, jobs, lookahead);
-        unsigned noc_lane = kNumLanes - 1;
-        noc::Noc noc(sched.lane(noc_lane), np);
-        std::vector<unsigned> lane_of_tile = {0, 1, 2};
-        noc.setLanePlan(sched, lane_of_tile, noc_lane);
+        sim::LaneScheduler sched(kNumLanes, jobs,
+                                 noc::Noc::minLinkLatency(np));
+        noc::Noc noc(sched.lane(kNumLanes - 1), np);
+        noc.setRouterLanePlan(sched, {0, 1, 2, 3});
         Platform plat(sched.lane(0), sched.lane(1), sched.lane(2),
                       noc);
         noc.finalize();

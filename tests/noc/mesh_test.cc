@@ -87,10 +87,11 @@ enumerateRoutes(NocParams params)
                     << " for tile " << dst;
                 // Dimension order: once the X coordinate matches the
                 // destination's, it never changes again.
-                if (x_done)
+                if (x_done) {
                     ASSERT_EQ(next % params.meshCols,
                               home % params.meshCols)
                         << "Y leg left the column for tile " << dst;
+                }
                 x_done = next % params.meshCols ==
                          home % params.meshCols;
                 cur = next;
@@ -275,7 +276,6 @@ runChaosMesh(unsigned jobs)
     sim::Tick min_link = Noc::minLinkLatency(p);
     sim::LaneScheduler sched(routers, jobs, min_link,
                              /*mailbox_capacity=*/4);
-    sched.fillPairLookaheads(sim::LaneScheduler::kNoCrossing);
     Noc noc(sched.lane(0), p);
     std::vector<unsigned> lane_of_router(routers);
     for (unsigned r = 0; r < routers; r++)

@@ -1,22 +1,25 @@
 /**
  * @file
- * Tests for the sharded NoC: per-tile event lanes with LaneLink
- * crossings at the tile<->router boundary.
+ * Tests for the sharded NoC: one event lane per mesh router, with
+ * LaneLink crossings on the mesh links between routers.
  *
  * The key properties verified here:
  *  - uncongested traffic through the sharded fabric is delivered at
- *    exactly the same ticks as through the classic single-queue
- *    fabric (the launch-early carve-out preserves timing);
+ *    exactly the same ticks as through the single-queue fabric (the
+ *    launch-early carve-out preserves timing);
  *  - results are bit-identical across worker counts, congested or
  *    not;
  *  - fault injection under a lane plan is deterministic across
- *    worker counts (per-site RNG streams, per-site counters).
+ *    worker counts (per-site RNG streams, per-site counters);
+ *  - the merged lane metrics carry the single-queue fabric's
+ *    delivery keys and values.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "sim/event_queue.h"
 #include "sim/fault.h"
 #include "sim/lane.h"
+#include "sim/metrics.h"
 
 namespace m3v::noc {
 namespace {
@@ -152,10 +156,26 @@ expectSameResult(const RunResult &got, const RunResult &want,
     }
 }
 
-/** Run a schedule through the classic single-queue fabric. */
+/**
+ * Fully serialized traffic: at most one packet in flight at a time,
+ * so no two packets ever contend for a port and no same-tick
+ * arbitration ties exist.
+ */
+std::vector<Shot>
+makeUncongestedSchedule(unsigned tiles, unsigned shots)
+{
+    auto out = makeSchedule(tiles, shots, 0);
+    for (std::size_t i = 0; i < out.size(); i++)
+        out[i].at = static_cast<sim::Tick>(i) * 2'000'000;
+    return out;
+}
+
+/** Run a schedule through the single-queue fabric. @p metrics, if
+ *  set, receives the queue's metrics. */
 RunResult
 runSequential(unsigned tiles, const std::vector<Shot> &shots,
-              NocParams params, sim::FaultPlan *plan = nullptr)
+              NocParams params, sim::FaultPlan *plan = nullptr,
+              sim::MetricsRegistry *metrics = nullptr)
 {
     params.faults = plan;
     sim::EventQueue eq;
@@ -187,6 +207,8 @@ runSequential(unsigned tiles, const std::vector<Shot> &shots,
         });
     }
     eq.run();
+    if (metrics)
+        metrics->absorb(eq.metrics());
     RunResult r;
     for (auto &s : sinks)
         r.bySink.push_back(s->received);
@@ -199,25 +221,29 @@ runSequential(unsigned tiles, const std::vector<Shot> &shots,
     return r;
 }
 
-/** Run the same schedule through the sharded fabric. */
+/** Run the same schedule through the sharded fabric, one lane per
+ *  router. @p merged, if set, receives the merged lane metrics. */
 RunResult
 runLaned(unsigned tiles, const std::vector<Shot> &shots,
          NocParams params, unsigned jobs,
-         sim::FaultPlan *plan = nullptr)
+         sim::FaultPlan *plan = nullptr,
+         sim::MetricsRegistry *merged = nullptr)
 {
     params.faults = plan;
-    sim::Tick lookahead = Noc::minLinkLatency(params);
-    unsigned noc_lane = tiles;
-    sim::LaneScheduler sched(tiles + 1, jobs, lookahead);
-    Noc noc(sched.lane(noc_lane), params);
+    unsigned routers = params.meshCols * params.meshRows;
+    sim::LaneScheduler sched(routers, jobs, Noc::minLinkLatency(params));
+    Noc noc(sched.lane(0), params);
+    std::vector<unsigned> lane_of_router(routers);
+    for (unsigned r = 0; r < routers; r++)
+        lane_of_router[r] = r;
+    noc.setRouterLanePlan(sched, lane_of_router);
+    // Each tile's sink and its shots live on its home router's lane.
     std::vector<unsigned> lane_of_tile(tiles);
-    for (unsigned i = 0; i < tiles; i++)
-        lane_of_tile[i] = i;
-    noc.setLanePlan(sched, lane_of_tile, noc_lane);
     std::vector<std::unique_ptr<RecordingSink>> sinks(tiles);
     for (unsigned i = 0; i < tiles; i++) {
+        lane_of_tile[i] = noc.nextRouter();
         sinks[i] = std::make_unique<RecordingSink>();
-        sinks[i]->eq = &sched.lane(i);
+        sinks[i]->eq = &sched.lane(lane_of_tile[i]);
         noc.attachTile(i, sinks[i].get());
     }
     noc.finalize();
@@ -231,7 +257,8 @@ runLaned(unsigned tiles, const std::vector<Shot> &shots,
             std::vector<std::shared_ptr<std::function<void()>>>>();
     for (const Shot &s : shots) {
         auto retries = laneRetries[s.src];
-        sched.lane(s.src).schedule(s.at, [&noc, s, retries]() {
+        sim::EventQueue &teq = sched.lane(lane_of_tile[s.src]);
+        teq.schedule(s.at, [&noc, s, retries]() {
             auto pkt = std::make_shared<Packet>(
                 makePacket(s.src, s.dst, s.bytes, s.tag));
             auto attempt = std::make_shared<std::function<void()>>();
@@ -247,6 +274,8 @@ runLaned(unsigned tiles, const std::vector<Shot> &shots,
         });
     }
     sched.run();
+    if (merged)
+        sched.mergeMetrics(*merged);
     RunResult r;
     for (auto &s : sinks)
         r.bySink.push_back(s->received);
@@ -261,15 +290,11 @@ runLaned(unsigned tiles, const std::vector<Shot> &shots,
 
 TEST(NocLaneTest, UncongestedMatchesSequentialExactly)
 {
-    // Fully serialized traffic: at most one packet in flight at a
-    // time, so no two packets ever contend for a port and no
-    // same-tick arbitration ties exist. In this regime the sharded
-    // fabric must reproduce the sequential delivery ticks bit for
-    // bit (the launch-early carve-out preserves lone-packet timing).
+    // Without contention the sharded fabric must reproduce the
+    // sequential delivery ticks bit for bit (the launch-early
+    // carve-out preserves lone-packet timing).
     constexpr unsigned kTiles = 6;
-    auto shots = makeSchedule(kTiles, 60, 0);
-    for (std::size_t i = 0; i < shots.size(); i++)
-        shots[i].at = static_cast<sim::Tick>(i) * 2'000'000;
+    auto shots = makeUncongestedSchedule(kTiles, 60);
     NocParams params;
     auto seq = runSequential(kTiles, shots, params);
     ASSERT_EQ(seq.delivered, 60u);
@@ -330,6 +355,33 @@ TEST(NocLaneTest, LaneModeCountsPerTileDeliveries)
         by_sink += v.size();
     EXPECT_EQ(lan.delivered, by_sink);
     EXPECT_EQ(lan.delivered, 40u);
+}
+
+TEST(NocLaneTest, MergedMetricsMatchSingleQueueFabric)
+{
+    // Every lane counts deliveries into the same noc.delivered keys,
+    // so the merged lane dump carries the single-queue values, key
+    // for key.
+    constexpr unsigned kTiles = 6;
+    auto shots = makeUncongestedSchedule(kTiles, 60);
+    NocParams params;
+    sim::MetricsRegistry seq, lan;
+    runSequential(kTiles, shots, params, nullptr, &seq);
+    runLaned(kTiles, shots, params, 2, nullptr, &lan);
+    for (const char *key : {"noc.delivered", "noc.delivered_bytes"}) {
+        const sim::Counter *want = seq.findCounter(key);
+        const sim::Counter *got = lan.findCounter(key);
+        ASSERT_NE(want, nullptr) << key;
+        ASSERT_NE(got, nullptr) << key;
+        EXPECT_GT(want->value(), 0u) << key;
+        EXPECT_EQ(got->value(), want->value()) << key;
+    }
+    for (const std::string &path : lan.paths()) {
+        EXPECT_FALSE(path.rfind("noc.tile", 0) == 0 &&
+                     path.find(".delivered") != std::string::npos)
+            << path;
+    }
+    EXPECT_EQ(lan.paths(), seq.paths());
 }
 
 } // namespace

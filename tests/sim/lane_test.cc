@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the parallel event core: the SPSC mailbox ring, the
+ * Tests for the parallel event core: the MPSC fan-in ring, the
  * LaneScheduler's conservative windows and canonical merge, shard
  * merging of metrics/traces, and the runCells sweep helper.
  *
@@ -20,30 +20,32 @@
 #include "sim/event_queue.h"
 #include "sim/lane.h"
 #include "sim/metrics.h"
+#include "sim/mpsc.h"
 #include "sim/rng.h"
-#include "sim/spsc.h"
 #include "sim/trace.h"
 
 namespace m3v::sim {
 namespace {
 
-TEST(SpscRingTest, PushPopOrder)
+TEST(MpscRingTest, PushPopOrder)
 {
-    SpscRing<int> ring(4);
+    MpscRing<int> ring(4);
     EXPECT_TRUE(ring.empty());
     for (int i = 0; i < 4; i++)
         EXPECT_TRUE(ring.tryPush(std::move(i)));
+    EXPECT_FALSE(ring.empty());
     int v;
     for (int i = 0; i < 4; i++) {
         ASSERT_TRUE(ring.tryPop(v));
         EXPECT_EQ(v, i);
     }
     EXPECT_FALSE(ring.tryPop(v));
+    EXPECT_TRUE(ring.empty());
 }
 
-TEST(SpscRingTest, FullRejectsPush)
+TEST(MpscRingTest, FullRejectsPush)
 {
-    SpscRing<int> ring(2);
+    MpscRing<int> ring(2);
     std::size_t pushed = 0;
     for (int i = 0; i < 100; i++) {
         int v = i;
@@ -57,28 +59,44 @@ TEST(SpscRingTest, FullRejectsPush)
     EXPECT_EQ(v, 0);
     int w = 777;
     EXPECT_TRUE(ring.tryPush(std::move(w)));
+    int x = 778;
+    EXPECT_FALSE(ring.tryPush(std::move(x)));
 }
 
-TEST(SpscRingTest, ConcurrentProducerConsumer)
+TEST(MpscRingTest, ConcurrentProducersKeepPerProducerOrder)
 {
-    SpscRing<std::uint64_t> ring(64);
-    constexpr std::uint64_t kN = 100000;
-    std::thread producer([&]() {
-        for (std::uint64_t i = 0; i < kN;) {
-            std::uint64_t v = i;
-            if (ring.tryPush(std::move(v)))
-                i++;
-        }
-    });
-    std::uint64_t expect = 0;
-    while (expect < kN) {
-        std::uint64_t v;
-        if (ring.tryPop(v)) {
-            ASSERT_EQ(v, expect);
-            expect++;
-        }
+    // Values carry (producer << 32 | index). The pop order
+    // interleaves producers arbitrarily, but each producer's own
+    // values must arrive in push order, none lost or duplicated.
+    constexpr unsigned kProducers = 3;
+    constexpr std::uint64_t kN = 50000;
+    MpscRing<std::uint64_t> ring(64);
+    std::vector<std::thread> producers;
+    for (unsigned p = 0; p < kProducers; p++) {
+        producers.emplace_back([&ring, p]() {
+            for (std::uint64_t i = 0; i < kN;) {
+                std::uint64_t v =
+                    (static_cast<std::uint64_t>(p) << 32) | i;
+                if (ring.tryPush(std::move(v)))
+                    i++;
+            }
+        });
     }
-    producer.join();
+    std::vector<std::uint64_t> next(kProducers, 0);
+    std::uint64_t total = 0;
+    while (total < kProducers * kN) {
+        std::uint64_t v;
+        if (!ring.tryPop(v))
+            continue;
+        unsigned p = static_cast<unsigned>(v >> 32);
+        ASSERT_LT(p, kProducers);
+        ASSERT_EQ(v & 0xffffffffu, next[p]) << "producer " << p;
+        next[p]++;
+        total++;
+    }
+    for (auto &t : producers)
+        t.join();
+    EXPECT_TRUE(ring.empty());
 }
 
 /**
