@@ -84,8 +84,8 @@ build-asan/tests/fuzz/fuzz_driver --seeds=0 --caps=3
 
 echo "== fleet smoke under ASan =="
 # The chaos drill tears down tiles with live retransmission state and
-# drains stale replies after deadline abandonment — the exact handle
-# lifetimes ASan is for.
+# acks and drops the stale replies of deadline-abandoned calls — the
+# exact handle lifetimes ASan is for.
 build-asan/bench/fleet --tenants=100 --rate=6000 --chaos >/dev/null
 
 echo "== fan-in microbench under ASan (bounded) =="
@@ -97,11 +97,13 @@ cmake --build build-asan -j --target fanin
 build-asan/bench/fanin --msgs=2000 --out="" >/dev/null
 
 echo "== sanitized re-run: observability + lifecycle regressions =="
-# The metrics/trace layer and the activity-teardown paths are the
+# The metrics/trace layer, the activity-teardown paths and the call
+# path (every Env::call acks and drops stale reply slots) are the
 # most UB-prone (handle lifetimes, histogram arithmetic); run them
 # again explicitly so a filter typo above cannot silently skip them.
 (cd build-asan && ctest --output-on-failure -R \
-    'MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|ResetAct|Restart')
+    'MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|'\
+'ResetAct|Restart|OverloadRecovery')
 
 echo "== TSan build: parallel event execution =="
 # Everything that runs worker threads: the MPSC fan-in rings, the

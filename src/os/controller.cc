@@ -725,17 +725,10 @@ Controller::run()
         // instead of executing them. The rejection travels the normal
         // vDTU reply path, so service RPCs that embed syscalls (e.g.
         // m3fs extent grants) surface it typed to their clients.
-        if (admission_.enabled()) {
-            std::size_t occ =
-                env_->dtu().unread(env_->actId(), rep) + 1;
-            if (!admission_.admit(env_->dtu().now(), m.arrival, occ)) {
-                co_await thread.compute(admission_.params().shedCost);
-                SyscallResp shed;
-                shed.err = Error::Overloaded;
-                Error serr = Error::None;
-                co_await env_->reply(rep, slot, podBytes(shed), &serr);
-                continue;
-            }
+        if (!env_->admit(admission_, rep, m)) {
+            co_await env_->shed(admission_, rep, slot,
+                                podBytes(SyscallResp{Error::Overloaded}));
+            continue;
         }
 
         co_await thread.compute(params_.dispatchCost);

@@ -26,28 +26,27 @@ Env::mmioW(unsigned n) const
     return n * thread_->core().model().mmioWriteCycles;
 }
 
+template <typename Launch>
 sim::Task
-Env::send(dtu::EpId sep, Bytes msg, dtu::EpId reply_ep, Error *err,
-          std::uint64_t nonce)
+Env::command(sim::Cycles setup, bool status_read, bool buf_write,
+             Launch launch, Error *err)
 {
     for (;;) {
-        // Program EP id, buffer address, size, reply EP; start; poll.
-        co_await thread_->compute(mmioW(5) + mmioR(1));
+        co_await thread_->compute(setup);
         Error e = Error::Aborted;
         bool done = false;
         thread_->clearWake();
-        dtu_->cmdSend(act_, sep, msgBuf_, msg, reply_ep,
-                      [&](Error res) {
-                          e = res;
-                          done = true;
-                          thread_->wake();
-                      },
-                      nonce);
+        launch([&](Error res) {
+            e = res;
+            done = true;
+            thread_->wake();
+        });
         while (!done)
             co_await thread_->externalWait();
-        co_await thread_->compute(mmioR(1)); // final status read
+        if (status_read)
+            co_await thread_->compute(mmioR(1)); // final status read
         if (e == Error::TlbMiss) {
-            co_await translFix(msgBuf_, false);
+            co_await translFix(msgBuf_, buf_write);
             continue;
         }
         if (err)
@@ -57,29 +56,28 @@ Env::send(dtu::EpId sep, Bytes msg, dtu::EpId reply_ep, Error *err,
 }
 
 sim::Task
+Env::send(dtu::EpId sep, Bytes msg, dtu::EpId reply_ep, Error *err,
+          std::uint64_t nonce)
+{
+    // Program EP id, buffer address, size, reply EP; start; poll.
+    return command(mmioW(5) + mmioR(1), true, false,
+                   [this, sep, msg = std::move(msg), reply_ep,
+                    nonce](auto done) {
+                       dtu_->cmdSend(act_, sep, msgBuf_, msg, reply_ep,
+                                     std::move(done), nonce);
+                   },
+                   err);
+}
+
+sim::Task
 Env::reply(dtu::EpId rep, int slot, Bytes msg, Error *err)
 {
-    for (;;) {
-        co_await thread_->compute(mmioW(5) + mmioR(1));
-        Error e = Error::Aborted;
-        bool done = false;
-        thread_->clearWake();
-        dtu_->cmdReply(act_, rep, slot, msgBuf_, msg, [&](Error res) {
-            e = res;
-            done = true;
-            thread_->wake();
-        });
-        while (!done)
-            co_await thread_->externalWait();
-        co_await thread_->compute(mmioR(1)); // final status read
-        if (e == Error::TlbMiss) {
-            co_await translFix(msgBuf_, false);
-            continue;
-        }
-        if (err)
-            *err = e;
-        co_return;
-    }
+    return command(mmioW(5) + mmioR(1), true, false,
+                   [this, rep, slot, msg = std::move(msg)](auto done) {
+                       dtu_->cmdReply(act_, rep, slot, msgBuf_, msg,
+                                      std::move(done));
+                   },
+                   err);
 }
 
 sim::Task
@@ -141,50 +139,23 @@ Env::ackMsg(dtu::EpId rep, int slot)
 
 sim::Task
 Env::call(dtu::EpId sep, dtu::EpId rep, Bytes req, Bytes *resp,
-          Error *err)
+          Error *err, sim::Tick reply_deadline)
 {
-    Error e = Error::Aborted;
-    co_await send(sep, std::move(req), rep, &e);
-    if (e != Error::None) {
-        if (err)
-            *err = e;
-        co_return;
-    }
-    int slot = -1;
-    co_await recvOn(rep, &slot);
-    // Copy the payload out of the receive buffer (word loads).
-    const dtu::Message &m = dtu_->slotMsg(rep, slot);
-    co_await thread_->compute(
-        static_cast<sim::Cycles>(m.payload.size() / 8 + 2));
-    if (resp)
-        *resp = m.payload;
-    co_await ackMsg(rep, slot);
-    if (err)
-        *err = Error::None;
-}
-
-sim::Task
-Env::callTimed(dtu::EpId sep, dtu::EpId rep, Bytes req, Bytes *resp,
-               Error *err, sim::Tick reply_deadline)
-{
-    if (reply_deadline == 0) {
-        co_await call(sep, rep, std::move(req), resp, err);
-        co_return;
-    }
-    // Drain late replies of earlier timed-out calls on this EP so
-    // the ring cannot fill up with them (and the next fetch is ours).
-    for (;;) {
-        co_await thread_->compute(mmioW(1) + mmioR(1));
-        int stale = dtu_->fetch(act_, rep);
-        if (stale < 0)
-            break;
-        staleDrops_++;
-        co_await ackMsg(rep, stale);
+    if (reply_deadline != 0) {
+        // Drain late replies of earlier timed-out calls on this EP so
+        // the ring cannot fill up with them.
+        for (;;) {
+            co_await thread_->compute(mmioW(1) + mmioR(1));
+            int stale = dtu_->fetch(act_, rep);
+            if (stale < 0)
+                break;
+            staleDrops_++;
+            co_await ackMsg(rep, stale);
+        }
     }
 
     // A fresh correlation nonce for this call: the reply echoes it,
-    // so a late reply of an earlier, timed-out call that slips in
-    // after the drain above cannot be misattributed to this call.
+    // so a late reply of an earlier call cannot be misattributed.
     const std::uint64_t nonce = ++callNonce_;
     Error e = Error::Aborted;
     co_await send(sep, std::move(req), rep, &e, nonce);
@@ -194,22 +165,21 @@ Env::callTimed(dtu::EpId sep, dtu::EpId rep, Bytes req, Bytes *resp,
         co_return;
     }
 
-    // Poll for the reply (section 3.7 style), yielding the core
-    // between probes, until the deadline passes.
     sim::EventQueue &eq = dtu_->eventQueue();
-    sim::Tick deadline = eq.now() + reply_deadline;
+    const sim::Tick deadline = eq.now() + reply_deadline;
+    int spurious = 0;
     for (;;) {
+        // FETCH via MMIO.
         co_await thread_->compute(mmioW(1) + mmioR(1));
         int slot = dtu_->fetch(act_, rep);
         if (slot >= 0) {
             const dtu::Message &m = dtu_->slotMsg(rep, slot);
             if (m.nonce != nonce) {
-                // Stale reply to a previous timed-out call on this
-                // EP: ack-and-discard it and keep polling for ours.
                 staleDrops_++;
                 co_await ackMsg(rep, slot);
                 continue;
             }
+            // Copy the payload out of the receive buffer (word loads).
             co_await thread_->compute(
                 static_cast<sim::Cycles>(m.payload.size() / 8 + 2));
             if (resp)
@@ -219,6 +189,17 @@ Env::callTimed(dtu::EpId sep, dtu::EpId rep, Bytes req, Bytes *resp,
                 *err = Error::None;
             co_return;
         }
+        if (reply_deadline == 0) {
+            if (++spurious > 10000) {
+                sim::panic("%s: livelock in call(ep %u): unread "
+                           "message on an unexpected EP?",
+                           name_.c_str(), rep);
+            }
+            co_await waitImpl(rep);
+            continue;
+        }
+        // Timed: poll (section 3.7 style), since nothing wakes a
+        // blocked context at the deadline.
         if (eq.now() >= deadline) {
             if (err)
                 *err = Error::Timeout;
@@ -228,72 +209,55 @@ Env::callTimed(dtu::EpId sep, dtu::EpId rep, Bytes req, Bytes *resp,
     }
 }
 
+bool
+Env::admit(sim::Admission &adm, dtu::EpId rep, const dtu::Message &msg)
+{
+    return !adm.enabled() ||
+           adm.admit(dtu_->now(), msg.arrival,
+                     dtu_->unread(act_, rep) + 1);
+}
+
+sim::Task
+Env::shed(const sim::Admission &adm, dtu::EpId rep, int slot,
+          Bytes resp)
+{
+    co_await thread_->compute(adm.params().shedCost);
+    Error serr = Error::None;
+    co_await reply(rep, slot, std::move(resp), &serr);
+}
+
 sim::Task
 Env::readMem(dtu::EpId mep, std::uint64_t off, std::size_t size,
              Bytes *out, Error *err)
 {
-    for (;;) {
-        co_await thread_->compute(mmioW(4) + mmioR(1));
-        Error e = Error::Aborted;
-        bool done = false;
-        thread_->clearWake();
-        dtu_->cmdRead(act_, mep, off, size, msgBuf_,
-                      [&](Error res, Bytes data) {
-                          e = res;
-                          if (out)
-                              *out = std::move(data);
-                          done = true;
-                          thread_->wake();
-                      });
-        while (!done)
-            co_await thread_->externalWait();
-        if (e == Error::TlbMiss) {
-            co_await translFix(msgBuf_, true);
-            continue;
-        }
-        if (err)
-            *err = e;
-        co_return;
-    }
+    return command(mmioW(4) + mmioR(1), false, true,
+                   [this, mep, off, size, out](auto done) {
+                       dtu_->cmdRead(act_, mep, off, size, msgBuf_,
+                                     [out, done](Error res,
+                                                 Bytes data) {
+                                         if (out)
+                                             *out = std::move(data);
+                                         done(res);
+                                     });
+                   },
+                   err);
 }
 
 sim::Task
 Env::writeMem(dtu::EpId mep, std::uint64_t off, Bytes data, Error *err)
 {
-    for (;;) {
-        co_await thread_->compute(mmioW(4) + mmioR(1));
-        Error e = Error::Aborted;
-        bool done = false;
-        thread_->clearWake();
-        dtu_->cmdWrite(act_, mep, off, data, msgBuf_, [&](Error res) {
-            e = res;
-            done = true;
-            thread_->wake();
-        });
-        while (!done)
-            co_await thread_->externalWait();
-        if (e == Error::TlbMiss) {
-            co_await translFix(msgBuf_, false);
-            continue;
-        }
-        if (err)
-            *err = e;
-        co_return;
-    }
+    return command(mmioW(4) + mmioR(1), false, false,
+                   [this, mep, off, data = std::move(data)](auto done) {
+                       dtu_->cmdWrite(act_, mep, off, data, msgBuf_,
+                                      std::move(done));
+                   },
+                   err);
 }
 
 sim::Task
 Env::syscall(SyscallReq req, SyscallResp *resp)
 {
-    if (syscSep_ == dtu::kInvalidEp)
-        sim::panic("%s: syscall without syscall gates", name_.c_str());
-    Bytes respb;
-    Error e = Error::Aborted;
-    co_await call(syscSep_, syscRep_, podBytes(req), &respb, &e);
-    if (e != Error::None)
-        sim::panic("%s: syscall transport failed: %s", name_.c_str(),
-                   dtu::errorName(e));
-    *resp = podFrom<SyscallResp>(respb);
+    return trySyscall(req, resp, nullptr);
 }
 
 sim::Task
@@ -304,7 +268,11 @@ Env::trySyscall(SyscallReq req, SyscallResp *resp, dtu::Error *err)
     Bytes respb;
     Error e = Error::Aborted;
     co_await call(syscSep_, syscRep_, podBytes(req), &respb, &e);
-    *err = e;
+    if (e != Error::None && err == nullptr)
+        sim::panic("%s: syscall transport failed: %s", name_.c_str(),
+                   dtu::errorName(e));
+    if (err)
+        *err = e;
     if (e == Error::None)
         *resp = podFrom<SyscallResp>(respb);
 }

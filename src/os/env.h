@@ -26,6 +26,7 @@
 #include "core/vdtu.h"
 #include "dtu/dtu.h"
 #include "os/proto.h"
+#include "sim/overload.h"
 #include "sim/task.h"
 #include "tile/core.h"
 
@@ -94,32 +95,34 @@ class Env
     /** Acknowledge (free) a fetched message. */
     sim::Task ackMsg(dtu::EpId rep, int slot);
 
-    /** Full RPC: send, await the reply, copy it out, acknowledge. */
-    sim::Task call(dtu::EpId sep, dtu::EpId rep, Bytes req,
-                   Bytes *resp, dtu::Error *err);
-
     /**
-     * Like call(), but give up on the reply after @p reply_deadline
-     * ticks and surface a typed dtu::Error::Timeout — without this,
-     * a reply whose retransmissions the wire exhausted leaves the
-     * caller blocked in recvOn() forever. 0 falls back to call().
+     * Full RPC: send with a fresh correlation nonce, await the reply
+     * that echoes it (dtu::Message::nonce), copy it out, acknowledge.
+     * A reply with another nonce is the late reply of an earlier,
+     * timed-out call: it is acked and counted as a stale drop. The
+     * reply EP must be used by one caller at a time.
      *
-     * The reply EP must be used by one caller at a time (as with
-     * call()). Each timed call carries a fresh correlation nonce that
-     * the server's REPLY echoes back (dtu::Message::nonce): before
-     * sending, any unread message on the EP is drained, and while
-     * polling, a fetched reply whose nonce does not match the current
-     * call is acknowledged and discarded as a stale drop. Without the
-     * nonce check, the late reply of an earlier, timed-out call that
-     * arrives *after* the pre-send drain would be misattributed to
-     * the current call.
+     * A nonzero @p reply_deadline first drains such late replies,
+     * then polls, yielding the core, and gives up after that many
+     * ticks with dtu::Error::Timeout (a reply the wire lost would
+     * otherwise block forever); 0 blocks until the reply arrives.
      */
-    sim::Task callTimed(dtu::EpId sep, dtu::EpId rep, Bytes req,
-                        Bytes *resp, dtu::Error *err,
-                        sim::Tick reply_deadline);
+    sim::Task call(dtu::EpId sep, dtu::EpId rep, Bytes req,
+                   Bytes *resp, dtu::Error *err,
+                   sim::Tick reply_deadline = 0);
 
-    /** Late replies of timed-out calls dropped by callTimed(). */
+    /** Late replies of timed-out calls dropped by call(). */
     std::uint64_t staleRepliesDropped() const { return staleDrops_; }
+
+    /** Server admission: decide the fetched request @p msg on @p rep
+     *  (true = execute; always true while @p adm is disabled). */
+    bool admit(sim::Admission &adm, dtu::EpId rep,
+               const dtu::Message &msg);
+
+    /** Shed the request in @p slot of @p rep: pay @p adm's shed cost,
+     *  then reply @p resp (a typed Overloaded). */
+    sim::Task shed(const sim::Admission &adm, dtu::EpId rep, int slot,
+                   Bytes resp);
 
     //
     // Memory gates.
@@ -140,8 +143,9 @@ class Env
     /**
      * Like syscall(), but a transport failure (e.g. the caller's
      * endpoints were reset because it was killed mid-call) surfaces
-     * as @p err instead of a panic. For code that must survive its
-     * own activity's crash, such as fault-injection tests.
+     * as @p err instead of a panic; a null @p err panics as syscall()
+     * does. For code that must survive its own activity's crash, such
+     * as fault-injection tests.
      */
     sim::Task trySyscall(SyscallReq req, SyscallResp *resp,
                          dtu::Error *err);
@@ -178,8 +182,16 @@ class Env
     dtu::EpId syscSep_ = dtu::kInvalidEp;
     dtu::EpId syscRep_ = dtu::kInvalidEp;
     std::uint64_t staleDrops_ = 0;
-    /** Correlation nonce of the last timed call (0 = none yet). */
+    /** Correlation nonce of the last call (0 = none yet). */
     std::uint64_t callNonce_ = 0;
+
+  private:
+    /** One DTU command: @p setup MMIO cycles, @p launch(done), wait for
+     *  done(Error), an optional status read, and a transl retry on a
+     *  TLB miss of the message buffer (written if @p buf_write). */
+    template <typename Launch>
+    sim::Task command(sim::Cycles setup, bool status_read,
+                      bool buf_write, Launch launch, dtu::Error *err);
 };
 
 /** Environment of an activity on a multiplexed tile. */

@@ -11,10 +11,6 @@ using os::Bytes;
 
 namespace {
 
-/** Client-side retry policy for timed-out RPCs. */
-constexpr unsigned kRpcAttempts = 4;
-constexpr sim::Cycles kRpcBackoff = 4096;
-
 /**
  * Operations the server may execute twice without changing the
  * client-visible outcome, so a timed-out RPC (where the request or
@@ -50,63 +46,8 @@ FileSession::FileSession(os::Env &env, const M3fs::Client &client,
 sim::Task
 FileSession::rpc(FsReq req, FsResp *resp)
 {
-    sim::Cycles backoff = kRpcBackoff;
-    for (unsigned attempt = 0;; attempt++) {
-        bool sent = false;
-        Error err = Error::Overloaded;
-        if (guard_ == nullptr ||
-            guard_->breaker().allow(env_.dtu().now())) {
-            sent = true;
-            Bytes respb;
-            err = Error::Aborted;
-            sim::Tick deadline =
-                guard_ ? guard_->replyDeadline() : 0;
-            if (deadline == 0)
-                co_await env_.call(sgate_, reply_,
-                                   os::podBytes(req), &respb, &err);
-            else
-                co_await env_.callTimed(sgate_, reply_,
-                                        os::podBytes(req), &respb,
-                                        &err, deadline);
-            if (err == Error::None) {
-                *resp = os::podFrom<FsResp>(respb);
-                if (resp->err != Error::Overloaded) {
-                    // A delivered outcome — success or a typed
-                    // server error — proves the channel healthy.
-                    if (guard_) {
-                        guard_->breaker().recordSuccess(
-                            env_.dtu().now());
-                        guard_->budget().recordSuccess();
-                        guard_->backoff().reset();
-                    }
-                    co_return;
-                }
-                // Server shed before executing: always retryable,
-                // but only within the budget.
-                rpcOverloaded_++;
-                err = Error::Overloaded;
-            }
-        }
-        // err: Timeout, Overloaded, or another transport failure.
-        if (sent && guard_)
-            guard_->breaker().recordFailure(env_.dtu().now());
-        bool retryable =
-            err == Error::Overloaded ||
-            (err == Error::Timeout && isIdempotent(req.op));
-        // Breaker-denied attempts (sent == false) never reached the
-        // wire: they retry within the attempt cap without spending a
-        // retry token, which is reserved for actual retry traffic.
-        if (!retryable || attempt + 1 >= kRpcAttempts ||
-            (sent && guard_ && !guard_->budget().tryAcquire())) {
-            *resp = FsResp{};
-            resp->err = err;
-            co_return;
-        }
-        rpcRetries_++;
-        co_await env_.thread().compute(
-            guard_ ? guard_->backoff().next() : backoff);
-        backoff *= 2;
-    }
+    return guardedRpc(env_, sgate_, reply_, os::podBytes(req),
+                      isIdempotent(req.op), guard_, &counters_, resp);
 }
 
 sim::Task

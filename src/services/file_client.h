@@ -16,6 +16,7 @@
 #include "os/env.h"
 #include "services/fs_proto.h"
 #include "services/m3fs.h"
+#include "services/rpc.h"
 #include "sim/overload.h"
 
 namespace m3v::services {
@@ -30,8 +31,8 @@ class FileSession
      * @param ep_idx which EP of the client's file-EP pool to bind
      * @param guard  optional per-destination overload discipline
      *               (retry budget, circuit breaker, jittered backoff,
-     *               reply deadline). Null keeps the legacy fixed
-     *               timeout-retry policy and its exact timing.
+     *               reply deadline). Null retries with a fixed
+     *               doubling backoff and waits for every reply.
      */
     FileSession(os::Env &env, const M3fs::Client &client,
                 unsigned ep_idx = 0,
@@ -79,18 +80,17 @@ class FileSession
     std::uint64_t extentRpcs() const { return extentRpcs_; }
 
     /** RPCs re-sent after a timeout or server shed. */
-    std::uint64_t rpcRetries() const { return rpcRetries_; }
+    std::uint64_t rpcRetries() const { return counters_.retries; }
 
     /** Server-side Error::Overloaded rejections observed. */
-    std::uint64_t rpcOverloaded() const { return rpcOverloaded_; }
+    std::uint64_t rpcOverloaded() const { return counters_.overloaded; }
 
   private:
     /**
-     * Issue one m3fs RPC. A transport timeout (the reliable DTU layer
-     * exhausted its retransmissions) is retried with exponential
-     * backoff for idempotent operations; otherwise — and for any
-     * other transport error — the error is surfaced in resp->err so
-     * callers see a typed failure instead of a panic.
+     * Send one m3fs RPC through guardedRpc(). A transport timeout
+     * (the reliable DTU layer exhausted its retransmissions) is
+     * retried for idempotent operations; any failure that is not
+     * retried surfaces in resp->err, typed instead of a panic.
      */
     sim::Task rpc(FsReq req, FsResp *resp);
 
@@ -109,8 +109,7 @@ class FileSession
     std::uint64_t winLen_ = 0;
     bool winValid_ = false;
     std::uint64_t extentRpcs_ = 0;
-    std::uint64_t rpcRetries_ = 0;
-    std::uint64_t rpcOverloaded_ = 0;
+    RpcCounters counters_;
     /** Next NextOut allocation hint in blocks. */
     std::uint32_t nextHint_ = 4;
 };

@@ -67,20 +67,10 @@ M3fs::body(os::MuxEnv &env)
         // Admission control: the fixed-slot ring is the (bounded)
         // request queue; shed aged or over-occupancy requests with a
         // cheap typed rejection instead of executing them.
-        if (admission_.enabled()) {
-            std::size_t occ =
-                env.dtu().unread(env.actId(), rgate_.ep) + 1;
-            if (!admission_.admit(env.dtu().now(), msg.arrival,
-                                  occ)) {
-                co_await env.thread().compute(
-                    admission_.params().shedCost);
-                FsResp shed;
-                shed.err = Error::Overloaded;
-                Error serr = Error::None;
-                co_await env.reply(rgate_.ep, slot,
-                                   os::podBytes(shed), &serr);
-                continue;
-            }
+        if (!env.admit(admission_, rgate_.ep, msg)) {
+            co_await env.shed(admission_, rgate_.ep, slot,
+                              os::podBytes(FsResp{Error::Overloaded}));
+            continue;
         }
 
         FsReq req = os::podFrom<FsReq>(msg.payload);

@@ -11,13 +11,6 @@ using os::Bytes;
 
 namespace {
 
-/**
- * Cap on Overloaded-shed retries of a single UDP rpc (mirrors the
- * file client's kRpcAttempts) so one rpc terminates after a bounded
- * number of shed/backoff cycles even under sustained overload.
- */
-constexpr unsigned kUdpRpcAttempts = 4;
-
 /** Concatenate a POD header and payload bytes. */
 template <typename T>
 Bytes
@@ -144,20 +137,10 @@ NetService::body(os::MuxEnv &env)
 
         // Admission control over the bounded request ring: reject
         // aged or over-occupancy requests early and typed.
-        if (admission_.enabled()) {
-            std::size_t occ =
-                env.dtu().unread(env.actId(), rgate_.ep) + 1;
-            if (!admission_.admit(env.dtu().now(), msg.arrival,
-                                  occ)) {
-                co_await env.thread().compute(
-                    admission_.params().shedCost);
-                NetRespHdr shed;
-                shed.err = Error::Overloaded;
-                Error serr = Error::None;
-                co_await env.reply(rgate_.ep, slot,
-                                   os::podBytes(shed), &serr);
-                continue;
-            }
+        if (!env.admit(admission_, rgate_.ep, msg)) {
+            co_await env.shed(admission_, rgate_.ep, slot,
+                              os::podBytes(NetRespHdr{Error::Overloaded}));
+            continue;
         }
 
         Bytes payload;
@@ -220,60 +203,10 @@ sim::Task
 UdpSocket::rpc(NetReqHdr hdr, Bytes payload, NetRespHdr *resp)
 {
     // UDP semantics: a timed-out request is a lost datagram and is
-    // never re-sent; only a server shed (Error::Overloaded — the
-    // request provably had no effect) is retried, within the budget
-    // and a bounded number of attempts (so a single rpc terminates
-    // under sustained overload even while successes on the shared
-    // guard keep refilling the token bucket).
-    for (unsigned attempt = 0;; attempt++) {
-        bool sent = false;
-        Error err = Error::Overloaded;
-        if (guard_ == nullptr ||
-            guard_->breaker().allow(env_.dtu().now())) {
-            sent = true;
-            Bytes respb;
-            err = Error::Aborted;
-            sim::Tick deadline =
-                guard_ ? guard_->replyDeadline() : 0;
-            if (deadline == 0)
-                co_await env_.call(wiring_.sgateEp, wiring_.replyEp,
-                                   withPayload(hdr, payload), &respb,
-                                   &err);
-            else
-                co_await env_.callTimed(
-                    wiring_.sgateEp, wiring_.replyEp,
-                    withPayload(hdr, payload), &respb, &err,
-                    deadline);
-            if (err == Error::None) {
-                *resp = os::podFrom<NetRespHdr>(respb);
-                if (resp->err != Error::Overloaded) {
-                    if (guard_) {
-                        guard_->breaker().recordSuccess(
-                            env_.dtu().now());
-                        guard_->budget().recordSuccess();
-                        guard_->backoff().reset();
-                    }
-                    co_return;
-                }
-                rpcOverloaded_++;
-                err = Error::Overloaded;
-            }
-        }
-        if (sent && guard_)
-            guard_->breaker().recordFailure(env_.dtu().now());
-        // Breaker-denied attempts (sent == false) never reached the
-        // wire: they retry within the attempt cap without spending a
-        // retry token, which is reserved for actual retry traffic.
-        if (err != Error::Overloaded || guard_ == nullptr ||
-            attempt + 1 >= kUdpRpcAttempts ||
-            (sent && !guard_->budget().tryAcquire())) {
-            *resp = NetRespHdr{};
-            resp->err = err;
-            co_return;
-        }
-        rpcRetries_++;
-        co_await env_.thread().compute(guard_->backoff().next());
-    }
+    // never re-sent; only a server shed is retried.
+    return guardedRpc(env_, wiring_.sgateEp, wiring_.replyEp,
+                      withPayload(hdr, payload), false, guard_,
+                      &counters_, resp);
 }
 
 sim::Task

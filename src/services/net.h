@@ -13,6 +13,7 @@
 
 #include "os/system.h"
 #include "services/nic.h"
+#include "services/rpc.h"
 #include "sim/overload.h"
 
 namespace m3v::services {
@@ -138,7 +139,8 @@ class UdpSocket
   public:
     /**
      * @param guard optional per-destination overload discipline; null
-     *              keeps the legacy single-shot RPC behaviour.
+     *              retries a server shed with a fixed doubling backoff
+     *              and waits for every reply.
      */
     UdpSocket(os::Env &env, const NetService::Client &client,
               sim::OverloadGuard *guard = nullptr);
@@ -154,10 +156,10 @@ class UdpSocket
     sim::Task recv(os::Bytes *payload, dtu::Error *err);
 
     /** RPCs re-sent after a server shed. */
-    std::uint64_t rpcRetries() const { return rpcRetries_; }
+    std::uint64_t rpcRetries() const { return counters_.retries; }
 
     /** Server-side Error::Overloaded rejections observed. */
-    std::uint64_t rpcOverloaded() const { return rpcOverloaded_; }
+    std::uint64_t rpcOverloaded() const { return counters_.overloaded; }
 
   private:
     sim::Task rpc(NetReqHdr hdr, os::Bytes payload,
@@ -167,8 +169,7 @@ class UdpSocket
     NetService::Client wiring_;
     sim::OverloadGuard *guard_;
     std::uint32_t sock_ = 0;
-    std::uint64_t rpcRetries_ = 0;
-    std::uint64_t rpcOverloaded_ = 0;
+    RpcCounters counters_;
 };
 
 } // namespace m3v::services

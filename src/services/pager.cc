@@ -58,20 +58,10 @@ PagerService::body(os::MuxEnv &env)
         ClientState &cs = it->second;
 
         // Admission control over the bounded request ring.
-        if (admission_.enabled()) {
-            std::size_t occ =
-                env.dtu().unread(env.actId(), rgate_.ep) + 1;
-            if (!admission_.admit(env.dtu().now(), msg.arrival,
-                                  occ)) {
-                co_await env.thread().compute(
-                    admission_.params().shedCost);
-                PagerResp shed;
-                shed.err = Error::Overloaded;
-                Error serr = Error::None;
-                co_await env.reply(rgate_.ep, slot,
-                                   os::podBytes(shed), &serr);
-                continue;
-            }
+        if (!env.admit(admission_, rgate_.ep, msg)) {
+            co_await env.shed(admission_, rgate_.ep, slot,
+                              os::podBytes(PagerResp{Error::Overloaded}));
+            continue;
         }
 
         PagerReq req = os::podFrom<PagerReq>(msg.payload);

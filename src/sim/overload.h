@@ -324,9 +324,9 @@ class JitterBackoff
 /**
  * Per-destination client discipline bundle: one breaker and one retry
  * budget per destination (shared by all sessions talking to it), plus
- * the backoff jitter source. A reply deadline of 0 keeps the legacy
- * wait-forever RPC path (and its exact timing); fleet-style clients
- * set it so a lost reply surfaces as a typed, retryable Timeout.
+ * the backoff jitter source. With a reply deadline of 0 an RPC waits
+ * for its reply however long it takes; fleet-style clients set one
+ * so a lost reply surfaces as a typed, retryable Timeout.
  */
 class OverloadGuard
 {

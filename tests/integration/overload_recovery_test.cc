@@ -15,10 +15,14 @@
  *    quiescence) must hold at the end of the run — nothing the dead
  *    activity had in flight may leak.
  *
- * 3. Reply correlation: the late reply of a timed-out callTimed()
- *    that arrives *after* the next call's pre-send drain must not be
- *    misattributed to that next call — the per-call nonce makes the
- *    poll loop ack-and-discard it as a stale drop.
+ * 3. Reply correlation: the late reply of a timed-out call() that
+ *    arrives *after* the next call's pre-send drain must not be
+ *    misattributed to that next call, timed or not — the per-call
+ *    nonce makes the fetch loop ack-and-discard it as a stale drop.
+ *
+ * 4. Shed retries are capped: against a server that sheds every
+ *    request, the file and UDP clients give up after four attempts,
+ *    with or without an OverloadGuard.
  */
 
 #include <gtest/gtest.h>
@@ -139,7 +143,12 @@ TEST(OverloadRecoveryTest, RetxExhaustionSurfacesTypedTimeout)
     EXPECT_GT(plan.drops().value(), 0u);
 }
 
-TEST(OverloadRecoveryTest, LateReplyIsNotMisattributedToNextCall)
+/**
+ * Time out a first call, then make a second one with @p deadline2
+ * (0 = untimed) while the first call's late reply is still in flight.
+ */
+void
+checkLateReplyIsDropped(sim::Tick deadline2)
 {
     sim::EventQueue eq;
     os::SystemParams params;
@@ -148,11 +157,10 @@ TEST(OverloadRecoveryTest, LateReplyIsNotMisattributedToNextCall)
 
     // Client deadline for the first call; the server holds the first
     // reply until kReplyAt, well past the timeout, so it lands in the
-    // middle of the *second* call's poll loop — after that call's
+    // middle of the *second* call's fetch loop — after a timed call's
     // pre-send drain.
     const sim::Tick kDeadline1 = 200 * sim::kTicksPerUs;
     const sim::Tick kReplyAt = 2 * sim::kTicksPerMs;
-    const sim::Tick kDeadline2 = 20 * sim::kTicksPerMs;
 
     auto *server = sys.createApp(2, "server");
     auto ring = sys.makeRgate(server, 128, 4);
@@ -182,11 +190,11 @@ TEST(OverloadRecoveryTest, LateReplyIsNotMisattributedToNextCall)
     sys.start(client, [&, sgate](os::MuxEnv &env) -> sim::Task {
         Bytes resp;
         Error err = Error::Aborted;
-        co_await env.callTimed(sgate.ep, reply.ep, Bytes(1, 0x01),
-                               &resp, &err, kDeadline1);
+        co_await env.call(sgate.ep, reply.ep, Bytes(1, 0x01), &resp,
+                          &err, kDeadline1);
         firstErr = err;
-        co_await env.callTimed(sgate.ep, reply.ep, Bytes(1, 0x02),
-                               &secondResp, &secondErr, kDeadline2);
+        co_await env.call(sgate.ep, reply.ep, Bytes(1, 0x02),
+                          &secondResp, &secondErr, deadline2);
         staleDrops = env.staleRepliesDropped();
     });
 
@@ -199,6 +207,104 @@ TEST(OverloadRecoveryTest, LateReplyIsNotMisattributedToNextCall)
     ASSERT_EQ(secondResp.size(), 1u);
     EXPECT_EQ(secondResp[0], 0xBB);
     EXPECT_EQ(staleDrops, 1u);
+}
+
+TEST(OverloadRecoveryTest, LateReplyIsNotMisattributedToNextCall)
+{
+    for (sim::Tick deadline2 : {20 * sim::kTicksPerMs, sim::Tick{0}}) {
+        SCOPED_TRACE("second call deadline " + std::to_string(deadline2));
+        checkLateReplyIsDropped(deadline2);
+    }
+}
+
+/** Outcome of one RPC against a server that sheds everything. */
+struct ShedOutcome
+{
+    Error err = Error::None;
+    std::uint64_t overloaded = 0;
+    std::uint64_t retries = 0;
+};
+
+/**
+ * One FileSession::stat (or, with @p udp, UdpSocket::create) against
+ * a server that answers every request with Error::Overloaded;
+ * @p guarded runs it under an OverloadGuard that cannot trip within
+ * four attempts.
+ */
+ShedOutcome
+runAgainstSheddingServer(bool udp, bool guarded)
+{
+    sim::EventQueue eq;
+    os::SystemParams params;
+    params.userTiles = 3;
+    os::System sys(eq, params);
+
+    auto *server = sys.createApp(2, "server");
+    auto ring = sys.makeRgate(server, 512, 8);
+    auto *client = sys.createApp(1, "client");
+    auto reply = sys.makeRgate(client, 512, 4);
+    auto sgate = sys.makeSgate(client, server, ring.ep, 1, 1);
+
+    sys.start(server, [&, udp](os::MuxEnv &env) -> sim::Task {
+        for (;;) {
+            int slot = -1;
+            co_await env.recvOn(ring.ep, &slot);
+            Bytes shed = udp ? os::podBytes(services::NetRespHdr{
+                                   Error::Overloaded})
+                             : os::podBytes(services::FsResp{
+                                   Error::Overloaded});
+            Error rerr = Error::Aborted;
+            co_await env.reply(ring.ep, slot, std::move(shed), &rerr);
+        }
+    });
+
+    sim::OverloadGuard::Params gp;
+    gp.breaker.failureThreshold = 5;
+    gp.budget.initial = 8;
+    gp.replyDeadline = sim::kTicksPerMs;
+    sim::OverloadGuard guard(0x5EED, gp);
+
+    ShedOutcome out;
+    sys.start(client, [&, udp, guarded](os::MuxEnv &env) -> sim::Task {
+        sim::OverloadGuard *g = guarded ? &guard : nullptr;
+        if (udp) {
+            services::NetService::Client c;
+            c.sgateEp = sgate.ep;
+            c.replyEp = reply.ep;
+            services::UdpSocket sock(env, c, g);
+            co_await sock.create(4242, &out.err);
+            out.overloaded = sock.rpcOverloaded();
+            out.retries = sock.rpcRetries();
+        } else {
+            services::M3fs::Client c;
+            c.sgateEp = sgate.ep;
+            c.replyEp = reply.ep;
+            c.fileEps = {dtu::kInvalidEp};
+            services::FileSession f(env, c, 0, g);
+            services::FsResp resp;
+            co_await f.stat("/", &resp);
+            out.err = resp.err;
+            out.overloaded = f.rpcOverloaded();
+            out.retries = f.rpcRetries();
+        }
+    });
+
+    eq.run();
+    return out;
+}
+
+TEST(OverloadRecoveryTest, ShedRetriesStopAtAttemptCap)
+{
+    for (bool udp : {false, true}) {
+        for (bool guarded : {true, false}) {
+            SCOPED_TRACE(std::string(udp ? "udp" : "fs") +
+                         (guarded ? " guarded" : " unguarded"));
+            ShedOutcome o = runAgainstSheddingServer(udp, guarded);
+            EXPECT_EQ(o.err, Error::Overloaded);
+            EXPECT_EQ(o.overloaded, 4u);
+            EXPECT_EQ(o.retries, 3u);
+        }
+    }
 }
 
 TEST(OverloadRecoveryTest, ReapWithInflightRetxReclaimsCredits)
