@@ -532,7 +532,7 @@ m3xRunsPerSec(unsigned tiles, bool find,
 // Mesh tile-count sweep: the fabric itself, at 64/256/1024 tiles on a
 // router-sharded LaneScheduler (one lane per mesh router, per-pair
 // lookaheads from the link latencies, distant lanes windowed by the
-// distance matrix). Deterministic synthetic traffic; every tile count
+// cheapest link chains). Deterministic synthetic traffic; every tile count
 // runs at jobs = 1, 2, 4 and the runs must be digest-identical — the
 // jobs=1-vs-N gate of the parallel fabric at scale. Simulated-time
 // results go to stdout/summary; wall-clock throughput and speedup go

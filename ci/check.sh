@@ -37,7 +37,24 @@ cmp "$FLEET1" "$FLEET4" || {
 }
 rm -f "$FLEET1" "$FLEET4"
 
-echo "== mesh scaling: 64-tile sweep, jobs=4 speedup =="
+echo "== mesh: 64/256-tile digests, 64-tile jobs=4 speedup =="
+# The router-sharded mesh's simulated results are pinned to the
+# committed digests on any core count: the lane scheduler's window
+# limits and merge order must not move a single event. (fig09 itself
+# aborts if its jobs=1/2/4 runs disagree with each other.)
+MESH_DIGESTS=$(mktemp)
+M3V_FIG09_TILES=256 build/bench/fig09_scale --mesh-only \
+    --scale-out="$MESH_DIGESTS" >/dev/null
+for pin in 64:360304a4206f0a4c 256:1d57db0d3ebd4c47; do
+    jq -e --argjson t "${pin%%:*}" --arg d "${pin#*:}" \
+        '.mesh[] | select(.tiles == $t) | .digest == $d' \
+        "$MESH_DIGESTS" >/dev/null || {
+        echo "FAIL: ${pin%%:*}-tile mesh digest is not ${pin#*:}" >&2
+        jq '.mesh[] | {tiles, digest}' "$MESH_DIGESTS" >&2
+        exit 1
+    }
+done
+rm -f "$MESH_DIGESTS"
 # Measured parallel speedup of the router-sharded 64-tile mesh on the
 # plain build. Below four hardware threads a jobs=4 run cannot
 # express real parallelism — the assertion is skipped with a notice

@@ -81,8 +81,8 @@ class Noc : public sim::SimObject
      * @p sched's pair matrix with LaneScheduler::kNoCrossing;
      * finalize() then declares the per-lane-pair lookahead of every
      * adjacent link (both directions — packets and credit returns),
-     * and the scheduler derives distant-pair windows from the mesh
-     * distance matrix. Tile sinks must be built on their home
+     * and the scheduler windows distant pairs by the cheapest
+     * chains of those links. Tile sinks must be built on their home
      * router's lane (tiles are assigned round-robin; attachTile
      * returns the router). Must be called before any attachTile();
      * this Noc must have been constructed against one of @p sched's

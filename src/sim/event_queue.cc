@@ -317,7 +317,7 @@ EventQueue::consumeFrom(Src src, std::size_t bucket_idx)
 }
 
 bool
-EventQueue::nextLive(Entry &out, bool consume)
+EventQueue::nextLive(Entry &out, Tick consume_below)
 {
     rebase(now_ >> kBucketTickShift);
     for (;;) {
@@ -356,7 +356,8 @@ EventQueue::nextLive(Entry &out, bool consume)
         }
 
         bool live = isLive(e.slot, e.gen);
-        if (!live || consume)
+        if (!live || e.when < consume_below ||
+            consume_below == kConsumeAll)
             consumeFrom(src, idx);
         if (live) {
             out = e;
@@ -365,12 +366,9 @@ EventQueue::nextLive(Entry &out, bool consume)
     }
 }
 
-bool
-EventQueue::popAndRun()
+void
+EventQueue::execute(const Entry &e)
 {
-    Entry e;
-    if (!nextLive(e, true))
-        return false;
     now_ = e.when;
     Record &r = recordAt(e.slot);
     UniqueFunction<void()> fn = std::move(r.fn);
@@ -385,6 +383,15 @@ EventQueue::popAndRun()
         invCountdown_ = invStride_;
         inv_->runBoundary();
     }
+}
+
+bool
+EventQueue::popAndRun()
+{
+    Entry e;
+    if (!nextLive(e, kConsumeAll))
+        return false;
+    execute(e);
     return true;
 }
 
@@ -412,36 +419,34 @@ EventQueue::run()
 void
 EventQueue::runUntil(Tick when)
 {
-    while (livePending_ > 0) {
-        Entry e;
-        if (!nextLive(e, false))
-            break;
-        if (e.when > when)
-            break;
-        popAndRun();
-    }
+    Tick next;
+    runBefore(when == kConsumeAll ? when : when + 1, &next);
     if (when > now_)
         now_ = when;
 }
 
-void
-EventQueue::runBefore(Tick limit)
+bool
+EventQueue::runBefore(Tick limit, Tick *next)
 {
-    while (livePending_ > 0) {
-        Entry e;
-        if (!nextLive(e, false))
-            break;
-        if (e.when >= limit)
-            break;
-        popAndRun();
+    Entry e;
+    while (nextLive(e, limit)) {
+        // Below the limit nextLive() has consumed the entry; at or
+        // past it the entry stays queued, unless the limit is
+        // unbounded.
+        if (e.when >= limit && limit != kConsumeAll) {
+            *next = e.when;
+            return true;
+        }
+        execute(e);
     }
+    return false;
 }
 
 bool
 EventQueue::peekNextTick(Tick *out)
 {
     Entry e;
-    if (!nextLive(e, false))
+    if (!nextLive(e, 0))
         return false;
     *out = e.when;
     return true;

@@ -150,11 +150,14 @@ class EventQueue
 
     /**
      * Run events with tick strictly below @p limit, leaving now() at
-     * the last executed event. The conservative-window primitive of
-     * the parallel scheduler (sim::LaneScheduler): a lane executes
-     * one window [W, W + lookahead) per round.
+     * the last executed event, with one queue lookup per event. If
+     * live events remain, stores the first one's tick (>= limit) in
+     * @p next and returns true; returns false once the queue drains.
+     * A limit of ~0 is unbounded. The conservative-window primitive
+     * of the parallel scheduler (sim::LaneScheduler): a lane executes
+     * one window per round and learns its next tick for free.
      */
-    void runBefore(Tick limit);
+    bool runBefore(Tick limit, Tick *next);
 
     /**
      * Tick of the next live event without consuming it (tombstones
@@ -260,15 +263,21 @@ class EventQueue
     void clearBucketBit(std::size_t idx);
     std::size_t findMarkedFrom(std::size_t start) const;
 
+    /** consume_below value that consumes every live entry. */
+    static constexpr Tick kConsumeAll = ~Tick{0};
+
     /**
      * Locate the next entry in (when, seq) order, structurally
-     * discarding tombstones on the way. With @p consume the live
-     * entry is removed from its container as well. Returns false if
+     * discarding tombstones on the way. The live entry is removed
+     * from its container as well if its tick is below
+     * @p consume_below (or that is kConsumeAll). Returns false if
      * nothing live remains.
      */
-    bool nextLive(Entry &out, bool consume);
+    bool nextLive(Entry &out, Tick consume_below);
     void consumeFrom(Src src, std::size_t bucket_idx);
 
+    /** Run a live entry nextLive() has consumed. */
+    void execute(const Entry &e);
     bool popAndRun();
 
     Tick now_ = 0;

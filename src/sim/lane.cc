@@ -13,15 +13,6 @@ namespace {
 
 constexpr Tick kNever = LaneScheduler::kNoCrossing;
 
-/** a + b with saturation at kNever (infinity). */
-inline Tick
-satAdd(Tick a, Tick b)
-{
-    if (a == kNever || b == kNever)
-        return kNever;
-    Tick s = a + b;
-    return s < a ? kNever : s;
-}
 
 } // namespace
 
@@ -85,7 +76,6 @@ LaneScheduler::setPairLookahead(unsigned src, unsigned dst, Tick l)
     if (l == 0)
         panic("LaneScheduler: zero pair lookahead %u->%u", src, dst);
     pairL_[src * n_ + dst] = l;
-    distDirty_ = true;
 }
 
 void
@@ -96,7 +86,6 @@ LaneScheduler::fillPairLookaheads(Tick l)
     if (l == 0)
         panic("LaneScheduler: zero pair lookahead");
     std::fill(pairL_.begin(), pairL_.end(), l);
-    distDirty_ = true;
 }
 
 bool
@@ -124,18 +113,11 @@ LaneScheduler::tryPost(unsigned src, unsigned dst, Tick due,
     m.due = due;
     m.seq = seq;
     m.srcLane = src;
-    m.dstLane = dst;
     m.fn = std::move(fn);
     if (!rings_[dst]->tryPush(std::move(m)))
         return false;
     seq++;
     return true;
-}
-
-void
-LaneScheduler::addBarrierHook(UniqueFunction<void()> fn)
-{
-    barrierHooks_.push_back(std::move(fn));
 }
 
 void
@@ -149,86 +131,86 @@ LaneScheduler::post(unsigned src, unsigned dst, Tick due,
 void
 LaneScheduler::mergeMailboxes()
 {
-    scratch_.clear();
-    for (auto &r : rings_) {
+    for (std::size_t d = 0; d < n_; d++) {
+        scratch_.clear();
         Msg m;
-        while (r->tryPop(m))
+        while (rings_[d]->tryPop(m))
             scratch_.push_back(std::move(m));
-    }
-    if (scratch_.empty())
-        return;
-    // Canonical cross-lane order: messages are applied to their
-    // destination lanes sorted by (due, srcLane, dstLane, seq), so
-    // the lane-local sequence numbers they receive — and therefore
-    // all same-tick FIFO ordering downstream — are independent of
-    // which worker thread produced them first.
-    std::sort(scratch_.begin(), scratch_.end(),
-              [](const Msg &a, const Msg &b) {
-                  if (a.due != b.due)
-                      return a.due < b.due;
-                  if (a.srcLane != b.srcLane)
-                      return a.srcLane < b.srcLane;
-                  if (a.dstLane != b.dstLane)
-                      return a.dstLane < b.dstLane;
-                  return a.seq < b.seq;
-              });
-    for (Msg &m : scratch_) {
-        lanes_[m.dstLane]->scheduleAt(m.due, std::move(m.fn));
-        merged_++;
+        if (scratch_.empty())
+            continue;
+        // Canonical cross-lane order, (due, srcLane, dstLane, seq),
+        // restricted to one destination: the lane-local sequence
+        // numbers the messages receive — and therefore all same-tick
+        // FIFO ordering downstream — are independent of which worker
+        // thread produced them first.
+        if (scratch_.size() > 1)
+            std::sort(scratch_.begin(), scratch_.end(),
+                      [](const Msg &a, const Msg &b) {
+                          if (a.due != b.due)
+                              return a.due < b.due;
+                          if (a.srcLane != b.srcLane)
+                              return a.srcLane < b.srcLane;
+                          return a.seq < b.seq;
+                      });
+        for (Msg &msg : scratch_)
+            lanes_[d]->scheduleAt(msg.due, std::move(msg.fn));
+        merged_ += scratch_.size();
+        nts_[d] = std::min(nts_[d], scratch_.front().due);
     }
     scratch_.clear();
 }
 
 void
-LaneScheduler::recomputeDistances()
+LaneScheduler::relaxFrom(std::size_t j, Tick from)
 {
-    // Floyd-Warshall closure with saturating adds: D(i, j) is the
-    // cheapest chain of declared crossings from lane i to lane j —
-    // the earliest any event in lane i can influence lane j. The
-    // diagonal is deliberately NOT zeroed: D(i, i) relaxes to lane
-    // i's cheapest round trip through other lanes, which is exactly
-    // how far lane i may run ahead before a reply triggered by its
-    // own posts could come back (crossing weights are positive, so
-    // leaving the diagonal free never corrupts the off-diagonal
-    // shortest paths).
-    dist_ = pairL_;
-    for (std::size_t k = 0; k < n_; k++) {
-        for (std::size_t i = 0; i < n_; i++) {
-            Tick dik = dist_[i * n_ + k];
-            if (dik == kNever)
-                continue;
-            for (std::size_t j = 0; j < n_; j++) {
-                Tick cand = satAdd(dik, dist_[k * n_ + j]);
-                if (cand < dist_[i * n_ + j])
-                    dist_[i * n_ + j] = cand;
+    for (std::size_t e = edgeBegin_[j]; e < edgeBegin_[j + 1]; e++) {
+        std::uint32_t i = edges_[e].dst;
+        Tick reach = from + edges_[e].l;
+        if (reach < from)
+            reach = kNever; // saturate
+        if (reach < limits_[i]) {
+            limits_[i] = reach;
+            if (!queued_[i]) {
+                queued_[i] = 1;
+                work_.push_back(i);
             }
         }
     }
-    distDirty_ = false;
+}
+
+bool
+LaneScheduler::computeLimits()
+{
+    // Lane i may run until the earliest tick any lane's pending work
+    // could reach it, through one or more declared crossings —
+    // including its own, whose influence can return through its
+    // cheapest round trip. Seed every lane one crossing away from a
+    // non-empty lane, then follow improvements until the limits are
+    // the cheapest chains. Empty lanes seed nothing but relay like
+    // any other: any influence routed through one originates at a
+    // non-empty lane. Lanes no chain leads to run unbounded.
+    limits_.assign(n_, kNever);
+    work_.clear();
+    bool any = false;
+    for (std::size_t j = 0; j < n_; j++) {
+        if (nts_[j] == kNever)
+            continue;
+        any = true;
+        relaxFrom(j, nts_[j]);
+    }
+    for (std::size_t h = 0; h < work_.size(); h++) {
+        std::uint32_t i = work_[h];
+        queued_[i] = 0;
+        relaxFrom(i, limits_[i]);
+    }
+    return any;
 }
 
 void
-LaneScheduler::computeLimits()
+LaneScheduler::runLane(unsigned i)
 {
-    limits_.assign(n_, kNever);
-    // Per-lane windows from the distance matrix: lane i may run
-    // until the earliest tick any lane's pending work could reach it
-    // — including its own, whose influence can return through the
-    // cheapest round trip D(i, i). Empty lanes contribute nothing:
-    // any influence routed through one originates at a non-empty
-    // lane, and D's path closure already bounds that chain. Lanes no
-    // path leads to run unbounded.
-    for (std::size_t j = 0; j < n_; j++) {
-        Tick ntj = nts_[j];
-        if (ntj == kNever)
-            continue;
-        const Tick *dj = &dist_[j * n_];
-        for (std::size_t i = 0; i < n_; i++) {
-            Tick reach = satAdd(ntj, dj[i]);
-            if (reach < limits_[i])
-                limits_[i] = reach;
-        }
-    }
+    if (!lanes_[i]->runBefore(limits_[i], &nts_[i]))
+        nts_[i] = kNever;
 }
 
 void
@@ -236,7 +218,7 @@ LaneScheduler::workerLoop(unsigned)
 {
     std::uint64_t seen_round = 0;
     for (;;) {
-        ActiveLane a;
+        unsigned lane;
         {
             std::unique_lock<std::mutex> lock(mu_);
             cvWork_.wait(lock, [&]() {
@@ -245,17 +227,17 @@ LaneScheduler::workerLoop(unsigned)
             });
             if (shutdown_)
                 return;
-            a = active_[next_++];
+            lane = active_[next_++];
             if (next_ == active_.size())
                 seen_round = roundId_;
         }
-        lanes_[a.lane]->runBefore(a.limit);
+        runLane(lane);
         {
             std::lock_guard<std::mutex> lock(mu_);
             if (pendingLanes_ == 0)
                 panic("LaneScheduler: lane %u completed outside a "
                       "round",
-                      a.lane);
+                      lane);
             if (--pendingLanes_ == 0)
                 cvDone_.notify_one();
         }
@@ -279,28 +261,35 @@ LaneScheduler::runRoundOnWorkers()
 void
 LaneScheduler::run()
 {
-    if (distDirty_)
-        recomputeDistances();
+    // The declared crossings as per-lane out-edge lists.
+    edgeBegin_.assign(n_ + 1, 0);
+    edges_.clear();
+    for (std::size_t s = 0; s < n_; s++) {
+        for (std::size_t d = 0; d < n_; d++)
+            if (pairL_[s * n_ + d] != kNoCrossing)
+                edges_.push_back({pairL_[s * n_ + d],
+                                  static_cast<std::uint32_t>(d)});
+        edgeBegin_[s + 1] = edges_.size();
+    }
+    queued_.assign(n_, 0);
+    nts_.assign(n_, kNever);
+    for (std::size_t i = 0; i < n_; i++)
+        lanes_[i]->peekNextTick(&nts_[i]);
     running_ = true;
+    // Each round: single-threaded merge of everything the previous
+    // windows produced (and, on the first round, of the posts made
+    // during model construction), then the windows.
     for (;;) {
-        // Barrier phase: single-threaded merge of everything the
-        // previous window produced (and, on the first round, of the
-        // posts made during model construction).
         mergeMailboxes();
-        for (auto &hook : barrierHooks_)
-            hook();
-        nts_.assign(n_, kNever);
-        bool any = false;
-        for (std::size_t i = 0; i < n_; i++) {
-            Tick t;
-            if (lanes_[i]->peekNextTick(&t)) {
-                nts_[i] = t;
-                any = true;
-            }
-        }
-        if (!any)
+        if (!computeLimits())
             break;
-        computeLimits();
+        rounds_++;
+        if (workers_.empty()) {
+            for (unsigned i = 0; i < n_; i++)
+                if (nts_[i] < limits_[i])
+                    runLane(i);
+            continue;
+        }
         {
             // Parked workers read active_ inside their wait
             // predicate (under mu_), so refilling it between rounds
@@ -312,30 +301,27 @@ LaneScheduler::run()
             std::lock_guard<std::mutex> lock(mu_);
             active_.clear();
             for (unsigned i = 0; i < n_; i++)
-                if (nts_[i] != kNever && nts_[i] < limits_[i])
-                    active_.push_back({i, limits_[i]});
+                if (nts_[i] < limits_[i])
+                    active_.push_back(i);
             // Longest-pending lanes first, so a straggler lane is
             // claimed early and the short lanes pack behind it
             // (whole-lane stealing keeps per-lane order intact).
             // pending() is deterministic at the barrier, so the
             // claim order — though irrelevant to results — is too.
             std::sort(active_.begin(), active_.end(),
-                      [this](const ActiveLane &a, const ActiveLane &b) {
-                          std::size_t pa = lanes_[a.lane]->pending();
-                          std::size_t pb = lanes_[b.lane]->pending();
+                      [this](unsigned a, unsigned b) {
+                          std::size_t pa = lanes_[a]->pending();
+                          std::size_t pb = lanes_[b]->pending();
                           if (pa != pb)
                               return pa > pb;
-                          return a.lane < b.lane;
+                          return a < b;
                       });
             next_ = active_.size();
         }
-        rounds_++;
-        if (workers_.empty() || active_.size() == 1) {
-            for (const ActiveLane &a : active_)
-                lanes_[a.lane]->runBefore(a.limit);
-        } else {
+        if (active_.size() == 1)
+            runLane(active_[0]);
+        else
             runRoundOnWorkers();
-        }
     }
     running_ = false;
 }

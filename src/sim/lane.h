@@ -7,15 +7,16 @@
  * own calendar machinery, metrics registry, and tracer) and executes
  * them round by round on a pool of worker threads:
  *
- *   1. Barrier (single-threaded): drain every destination lane's
- *      fan-in ring, merge the messages in canonical
- *      (due, srcLane, dstLane, seq) order, schedule each into its
- *      destination lane at its due tick, and run the registered
- *      barrier hooks (e.g. the doorbell-batch flush law check).
+ *   1. Merge (single-threaded): drain each destination lane's fan-in
+ *      ring, sort the batch by (due, srcLane, seq) — the canonical
+ *      (due, srcLane, dstLane, seq) order restricted to one lane,
+ *      since lanes number their events independently — and schedule
+ *      it into the lane at the due ticks.
  *   2. Window: every lane i gets its own limit
- *        limit_i = min over non-empty lanes j of (nextTick_j + D(j, i))
- *      where D is the all-pairs minimum crossing latency (see below;
- *      D(i, i) is lane i's cheapest round trip through other lanes,
+ *        limit_i = min over non-empty lanes j of (NT_j + D(j, i))
+ *      where NT_j is lane j's next pending tick and D(j, i) the
+ *      cheapest chain of one or more declared crossings from j to i
+ *      (D(i, i) is lane i's cheapest round trip through other lanes,
  *      bounding self-influence via replies). Every lane with work
  *      below its limit executes all its events with tick < limit_i,
  *      one whole lane per worker.
@@ -25,13 +26,16 @@
  * Lookahead is per lane pair. The model declares, for each (src, dst)
  * pair that ever posts, the minimum latency L(src, dst) of a crossing
  * in that direction (setPairLookahead); pairs that never post carry
- * the kNoCrossing sentinel and panic on post. From the direct matrix
- * the scheduler derives the all-pairs distance matrix D by
- * shortest-path closure (Floyd-Warshall with saturating adds), so a
- * lane that is h hops away contributes a window allowance of h link
- * latencies, not one. The scalar constructor fills the matrix
- * uniformly with L, diagonal included; its closure is D(i, j) = L for
- * every pair, so the per-lane limits reduce to the classic global
+ * the kNoCrossing sentinel and panic on post. run() turns the
+ * declarations into per-lane out-edge lists; each round seeds limit_i
+ * with NT_j + L(j, i) over the in-edges from non-empty lanes j and
+ * propagates every improvement along the out-edges with a FIFO
+ * worklist until nothing changes. Latencies are positive, so the
+ * fixpoint is unique and equals min_j NT_j + D(j, i): a lane h hops
+ * away allows h link latencies, not one, chains through empty lanes
+ * count like any other, and the cost scales with the edges a round
+ * touches, not with N^2. The scalar constructor declares every pair,
+ * diagonal included, as L, so the limits reduce to the classic global
  * window min_j NT_j + L.
  *
  * Safety: a message posted by lane j during a round is due no earlier
@@ -40,38 +44,40 @@
  * matter how far lane j itself runs inside the round. Influence
  * through intermediate lanes is covered because D is closed under
  * path composition (D(j,k) <= D(j,m) + D(m,k)), and because messages
- * posted during a round are not executable until the next barrier has
- * merged them. A lane's influence on itself (a reply provoked by its
- * own posts) is bounded the same way by the diagonal round-trip term
- * D(i, i). Lanes share no other state, so any interleaving of
- * same-round events in different lanes yields the same result, and
- * the canonical merge order makes the destination lane's (tick, seq)
- * order independent of thread count and scheduling. Results are
- * bit-identical for any jobs >= 1. Progress: the lane holding the
- * globally minimal next tick always satisfies NT < limit (every
- * addend is positive), so each round executes at least one event.
+ * posted during a round are not executable until the next merge. A
+ * lane's influence on itself (a reply provoked by its own posts) is
+ * bounded the same way by the diagonal round-trip term D(i, i). Lanes
+ * share no other state, so any interleaving of same-round events in
+ * different lanes yields the same result, and the canonical merge
+ * order makes the destination lane's (tick, seq) order independent of
+ * thread count and scheduling. Results are bit-identical for any
+ * jobs >= 1. Progress: the lane holding the globally minimal next
+ * tick always satisfies NT < limit (every addend is positive), so
+ * each round executes at least one event.
  *
- * Work distribution inside a round is whole-lane work stealing: the
- * active lanes are published as a shared claim list sorted by
- * descending pending-event count (longest processing time first) and
- * idle workers pull the next unclaimed lane. A lane's FIFO is never
- * split across workers — lane-local event order, and therefore
- * determinism, is untouched by who executes the lane.
+ * Next ticks are cached: run() reads every lane's once, a window
+ * stores the tick its lane stopped at (EventQueue::runBefore), and
+ * the merge lowers it to the earliest due tick it schedules. Nothing
+ * else touches a lane between its window and the merge, so the cache
+ * is exact.
+ *
+ * jobs = 1 runs the windows on the calling thread in lane order; a
+ * model built on a single lane degenerates to exactly the sequential
+ * event loop. With more workers the active lanes form a claim list
+ * sorted by descending pending-event count (longest processing time
+ * first) and idle workers pull the next unclaimed lane. A lane is
+ * never split across workers, so lane-local event order, and
+ * therefore determinism, is untouched by who executes it.
  *
  * Cross-lane posts land in one MPSC combining ring per *destination*
- * lane (sim/mpsc.h) rather than one mailbox per (src, dst) pair: a
- * high-fan-in lane is drained with one ring walk instead of n, and
- * capacity is pooled across sources instead of fragmented per pair.
- * Each (src, dst) pair still stamps its own sender-order sequence, so
- * the canonical sort — and therefore bit-identical determinism — is
- * unchanged.
+ * lane (sim/mpsc.h): a high-fan-in lane is drained with one ring walk
+ * instead of n, and capacity is pooled across sources. Each
+ * (src, dst) pair still stamps its own sender-order sequence for the
+ * canonical sort.
  *
  * The lookahead values come from the model: for a mesh of router
  * lanes, the per-link latencies (noc::Noc::minLinkLatency()) that
  * Noc::setRouterLanePlan() declares for every adjacent lane pair.
- *
- * jobs = 1 runs every window on the calling thread; a model built on
- * a single lane degenerates to exactly the sequential event loop.
  */
 
 #ifndef M3VSIM_SIM_LANE_H_
@@ -136,8 +142,8 @@ class LaneScheduler
     /**
      * Declare the minimum latency of a direct (src, dst) crossing.
      * Posts from src to dst must be due >= lane(src).now() + l; the
-     * window limits are derived from the shortest-path closure of
-     * these declarations. Must not be called while run() is active;
+     * window limits follow the cheapest chains of these
+     * declarations. Must not be called while run() is active;
      * l must be > 0 (or kNoCrossing to forbid the pair).
      */
     void setPairLookahead(unsigned src, unsigned dst, Tick l);
@@ -172,16 +178,6 @@ class LaneScheduler
     void post(unsigned src, unsigned dst, Tick due,
               UniqueFunction<void()> fn);
 
-    /**
-     * Register a hook that runs single-threaded at every barrier,
-     * right after the mailbox merge (and once more when the last
-     * window drains). No lane window is executing while hooks run, so
-     * a hook may inspect any lane's components — the place to assert
-     * cross-lane flush laws such as "no doorbell batch is still
-     * pending when a barrier is crossed" (see dtu::Dtu).
-     */
-    void addBarrierHook(UniqueFunction<void()> fn);
-
     /** Run until every lane drains and no message is in flight. */
     void run();
 
@@ -214,31 +210,30 @@ class LaneScheduler
         Tick due = 0;
         std::uint64_t seq = 0;
         std::uint32_t srcLane = 0;
-        std::uint32_t dstLane = 0;
         UniqueFunction<void()> fn;
     };
 
-    /** One claimable unit of round work: a whole lane and the
-     *  window limit it may run up to (exclusive). */
-    struct ActiveLane
+    /** A declared crossing out of a lane. */
+    struct Edge
     {
-        unsigned lane = 0;
-        Tick limit = 0;
+        Tick l = 0;
+        std::uint32_t dst = 0;
     };
 
-    /** Drain all fan-in rings and schedule the messages canonically. */
+    /** Drain every fan-in ring, schedule each destination's batch in
+     *  canonical order, and lower the destination's cached next tick
+     *  to the batch's earliest due tick. */
     void mergeMailboxes();
 
-    /**
-     * Shortest-path closure of pairL_ into dist_. The diagonal is not
-     * zeroed: D(i, i) is the smaller of lane i's declared self entry
-     * and its cheapest round trip through other lanes. A uniform
-     * matrix L closes to L everywhere, diagonal included.
-     */
-    void recomputeDistances();
+    /** Fill limits_ from nts_ by relaxation over the out-edges.
+     *  Returns false when every lane is empty. */
+    bool computeLimits();
 
-    /** Fill limits_ from nts_ (per-lane next ticks). */
-    void computeLimits();
+    /** Lower limits_ of @p j's out-neighbours to @p from + L. */
+    void relaxFrom(std::size_t j, Tick from);
+
+    /** Run lane @p i's window and cache its next tick in nts_. */
+    void runLane(unsigned i);
 
     void workerLoop(unsigned worker);
     void runRoundOnWorkers();
@@ -247,9 +242,10 @@ class LaneScheduler
     unsigned jobs_;
     /** Direct pair lookahead, src * n_ + dst. */
     std::vector<Tick> pairL_;
-    /** Shortest-path crossing latency, src * n_ + dst. */
-    std::vector<Tick> dist_;
-    bool distDirty_ = true;
+    /** Out-edges of lane s: edges_[edgeBegin_[s] .. edgeBegin_[s+1]),
+     *  the pairL_ row without its kNoCrossing entries. */
+    std::vector<std::size_t> edgeBegin_;
+    std::vector<Edge> edges_;
     bool running_ = false;
     std::uint64_t rounds_ = 0;
     std::uint64_t merged_ = 0;
@@ -265,11 +261,14 @@ class LaneScheduler
      */
     std::vector<std::uint64_t> seqs_;
     std::vector<Msg> scratch_;
-    std::vector<UniqueFunction<void()>> barrierHooks_;
-    /** Per-round scratch: next pending tick per lane (kNoCrossing =
-     *  lane empty) and the derived per-lane window limits. */
+    /** Cached next tick per lane (kNoCrossing = empty); during a
+     *  round element i is written only by lane i's window. */
     std::vector<Tick> nts_;
+    /** Per-round window limits and the relaxation's FIFO worklist
+     *  (queued_[i]: lane i is waiting in work_). */
     std::vector<Tick> limits_;
+    std::vector<std::uint32_t> work_;
+    std::vector<std::uint8_t> queued_;
 
     //
     // Worker pool (created once; parked between rounds).
@@ -280,7 +279,7 @@ class LaneScheduler
     std::condition_variable cvDone_;
     /** Lanes active this round, longest-pending first; idle workers
      *  steal whole entries by advancing next_. */
-    std::vector<ActiveLane> active_;
+    std::vector<unsigned> active_;
     std::size_t next_ = 0;
     std::size_t pendingLanes_ = 0;
     std::uint64_t roundId_ = 0;

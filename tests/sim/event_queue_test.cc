@@ -164,6 +164,36 @@ TEST(EventQueue, RunUntilIgnoresCancelledFrontEvents)
     EXPECT_EQ(eq.now(), 50u);
 }
 
+TEST(EventQueueTest, RunBeforeReportsNextLiveTick)
+{
+    EventQueue eq;
+    std::vector<Tick> ran;
+    for (Tick t : {5, 10, 19})
+        eq.scheduleAt(t, [&]() { ran.push_back(eq.now()); });
+    // The limit is exclusive: 20 stays queued.
+    eq.scheduleAt(20, [&]() { ran.push_back(eq.now()); });
+    // A cancelled head past the limit is skipped: next is the first
+    // *live* tick, 30.
+    eq.scheduleAt(30, [&]() { ran.push_back(eq.now()); });
+    eq.scheduleAt(20, []() {}).cancel();
+    eq.scheduleAt(25, []() {}).cancel();
+    Tick next = 0;
+    EXPECT_TRUE(eq.runBefore(20, &next));
+    EXPECT_EQ(ran, (std::vector<Tick>{5, 10, 19}));
+    EXPECT_EQ(eq.executed(), 3u);
+    EXPECT_EQ(eq.now(), 19u);
+    EXPECT_EQ(next, 20u);
+    EXPECT_TRUE(eq.runBefore(21, &next));
+    EXPECT_EQ(next, 30u);
+    EXPECT_EQ(eq.executed(), 4u);
+    // A queue that drains returns false.
+    EXPECT_FALSE(eq.runBefore(1000, &next));
+    EXPECT_EQ(ran, (std::vector<Tick>{5, 10, 19, 20, 30}));
+    EXPECT_EQ(eq.executed(), 5u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_FALSE(eq.runBefore(2000, &next));
+}
+
 TEST(EventQueue, ExecutedCounts)
 {
     EventQueue eq;

@@ -13,8 +13,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -473,6 +475,164 @@ TEST(LaneSchedulerTest, HorizonRolloverAcrossWindowBarriers)
     for (unsigned jobs : {2u, 4u}) {
         auto got = run(jobs);
         EXPECT_EQ(got, ref) << "jobs=" << jobs;
+    }
+}
+
+/**
+ * A declared lane topology: the scalar constructor's uniform
+ * lookahead when uniform > 0, otherwise kNoCrossing everywhere except
+ * the listed directed (src, dst, latency) crossings.
+ */
+struct Topology
+{
+    unsigned lanes = 0;
+    Tick uniform = 0;
+    std::vector<std::tuple<unsigned, unsigned, Tick>> edges;
+};
+
+struct SparseResult
+{
+    std::uint64_t rounds = 0;
+    std::uint64_t merged = 0;
+    std::uint64_t digest = 0;
+};
+
+/**
+ * Seeded ping/forward workload over @p topo: every event logs its
+ * (lane, tick, payload) and, while hops remain, forwards to one of its
+ * lane's declared out-neighbours at the pair lookahead plus jitter,
+ * with some lane-local churn in between. The digest is FNV over each
+ * lane's log in execution order, lanes in index order.
+ */
+SparseResult
+runSparse(const Topology &topo, unsigned jobs, std::uint64_t seed)
+{
+    LaneScheduler sched(topo.lanes, jobs,
+                        topo.uniform ? topo.uniform : 1);
+    if (!topo.uniform) {
+        sched.fillPairLookaheads(LaneScheduler::kNoCrossing);
+        for (auto [s, d, l] : topo.edges)
+            sched.setPairLookahead(s, d, l);
+    }
+    std::vector<std::vector<unsigned>> out(topo.lanes);
+    for (unsigned s = 0; s < topo.lanes; s++)
+        for (unsigned d = 0; d < topo.lanes; d++)
+            if (sched.pairLookahead(s, d) != LaneScheduler::kNoCrossing)
+                out[s].push_back(d);
+    std::vector<std::vector<std::pair<Tick, std::uint64_t>>> log(
+        topo.lanes);
+    std::function<void(unsigned, unsigned, std::uint64_t)> fire =
+        [&](unsigned lane, unsigned hops, std::uint64_t v) {
+            EventQueue &eq = sched.lane(lane);
+            log[lane].push_back({eq.now(), v});
+            if (hops == 0)
+                return;
+            std::uint64_t x =
+                v * 6364136223846793005ull + 1442695040888963407ull;
+            if ((x >> 40) % 3 == 0)
+                eq.schedule((x >> 8) % 31, [&fire, lane, x]() {
+                    fire(lane, 0, ~x);
+                });
+            if (out[lane].empty()) {
+                eq.schedule(1 + (x >> 20) % 97,
+                            [&fire, lane, hops, x]() {
+                                fire(lane, hops - 1, x);
+                            });
+                return;
+            }
+            unsigned dst = out[lane][(x >> 33) % out[lane].size()];
+            Tick due = eq.now() + sched.pairLookahead(lane, dst) +
+                       (x >> 17) % 23;
+            sched.post(lane, dst, due, [&fire, dst, hops, x]() {
+                fire(dst, hops - 1, x);
+            });
+        };
+    Rng rng(seed);
+    for (unsigned l = 0; l < topo.lanes; l++)
+        for (int k = 0; k < 3; k++) {
+            std::uint64_t v = rng.next();
+            sched.lane(l).schedule(rng.nextBounded(200),
+                                   [&fire, l, v]() { fire(l, 60, v); });
+        }
+    sched.run();
+    SparseResult r;
+    r.rounds = sched.rounds();
+    r.merged = sched.messagesMerged();
+    r.digest = 0xcbf29ce484222325ull;
+    auto mix = [&r](std::uint64_t w) {
+        r.digest = (r.digest ^ w) * 0x100000001b3ull;
+    };
+    for (unsigned l = 0; l < topo.lanes; l++)
+        for (const auto &[t, v] : log[l]) {
+            mix(l);
+            mix(t);
+            mix(v);
+        }
+    return r;
+}
+
+TEST(LaneSchedulerTest, WindowRuleMatchesClosureOnSparseTopologies)
+{
+    // Each topology's rounds, merges and digest are pinned to what
+    // the window rule limit_i = min_j NT_j + D(j, i) gives with D the
+    // all-pairs shortest-path closure of the declared crossings: any
+    // window that is wider or narrower changes the round count, and
+    // any unsafe one the digest.
+    Topology mesh;
+    mesh.lanes = 16;
+    for (unsigned r = 0; r < 4; r++)
+        for (unsigned c = 0; c < 4; c++) {
+            unsigned l = r * 4 + c;
+            if (c + 1 < 4)
+                mesh.edges.push_back({l, l + 1, 7 + c});
+            if (c > 0)
+                mesh.edges.push_back({l, l - 1, 11});
+            if (r + 1 < 4)
+                mesh.edges.push_back({l, l + 4, 5 + r});
+            if (r > 0)
+                mesh.edges.push_back({l, l - 4, 13});
+        }
+    // Directed ring: a lane's only influence on itself is the whole
+    // D(i, i) = 39 round trip.
+    Topology ring;
+    ring.lanes = 5;
+    const Tick ring_l[] = {3, 5, 7, 11, 13};
+    for (unsigned l = 0; l < 5; l++)
+        ring.edges.push_back({l, (l + 1) % 5, ring_l[l]});
+    // A chain 0..3 with asymmetric directions, a sink lane 4 fed only
+    // by lane 3, and lane 5 with no crossing in either direction.
+    Topology island;
+    island.lanes = 6;
+    for (unsigned l = 0; l < 3; l++) {
+        island.edges.push_back({l, l + 1, 9 + l});
+        island.edges.push_back({l + 1, l, 4});
+    }
+    island.edges.push_back({3, 4, 17});
+    Topology uniform;
+    uniform.lanes = 6;
+    uniform.uniform = 50;
+
+    struct Case
+    {
+        const char *name;
+        const Topology *topo;
+        SparseResult want;
+    };
+    const Case cases[] = {
+        {"mesh4x4", &mesh, {140, 2880, 0x43cda701f80387c4ull}},
+        {"ring", &ring, {115, 900, 0xfd59b3f605317685ull}},
+        {"island", &island, {57, 160, 0x60e798291414ccfaull}},
+        {"uniform", &uniform, {74, 1080, 0x9123c4191bdaa33eull}},
+    };
+    for (const Case &c : cases) {
+        for (unsigned jobs : {1u, 4u}) {
+            SparseResult got = runSparse(*c.topo, jobs, 0x5eed);
+            SCOPED_TRACE(std::string(c.name) + " jobs=" +
+                         std::to_string(jobs));
+            EXPECT_EQ(got.rounds, c.want.rounds);
+            EXPECT_EQ(got.merged, c.want.merged);
+            EXPECT_EQ(got.digest, c.want.digest);
+        }
     }
 }
 
