@@ -196,5 +196,14 @@ main(int argc, char **argv)
                 "multiple tiles and\ncannot be compared to "
                 "single-tile Linux directly.\n");
     dump.write(obs.metricsOut);
+
+    m3v::bench::Summary summary;
+    summary.add("linux_write_mibs", lin.writeMibs);
+    summary.add("linux_read_mibs", lin.readMibs);
+    summary.add("m3v_shared_write_mibs", shared.writeMibs);
+    summary.add("m3v_isolated_write_mibs", isolated.writeMibs);
+    summary.add("m3v_shared_read_mibs", shared.readMibs);
+    summary.add("m3v_isolated_read_mibs", isolated.readMibs);
+    summary.write(obs.summaryOut);
     return 0;
 }

@@ -165,5 +165,14 @@ main(int argc, char **argv)
                 "multiple tiles and\ncannot be compared to "
                 "single-tile Linux directly.\n");
     dump.write(obs.metricsOut);
+
+    m3v::bench::Summary summary;
+    summary.add("linux_us", lin.meanUs);
+    summary.add("linux_stddev_us", lin.stddevUs);
+    summary.add("m3v_shared_us", shared.meanUs);
+    summary.add("m3v_shared_stddev_us", shared.stddevUs);
+    summary.add("m3v_isolated_us", isolated.meanUs);
+    summary.add("m3v_isolated_stddev_us", isolated.stddevUs);
+    summary.write(obs.summaryOut);
     return 0;
 }

@@ -4,62 +4,98 @@
 # ASan + UBSan (M3VSIM_SANITIZE=ON), chaos/robustness tests included —
 # then run the parallel-execution tests under TSan
 # (M3VSIM_SANITIZE=thread).
+#
+# Every stage runs, even after an earlier one failed, and ends as
+# PASS, FAIL or SKIP (a stage gated on the host's hardware threads).
+# The table is printed at the end and written as JSON to
+# $CHECK_SUMMARY (default build/check-summary.json). The script
+# exits non-zero if any stage failed.
 # Run from the repository root: ./ci/check.sh
-set -eu
+set -u
 
-echo "== plain build =="
-# Warnings (-Wall -Wextra) are errors here, on incremental builds too.
-cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
-cmake --build build -j
-(cd build && ctest --output-on-failure -j "$(nproc)")
+CHECK_SUMMARY="${CHECK_SUMMARY:-build/check-summary.json}"
+RESULTS=$(mktemp)
+trap 'rm -f "$RESULTS"' EXIT
 
-echo "== fuzz smoke: protocol fuzzer, fixed seeds =="
-# >=10k generated scenarios (5 seed streams) through the single-queue
-# rig with every invariant attached at stride 1, plus differential
-# runs (laned jobs=1 vs jobs=4 must produce identical digests). Any
-# invariant trip, reference-model mismatch, or divergence fails.
-build/tests/fuzz/fuzz_driver --seeds=5 --seqs=2100 --diff=25 \
-    --faults=both --caps=10
-
-echo "== fleet smoke: overload + chaos drill, jobs=1 vs jobs=4 =="
-# Small-config open-loop fleet with the chaos drill (two tile kills +
-# NoC degradation mid-burst): must shed load via typed errors, keep
-# every invariant clean, and print/summarize byte-identically for any
-# worker count.
-FLEET1=$(mktemp) FLEET4=$(mktemp)
-build/bench/fleet --tenants=100 --rate=6000 --chaos --jobs=1 \
-    --summary-out="$FLEET1" >/dev/null
-build/bench/fleet --tenants=100 --rate=6000 --chaos --jobs=4 \
-    --summary-out="$FLEET4" >/dev/null
-cmp "$FLEET1" "$FLEET4" || {
-    echo "FAIL: fleet summary differs between --jobs=1 and --jobs=4" >&2
-    exit 1
+# stage NAME FUNCTION: run FUNCTION in a subshell that stops at its
+# first failing command, and record the outcome.
+stage() {
+    echo "== $1 =="
+    (set -e; "$2")
+    if [ $? -eq 0 ]; then
+        echo "$1|PASS" >>"$RESULTS"
+    else
+        echo "FAIL: stage '$1'" >&2
+        echo "$1|FAIL" >>"$RESULTS"
+    fi
 }
-rm -f "$FLEET1" "$FLEET4"
 
-echo "== mesh: 64/256-tile digests, 64-tile jobs=4 speedup =="
-# The router-sharded mesh's simulated results are pinned to the
-# committed digests on any core count: the lane scheduler's window
-# limits and merge order must not move a single event. (fig09 itself
-# aborts if its jobs=1/2/4 runs disagree with each other.)
-MESH_DIGESTS=$(mktemp)
-M3V_FIG09_TILES=256 build/bench/fig09_scale --mesh-only \
-    --scale-out="$MESH_DIGESTS" >/dev/null
-for pin in 64:360304a4206f0a4c 256:1d57db0d3ebd4c47; do
-    jq -e --argjson t "${pin%%:*}" --arg d "${pin#*:}" \
-        '.mesh[] | select(.tiles == $t) | .digest == $d' \
-        "$MESH_DIGESTS" >/dev/null || {
-        echo "FAIL: ${pin%%:*}-tile mesh digest is not ${pin#*:}" >&2
-        jq '.mesh[] | {tiles, digest}' "$MESH_DIGESTS" >&2
+# skip NAME REASON: record a stage this host cannot run.
+skip() {
+    echo "== $1 =="
+    echo "NOTE: $2 -- stage skipped"
+    echo "$1|SKIP" >>"$RESULTS"
+}
+
+plain_build() {
+    # Warnings (-Wall -Wextra) are errors here, on incremental builds
+    # too.
+    cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
+    cmake --build build -j
+    (cd build && ctest --output-on-failure -j "$(nproc)")
+}
+
+fuzz_smoke() {
+    # >=10k generated scenarios (5 seed streams) through the
+    # single-queue rig with every invariant attached at stride 1, plus
+    # differential runs (laned jobs=1 vs jobs=4 must produce identical
+    # digests). Any invariant trip, reference-model mismatch, or
+    # divergence fails.
+    build/tests/fuzz/fuzz_driver --seeds=5 --seqs=2100 --diff=25 \
+        --faults=both --caps=10
+}
+
+fleet_smoke() {
+    # Small-config open-loop fleet with the chaos drill (two tile
+    # kills + NoC degradation mid-burst): must shed load via typed
+    # errors, keep every invariant clean, and print/summarize
+    # byte-identically for any worker count.
+    FLEET1=$(mktemp) FLEET4=$(mktemp)
+    build/bench/fleet --tenants=100 --rate=6000 --chaos --jobs=1 \
+        --summary-out="$FLEET1" >/dev/null
+    build/bench/fleet --tenants=100 --rate=6000 --chaos --jobs=4 \
+        --summary-out="$FLEET4" >/dev/null
+    cmp "$FLEET1" "$FLEET4" || {
+        echo "FAIL: fleet summary differs between --jobs=1 and" \
+             "--jobs=4" >&2
         exit 1
     }
-done
-rm -f "$MESH_DIGESTS"
-# Measured parallel speedup of the router-sharded 64-tile mesh on the
-# plain build. Below four hardware threads a jobs=4 run cannot
-# express real parallelism — the assertion is skipped with a notice
-# rather than failing small runners.
-if [ "$(nproc)" -ge 4 ]; then
+    rm -f "$FLEET1" "$FLEET4"
+}
+
+mesh_digests() {
+    # The router-sharded mesh's simulated results are pinned to the
+    # committed digests on any core count: the lane scheduler's window
+    # limits and merge order must not move a single event. (fig09
+    # itself aborts if its jobs=1/2/4 runs disagree with each other.)
+    MESH_DIGESTS=$(mktemp)
+    M3V_FIG09_TILES=256 build/bench/fig09_scale --mesh-only \
+        --scale-out="$MESH_DIGESTS" >/dev/null
+    for pin in 64:360304a4206f0a4c 256:1d57db0d3ebd4c47; do
+        jq -e --argjson t "${pin%%:*}" --arg d "${pin#*:}" \
+            '.mesh[] | select(.tiles == $t) | .digest == $d' \
+            "$MESH_DIGESTS" >/dev/null || {
+            echo "FAIL: ${pin%%:*}-tile mesh digest is not ${pin#*:}" >&2
+            jq '.mesh[] | {tiles, digest}' "$MESH_DIGESTS" >&2
+            exit 1
+        }
+    done
+    rm -f "$MESH_DIGESTS"
+}
+
+mesh_speedup() {
+    # Measured parallel speedup of the router-sharded 64-tile mesh on
+    # the plain build.
     MESH_PERF=$(mktemp)
     M3V_FIG09_TILES=64 build/bench/fig09_scale --mesh-only \
         --scale-out="$MESH_PERF"
@@ -71,111 +107,169 @@ if [ "$(nproc)" -ge 4 ]; then
     }
     echo "mesh jobs=4 speedup: $(jq '.mesh[0].speedup4' "$MESH_PERF")"
     rm -f "$MESH_PERF"
-else
-    echo "NOTE: fewer than 4 hardware threads -- mesh jobs=4" \
-         "speedup assertion skipped"
-fi
+}
 
-echo "== sanitized build (ASan + UBSan) =="
-cmake -B build-asan -S . -DM3VSIM_SANITIZE=ON >/dev/null
-cmake --build build-asan -j
-(cd build-asan && ctest --output-on-failure -j "$(nproc)")
+asan_build() {
+    cmake -B build-asan -S . -DM3VSIM_SANITIZE=ON >/dev/null
+    cmake --build build-asan -j
+    (cd build-asan && ctest --output-on-failure -j "$(nproc)")
+}
 
-echo "== fuzz smoke under ASan (bounded) =="
-# Smaller corpus (sanitizer overhead), same fixed seeds: memory bugs
-# in the protocol engines surface here before they corrupt state.
-build-asan/tests/fuzz/fuzz_driver --seeds=5 --seqs=300 --diff=10 \
-    --faults=both --caps=3
+asan_fuzz() {
+    # Smaller corpus (sanitizer overhead), same fixed seeds: memory
+    # bugs in the protocol engines surface here before they corrupt
+    # state.
+    build-asan/tests/fuzz/fuzz_driver --seeds=5 --seqs=300 --diff=10 \
+        --faults=both --caps=3
+}
 
-echo "== sharded controller under ASan (cross-shard revoke paths) =="
-# Two-phase revocation frees capability subtrees across shards while
-# peers still hold RemoteRefs into them, and crash reaping tears down
-# tables with in-flight protocol state — the dangling-pointer
-# surface ASan exists for. (The full build-asan ctest above already
-# ran these; the explicit re-run keeps a filter typo from silently
-# skipping the newest protocol tests.) The caps campaign runs every
-# seed at shards=1 too: the single controller is the same code with
-# no peers, and its revoke/reap path gets the same fuzzing.
-(cd build-asan && ctest --output-on-failure -R 'Shard|CapsFuzz')
-build-asan/tests/fuzz/fuzz_driver --seeds=0 --caps=3
+asan_shards() {
+    # Two-phase revocation frees capability subtrees across shards
+    # while peers still hold RemoteRefs into them, and crash reaping
+    # tears down tables with in-flight protocol state — the
+    # dangling-pointer surface ASan exists for. (The full build-asan
+    # ctest above already ran these; the explicit re-run keeps a
+    # filter typo from silently skipping the newest protocol tests.)
+    # The caps campaign runs every seed at shards=1 too: the single
+    # controller is the same code with no peers, and its revoke/reap
+    # path gets the same fuzzing.
+    (cd build-asan && ctest --output-on-failure -R 'Shard|CapsFuzz')
+    build-asan/tests/fuzz/fuzz_driver --seeds=0 --caps=3
+}
 
-echo "== fleet smoke under ASan =="
-# The chaos drill tears down tiles with live retransmission state and
-# acks and drops the stale replies of deadline-abandoned calls — the
-# exact handle lifetimes ASan is for.
-build-asan/bench/fleet --tenants=100 --rate=6000 --chaos >/dev/null
+asan_fleet() {
+    # The chaos drill tears down tiles with live retransmission state
+    # and acks and drops the stale replies of deadline-abandoned calls
+    # — the exact handle lifetimes ASan is for.
+    build-asan/bench/fleet --tenants=100 --rate=6000 --chaos >/dev/null
+}
 
-echo "== fan-in microbench under ASan (bounded) =="
-# The zero-copy slab path hands one refcounted extent through wire,
-# mailbox and recv slot: exactly the shared-ownership lifetimes ASan
-# checks. Bounded iterations — this is a correctness pass, the
-# timing numbers are discarded.
-cmake --build build-asan -j --target fanin
-build-asan/bench/fanin --msgs=2000 --out="" >/dev/null
+asan_fanin() {
+    # The zero-copy slab path hands one refcounted extent through
+    # wire, mailbox and recv slot: exactly the shared-ownership
+    # lifetimes ASan checks. Bounded iterations — this is a
+    # correctness pass, the timing numbers are discarded.
+    cmake --build build-asan -j --target fanin
+    build-asan/bench/fanin --msgs=2000 --out="" >/dev/null
+}
 
-echo "== sanitized re-run: observability + lifecycle regressions =="
-# The metrics/trace layer, the activity-teardown paths and the call
-# path (every Env::call acks and drops stale reply slots) are the
-# most UB-prone (handle lifetimes, histogram arithmetic); run them
-# again explicitly so a filter typo above cannot silently skip them.
-(cd build-asan && ctest --output-on-failure -R \
-    'MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|'\
+asan_rerun() {
+    # The metrics/trace layer, the activity-teardown paths and the
+    # call path (every Env::call acks and drops stale reply slots) are
+    # the most UB-prone (handle lifetimes, histogram arithmetic); run
+    # them again explicitly so a filter typo above cannot silently
+    # skip them.
+    (cd build-asan && ctest --output-on-failure -R \
+        'MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|'\
 'ResetAct|Restart|OverloadRecovery')
+}
 
-echo "== TSan build: parallel event execution =="
-# Everything that runs worker threads: the MPSC fan-in rings, the
-# lane scheduler's barrier rounds, the sharded NoC, and the --jobs cell
-# runner. Death tests are excluded (fork under TSan is unreliable);
-# the plain and ASan passes above cover them.
-cmake -B build-tsan -S . -DM3VSIM_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target sim_lane_test noc_lane_test \
-    fuzz_driver fanin
-build-tsan/tests/sim/sim_lane_test --gtest_filter='-*Panic*'
-build-tsan/tests/noc/noc_lane_test
+tsan_lanes() {
+    # Everything that runs worker threads: the MPSC fan-in rings, the
+    # lane scheduler's barrier rounds, the sharded NoC, and the --jobs
+    # cell runner. Death tests are excluded (fork under TSan is
+    # unreliable); the plain and ASan passes above cover them.
+    cmake -B build-tsan -S . -DM3VSIM_SANITIZE=thread >/dev/null
+    cmake --build build-tsan -j --target sim_lane_test noc_lane_test \
+        fuzz_driver fanin
+    build-tsan/tests/sim/sim_lane_test --gtest_filter='-*Panic*'
+    build-tsan/tests/noc/noc_lane_test
+}
 
-echo "== mesh sweep under TSan (64 tiles, router-sharded) =="
-# The 64-tile k-ary mesh runs one lane per router with whole-lane
-# work-stealing: 16 lanes exchanging packets and credit returns
-# through LaneLinks while per-pair windows advance — the densest
-# threaded path in the tree. Death tests excluded as above. Needs a
-# second hardware thread for real concurrency under TSan.
-if [ "$(nproc)" -ge 2 ]; then
+tsan_mesh() {
+    # The 64-tile k-ary mesh runs one lane per router on fixed lane
+    # blocks: 16 lanes exchanging packets and credit returns through
+    # LaneLinks while per-pair windows advance — the densest threaded
+    # path in the tree. Death tests excluded as above.
     cmake --build build-tsan -j --target noc_mesh_test fig09_scale
     build-tsan/tests/noc/noc_mesh_test --gtest_filter='-*TypedError*'
     MESH_TSAN=$(mktemp)
     M3V_FIG09_TILES=64 build-tsan/bench/fig09_scale --mesh-only \
         --scale-out="$MESH_TSAN" >/dev/null
     rm -f "$MESH_TSAN"
-else
-    echo "NOTE: single hardware thread -- TSan mesh sweep skipped"
-fi
+}
 
-echo "== sharded controller under TSan (caps differential) =="
-# The caps-fuzz differential runs four sharded-controller cells on
-# jobs=4 worker threads through runCells — per-cell Systems must stay
-# thread-local and the merged digests identical with the race
-# detector watching. Needs a second hardware thread for real
-# concurrency under TSan.
-if [ "$(nproc)" -ge 2 ]; then
+tsan_shards() {
+    # The caps-fuzz differential runs four sharded-controller cells on
+    # jobs=4 worker threads through runCells — per-cell Systems must
+    # stay thread-local and the merged digests identical with the race
+    # detector watching.
     cmake --build build-tsan -j --target os_shard_test caps_fuzz_test
     build-tsan/tests/os/os_shard_test
     build-tsan/tests/fuzz/caps_fuzz_test
+}
+
+tsan_fanin() {
+    # The slab pool's refcount mutex and the COW hand-off are the
+    # cross-thread contract of the zero-copy path (lane workers share
+    # the pool); run the fan-in traffic with the race detector
+    # watching.
+    build-tsan/bench/fanin --msgs=2000 --out="" >/dev/null
+}
+
+tsan_fuzz() {
+    # Laned differential runs are the threaded path: per-lane
+    # invariant registries must stay lane-local, and jobs=1 vs jobs=4
+    # digests must match with the race detector watching.
+    build-tsan/tests/fuzz/fuzz_driver --seeds=2 --seqs=0 --diff=15 \
+        --faults=both
+}
+
+stage "plain build + ctest" plain_build
+stage "fuzz smoke: protocol fuzzer, fixed seeds" fuzz_smoke
+stage "fleet smoke: overload + chaos drill, jobs=1 vs jobs=4" fleet_smoke
+stage "mesh: 64/256-tile digests" mesh_digests
+# Below four hardware threads a jobs=4 run cannot express real
+# parallelism, so the speedup assertion is skipped.
+if [ "$(nproc)" -ge 4 ]; then
+    stage "mesh: 64-tile jobs=4 speedup" mesh_speedup
 else
-    echo "NOTE: single hardware thread -- TSan sharded-controller" \
-         "stage skipped"
+    skip "mesh: 64-tile jobs=4 speedup" "fewer than 4 hardware threads"
 fi
+stage "sanitized build (ASan + UBSan) + ctest" asan_build
+stage "fuzz smoke under ASan (bounded)" asan_fuzz
+stage "sharded controller under ASan (cross-shard revoke paths)" \
+    asan_shards
+stage "fleet smoke under ASan" asan_fleet
+stage "fan-in microbench under ASan (bounded)" asan_fanin
+stage "sanitized re-run: observability + lifecycle regressions" \
+    asan_rerun
+stage "TSan build: parallel event execution" tsan_lanes
+# The next two need a second hardware thread for real concurrency
+# under TSan.
+if [ "$(nproc)" -ge 2 ]; then
+    stage "mesh sweep under TSan (64 tiles, router-sharded)" tsan_mesh
+    stage "sharded controller under TSan (caps differential)" \
+        tsan_shards
+else
+    skip "mesh sweep under TSan (64 tiles, router-sharded)" \
+        "single hardware thread"
+    skip "sharded controller under TSan (caps differential)" \
+        "single hardware thread"
+fi
+stage "fan-in microbench under TSan (bounded)" tsan_fanin
+stage "fuzz smoke under TSan (differential only, bounded)" tsan_fuzz
 
-echo "== fan-in microbench under TSan (bounded) =="
-# The slab pool's refcount mutex and the COW hand-off are the
-# cross-thread contract of the zero-copy path (lane workers share
-# the pool); run the fan-in traffic with the race detector watching.
-build-tsan/bench/fanin --msgs=2000 --out="" >/dev/null
-
-echo "== fuzz smoke under TSan (differential only, bounded) =="
-# Laned differential runs are the threaded path: per-lane invariant
-# registries must stay lane-local, and jobs=1 vs jobs=4 digests must
-# match with the race detector watching.
-build-tsan/tests/fuzz/fuzz_driver --seeds=2 --seqs=0 --diff=15 \
-    --faults=both
-
+echo "== summary =="
+FAILED=0
+mkdir -p "$(dirname "$CHECK_SUMMARY")"
+{
+    printf '{\n  "nproc": %s,\n  "stages": [' "$(nproc)"
+    SEP=""
+    while IFS='|' read -r name status; do
+        printf '%s\n    {"name": "%s", "status": "%s"}' \
+            "$SEP" "$name" "$status"
+        SEP=","
+    done <"$RESULTS"
+    printf '\n  ]\n}\n'
+} >"$CHECK_SUMMARY"
+while IFS='|' read -r name status; do
+    printf '%-4s  %s\n' "$status" "$name"
+    [ "$status" = FAIL ] && FAILED=$((FAILED + 1))
+done <"$RESULTS"
+echo "(table written to $CHECK_SUMMARY)"
+if [ "$FAILED" -ne 0 ]; then
+    echo "$FAILED stage(s) failed" >&2
+    exit 1
+fi
 echo "== all checks passed =="

@@ -1,6 +1,5 @@
 #include "os/system.h"
 
-#include <cstdlib>
 #include <set>
 #include <utility>
 
@@ -42,15 +41,8 @@ System::System(sim::EventQueue &eq, SystemParams params)
     : eq_(eq), params_(std::move(params))
 {
     // Resolve the controller shard count first: it adds tiles to the
-    // platform. Explicit param > M3V_CTRL_SHARDS env > automatic.
+    // platform. Explicit param > automatic.
     unsigned shards = params_.ctrlShards;
-    if (shards == 0) {
-        if (const char *e = std::getenv("M3V_CTRL_SHARDS")) {
-            int v = std::atoi(e);
-            if (v > 0)
-                shards = static_cast<unsigned>(v);
-        }
-    }
     if (shards == 0)
         shards = autoCtrlShards(params_.userTiles);
     shards = std::min(std::max(1u, shards), params_.userTiles);
@@ -65,7 +57,7 @@ System::System(sim::EventQueue &eq, SystemParams params)
     std::size_t cap =
         static_cast<std::size_t>(params_.noc.meshCols) *
         params_.noc.meshRows * params_.noc.maxTilesPerRouter;
-    if (params_.autoMesh && total > cap) {
+    if (total > cap) {
         noc::NocParams grown = noc::NocParams::forTiles(total);
         grown.freqHz = params_.noc.freqHz;
         grown.linkBytesPerCycle = params_.noc.linkBytesPerCycle;

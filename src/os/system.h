@@ -51,29 +51,24 @@ struct SystemParams
     unsigned accelTiles = 0;
     AccelParams accel{};
 
+    /**
+     * The NoC. When the platform's total tile count (user +
+     * controller + memory + accelerator) would exceed this mesh's
+     * capacity (routers * maxTilesPerRouter), System replaces the
+     * mesh by NocParams::forTiles(total), keeping every timing
+     * parameter. Platforms that fit are untouched, so the
+     * paper-sized configs keep their 2x2 star-mesh.
+     */
     noc::NocParams noc{};
 
     /**
      * Controller shard count (DESIGN.md section 4i): 0 = automatic —
-     * the M3V_CTRL_SHARDS environment variable if set, otherwise
      * autoCtrlShards() (1 below 64 user tiles, so every paper-sized
      * config has a single controller; 4–16 for 64–1024 tiles).
      * Shards 1..n-1 run on extra controller tiles appended after the
      * accelerator tiles.
      */
     unsigned ctrlShards = 0;
-
-    /**
-     * Grow the mesh automatically when the platform's total tile
-     * count (user + controller + memory + accelerator) would exceed
-     * the configured mesh's capacity (routers * maxTilesPerRouter):
-     * the mesh is replaced by NocParams::forTiles(total), keeping
-     * every timing parameter. Platforms that fit the configured mesh
-     * are untouched, so the paper-sized configs keep their 2x2
-     * star-mesh. Disable to make an over-subscribed mesh a hard
-     * config error at Noc::finalize() instead.
-     */
-    bool autoMesh = true;
 
     tile::DramParams dram{};
     core::TileMuxParams mux{};

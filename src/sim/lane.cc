@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
+#include <thread>
 
 #include "sim/log.h"
 #include "sim/metrics.h"
@@ -13,13 +15,12 @@ namespace {
 
 constexpr Tick kNever = LaneScheduler::kNoCrossing;
 
-
 } // namespace
 
 LaneScheduler::LaneScheduler(unsigned lanes, unsigned jobs,
                              Tick lookahead,
                              std::size_t mailbox_capacity)
-    : n_(lanes), jobs_(jobs ? jobs : 1)
+    : n_(lanes), jobs_(std::min(std::max(jobs, 1u), lanes))
 {
     if (lanes == 0)
         panic("LaneScheduler: zero lanes");
@@ -34,25 +35,6 @@ LaneScheduler::LaneScheduler(unsigned lanes, unsigned jobs,
         rings_.push_back(
             std::make_unique<MpscRing<Msg>>(mailbox_capacity * n_));
     seqs_.assign(n_ * n_, 0);
-    if (jobs_ > 1) {
-        workers_.reserve(jobs_);
-        for (unsigned w = 0; w < jobs_; w++)
-            workers_.emplace_back(
-                [this, w]() { workerLoop(w); });
-    }
-}
-
-LaneScheduler::~LaneScheduler()
-{
-    if (!workers_.empty()) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            shutdown_ = true;
-        }
-        cvWork_.notify_all();
-        for (auto &t : workers_)
-            t.join();
-    }
 }
 
 Tick
@@ -214,48 +196,22 @@ LaneScheduler::runLane(unsigned i)
 }
 
 void
-LaneScheduler::workerLoop(unsigned)
+LaneScheduler::runBlock(unsigned w)
 {
-    std::uint64_t seen_round = 0;
-    for (;;) {
-        unsigned lane;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cvWork_.wait(lock, [&]() {
-                return shutdown_ ||
-                       (roundId_ != seen_round && next_ < active_.size());
-            });
-            if (shutdown_)
-                return;
-            lane = active_[next_++];
-            if (next_ == active_.size())
-                seen_round = roundId_;
-        }
-        runLane(lane);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (pendingLanes_ == 0)
-                panic("LaneScheduler: lane %u completed outside a "
-                      "round",
-                      lane);
-            if (--pendingLanes_ == 0)
-                cvDone_.notify_one();
-        }
-    }
+    std::size_t end = n_ * (w + 1) / jobs_;
+    for (std::size_t i = n_ * w / jobs_; i < end; i++)
+        if (nts_[i] < limits_[i])
+            runLane(static_cast<unsigned>(i));
 }
 
 void
-LaneScheduler::runRoundOnWorkers()
+LaneScheduler::nextRound()
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        next_ = 0;
-        pendingLanes_ = active_.size();
-        roundId_++;
-    }
-    cvWork_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    cvDone_.wait(lock, [&]() { return pendingLanes_ == 0; });
+    mergeMailboxes();
+    if (computeLimits())
+        rounds_++;
+    else
+        done_ = true;
 }
 
 void
@@ -276,52 +232,35 @@ LaneScheduler::run()
     for (std::size_t i = 0; i < n_; i++)
         lanes_[i]->peekNextTick(&nts_[i]);
     running_ = true;
-    // Each round: single-threaded merge of everything the previous
-    // windows produced (and, on the first round, of the posts made
-    // during model construction), then the windows.
-    for (;;) {
-        mergeMailboxes();
-        if (!computeLimits())
-            break;
-        rounds_++;
-        if (workers_.empty()) {
-            for (unsigned i = 0; i < n_; i++)
-                if (nts_[i] < limits_[i])
-                    runLane(i);
-            continue;
+    done_ = false;
+    // The first merge takes the posts made during model construction.
+    nextRound();
+    if (jobs_ == 1) {
+        while (!done_) {
+            runBlock(0);
+            nextRound();
         }
-        {
-            // Parked workers read active_ inside their wait
-            // predicate (under mu_), so refilling it between rounds
-            // must hold the lock too. The refilled list stays
-            // unclaimable (next_ at its end) until runRoundOnWorkers()
-            // publishes the round: a worker that skipped the end of
-            // the previous round still has a stale seen_round and
-            // would otherwise claim a lane of this one early.
-            std::lock_guard<std::mutex> lock(mu_);
-            active_.clear();
-            for (unsigned i = 0; i < n_; i++)
-                if (nts_[i] < limits_[i])
-                    active_.push_back(i);
-            // Longest-pending lanes first, so a straggler lane is
-            // claimed early and the short lanes pack behind it
-            // (whole-lane stealing keeps per-lane order intact).
-            // pending() is deterministic at the barrier, so the
-            // claim order — though irrelevant to results — is too.
-            std::sort(active_.begin(), active_.end(),
-                      [this](unsigned a, unsigned b) {
-                          std::size_t pa = lanes_[a]->pending();
-                          std::size_t pb = lanes_[b]->pending();
-                          if (pa != pb)
-                              return pa > pb;
-                          return a < b;
-                      });
-            next_ = active_.size();
-        }
-        if (active_.size() == 1)
-            runLane(active_[0]);
-        else
-            runRoundOnWorkers();
+    } else {
+        // The barrier's completion step runs on the last worker to
+        // arrive, after every window of the round and before any
+        // window of the next, so the merge and the limits are
+        // single-threaded and every worker sees their result. A
+        // worker that threw would leave the others waiting at the
+        // barrier forever, so a throw ends the program instead.
+        std::barrier sync(jobs_, [this]() noexcept { nextRound(); });
+        auto work = [this, &sync](unsigned w) noexcept {
+            while (!done_) {
+                runBlock(w);
+                sync.arrive_and_wait();
+            }
+        };
+        std::vector<std::thread> threads;
+        threads.reserve(jobs_ - 1);
+        for (unsigned w = 1; w < jobs_; w++)
+            threads.emplace_back(work, w);
+        work(0);
+        for (auto &t : threads)
+            t.join();
     }
     running_ = false;
 }

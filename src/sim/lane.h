@@ -5,7 +5,7 @@
  *
  * A LaneScheduler owns N event lanes (each a full EventQueue with its
  * own calendar machinery, metrics registry, and tracer) and executes
- * them round by round on a pool of worker threads:
+ * them round by round:
  *
  *   1. Merge (single-threaded): drain each destination lane's fan-in
  *      ring, sort the batch by (due, srcLane, seq) — the canonical
@@ -19,7 +19,7 @@
  *      (D(i, i) is lane i's cheapest round trip through other lanes,
  *      bounding self-influence via replies). Every lane with work
  *      below its limit executes all its events with tick < limit_i,
- *      one whole lane per worker.
+ *      on the worker whose block holds the lane.
  *   3. Repeat until all lanes are empty and no messages are in
  *      flight.
  *
@@ -61,13 +61,17 @@
  * else touches a lane between its window and the merge, so the cache
  * is exact.
  *
- * jobs = 1 runs the windows on the calling thread in lane order; a
- * model built on a single lane degenerates to exactly the sequential
- * event loop. With more workers the active lanes form a claim list
- * sorted by descending pending-event count (longest processing time
- * first) and idle workers pull the next unclaimed lane. A lane is
- * never split across workers, so lane-local event order, and
- * therefore determinism, is untouched by who executes it.
+ * Each of W = min(jobs, N) workers owns a fixed contiguous block of
+ * lanes, worker w the lanes [N*w/W, N*(w+1)/W), and runs the windows
+ * of its block in lane order; the calling thread is worker 0. A round
+ * ends at one barrier whose completion step, run by the last worker
+ * to arrive, does the merge and the next round's limits while every
+ * other worker waits. No lane is ever claimed, so no window takes a
+ * lock. jobs = 1 runs the same round body on the calling thread with
+ * no barrier, and a model built on a single lane degenerates to
+ * exactly the sequential event loop. A lane is never split across
+ * workers, so lane-local event order, and therefore determinism, is
+ * untouched by who executes it.
  *
  * Cross-lane posts land in one MPSC combining ring per *destination*
  * lane (sim/mpsc.h): a high-fan-in lane is drained with one ring walk
@@ -83,11 +87,8 @@
 #ifndef M3VSIM_SIM_LANE_H_
 #define M3VSIM_SIM_LANE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -110,8 +111,9 @@ class LaneScheduler
 
     /**
      * @param lanes     Number of event lanes (model shards).
-     * @param jobs      Worker threads executing lane windows. 1 means
-     *                  everything runs on the calling thread.
+     * @param jobs      Worker threads executing lane windows, at most
+     *                  one per lane. 1 means everything runs on the
+     *                  calling thread.
      * @param lookahead Initial conservative lookahead in ticks: every
      *                  pair (src, dst) starts at this value, so every
      *                  cross-lane post must be due at least this far
@@ -127,12 +129,12 @@ class LaneScheduler
      */
     LaneScheduler(unsigned lanes, unsigned jobs, Tick lookahead,
                   std::size_t mailbox_capacity = 4096);
-    ~LaneScheduler();
 
     LaneScheduler(const LaneScheduler &) = delete;
     LaneScheduler &operator=(const LaneScheduler &) = delete;
 
     unsigned lanes() const { return static_cast<unsigned>(n_); }
+    /** Worker threads per round: jobs, clamped to [1, lanes]. */
     unsigned jobs() const { return jobs_; }
 
     /** Declared direct lookahead for (src, dst); kNoCrossing if the
@@ -235,10 +237,15 @@ class LaneScheduler
     /** Run lane @p i's window and cache its next tick in nts_. */
     void runLane(unsigned i);
 
-    void workerLoop(unsigned worker);
-    void runRoundOnWorkers();
+    /** Run the windows of worker @p w's lane block, in lane order. */
+    void runBlock(unsigned w);
+
+    /** Round boundary: merge, then the next round's limits. Sets
+     *  done_ when every lane is empty. */
+    void nextRound();
 
     std::size_t n_;
+    /** Workers, and lane blocks, per round. */
     unsigned jobs_;
     /** Direct pair lookahead, src * n_ + dst. */
     std::vector<Tick> pairL_;
@@ -247,6 +254,7 @@ class LaneScheduler
     std::vector<std::size_t> edgeBegin_;
     std::vector<Edge> edges_;
     bool running_ = false;
+    bool done_ = false;
     std::uint64_t rounds_ = 0;
     std::uint64_t merged_ = 0;
 
@@ -255,9 +263,9 @@ class LaneScheduler
     std::vector<std::unique_ptr<MpscRing<Msg>>> rings_;
     /**
      * Sender-order sequence per (src, dst) pair, indexed
-     * src * n_ + dst. Element (s, d) is touched only by lane s's
-     * worker thread; successive windows of a lane are ordered by the
-     * barrier, so no element is ever written concurrently.
+     * src * n_ + dst. Element (s, d) is touched only by the worker
+     * that owns lane s; successive windows of a lane are ordered by
+     * the barrier, so no element is ever written concurrently.
      */
     std::vector<std::uint64_t> seqs_;
     std::vector<Msg> scratch_;
@@ -269,21 +277,6 @@ class LaneScheduler
     std::vector<Tick> limits_;
     std::vector<std::uint32_t> work_;
     std::vector<std::uint8_t> queued_;
-
-    //
-    // Worker pool (created once; parked between rounds).
-    //
-    std::vector<std::thread> workers_;
-    std::mutex mu_;
-    std::condition_variable cvWork_;
-    std::condition_variable cvDone_;
-    /** Lanes active this round, longest-pending first; idle workers
-     *  steal whole entries by advancing next_. */
-    std::vector<unsigned> active_;
-    std::size_t next_ = 0;
-    std::size_t pendingLanes_ = 0;
-    std::uint64_t roundId_ = 0;
-    bool shutdown_ = false;
 };
 
 /**

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -68,24 +67,6 @@ TEST(ShardMapTest, PaperConfigKeepsSingleController)
     System sys(eq);
     EXPECT_EQ(sys.ctrlShards(), 1u);
     eq.run();
-}
-
-TEST(ShardMapTest, EnvOverridesAutoButNotExplicit)
-{
-    setenv("M3V_CTRL_SHARDS", "2", 1);
-    {
-        sim::EventQueue eq;
-        System sys(eq); // auto -> env wins
-        EXPECT_EQ(sys.ctrlShards(), 2u);
-        eq.run();
-    }
-    {
-        sim::EventQueue eq;
-        System sys(eq, shardedParams(4)); // explicit param wins
-        EXPECT_EQ(sys.ctrlShards(), 4u);
-        eq.run();
-    }
-    unsetenv("M3V_CTRL_SHARDS");
 }
 
 TEST(ShardMapTest, ShardedTopology)

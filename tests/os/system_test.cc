@@ -48,8 +48,8 @@ TEST_F(SystemTest, BuildsPlatform)
 
 TEST(SystemMeshTest, DefaultPlatformKeepsPaperMesh)
 {
-    // The paper-sized config fits the 2x2 star-mesh; autoMesh must
-    // leave it untouched.
+    // The paper-sized config fits the 2x2 star-mesh; mesh growth
+    // must leave it untouched.
     sim::EventQueue eq;
     System sys(eq);
     EXPECT_EQ(sys.params().noc.meshCols, 2u);

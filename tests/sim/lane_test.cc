@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -165,12 +166,11 @@ TEST(LaneSchedulerTest, DeterministicAcrossJobCounts)
 }
 
 /**
- * Regression: a worker that skipped the end of one round must not
- * claim lanes of the next round before that round is published.
- * Rounds alternate between 32 and 2 active lanes at jobs=8, so the
- * refilled claim list is often longer than the previous one; an
- * early claim used to underflow the pending-lane count and hang
- * run().
+ * Rounds alternate between all 32 lanes active and only lanes 0 and
+ * 1, which both sit in worker 0's block at jobs=8: every other round,
+ * seven workers reach the barrier with no window to run. Each lane
+ * must still run each of its windows exactly once, in its own round,
+ * and rounds() must count every round.
  */
 TEST(LaneSchedulerTest, GrowingRoundIsNotClaimedEarly)
 {
@@ -192,6 +192,44 @@ TEST(LaneSchedulerTest, GrowingRoundIsNotClaimedEarly)
     for (unsigned l = 0; l < kLanes; l++)
         EXPECT_EQ(ran[l], l < 2 ? kWindows : kWindows / 2) << l;
     EXPECT_EQ(sched.rounds(), kWindows);
+}
+
+/**
+ * run() starts its workers afresh on every call: a scheduler that has
+ * drained once must run newly scheduled work, cross-lane posts made
+ * between the runs included, exactly as jobs=1 does. jobs=8 on six
+ * lanes also covers more workers than lanes.
+ */
+TEST(LaneSchedulerTest, SecondRunMatchesJobsOne)
+{
+    constexpr unsigned kLanes = 6;
+    auto run = [](unsigned jobs) {
+        PingPong pp(kLanes, jobs);
+        for (unsigned l = 0; l < kLanes; l++)
+            pp.sched.lane(l).schedule(l * 11, [&pp, l]() {
+                pp.bounce(l, 20, l + 1);
+            });
+        pp.sched.run();
+        std::uint64_t first_rounds = pp.sched.rounds();
+        Tick end = 0;
+        for (unsigned l = 0; l < kLanes; l++)
+            end = std::max(end, pp.sched.lane(l).now());
+        for (unsigned l = 0; l < kLanes; l += 2)
+            pp.sched.lane(l).scheduleAt(end + l * 7, [&pp, l]() {
+                pp.bounce(l, 30, l + 100);
+            });
+        pp.sched.post(1, 4, end + 300,
+                      [&pp]() { pp.bounce(4, 10, 77); });
+        pp.sched.post(5, 0, end + 150,
+                      [&pp]() { pp.bounce(0, 15, 99); });
+        pp.sched.run();
+        return std::make_tuple(pp.log, first_rounds, pp.sched.rounds(),
+                               pp.sched.messagesMerged());
+    };
+    auto ref = run(1);
+    EXPECT_GT(std::get<2>(ref), std::get<1>(ref));
+    for (unsigned jobs : {2u, 4u, 8u})
+        EXPECT_EQ(run(jobs), ref) << "jobs=" << jobs;
 }
 
 TEST(LaneSchedulerTest, SingleLaneMatchesPlainQueue)
