@@ -88,7 +88,7 @@ rpcWithMediation(bool mediated, bool local)
 /** TLB-capacity sweep: a client streams reads from many distinct
  *  buffer pages; small TLBs thrash. */
 void
-tlbSweep()
+tlbSweep(bench::Summary &summary)
 {
     std::printf("\nAblation 2: vDTU TLB capacity (16 interleaved "
                 "4 KiB buffers, memory reads)\n");
@@ -123,11 +123,15 @@ tlbSweep()
         double hits = static_cast<double>(v.tlbHits());
         double hr = hits / (hits + static_cast<double>(
                                        v.tlbMisses()));
+        double read_us = sim::ticksToUs(total / kReads);
         t.addRow({std::to_string(entries),
                   std::to_string(v.tlbMisses()),
                   sim::fmtDouble(hr * 100, 1) + "%",
-                  sim::fmtDouble(sim::ticksToUs(total / kReads),
-                                 1)});
+                  sim::fmtDouble(read_us, 1)});
+        std::string key = "tlb" + std::to_string(entries);
+        summary.addU64(key + "_misses", v.tlbMisses());
+        summary.add(key + "_hit_pct", hr * 100);
+        summary.add(key + "_read_us", read_us);
     }
     t.print();
 }
@@ -135,7 +139,7 @@ tlbSweep()
 /** Time-slice sweep: two compute-heavy activities plus an RPC pair
  *  sharing a tile; shorter slices help latency, cost throughput. */
 void
-sliceSweep()
+sliceSweep(bench::Summary &summary)
 {
     std::printf("\nAblation 3: TileMux time slice (2 compute hogs + "
                 "RPC pair on one tile)\n");
@@ -193,13 +197,17 @@ sliceSweep()
                   sim::fmtDouble(sim::ticksToMs(hog_done), 1),
                   sim::fmtDouble(rpc_us.mean(), 1),
                   std::to_string(sys.mux(0).ctxSwitches())});
+        std::string key = "slice" + std::to_string(slice_us) + "us";
+        summary.add(key + "_compute_ms", sim::ticksToMs(hog_done));
+        summary.add(key + "_rpc_us", rpc_us.mean());
+        summary.addU64(key + "_switches", sys.mux(0).ctxSwitches());
     }
     t.print();
 }
 
 /** Fast vs slow path on one co-located pair. */
 void
-fastVsSlow()
+fastVsSlow(bench::Summary &summary)
 {
     std::printf("\nAblation 4: fast path (M3v, always deliverable) "
                 "vs slow path (M3x, kernel forward)\n");
@@ -292,15 +300,20 @@ fastVsSlow()
                 static_cast<double>(m3x_local) /
                     static_cast<double>(m3v_local),
                 static_cast<unsigned long long>(m3x_switches));
+    summary.add("fastpath_m3v_rpc_us", sim::ticksToUs(m3v_local));
+    summary.add("slowpath_m3x_rpc_us", sim::ticksToUs(m3x_local));
+    summary.addU64("slowpath_m3x_switches", m3x_switches);
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using m3v::bench::banner;
 
+    m3v::bench::ObsOptions obs = m3v::bench::parseObsArgs(argc, argv);
+    m3v::bench::Summary summary;
     banner("Ablations", "Design-choice studies from DESIGN.md");
 
     std::printf("\nAblation 1: TileMux-mediated vDTU access "
@@ -319,9 +332,16 @@ main()
                 sim::ticksToUs(direct_l), sim::ticksToUs(mediated_l),
                 static_cast<double>(mediated_l) /
                     static_cast<double>(direct_l));
+    summary.add("mediation_remote_direct_us", sim::ticksToUs(direct_r));
+    summary.add("mediation_remote_mediated_us",
+                sim::ticksToUs(mediated_r));
+    summary.add("mediation_local_direct_us", sim::ticksToUs(direct_l));
+    summary.add("mediation_local_mediated_us",
+                sim::ticksToUs(mediated_l));
 
-    tlbSweep();
-    sliceSweep();
-    fastVsSlow();
+    tlbSweep(summary);
+    sliceSweep(summary);
+    fastVsSlow(summary);
+    summary.write(obs.summaryOut);
     return 0;
 }

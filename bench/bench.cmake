@@ -32,11 +32,10 @@ target_link_libraries(fleet PRIVATE m3v_workloads)
 target_include_directories(fleet PRIVATE ${M3V_BENCH_DIR})
 set_target_properties(fleet PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
-add_executable(bench_voice_assistant ${M3V_BENCH_DIR}/voice_assistant.cc)
-set_target_properties(bench_voice_assistant PROPERTIES OUTPUT_NAME voice_assistant)
-target_link_libraries(bench_voice_assistant PRIVATE m3v_workloads)
-target_include_directories(bench_voice_assistant PRIVATE ${M3V_BENCH_DIR})
-set_target_properties(bench_voice_assistant PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+add_executable(voice_assistant ${M3V_BENCH_DIR}/voice_assistant.cc)
+target_link_libraries(voice_assistant PRIVATE m3v_workloads)
+target_include_directories(voice_assistant PRIVATE ${M3V_BENCH_DIR})
+set_target_properties(voice_assistant PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
 add_executable(table1_area ${M3V_BENCH_DIR}/table1_area.cc)
 target_link_libraries(table1_area PRIVATE m3v_area m3v_sim)

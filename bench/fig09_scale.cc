@@ -628,11 +628,7 @@ runMeshOnce(unsigned tiles, unsigned jobs)
     noc::NocParams np = noc::NocParams::forTiles(tiles);
     unsigned routers = np.meshCols * np.meshRows;
     sim::Tick min_link = noc::Noc::minLinkLatency(np);
-    // Small per-pair mailbox budget: in-flight per lane is bounded by
-    // the adjacent LaneLinks' credits, and the rings are preallocated
-    // (256 lanes * the default budget would be gigabytes).
-    sim::LaneScheduler sched(routers, jobs, min_link,
-                             /*mailbox_capacity=*/4);
+    sim::LaneScheduler sched(routers, jobs, min_link);
     noc::Noc fabric(sched.lane(0), np);
     std::vector<unsigned> lane_of_router(routers);
     for (unsigned r = 0; r < routers; r++)

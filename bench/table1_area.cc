@@ -15,44 +15,60 @@ namespace {
 
 using namespace m3v;
 
+/** Add @p c and its children to the table and the summary, keyed
+ *  by the component path (e.g. "vDTU/Control Unit"). */
 void
-addRows(sim::TablePrinter &t, const area::Component &c, int depth)
+addRows(sim::TablePrinter &t, bench::Summary &summary,
+        const area::Component &c, const std::string &parent,
+        int depth)
 {
     area::AreaNumbers n = c.total();
     std::string name(static_cast<std::size_t>(depth) * 2, ' ');
     name += c.name();
     t.addRow({name, sim::fmtDouble(n.lutsK, 1),
               sim::fmtDouble(n.ffsK, 1), sim::fmtDouble(n.brams, 1)});
+    std::string path = parent.empty() ? c.name() : parent + "/" + c.name();
+    summary.add(path + ".luts_k", n.lutsK, 1);
+    summary.add(path + ".ffs_k", n.ffsK, 1);
+    summary.add(path + ".brams", n.brams, 1);
     for (const auto &child : c.children())
-        addRows(t, *child, depth + 1);
+        addRows(t, summary, *child, path, depth + 1);
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using m3v::bench::banner;
 
+    m3v::bench::ObsOptions obs = m3v::bench::parseObsArgs(argc, argv);
+    m3v::bench::Summary summary;
     banner("Table 1",
            "FPGA area consumption: LUTs, flip-flops, 36 kbit BRAMs");
 
     sim::TablePrinter t({"Component", "LUTs [k]", "FFs [k]",
                          "BRAMs"});
-    addRows(t, area::boomCore(), 0);
-    addRows(t, area::rocketCore(), 0);
-    addRows(t, area::nocRouter(), 0);
-    addRows(t, area::dtu(true), 0);
+    addRows(t, summary, area::boomCore(), "", 0);
+    addRows(t, summary, area::rocketCore(), "", 0);
+    addRows(t, summary, area::nocRouter(), "", 0);
+    addRows(t, summary, area::dtu(true), "", 0);
     t.print();
 
+    double vs_boom = area::vdtuVsCorePct(area::boomCore());
+    double vs_rocket = area::vdtuVsCorePct(area::rocketCore());
+    double virt = area::virtualizationOverheadPct();
     std::printf("\nDerived (section 6.1):\n");
     std::printf("  vDTU vs BOOM LUTs:   %.1f%% (paper: 10.6%%)\n",
-                area::vdtuVsCorePct(area::boomCore()));
+                vs_boom);
     std::printf("  vDTU vs Rocket LUTs: %.1f%% (paper: 32.6%%)\n",
-                area::vdtuVsCorePct(area::rocketCore()));
+                vs_rocket);
     std::printf("  Virtualization (privileged interface) adds "
                 "%.1f%% logic (paper: ~6%%)\n",
-                area::virtualizationOverheadPct());
+                virt);
+    summary.add("vdtu_vs_boom_luts_pct", vs_boom);
+    summary.add("vdtu_vs_rocket_luts_pct", vs_rocket);
+    summary.add("virtualization_overhead_pct", virt);
     std::printf("\nNote: the paper prints 3.3k FFs for the control "
                 "unit, inconsistent with its\nchildren (1.5k + 2.8k) "
                 "and the vDTU total (5.8k); this model reports the\n"
@@ -63,5 +79,6 @@ main()
     std::printf("  M3v controller: 11.5k SLOC Rust (900 unsafe)\n");
     std::printf("  TileMux:         1.7k SLOC Rust (50 unsafe)\n");
     std::printf("  (NOVA microkernel reference: ~9k SLOC C++)\n");
+    summary.write(obs.summaryOut);
     return 0;
 }

@@ -220,10 +220,11 @@ runVoice(bool shared)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using m3v::bench::banner;
 
+    m3v::bench::ObsOptions obs = m3v::bench::parseObsArgs(argc, argv);
     banner("Section 6.5.1",
            "Voice assistant: trigger scan -> flac-lite compression "
            "-> UDP upload");
@@ -236,5 +237,11 @@ main()
     std::printf("  shared:   %7.1f ms   (paper: 398 ms)\n", shared);
     std::printf("  sharing overhead: %.1f%% (paper: 3.6%%)\n",
                 overhead);
+
+    m3v::bench::Summary summary;
+    summary.add("isolated_ms", isolated);
+    summary.add("shared_ms", shared);
+    summary.add("sharing_overhead_pct", overhead);
+    summary.write(obs.summaryOut);
     return 0;
 }

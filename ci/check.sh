@@ -165,9 +165,9 @@ asan_rerun() {
 }
 
 tsan_lanes() {
-    # Everything that runs worker threads: the MPSC fan-in rings, the
-    # lane scheduler's barrier rounds, the sharded NoC, and the --jobs
-    # cell runner. Death tests are excluded (fork under TSan is
+    # Everything that runs worker threads: the lane scheduler's
+    # barrier rounds and the per-lane outboxes they hand over, the
+    # sharded NoC, and the --jobs cell runner. Death tests are excluded (fork under TSan is
     # unreliable); the plain and ASan passes above cover them.
     cmake -B build-tsan -S . -DM3VSIM_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j --target sim_lane_test noc_lane_test \

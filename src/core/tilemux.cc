@@ -430,8 +430,7 @@ TileMux::handleCoreRequest()
         act->state_ = Activity::State::Ready;
         ready_.push_back(act);
     }
-    if (params_.switchOnMsg && act &&
-        act->state_ == Activity::State::Ready) {
+    if (act && act->state_ == Activity::State::Ready) {
         // "As soon as a non-running activity received a message and
         // has time left to execute, TileMux switches to it."
         hint_ = act;

@@ -78,9 +78,6 @@ struct TileMuxParams
      */
     std::size_t switchTouchDivisor = 3;
 
-    /** Switch to a message's recipient immediately (section 3.9). */
-    bool switchOnMsg = true;
-
     /** Activity id representing the idle loop in CUR_ACT. */
     dtu::ActId idleAct = 0xfffd;
 

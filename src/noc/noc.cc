@@ -223,41 +223,6 @@ Noc::validate() const
     return NocConfigError::None;
 }
 
-int
-Noc::travelDir(unsigned from, unsigned to, unsigned size) const
-{
-    if (!wrapsDim(size))
-        return to > from ? +1 : -1;
-    unsigned fwd = (to + size - from) % size;
-    unsigned back = (from + size - to) % size;
-    return fwd <= back ? +1 : -1;
-}
-
-unsigned
-Noc::stepRouter(unsigned r, bool horizontal, int dir) const
-{
-    unsigned cols = params_.meshCols, rows = params_.meshRows;
-    if (horizontal) {
-        unsigned x = routerX(r);
-        unsigned nx = dir > 0 ? (x + 1 == cols ? 0 : x + 1)
-                              : (x == 0 ? cols - 1 : x - 1);
-        return routerY(r) * cols + nx;
-    }
-    unsigned y = routerY(r);
-    unsigned ny = dir > 0 ? (y + 1 == rows ? 0 : y + 1)
-                          : (y == 0 ? rows - 1 : y - 1);
-    return ny * cols + routerX(r);
-}
-
-unsigned
-Noc::dimHops(unsigned a, unsigned b, unsigned size) const
-{
-    unsigned d = a > b ? a - b : b - a;
-    if (wrapsDim(size))
-        d = std::min(d, size - d);
-    return d;
-}
-
 void
 Noc::finalize()
 {
@@ -282,8 +247,7 @@ Noc::finalize()
             laneSched_->setPairLookahead(a, b, laneLatency_);
     };
 
-    // Create mesh links between neighbours (orthogonal, plus the
-    // wrap links of a torus in dimensions wider than 2).
+    // Create mesh links between orthogonal neighbours.
     for (unsigned r = 0; r < n; r++) {
         unsigned x = routerX(r), y = routerY(r);
         auto link_to = [&](unsigned other) {
@@ -314,23 +278,10 @@ Noc::finalize()
             link_to(r + cols);
         if (y > 0)
             link_to(r - cols);
-        if (wrapsDim(cols)) {
-            if (x == cols - 1)
-                link_to(r - (cols - 1));
-            if (x == 0)
-                link_to(r + (cols - 1));
-        }
-        if (wrapsDim(rows)) {
-            if (y == rows - 1)
-                link_to(r - (rows - 1) * cols);
-            if (y == 0)
-                link_to(r + (rows - 1) * cols);
-        }
     }
 
-    // Routing: XY dimension-ordered between routers (shorter way
-    // around per dimension on a torus), then the tile's exit port at
-    // its home router.
+    // Routing: XY dimension-ordered between routers, then the tile's
+    // exit port at its home router.
     for (const auto &t : tiles_) {
         for (unsigned r = 0; r < n; r++) {
             if (r == t->router) {
@@ -341,9 +292,9 @@ Noc::finalize()
             unsigned tx = routerX(t->router), ty = routerY(t->router);
             unsigned next;
             if (x != tx)
-                next = stepRouter(r, true, travelDir(x, tx, cols));
+                next = x < tx ? r + 1 : r - 1;
             else
-                next = stepRouter(r, false, travelDir(y, ty, rows));
+                next = y < ty ? r + cols : r - cols;
             if (meshPort_[r][next] == SIZE_MAX)
                 sim::panic("Noc: missing mesh link %u->%u", r, next);
             routers_[r]->setRoute(t->id, meshPort_[r][next]);
@@ -443,9 +394,12 @@ Noc::routeStep(unsigned router, TileId dst) const
 unsigned
 Noc::hopCount(TileId src, TileId dst) const
 {
+    auto dist = [](unsigned a, unsigned b) {
+        return a > b ? a - b : b - a;
+    };
     unsigned rs = routerOf(src), rd = routerOf(dst);
-    return dimHops(routerX(rs), routerX(rd), params_.meshCols) +
-           dimHops(routerY(rs), routerY(rd), params_.meshRows);
+    return dist(routerX(rs), routerX(rd)) +
+           dist(routerY(rs), routerY(rd));
 }
 
 } // namespace m3v::noc

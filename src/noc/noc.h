@@ -6,9 +6,9 @@
  *
  * The paper's FPGA platform uses a 2x2 star-mesh connecting eleven
  * tiles (Figure 4); this builder generalizes to any k-ary 2D mesh
- * (optionally wrapped into a torus) and tile count, so the gem5-style
- * scalability runs (Figure 9) use the same fabric from 2 tiles up to
- * 1024-tile platforms (NocParams::forTiles()).
+ * and tile count, so the gem5-style scalability runs (Figure 9) use
+ * the same fabric from 2 tiles up to 1024-tile platforms
+ * (NocParams::forTiles()).
  */
 
 #ifndef M3VSIM_NOC_NOC_H_
@@ -64,7 +64,7 @@ class Noc : public sim::SimObject
      * The platform's payload-extent pool (sim/slab_pool.h). Owned by
      * the fabric because every tile of one platform shares it — a
      * PayloadRef allocated by a sender DTU travels through packets
-     * and lane mailboxes and is released wherever the last holder
+     * and lane outboxes and is released wherever the last holder
      * lives — while separate platforms (e.g. sweep cells under
      * --jobs) stay fully isolated.
      */
@@ -133,7 +133,7 @@ class Noc : public sim::SimObject
     bool inject(Packet &pkt, sim::UniqueFunction<void()> on_space);
 
     /** Number of router-to-router hops between two tiles (shortest
-     *  path; wraparound-aware on a torus). */
+     *  path). */
     unsigned hopCount(TileId src, TileId dst) const;
 
     /**
@@ -175,18 +175,6 @@ class Noc : public sim::SimObject
     const TileAttachment &attachmentOf(TileId id) const;
     unsigned routerX(unsigned r) const { return r % params_.meshCols; }
     unsigned routerY(unsigned r) const { return r / params_.meshCols; }
-    /** Step from router @p r one hop toward coordinate delta
-     *  (+1/-1) in dimension x (horizontal = true) with wrap. */
-    unsigned stepRouter(unsigned r, bool horizontal, int dir) const;
-    /** Signed direction (+1/-1) to travel in a dimension of @p size
-     *  from @p from to @p to; shorter way around on a torus. */
-    int travelDir(unsigned from, unsigned to, unsigned size) const;
-    /** Hops needed in one dimension (wraparound-aware). */
-    unsigned dimHops(unsigned a, unsigned b, unsigned size) const;
-    bool wrapsDim(unsigned size) const
-    {
-        return params_.wraparound && size > 2;
-    }
 
     NocParams params_;
     sim::Clock clk_;

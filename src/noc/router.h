@@ -52,15 +52,6 @@ struct NocParams
     unsigned meshRows = 2;
 
     /**
-     * Wrap the mesh into a torus: each row and column closes into a
-     * ring (only in dimensions with more than two routers — a 2-ring
-     * would duplicate the direct link). Routing picks the shorter
-     * direction per dimension, still XY-ordered. Off by default: the
-     * paper's platform is a plain mesh.
-     */
-    bool wraparound = false;
-
-    /**
      * Upper bound on tiles star-attached to one router. attachTile
      * distributes tiles round-robin; when the tile count exceeds
      * routers * maxTilesPerRouter the per-router credit accounting

@@ -64,7 +64,6 @@ System::System(sim::EventQueue &eq, SystemParams params)
         grown.pipelineCycles = params_.noc.pipelineCycles;
         grown.portQueuePackets = params_.noc.portQueuePackets;
         grown.headerBytes = params_.noc.headerBytes;
-        grown.wraparound = params_.noc.wraparound;
         grown.maxTilesPerRouter = params_.noc.maxTilesPerRouter;
         grown.faults = params_.noc.faults;
         params_.noc = grown;

@@ -1,8 +1,8 @@
 #include "sim/lane.h"
 
 #include <algorithm>
-#include <atomic>
 #include <barrier>
+#include <mutex>
 #include <thread>
 
 #include "sim/log.h"
@@ -30,11 +30,9 @@ LaneScheduler::LaneScheduler(unsigned lanes, unsigned jobs,
     lanes_.reserve(n_);
     for (std::size_t i = 0; i < n_; i++)
         lanes_.push_back(std::make_unique<EventQueue>());
-    rings_.reserve(n_);
-    for (std::size_t i = 0; i < n_; i++)
-        rings_.push_back(
-            std::make_unique<MpscRing<Msg>>(mailbox_capacity * n_));
-    seqs_.assign(n_ * n_, 0);
+    out_.resize(n_);
+    for (Outbox &o : out_)
+        o.msgs.reserve(mailbox_capacity);
 }
 
 Tick
@@ -70,9 +68,9 @@ LaneScheduler::fillPairLookaheads(Tick l)
     std::fill(pairL_.begin(), pairL_.end(), l);
 }
 
-bool
-LaneScheduler::tryPost(unsigned src, unsigned dst, Tick due,
-                       UniqueFunction<void()> fn)
+void
+LaneScheduler::post(unsigned src, unsigned dst, Tick due,
+                    UniqueFunction<void()> fn)
 {
     if (src >= n_ || dst >= n_)
         panic("LaneScheduler: post %u->%u outside %zu lanes", src,
@@ -90,56 +88,24 @@ LaneScheduler::tryPost(unsigned src, unsigned dst, Tick due,
                   static_cast<unsigned long long>(lanes_[src]->now()),
                   static_cast<unsigned long long>(l));
     }
-    std::uint64_t &seq = seqs_[src * n_ + dst];
-    Msg m;
-    m.due = due;
-    m.seq = seq;
-    m.srcLane = src;
-    m.fn = std::move(fn);
-    if (!rings_[dst]->tryPush(std::move(m)))
-        return false;
-    seq++;
-    return true;
+    out_[src].msgs.push_back({due, dst, std::move(fn)});
 }
 
 void
-LaneScheduler::post(unsigned src, unsigned dst, Tick due,
-                    UniqueFunction<void()> fn)
+LaneScheduler::mergeOutboxes()
 {
-    if (!tryPost(src, dst, due, std::move(fn)))
-        panic("LaneScheduler: mailbox %u->%u overflow", src, dst);
-}
-
-void
-LaneScheduler::mergeMailboxes()
-{
-    for (std::size_t d = 0; d < n_; d++) {
-        scratch_.clear();
-        Msg m;
-        while (rings_[d]->tryPop(m))
-            scratch_.push_back(std::move(m));
-        if (scratch_.empty())
-            continue;
-        // Canonical cross-lane order, (due, srcLane, dstLane, seq),
-        // restricted to one destination: the lane-local sequence
-        // numbers the messages receive — and therefore all same-tick
-        // FIFO ordering downstream — are independent of which worker
-        // thread produced them first.
-        if (scratch_.size() > 1)
-            std::sort(scratch_.begin(), scratch_.end(),
-                      [](const Msg &a, const Msg &b) {
-                          if (a.due != b.due)
-                              return a.due < b.due;
-                          if (a.srcLane != b.srcLane)
-                              return a.srcLane < b.srcLane;
-                          return a.seq < b.seq;
-                      });
-        for (Msg &msg : scratch_)
-            lanes_[d]->scheduleAt(msg.due, std::move(msg.fn));
-        merged_ += scratch_.size();
-        nts_[d] = std::min(nts_[d], scratch_.front().due);
+    // A lane pops in exact (tick, seq) order, so only messages due on
+    // the same tick in the same lane depend on the order they are
+    // scheduled in here: (srcLane, post order), whichever worker ran
+    // which window.
+    for (Outbox &o : out_) {
+        for (Msg &m : o.msgs) {
+            lanes_[m.dst]->scheduleAt(m.due, std::move(m.fn));
+            nts_[m.dst] = std::min(nts_[m.dst], m.due);
+        }
+        merged_ += o.msgs.size();
+        o.msgs.clear();
     }
-    scratch_.clear();
 }
 
 void
@@ -207,7 +173,7 @@ LaneScheduler::runBlock(unsigned w)
 void
 LaneScheduler::nextRound()
 {
-    mergeMailboxes();
+    mergeOutboxes();
     if (computeLimits())
         rounds_++;
     else
@@ -244,7 +210,8 @@ LaneScheduler::run()
         // The barrier's completion step runs on the last worker to
         // arrive, after every window of the round and before any
         // window of the next, so the merge and the limits are
-        // single-threaded and every worker sees their result. A
+        // single-threaded, the merge sees every outbox append of
+        // the round, and every worker sees their result. A
         // worker that threw would leave the others waiting at the
         // barrier forever, so a throw ends the program instead.
         std::barrier sync(jobs_, [this]() noexcept { nextRound(); });
@@ -303,10 +270,15 @@ runCells(unsigned jobs, std::vector<UniqueFunction<void()>> cells)
             c();
         return;
     }
-    std::atomic<std::size_t> next{0};
+    std::mutex mu;
+    std::size_t next = 0;
     auto worker = [&]() {
         for (;;) {
-            std::size_t i = next.fetch_add(1);
+            std::size_t i;
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                i = next++;
+            }
             if (i >= cells.size())
                 return;
             cells[i]();

@@ -7,11 +7,9 @@
  * own calendar machinery, metrics registry, and tracer) and executes
  * them round by round:
  *
- *   1. Merge (single-threaded): drain each destination lane's fan-in
- *      ring, sort the batch by (due, srcLane, seq) — the canonical
- *      (due, srcLane, dstLane, seq) order restricted to one lane,
- *      since lanes number their events independently — and schedule
- *      it into the lane at the due ticks.
+ *   1. Merge (single-threaded): walk the per-source outboxes in
+ *      source-lane order, each in post order, and schedule every
+ *      message into its destination lane at its due tick.
  *   2. Window: every lane i gets its own limit
  *        limit_i = min over non-empty lanes j of (NT_j + D(j, i))
  *      where NT_j is lane j's next pending tick and D(j, i) the
@@ -48,12 +46,14 @@
  * lane's influence on itself (a reply provoked by its own posts) is
  * bounded the same way by the diagonal round-trip term D(i, i). Lanes
  * share no other state, so any interleaving of same-round events in
- * different lanes yields the same result, and the canonical merge
- * order makes the destination lane's (tick, seq) order independent of
- * thread count and scheduling. Results are bit-identical for any
- * jobs >= 1. Progress: the lane holding the globally minimal next
- * tick always satisfies NT < limit (every addend is positive), so
- * each round executes at least one event.
+ * different lanes yields the same result. A lane pops its events in
+ * exact (tick, seq) order, so merged messages can only tie with each
+ * other on a shared due tick, and those ties break by (srcLane, post
+ * order) — the order the merge schedules them in, whichever worker
+ * ran which window. Results are bit-identical for any jobs >= 1.
+ * Progress: the lane holding the globally minimal next tick always
+ * satisfies NT < limit (every addend is positive), so each round
+ * executes at least one event.
  *
  * Next ticks are cached: run() reads every lane's once, a window
  * stores the tick its lane stopped at (EventQueue::runBefore), and
@@ -73,11 +73,10 @@
  * workers, so lane-local event order, and therefore determinism, is
  * untouched by who executes it.
  *
- * Cross-lane posts land in one MPSC combining ring per *destination*
- * lane (sim/mpsc.h): a high-fan-in lane is drained with one ring walk
- * instead of n, and capacity is pooled across sources. Each
- * (src, dst) pair still stamps its own sender-order sequence for the
- * canonical sort.
+ * Cross-lane posts are appended to a plain vector outbox owned by
+ * the *source* lane. Only the worker that owns lane src writes
+ * src's outbox, and only the barrier's completion step reads it, so
+ * the barrier orders every append before the merge that reads it.
  *
  * The lookahead values come from the model: for a mesh of router
  * lanes, the per-link latencies (noc::Noc::minLinkLatency()) that
@@ -92,7 +91,6 @@
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/mpsc.h"
 #include "sim/types.h"
 #include "sim/unique_function.h"
 
@@ -119,16 +117,12 @@ class LaneScheduler
      *                  cross-lane post must be due at least this far
      *                  after the sender's current time. Must be > 0.
      *                  Refine per pair with setPairLookahead().
-     * @param mailbox_capacity  Cross-lane slots per (src,dst) pair;
-     *                  each destination's fan-in ring holds
-     *                  lanes * mailbox_capacity entries, so the
-     *                  aggregate bound matches the per-pair budget.
-     *                  Large-lane-count models whose in-flight count
-     *                  is credit-bounded should pass a small value —
-     *                  the rings are preallocated.
+     * @param mailbox_capacity  Initial reserve, in messages, of each
+     *                  lane's outbox. A hint only: outboxes grow as
+     *                  needed and a post never fails.
      */
     LaneScheduler(unsigned lanes, unsigned jobs, Tick lookahead,
-                  std::size_t mailbox_capacity = 4096);
+                  std::size_t mailbox_capacity = 0);
 
     LaneScheduler(const LaneScheduler &) = delete;
     LaneScheduler &operator=(const LaneScheduler &) = delete;
@@ -168,15 +162,10 @@ class LaneScheduler
      * boundary is inclusive — posting exactly at it is legal at any
      * tick, including across a calendar-horizon rollover. Posting
      * closer, or on a kNoCrossing pair, is a model bug and panics.
-     * Returns false when dst's fan-in ring is full — the caller owns
-     * backpressure (e.g. retry from a later local event). @p fn runs
-     * on dst's thread at tick due; it must touch only dst-lane state.
+     * The message waits in src's outbox until the round's barrier
+     * merges it; posts are unbounded. @p fn runs on dst's thread at
+     * tick due; it must touch only dst-lane state.
      */
-    bool tryPost(unsigned src, unsigned dst, Tick due,
-                 UniqueFunction<void()> fn);
-
-    /** tryPost that panics on mailbox overflow. For protocols whose
-     *  in-flight count is bounded (credits) below the capacity. */
     void post(unsigned src, unsigned dst, Tick due,
               UniqueFunction<void()> fn);
 
@@ -210,9 +199,16 @@ class LaneScheduler
     struct Msg
     {
         Tick due = 0;
-        std::uint64_t seq = 0;
-        std::uint32_t srcLane = 0;
+        std::uint32_t dst = 0;
         UniqueFunction<void()> fn;
+    };
+
+    /** A lane's posts of the current round, in post order. Each
+     *  outbox has a cache line of its own, so windows of
+     *  neighbouring lane blocks never write one line. */
+    struct alignas(64) Outbox
+    {
+        std::vector<Msg> msgs;
     };
 
     /** A declared crossing out of a lane. */
@@ -222,10 +218,11 @@ class LaneScheduler
         std::uint32_t dst = 0;
     };
 
-    /** Drain every fan-in ring, schedule each destination's batch in
-     *  canonical order, and lower the destination's cached next tick
-     *  to the batch's earliest due tick. */
-    void mergeMailboxes();
+    /** Schedule every outbox's messages into their destination
+     *  lanes, sources in lane order and each in post order, and
+     *  lower each destination's cached next tick to its earliest
+     *  due tick. */
+    void mergeOutboxes();
 
     /** Fill limits_ from nts_ by relaxation over the out-edges.
      *  Returns false when every lane is empty. */
@@ -259,16 +256,9 @@ class LaneScheduler
     std::uint64_t merged_ = 0;
 
     std::vector<std::unique_ptr<EventQueue>> lanes_;
-    /** One MPSC combining ring per destination lane. */
-    std::vector<std::unique_ptr<MpscRing<Msg>>> rings_;
-    /**
-     * Sender-order sequence per (src, dst) pair, indexed
-     * src * n_ + dst. Element (s, d) is touched only by the worker
-     * that owns lane s; successive windows of a lane are ordered by
-     * the barrier, so no element is ever written concurrently.
-     */
-    std::vector<std::uint64_t> seqs_;
-    std::vector<Msg> scratch_;
+    /** Outbox per source lane; during a round element i is written
+     *  only by lane i's window. */
+    std::vector<Outbox> out_;
     /** Cached next tick per lane (kNoCrossing = empty); during a
      *  round element i is written only by lane i's window. */
     std::vector<Tick> nts_;

@@ -3,7 +3,7 @@
  * A slab pool of reference-counted payload extents.
  *
  * The zero-copy message path threads one payload buffer from the
- * sender's SEND command through the NoC packet, the lane mailbox and
+ * sender's SEND command through the NoC packet, the lane outbox and
  * the receiver's recv-ring slot without ever copying the bytes: every
  * hop holds a PayloadRef, a {slot, generation} handle into this pool
  * (the same discipline as the event core's pooled records, see
@@ -22,7 +22,8 @@
  * in lane mode tiles run on different worker threads. All slot-state
  * transitions (allocate, addRef, release, COW) take the pool mutex;
  * the bytes themselves are only touched by the current owner, with
- * the lane-mailbox handover providing the happens-before edge.
+ * the lane barrier between a post and its merge providing the
+ * happens-before edge.
  */
 
 #ifndef M3VSIM_SIM_SLAB_POOL_H_
@@ -241,7 +242,7 @@ class SlabPool
      * vector): readers dereference it without the pool mutex, and a
      * vector reallocation during growth would move the pointers under
      * them. A published handle orders the slab's construction before
-     * any unlocked read (lane-mailbox handover), so the plain loads
+     * any unlocked read (lane-barrier handover), so the plain loads
      * are race-free.
      */
     static constexpr std::size_t kMaxSlabs = 8192;

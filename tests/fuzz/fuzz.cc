@@ -425,8 +425,9 @@ actBody(Platform &plat, RunState &rs, bool buggy, Prog prog,
             // remote EP. Every tile's remote EPs target the same
             // destination, so concurrent FanIn ops converge on one
             // receiver — same-tick stores coalesce doorbells and, in
-            // laned mode, the stores funnel through the MPSC mailbox
-            // merge. Tags stay within this op's kTagStride window.
+            // laned mode, the stores from several source lanes meet
+            // in the barrier's outbox merge. Tags stay within this
+            // op's kTagStride window.
             EpId sep = static_cast<EpId>(kRemoteSepBase + li);
             unsigned k = fanInLen(op);
             for (unsigned s = 0; s < k; s++) {

@@ -62,7 +62,7 @@ enum class OpKind : std::uint8_t
 
     FanIn, ///< ungated back-to-back sends on the remote EP: many
            ///< activities' remote EPs converge on one receiver,
-           ///< exercising doorbell coalescing and the MPSC mailbox
+           ///< exercising doorbell coalescing and the lane outbox
            ///< merge under the laned differential
 };
 

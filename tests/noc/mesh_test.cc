@@ -2,7 +2,7 @@
  * @file
  * Tests for the generalized k-ary 2D mesh fabric: XY route
  * enumeration against the installed routing tables (cycle-free,
- * minimal hops, dimension-ordered, wraparound-aware), per-hop credit
+ * minimal hops, dimension-ordered), per-hop credit
  * exhaustion and backpressure, the typed configuration errors of
  * Noc::validate(), NocParams::forTiles() sizing, and a 64-tile
  * chaos-parallel run on the router lane plan that must be
@@ -120,26 +120,6 @@ TEST(MeshTopologyTest, XyRoutesMinimalAndCycleFree8x8)
     NocParams p;
     p.meshCols = p.meshRows = 8;
     enumerateRoutes(p);
-}
-
-TEST(MeshTopologyTest, TorusRoutesTakeTheShorterWayAround)
-{
-    NocParams p;
-    p.meshCols = p.meshRows = 4;
-    p.wraparound = true;
-    enumerateRoutes(p);
-
-    // Spot-check the wrap effect: opposite corners of a 4x4 torus
-    // are 2 hops apart (1 wrap hop per dimension), not 6.
-    sim::EventQueue eq;
-    Noc noc(eq, p);
-    std::vector<DropSink> sinks(16);
-    for (unsigned i = 0; i < 16; i++)
-        noc.attachTile(i, &sinks[i]);
-    noc.finalize();
-    EXPECT_EQ(noc.hopCount(0, 15), 2u);
-    EXPECT_EQ(noc.hopCount(0, 3), 1u);
-    EXPECT_EQ(noc.hopCount(0, 12), 1u);
 }
 
 TEST(MeshTopologyTest, ForTilesSizesSquareMeshes)
@@ -274,8 +254,7 @@ runChaosMesh(unsigned jobs)
     unsigned routers = p.meshCols * p.meshRows;
 
     sim::Tick min_link = Noc::minLinkLatency(p);
-    sim::LaneScheduler sched(routers, jobs, min_link,
-                             /*mailbox_capacity=*/4);
+    sim::LaneScheduler sched(routers, jobs, min_link);
     Noc noc(sched.lane(0), p);
     std::vector<unsigned> lane_of_router(routers);
     for (unsigned r = 0; r < routers; r++)
