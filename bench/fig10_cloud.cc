@@ -398,5 +398,18 @@ main(int argc, char **argv)
                 "shown for completeness only\n(as in the paper); "
                 "user/system attribution follows section 6.5.2.\n");
     dump.write(obs.metricsOut);
+
+    m3v::bench::Summary summary;
+    auto addSplit = [&summary](const std::string &key, const Split &s) {
+        summary.add(key + "_user_s", s.userSec, 6);
+        summary.add(key + "_system_s", s.systemSec, 6);
+    };
+    for (std::size_t i = 0; i < kMixes; i++) {
+        std::string mix = mixes[i].name;
+        addSplit(mix + "_m3v_isolated", outs[i].iso);
+        addSplit(mix + "_m3v_shared", outs[i].sh);
+        addSplit(mix + "_linux", outs[i].lin);
+    }
+    summary.write(obs.summaryOut);
     return 0;
 }

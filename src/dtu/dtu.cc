@@ -498,7 +498,7 @@ Dtu::readChecks()
         return completeCmd(e);
     if (!(mep.mem.perms & kPermR))
         return completeCmd(Error::PmpFault);
-    if (c.offset + c.size > mep.mem.size)
+    if (c.size > mep.mem.size || c.offset > mep.mem.size - c.size)
         return completeCmd(Error::OutOfBounds);
     if (c.size > kPageSize)
         return completeCmd(Error::OutOfBounds);
@@ -556,7 +556,8 @@ Dtu::writeChecks()
         return completeCmd(e);
     if (!(mep.mem.perms & kPermW))
         return completeCmd(Error::PmpFault);
-    if (c.offset + c.payload.size() > mep.mem.size)
+    if (c.payload.size() > mep.mem.size ||
+        c.offset > mep.mem.size - c.payload.size())
         return completeCmd(Error::OutOfBounds);
     if (c.payload.size() > kPageSize)
         return completeCmd(Error::OutOfBounds);

@@ -769,7 +769,8 @@ Controller::handle(ActId caller, const SyscallReq &req,
         std::uint64_t size = req.arg2;
         auto perms = static_cast<std::uint8_t>(req.arg3);
         const MemObj &pm = parent->obj().mem;
-        if (off + size > pm.size || (perms & ~pm.perms) != 0) {
+        if (size > pm.size || off > pm.size - size ||
+            (perms & ~pm.perms) != 0) {
             resp->err = Error::OutOfBounds;
             break;
         }

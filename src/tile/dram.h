@@ -3,19 +3,25 @@
  * Timing model of a memory tile's DDR4 interface: fixed access
  * latency plus bandwidth-limited transfer, with a single request
  * queue (requests are serviced in order, one at a time).
+ *
+ * The backing store is sparse: a table of fixed-size chunks, each
+ * allocated (zeroed) on the first write or non-zero fill that touches
+ * it. Untouched memory reads as zeros, so a platform costs the bytes
+ * it touches, not its capacity.
  */
 
 #ifndef M3VSIM_TILE_DRAM_H_
 #define M3VSIM_TILE_DRAM_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/clock.h"
+#include "sim/ring_deque.h"
 #include "sim/sim_object.h"
 #include "sim/stats.h"
+#include "sim/unique_function.h"
 
 namespace m3v::tile {
 
@@ -42,10 +48,16 @@ struct DramParams
 class Dram : public sim::SimObject
 {
   public:
+    /** Granularity of the sparse backing store. */
+    static constexpr std::size_t kChunkBytes = 64 * 1024;
+
     Dram(sim::EventQueue &eq, std::string name, DramParams params);
 
     const DramParams &params() const { return params_; }
-    std::size_t capacity() const { return store_.size(); }
+    std::size_t capacity() const { return params_.capacityBytes; }
+
+    /** Host bytes held by allocated chunks. */
+    std::size_t residentBytes() const { return resident_ * kChunkBytes; }
 
     /**
      * Queue an access of @p bytes at @p addr; @p done fires when the
@@ -54,7 +66,7 @@ class Dram : public sim::SimObject
      * content are decoupled for simplicity).
      */
     void access(std::size_t addr, std::size_t bytes,
-                std::function<void()> done);
+                sim::UniqueFunction<void()> done);
 
     /** Copy bytes out of the backing store (no timing). */
     void read(std::size_t addr, void *dst, std::size_t bytes) const;
@@ -70,16 +82,21 @@ class Dram : public sim::SimObject
 
   private:
     void startNext();
+    void checkRange(std::size_t addr, std::size_t bytes,
+                    const char *what) const;
+    /** Chunk @p idx, allocated zeroed if absent. */
+    std::uint8_t *chunk(std::size_t idx);
 
     DramParams params_;
     sim::Clock clk_;
-    std::vector<std::uint8_t> store_;
+    std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
+    std::size_t resident_ = 0;
     struct Request
     {
-        std::size_t bytes;
-        std::function<void()> done;
+        std::size_t bytes = 0;
+        sim::UniqueFunction<void()> done;
     };
-    std::deque<Request> queue_;
+    sim::RingDeque<Request> queue_;
     bool busy_ = false;
     sim::Counter *requests_;
     sim::Counter *bytes_;

@@ -286,6 +286,42 @@ TEST_F(DtuTest, MemoryOutOfBoundsRejected)
     EXPECT_EQ(err, Error::OutOfBounds);
 }
 
+TEST_F(DtuTest, MemoryWrappedOffsetRejected)
+{
+    // Two adjacent regions; the EP covers only the second. An offset
+    // of 2^64 - 8 wraps the end check and would reach the neighbour.
+    PhysAddr first = mem.alloc(4096);
+    PhysAddr second = mem.alloc(4096);
+    ASSERT_EQ(second, first + 4096);
+    const std::string secret = "SECRET!!";
+    mem.dram().write(first + 4096 - secret.size(), secret.data(),
+                     secret.size());
+    dtuA.configEp(2, Endpoint::makeMem(0, kMemTile, second, 4096,
+                                       kPermRW));
+    const std::uint64_t wrapped = ~std::uint64_t{0} - 7;
+
+    Error rerr = Error::None;
+    std::vector<std::uint8_t> got;
+    dtuA.cmdRead(0, 2, wrapped, 16, 0,
+                 [&](Error e, std::vector<std::uint8_t> d) {
+                     rerr = e;
+                     got = std::move(d);
+                 });
+    eq.run();
+    EXPECT_EQ(rerr, Error::OutOfBounds);
+    EXPECT_TRUE(got.empty());
+
+    Error werr = Error::None;
+    dtuA.cmdWrite(0, 2, wrapped, bytes("overwrite_neighbor"), 0,
+                  [&](Error e) { werr = e; });
+    eq.run();
+    EXPECT_EQ(werr, Error::OutOfBounds);
+    std::string left(secret.size(), '\0');
+    mem.dram().read(first + 4096 - secret.size(), left.data(),
+                    left.size());
+    EXPECT_EQ(left, secret);
+}
+
 TEST_F(DtuTest, ExternalInterfaceConfiguresRemoteEps)
 {
     // "Controller" on tile A installs a recv EP on tile B remotely.

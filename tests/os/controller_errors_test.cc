@@ -121,6 +121,27 @@ TEST_F(SyscallErrorTest, DeriveBeyondParentBoundsFails)
     EXPECT_TRUE(done);
 }
 
+TEST_F(SyscallErrorTest, DeriveWrappedOffsetFails)
+{
+    // off + size wraps to 0: the child would start one page below the
+    // parent gate.
+    auto mg = sys.makeMgate(app, 8192, dtu::kPermRW);
+    bool done = false;
+    run([&, mg](os::MuxEnv &env) -> sim::Task {
+        SyscallReq req;
+        SyscallResp resp;
+        req.op = SyscallReq::Op::DeriveMem;
+        req.arg0 = mg.sel;
+        req.arg1 = ~std::uint64_t{0} - 4095; // 2^64 - 4096
+        req.arg2 = 4096;
+        req.arg3 = dtu::kPermR;
+        co_await env.syscall(req, &resp);
+        EXPECT_EQ(resp.err, Error::OutOfBounds);
+        done = true;
+    });
+    EXPECT_TRUE(done);
+}
+
 TEST_F(SyscallErrorTest, ActivateForWithoutActivityCapFails)
 {
     auto mg = sys.makeMgate(app, 4096, dtu::kPermR);
