@@ -78,9 +78,9 @@ BENCHMARK(BM_EventQueueScheduleCancel);
 
 /**
  * Steady-state pop+push with a large standing backlog and a mix of
- * near-future (wheel), same-tick (FIFO), and far-future (overflow
- * heap) delays — the fig09-style many-tile profile. range(0) is the
- * number of pending events held in the queue throughout.
+ * near-future (near heap) and far-future (far heap) delays — the
+ * fig09-style many-tile profile. range(0) is the number of pending
+ * events held in the queue throughout.
  */
 void
 BM_EventQueueMixedHorizon(benchmark::State &state)
@@ -92,9 +92,9 @@ BM_EventQueueMixedHorizon(benchmark::State &state)
         std::uint64_t r = rng.next() % 100;
         if (r < 60) // short: NoC hops, DMA, core cycles
             return 1 + rng.next() % (200 * sim::kTicksPerNs);
-        if (r < 95) // medium: traps, slices (still mostly in-wheel)
+        if (r < 95) // medium: traps, slices (mostly near heap)
             return 1 + rng.next() % (2 * sim::kTicksPerUs);
-        // far: retx timeouts, watchdog periods (overflow heap)
+        // far: retx timeouts, watchdog periods (far heap)
         return 1 + rng.next() % (500 * sim::kTicksPerUs);
     };
     const int backlog = static_cast<int>(state.range(0));
@@ -110,6 +110,30 @@ BM_EventQueueMixedHorizon(benchmark::State &state)
         static_cast<double>(eq.pending());
 }
 BENCHMARK(BM_EventQueueMixedHorizon)->Arg(1000)->Arg(100000);
+
+/**
+ * Steady-state pop+push with range(0) events pending, all due within
+ * 20000 ticks (20 ns) of now(): many events per nanosecond, inserted
+ * out of order — a dense burst of NoC hops and DTU completions.
+ */
+void
+BM_EventQueueDenseNear(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    sim::Rng rng(12345);
+    int sink = 0;
+    const int backlog = static_cast<int>(state.range(0));
+    for (int i = 0; i < backlog; i++)
+        eq.schedule(rng.next() % 20000, [&sink]() { sink++; });
+    for (auto _ : state) {
+        eq.runOne();
+        eq.schedule(rng.next() % 20000, [&sink]() { sink++; });
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations());
+    state.counters["pending"] = static_cast<double>(eq.pending());
+}
+BENCHMARK(BM_EventQueueDenseNear)->Arg(4096);
 
 sim::Task
 chainTask(sim::EventQueue &eq, int depth)

@@ -1,7 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "sim/invariants.h"
@@ -15,17 +13,72 @@ namespace {
 
 thread_local EventQueue *gRunning = nullptr;
 
-/** Min-heap comparator on (when, seq) for the overflow heap. */
-struct Later
+/** (when, seq) order; seqs are unique, so this is strict and total. */
+template <typename E>
+bool
+before(const E &a, const E &b)
 {
-    bool
-    operator()(const auto &a, const auto &b) const
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+}
+
+/** Index of the earlier of h[a] and h[b], written as a select: the
+ *  compare is unpredictable, and a branch on it would mispredict. */
+template <typename E>
+std::size_t
+earlier(const std::vector<E> &h, std::size_t a, std::size_t b)
+{
+    return before(h[b], h[a]) ? b : a;
+}
+
+/** Push @p e onto the 4-ary min-heap @p h (children of i: 4i+1..4i+4). */
+template <typename E>
+void
+heapPush(std::vector<E> &h, const E &e)
+{
+    std::size_t i = h.size();
+    h.push_back(e);
+    while (i > 0) {
+        std::size_t parent = (i - 1) / 4;
+        if (!before(e, h[parent]))
+            break;
+        h[i] = h[parent];
+        i = parent;
     }
-};
+    h[i] = e;
+}
+
+/** Remove the top of the non-empty 4-ary min-heap @p h. */
+template <typename E>
+void
+heapPop(std::vector<E> &h)
+{
+    E last = h.back();
+    h.pop_back();
+    std::size_t n = h.size();
+    if (n == 0)
+        return;
+    std::size_t i = 0;
+    for (;;) {
+        std::size_t first = 4 * i + 1;
+        if (first >= n)
+            break;
+        std::size_t best;
+        if (first + 4 <= n) {
+            // A full group: two independent compares, then a third.
+            best = earlier(h, earlier(h, first, first + 1),
+                           earlier(h, first + 2, first + 3));
+        } else {
+            best = first;
+            for (std::size_t c = first + 1; c < n; c++)
+                best = earlier(h, best, c);
+        }
+        if (!before(h[best], last))
+            break;
+        h[i] = h[best];
+        i = best;
+    }
+    h[i] = last;
+}
 
 } // namespace
 
@@ -179,186 +232,47 @@ EventQueue::scheduleAt(Tick when, UniqueFunction<void()> fn)
 void
 EventQueue::insertEntry(const Entry &e)
 {
-    if (e.when == now_) {
+    if (e.when == now_)
         nowFifo_.push_back(e);
-        return;
-    }
-    std::uint64_t slot = e.when >> kBucketTickShift;
-    if (slot < baseSlot_ + kNumBuckets)
-        wheelPush(e);
+    else if (e.when - now_ < kNearHorizon)
+        heapPush(near_, e);
     else
-        overflowPush(e);
-}
-
-void
-EventQueue::wheelPush(const Entry &e)
-{
-    std::size_t idx =
-        static_cast<std::size_t>(e.when >> kBucketTickShift) &
-        kBucketMask;
-    Bucket &b = wheel_[idx];
-    // Appends in non-decreasing tick order (the common case, and all
-    // overflow migrations) keep the bucket sorted: equal ticks are
-    // already ordered because seq increases monotonically.
-    if (b.sorted && !b.items.empty() && e.when < b.items.back().when)
-        b.sorted = false;
-    b.items.push_back(e);
-    markBucket(idx);
-    wheelCount_++;
-}
-
-void
-EventQueue::overflowPush(const Entry &e)
-{
-    overflow_.push_back(e);
-    std::push_heap(overflow_.begin(), overflow_.end(), Later());
-}
-
-EventQueue::Entry
-EventQueue::overflowPop()
-{
-    std::pop_heap(overflow_.begin(), overflow_.end(), Later());
-    Entry e = overflow_.back();
-    overflow_.pop_back();
-    return e;
-}
-
-void
-EventQueue::rebase(std::uint64_t new_slot)
-{
-    if (new_slot <= baseSlot_)
-        return;
-    baseSlot_ = new_slot;
-    // Overflow events that fell inside the wheel horizon migrate into
-    // their bucket. Heap pops come out in (when, seq) order, so the
-    // per-bucket append order stays sorted.
-    while (!overflow_.empty() &&
-           (overflow_.front().when >> kBucketTickShift) <
-               baseSlot_ + kNumBuckets) {
-        wheelPush(overflowPop());
-    }
-}
-
-void
-EventQueue::prepareBucket(Bucket &b)
-{
-    if (b.sorted)
-        return;
-    if (b.head > 0) {
-        b.items.erase(b.items.begin(),
-                      b.items.begin() +
-                          static_cast<std::ptrdiff_t>(b.head));
-        b.head = 0;
-    }
-    std::sort(b.items.begin(), b.items.end(),
-              [](const Entry &a, const Entry &c) {
-                  if (a.when != c.when)
-                      return a.when < c.when;
-                  return a.seq < c.seq;
-              });
-    b.sorted = true;
-}
-
-void
-EventQueue::markBucket(std::size_t idx)
-{
-    bitmap_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-}
-
-void
-EventQueue::clearBucketBit(std::size_t idx)
-{
-    bitmap_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-}
-
-std::size_t
-EventQueue::findMarkedFrom(std::size_t start) const
-{
-    std::size_t w0 = start >> 6;
-    std::uint64_t m = bitmap_[w0] & (~std::uint64_t{0} << (start & 63));
-    if (m)
-        return (w0 << 6) + static_cast<std::size_t>(std::countr_zero(m));
-    for (std::size_t k = 1; k <= kBitmapWords; k++) {
-        std::size_t wi = (w0 + k) & (kBitmapWords - 1);
-        if (bitmap_[wi])
-            return (wi << 6) +
-                   static_cast<std::size_t>(std::countr_zero(bitmap_[wi]));
-    }
-    return SIZE_MAX;
-}
-
-void
-EventQueue::consumeFrom(Src src, std::size_t bucket_idx)
-{
-    switch (src) {
-    case Src::NowFifo:
-        nowHead_++;
-        if (nowHead_ == nowFifo_.size()) {
-            nowFifo_.clear();
-            nowHead_ = 0;
-        }
-        break;
-    case Src::Wheel: {
-        Bucket &b = wheel_[bucket_idx];
-        b.head++;
-        wheelCount_--;
-        if (b.head == b.items.size()) {
-            b.items.clear();
-            b.head = 0;
-            b.sorted = true;
-            clearBucketBit(bucket_idx);
-        }
-        break;
-    }
-    case Src::Overflow:
-        overflowPop();
-        break;
-    }
+        heapPush(far_, e);
 }
 
 bool
 EventQueue::nextLive(Entry &out, Tick consume_below)
 {
-    rebase(now_ >> kBucketTickShift);
     for (;;) {
-        std::size_t cur_idx =
-            static_cast<std::size_t>(baseSlot_) & kBucketMask;
-        Bucket &cb = wheel_[cur_idx];
-        prepareBucket(cb);
-        bool have_cb = cb.head < cb.items.size();
+        std::vector<Entry> *heap = nullptr;
+        if (!near_.empty())
+            heap = &near_;
+        if (!far_.empty() && (!heap || before(far_.front(), near_.front())))
+            heap = &far_;
         bool have_now = nowHead_ < nowFifo_.size();
 
-        Src src;
-        std::size_t idx = cur_idx;
+        // Heap entries at now() precede the now-FIFO: they were
+        // scheduled before now() reached their tick, so they carry
+        // older seqs.
+        bool from_heap = heap && (!have_now || heap->front().when <= now_);
         Entry e;
-        if (have_cb && cb.items[cb.head].when <= now_) {
-            // Current-tick (or tombstoned past) entries in the current
-            // bucket precede the now-FIFO: they carry older seqs.
-            src = Src::Wheel;
-            e = cb.items[cb.head];
-        } else if (have_now) {
-            src = Src::NowFifo;
+        if (from_heap)
+            e = heap->front();
+        else if (have_now)
             e = nowFifo_[nowHead_];
-        } else if (have_cb) {
-            src = Src::Wheel;
-            e = cb.items[cb.head];
-        } else if (wheelCount_ > 0) {
-            idx = findMarkedFrom(cur_idx);
-            Bucket &b = wheel_[idx];
-            prepareBucket(b);
-            src = Src::Wheel;
-            e = b.items[b.head];
-        } else if (!overflow_.empty()) {
-            src = Src::Overflow;
-            e = overflow_.front();
-        } else {
+        else
             return false;
-        }
 
         bool live = isLive(e.slot, e.gen);
         if (!live || e.when < consume_below ||
-            consume_below == kConsumeAll)
-            consumeFrom(src, idx);
+            consume_below == kConsumeAll) {
+            if (from_heap) {
+                heapPop(*heap);
+            } else if (++nowHead_ == nowFifo_.size()) {
+                nowFifo_.clear();
+                nowHead_ = 0;
+            }
+        }
         if (live) {
             out = e;
             return true;

@@ -21,23 +21,22 @@
  *    generation mismatch and is inert. Handles must not outlive their
  *    EventQueue.
  *
- *  - Ordering uses a two-level calendar queue: a near-future wheel of
- *    kNumBuckets buckets, each kTicksPerBucket ticks wide, over a
- *    sorted binary heap for events beyond the wheel horizon (~1 µs).
+ *  - Ordering uses two 4-ary min-heaps on (when, seq): near_ holds
+ *    entries scheduled less than kNearHorizon (~1 µs) ahead of now(),
+ *    far_ holds the rest (timers, slices, pre-scheduled arrivals), so
+ *    a large far-future backlog never deepens the hot near heap.
+ *    Entries never migrate; a pop takes the smaller of the two tops.
  *    Same-tick schedules go to a dedicated FIFO ring, so the common
  *    schedule(0, ...) pattern (task resumptions, channel wakeups)
- *    never touches the wheel at all. Buckets are append-only and
- *    sorted lazily when the wheel reaches them. Cancelled events
- *    leave a tombstone entry that is discarded when encountered.
+ *    never touches a heap at all. Cancelled events leave a tombstone
+ *    entry that is discarded when it surfaces.
  *
- * Pop order is exactly (tick, seq) — bit-identical to the previous
- * single binary-heap implementation.
+ * Pop order is exactly (tick, seq).
  */
 
 #ifndef M3VSIM_SIM_EVENT_QUEUE_H_
 #define M3VSIM_SIM_EVENT_QUEUE_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -86,11 +85,9 @@ class EventHandle
 class EventQueue
 {
   public:
-    /** log2 of the tick width of one wheel bucket (~2 ns). */
-    static constexpr unsigned kBucketTickShift = 11;
-    /** Number of wheel buckets; horizon = buckets * width ~= 1.05 us.
-     *  Kept small enough that constructing a queue stays cheap. */
-    static constexpr std::size_t kNumBuckets = 512;
+    /** Entries due less than this many ticks (~1.05 µs) after now()
+     *  go to the near heap, all others to the far heap. */
+    static constexpr Tick kNearHorizon = Tick{1} << 20;
 
     EventQueue();
     ~EventQueue();
@@ -191,8 +188,6 @@ class EventQueue
   private:
     friend class EventHandle;
 
-    static constexpr std::size_t kBucketMask = kNumBuckets - 1;
-    static constexpr std::size_t kBitmapWords = kNumBuckets / 64;
     static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
     /** Records per slab (power of two). */
     static constexpr std::size_t kSlabShift = 8;
@@ -212,17 +207,6 @@ class EventQueue
         std::uint32_t gen;
     };
 
-    /**
-     * One wheel bucket: entries appended in schedule order, sorted by
-     * (when, seq) on first drain, consumed via a head cursor.
-     */
-    struct Bucket
-    {
-        std::vector<Entry> items;
-        std::uint32_t head = 0;
-        bool sorted = true;
-    };
-
     /** A pooled event record; the closure is stored inline via
      *  UniqueFunction's small buffer whenever it fits. */
     struct Record
@@ -233,14 +217,6 @@ class EventQueue
         /** On the freelist (fresh records start pooled). Guards the
          *  pool against double frees — see freeRecord(). */
         bool pooled = true;
-    };
-
-    /** Where the current pop candidate lives. */
-    enum class Src
-    {
-        NowFifo,
-        Wheel,
-        Overflow,
     };
 
     Record &recordAt(std::uint32_t slot);
@@ -254,14 +230,6 @@ class EventQueue
     bool isLive(std::uint32_t slot, std::uint32_t gen) const;
 
     void insertEntry(const Entry &e);
-    void wheelPush(const Entry &e);
-    void overflowPush(const Entry &e);
-    Entry overflowPop();
-    void rebase(std::uint64_t new_slot);
-    void prepareBucket(Bucket &b);
-    void markBucket(std::size_t idx);
-    void clearBucketBit(std::size_t idx);
-    std::size_t findMarkedFrom(std::size_t start) const;
 
     /** consume_below value that consumes every live entry. */
     static constexpr Tick kConsumeAll = ~Tick{0};
@@ -274,7 +242,6 @@ class EventQueue
      * nothing live remains.
      */
     bool nextLive(Entry &out, Tick consume_below);
-    void consumeFrom(Src src, std::size_t bucket_idx);
 
     /** Run a live entry nextLive() has consumed. */
     void execute(const Entry &e);
@@ -285,21 +252,13 @@ class EventQueue
     std::uint64_t executed_ = 0;
     std::size_t livePending_ = 0;
 
-    /** Wheel base in bucket space (now_ >> kBucketTickShift, lazily
-     *  advanced). Bucket index of slot s is s & kBucketMask. */
-    std::uint64_t baseSlot_ = 0;
-    /** Structural entries (incl. tombstones) in the wheel. */
-    std::size_t wheelCount_ = 0;
-    std::array<Bucket, kNumBuckets> wheel_;
-    /** Bit per bucket: set iff the bucket has unconsumed entries. */
-    std::array<std::uint64_t, kBitmapWords> bitmap_{};
-
     /** FIFO of events scheduled exactly at now_. */
     std::vector<Entry> nowFifo_;
     std::size_t nowHead_ = 0;
 
-    /** Min-heap on (when, seq) for events beyond the wheel horizon. */
-    std::vector<Entry> overflow_;
+    /** 4-ary min-heaps on (when, seq), split at kNearHorizon. */
+    std::vector<Entry> near_;
+    std::vector<Entry> far_;
 
     /** Slab-pooled event records with an intrusive freelist. */
     std::vector<std::unique_ptr<Record[]>> slabs_;

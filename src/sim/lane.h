@@ -4,7 +4,7 @@
  * conservative window synchronization.
  *
  * A LaneScheduler owns N event lanes (each a full EventQueue with its
- * own calendar machinery, metrics registry, and tracer) and executes
+ * own near/far heaps, metrics registry, and tracer) and executes
  * them round by round:
  *
  *   1. Merge (single-threaded): walk the per-source outboxes in
@@ -160,7 +160,7 @@ class LaneScheduler
      * before run(), during model construction). While running, due
      * must be >= lane(src).now() + pairLookahead(src, dst); the
      * boundary is inclusive — posting exactly at it is legal at any
-     * tick, including across a calendar-horizon rollover. Posting
+     * tick, including on a multiple of the near-heap horizon. Posting
      * closer, or on a kNoCrossing pair, is a model bug and panics.
      * The message waits in src's outbox until the round's barrier
      * merges it; posts are unbounded. @p fn runs on dst's thread at

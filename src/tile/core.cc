@@ -174,6 +174,31 @@ Thread::bodyFinished()
     core_.threadFinished(*this);
 }
 
+sim::Tick
+Thread::userTicks() const
+{
+    // The core banks user time only when it leaves user mode; a
+    // thread that is never switched out would otherwise read 0.
+    if (core_.current_ == this && core_.owner_ == Core::Owner::User)
+        return userTicks_ + (core_.now() - core_.ownerSince_);
+    return userTicks_;
+}
+
+sim::Tick
+Thread::waitTicks() const
+{
+    return inWait_ ? waitTicks_ + (core_.now() - waitBegin_)
+                   : waitTicks_;
+}
+
+sim::Tick
+Thread::busyTicks() const
+{
+    sim::Tick user = userTicks();
+    sim::Tick wait = waitTicks();
+    return user > wait ? user - wait : 0;
+}
+
 void
 Thread::setOnFinished(std::function<void(Thread &)> cb)
 {

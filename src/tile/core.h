@@ -198,20 +198,20 @@ class Thread
      */
     void clearWake() { wakePending_ = false; }
 
-    /** Total user-mode core time consumed by this thread. */
-    sim::Tick userTicks() const { return userTicks_; }
+    /**
+     * Total user-mode core time consumed by this thread, including
+     * the open stretch if it is running in user mode right now.
+     */
+    sim::Tick userTicks() const;
 
     /**
-     * Core time spent polling in externalWait() while dispatched.
-     * busyTicks() = userTicks() - waitTicks() approximates the
-     * getrusage-style "really computing" time.
+     * Core time spent polling in externalWait() while dispatched,
+     * including the open wait. busyTicks() = userTicks() -
+     * waitTicks() approximates the getrusage-style "really
+     * computing" time.
      */
-    sim::Tick waitTicks() const { return waitTicks_; }
-    sim::Tick
-    busyTicks() const
-    {
-        return userTicks_ > waitTicks_ ? userTicks_ - waitTicks_ : 0;
-    }
+    sim::Tick waitTicks() const;
+    sim::Tick busyTicks() const;
 
     /** Hook invoked (once) when the body finishes. */
     void setOnFinished(std::function<void(Thread &)> cb);

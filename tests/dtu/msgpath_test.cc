@@ -189,9 +189,8 @@ class MsgPathTest : public ::testing::Test
 TEST_F(MsgPathTest, SteadyStateIsAllocAndCopyFree)
 {
     build(nullptr);
-    // Warm every pool, ring and freelist. The timing wheel needs a
-    // few full rotations (512 buckets x 2048 ticks) before each
-    // bucket's vector has seen its steady-state occupancy.
+    // Warm every pool, ring and freelist, and grow the event
+    // queue's heap vectors to their steady-state depth.
     runBatch(8192);
 
     sim::SlabPool::Stats s0 = noc->payloadPool().stats();
@@ -221,8 +220,8 @@ TEST_F(MsgPathTest, ReliableModeSteadyStateIsAllocAndCopyFree)
     sim::FaultPlan plan(7); // no windows: reliable mode, no faults
     build(&plan);
     ASSERT_TRUE(dtuA->reliable());
-    // Warm the retx vector, dedup windows, timer pool and the timing
-    // wheel (several full rotations, as above).
+    // Warm the retx vector, dedup windows, timer pool and the event
+    // queue's heaps (as above).
     runBatch(8192);
 
     sim::SlabPool::Stats s0 = noc->payloadPool().stats();

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the allocation-free event core: slab/generation handle
- * reuse, inline vs heap-allocated closures, calendar-queue behavior
- * across bucket and horizon boundaries, determinism against a
- * reference (tick, seq) model, and steady-state allocation freedom.
+ * reuse, inline vs heap-allocated closures, near/far heap behavior
+ * across the near-horizon boundary, determinism against a reference
+ * (tick, seq) model, and steady-state allocation freedom.
  *
  * This binary overrides global operator new/delete to count heap
  * allocations; the override is a pure pass-through to malloc/free, so
@@ -74,8 +74,7 @@ operator delete[](void *p, std::size_t) noexcept
 namespace m3v::sim {
 namespace {
 
-constexpr Tick kHorizon = static_cast<Tick>(EventQueue::kNumBuckets)
-                          << EventQueue::kBucketTickShift;
+constexpr Tick kHorizon = EventQueue::kNearHorizon;
 
 //
 // Closure storage: inline small-buffer vs heap fallback.
@@ -206,16 +205,15 @@ TEST(EventCore, ManyHandlesSurviveSlabGrowth)
 }
 
 //
-// Calendar queue: bucket and horizon behavior.
+// Near and far heaps: ordering across the near-horizon boundary.
 //
 
 TEST(EventCore, OrderAcrossHorizonBoundaries)
 {
     EventQueue eq;
     std::vector<Tick> fired;
-    // Straddle several wheel horizons, scheduled out of order, plus
-    // two events whose bucket indexes collide (exactly one horizon
-    // apart).
+    // Straddle several near horizons, scheduled out of order, plus
+    // two events exactly one horizon apart.
     std::vector<Tick> whens = {
         10 * kHorizon, 5,          3 * kHorizon + 1, kHorizon + 5,
         kHorizon - 1,  2 * kHorizon + 5, 5 + kHorizon, 17,
@@ -247,8 +245,8 @@ TEST(EventCore, ScheduleShortDelaysAfterRunUntilFastForward)
     EventQueue eq;
     std::vector<Tick> fired;
     // A lone far-future event, then a fast-forward to the middle of
-    // nowhere, then short-delay events: the wheel must accept the
-    // short delays even though it previously looked far ahead.
+    // nowhere, then short-delay events: they go to the near heap and
+    // must fire before the older far-heap entry.
     eq.scheduleAt(10 * kHorizon,
                   [&]() { fired.push_back(eq.now()); });
     eq.runUntil(4 * kHorizon + 17);
@@ -269,7 +267,7 @@ TEST(EventCore, NestedSchedulingAcrossBuckets)
     std::vector<Tick> fired;
     eq.schedule(1, [&]() {
         fired.push_back(eq.now());
-        // Same tick (goes to the now-FIFO), next bucket, and beyond
+        // Same tick (goes to the now-FIFO), near future, and beyond
         // the horizon, scheduled from inside a handler.
         eq.schedule(0, [&]() { fired.push_back(eq.now()); });
         eq.schedule(2 * kHorizon, [&]() { fired.push_back(eq.now()); });
@@ -283,9 +281,66 @@ TEST(EventCore, NestedSchedulingAcrossBuckets)
     EXPECT_EQ(fired[3], 1u + 2 * kHorizon);
 }
 
+TEST(EventCore, CrossHeapSameTickFiresInSeqOrder)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    const Tick t = kHorizon + 100;
+    // Scheduled a full horizon ahead of now(): the far heap.
+    eq.scheduleAt(t, [&]() {
+        order.push_back(0);
+        // Same tick, newest seq: the now-FIFO, after both heaps.
+        eq.schedule(0, [&]() { order.push_back(2); });
+    });
+    eq.runUntil(200);
+    // The same tick is now within the horizon: the near heap, with a
+    // newer seq than the far entry.
+    eq.scheduleAt(t, [&]() { order.push_back(1); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(eq.now(), t);
+}
+
+TEST(EventCore, PeekAndRunBeforeSkipFarTombstones)
+{
+    EventQueue eq;
+    std::vector<int> fired;
+    // Far heap: two cancelled entries ahead of a live one.
+    EventHandle a =
+        eq.scheduleAt(kHorizon + 10, [&]() { fired.push_back(-1); });
+    EventHandle b =
+        eq.scheduleAt(kHorizon + 20, [&]() { fired.push_back(-2); });
+    eq.scheduleAt(kHorizon + 60, [&]() { fired.push_back(60); });
+    EXPECT_TRUE(a.cancel());
+    EXPECT_TRUE(b.cancel());
+    // Near heap: a live entry behind the far tombstones but ahead of
+    // the live far entry.
+    eq.runUntil(kHorizon / 2);
+    eq.scheduleAt(kHorizon + 50, [&]() { fired.push_back(50); });
+    ASSERT_EQ(eq.pending(), 2u);
+
+    Tick next = 0;
+    ASSERT_TRUE(eq.peekNextTick(&next));
+    EXPECT_EQ(next, kHorizon + 50);
+    ASSERT_TRUE(eq.peekNextTick(&next));
+    EXPECT_EQ(next, kHorizon + 50);
+    EXPECT_TRUE(eq.runBefore(kHorizon + 50, &next));
+    EXPECT_EQ(next, kHorizon + 50);
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(eq.executed(), 0u);
+    EXPECT_TRUE(fired.empty());
+
+    EXPECT_TRUE(eq.runBefore(kHorizon + 55, &next));
+    EXPECT_EQ(next, kHorizon + 60);
+    EXPECT_EQ(eq.now(), kHorizon + 50);
+    EXPECT_FALSE(eq.runBefore(~Tick{0}, &next));
+    EXPECT_EQ(fired, (std::vector<int>{50, 60}));
+    EXPECT_EQ(eq.executed(), 2u);
+}
+
 //
 // Determinism: the queue must execute exactly in (tick, seq) order,
-// matching a naive reference model, independent of wheel/overflow
+// matching a naive reference model, independent of near/far heap
 // placement and of cancellations.
 //
 
@@ -310,10 +365,10 @@ TEST(EventCore, MatchesReferenceModelOnRandomWorkload)
     auto random_delay = [&rng]() -> Tick {
         switch (rng.next() % 5) {
         case 0: return 0;
-        case 1: return rng.next() % 64;                // same bucket
-        case 2: return rng.next() % (kHorizon / 4);    // in-wheel
+        case 1: return rng.next() % 64;                // very near
+        case 2: return rng.next() % (kHorizon / 4);    // near heap
         case 3: return rng.next() % (2 * kHorizon);    // straddling
-        default: return rng.next() % (20 * kHorizon);  // overflow
+        default: return rng.next() % (20 * kHorizon);  // far heap
         }
     };
 
@@ -329,7 +384,7 @@ TEST(EventCore, MatchesReferenceModelOnRandomWorkload)
                 ref[victim].cancelled = true;
         }
         // Interleave execution so schedules happen at many different
-        // current ticks (and from many wheel positions).
+        // current ticks.
         if (rng.nextBool(0.3))
             eq.runOne();
     }
@@ -350,6 +405,57 @@ TEST(EventCore, MatchesReferenceModelOnRandomWorkload)
     for (const auto &e : expect)
         if (!e.cancelled)
             want.push_back(e.id);
+    EXPECT_EQ(got, want);
+}
+
+TEST(EventCore, DenseNearHorizonMatchesReferenceModel)
+{
+    // 4096 events stay pending, all within 20000 ticks of now(): every
+    // push and pop works the near heap, with out-of-order inserts and
+    // same-tick ties throughout.
+    constexpr std::size_t kPending = 4096;
+    constexpr Tick kSpread = 20000;
+    EventQueue eq;
+    Rng rng(4096);
+    std::vector<std::pair<Tick, int>> got;
+    std::vector<RefEvent> ref;
+    std::vector<EventHandle> handles;
+    auto add = [&]() {
+        Tick d = rng.next() % kSpread;
+        int id = static_cast<int>(ref.size());
+        handles.push_back(eq.schedule(d, [&got, &eq, id]() {
+            got.emplace_back(eq.now(), id);
+        }));
+        ref.push_back(RefEvent{eq.now() + d, ref.size(), id});
+    };
+    for (std::size_t i = 0; i < kPending; i++)
+        add();
+    for (int i = 0; i < 40000; i++) {
+        ASSERT_TRUE(eq.runOne());
+        add();
+        if (rng.nextBool(0.1)) {
+            std::size_t victim = rng.next() % handles.size();
+            if (handles[victim].cancel()) {
+                ref[victim].cancelled = true;
+                add();
+            }
+        }
+        ASSERT_EQ(eq.pending(), kPending);
+    }
+    eq.run();
+
+    // As above, every schedule is at or after now(), so the execution
+    // sequence is the whole reference sorted by (tick, seq).
+    std::sort(ref.begin(), ref.end(),
+              [](const RefEvent &a, const RefEvent &b) {
+                  if (a.when != b.when)
+                      return a.when < b.when;
+                  return a.seq < b.seq;
+              });
+    std::vector<std::pair<Tick, int>> want;
+    for (const auto &e : ref)
+        if (!e.cancelled)
+            want.emplace_back(e.when, e.id);
     EXPECT_EQ(got, want);
 }
 
@@ -376,8 +482,8 @@ TEST(EventCore, SameSeedSameExecutionSequence)
 
 //
 // Allocation freedom: a steady-state schedule/fire cycle with inline
-// closures performs zero heap allocations once pools and buckets are
-// warm.
+// closures performs zero heap allocations once the record pool and
+// the heap vectors are warm.
 //
 
 TEST(EventCore, SteadyStateScheduleFireIsAllocationFree)
@@ -386,7 +492,7 @@ TEST(EventCore, SteadyStateScheduleFireIsAllocationFree)
     std::uint64_t sink = 0;
     auto cycle = [&eq, &sink](int rounds) {
         for (int i = 0; i < rounds; i++) {
-            // Delays spread across many buckets plus a same-tick
+            // Delays spread over the near heap plus a same-tick
             // event every fifth round to exercise the now-FIFO.
             Tick d = (i % 5 == 0)
                          ? 0
@@ -403,13 +509,13 @@ TEST(EventCore, SteadyStateScheduleFireIsAllocationFree)
         }
         eq.run();
     };
-    // Align now() to a wheel-period boundary so both cycles map the
-    // same delay pattern onto the same buckets — warmup then grows
-    // exactly the bucket vectors the measured cycle reuses.
+    // Align now() to a horizon boundary so both cycles run the same
+    // schedule pattern — warmup then grows the heap and FIFO vectors
+    // to exactly the depth the measured cycle reuses.
     auto align = [&eq]() {
         eq.runUntil((eq.now() / kHorizon + 1) * kHorizon);
     };
-    // Warm up pools, bucket vectors, and the now-FIFO.
+    // Warm up pools, heap vectors, and the now-FIFO.
     align();
     cycle(10000);
     align();

@@ -214,9 +214,9 @@ TEST(LaneSchedulerTest, PostExactlyAtLookaheadBoundary)
 {
     // Regression: posting at precisely now() + pairLookahead(src,
     // dst) is legal — the boundary is inclusive — including when the
-    // due tick lands exactly on a calendar-wheel horizon multiple
-    // (2^20 ticks) and the per-pair lookaheads are asymmetric.
-    static constexpr Tick kHorizon = Tick{1} << 20;
+    // due tick lands exactly on a multiple of the event queue's near
+    // horizon and the per-pair lookaheads are asymmetric.
+    static constexpr Tick kHorizon = EventQueue::kNearHorizon;
     for (unsigned jobs : {1u, 2u}) {
         LaneScheduler sched(2, jobs, 10);
         sched.setPairLookahead(0, 1, 64);
@@ -340,9 +340,10 @@ TEST(LaneSchedulerTest, PostsAreUnbounded)
 
 TEST(LaneSchedulerTest, WheelHorizonRollover)
 {
-    // Cross-lane messages far beyond the calendar wheel horizon
-    // (~1 us = 2^11 * 512 ticks) must still merge and execute at the
-    // exact due tick, across many barrier rounds.
+    // Cross-lane messages far beyond the event queue's near horizon
+    // (~1 us = 2^20 ticks), so they enter the far heap, must still
+    // merge and execute at the exact due tick, across many barrier
+    // rounds.
     constexpr Tick kFar = Tick{1} << 24; // 16 M ticks >> horizon
     for (unsigned jobs : {1u, 4u}) {
         LaneScheduler sched(3, jobs, 1000);
@@ -364,14 +365,14 @@ TEST(LaneSchedulerTest, WheelHorizonRollover)
 
 TEST(LaneSchedulerTest, HorizonRolloverAcrossWindowBarriers)
 {
-    // Interaction of the two-level calendar queue with the lane
-    // scheduler: the wheel horizon (2^20 ticks) rolls over several
+    // Interaction of the near/far event heaps with the lane
+    // scheduler: now() crosses the near horizon (2^20 ticks) several
     // times while conservative windows repeatedly drain and refill
-    // the wheel. Dense local chains straddle every horizon multiple
+    // both heaps. Dense local chains straddle every horizon multiple
     // mid-stride, and cross-lane messages land exactly on and next to
     // the boundaries. The merged execution must be bit-identical for
     // any worker count, with exact due ticks.
-    static constexpr Tick kHorizon = Tick{1} << 20;
+    static constexpr Tick kHorizon = EventQueue::kNearHorizon;
     static constexpr Tick kLookahead = 1000;
     static constexpr unsigned kLanes = 3;
     static constexpr int kChainSteps = 36;

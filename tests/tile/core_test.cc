@@ -119,6 +119,34 @@ TEST_F(CoreTest, ExternalWaitWakes)
     EXPECT_EQ(at, 500 * kCyc);
 }
 
+TEST_F(CoreTest, OpenUserAndWaitStretchesCountBeforeSwitchOut)
+{
+    // A lone thread that is never switched out: its user and wait
+    // time must still show while it runs, not only once banked.
+    Thread t(core, "t0", 0);
+    bool woke = false;
+    sim::Tick at = 0;
+    t.start(waitBody(t, woke, eq, at));
+    core.dispatch(&t);
+    sim::Tick user = 0, wait = 0, busy = 0;
+    eq.schedule(300 * kCyc, [&]() {
+        EXPECT_EQ(core.current(), &t);
+        user = t.userTicks();
+        wait = t.waitTicks();
+        busy = t.busyTicks();
+    });
+    eq.schedule(500 * kCyc, [&]() { t.wake(); });
+    eq.run();
+    EXPECT_TRUE(woke);
+    // Computed 10 cycles, then waited from cycle 10 to 300.
+    EXPECT_EQ(user, 300 * kCyc);
+    EXPECT_EQ(wait, 290 * kCyc);
+    EXPECT_EQ(busy, 10 * kCyc);
+    // Once banked at exit, the open stretches are not counted twice.
+    EXPECT_EQ(t.userTicks(), 500 * kCyc);
+    EXPECT_EQ(t.waitTicks(), 490 * kCyc);
+}
+
 TEST_F(CoreTest, WakeBeforePreemptedThreadRedispatchIsLatched)
 {
     Thread t(core, "t0", 0);
