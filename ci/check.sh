@@ -157,14 +157,16 @@ asan_rerun() {
     # The metrics/trace layer, the activity-teardown paths, the call
     # path (every Env::call acks and drops stale reply slots), the
     # sparse DRAM store's chunk-boundary arithmetic, the wrap-safe
-    # memory-gate bounds checks and the event core's 4-ary heap index
-    # arithmetic and inline closures are the most UB-prone (handle
-    # lifetimes, histogram and offset arithmetic); run them again
-    # explicitly so a filter typo above cannot silently skip them.
+    # memory-gate bounds checks, the event core's 4-ary heap index
+    # arithmetic and inline closures, and the DTU command pipeline's
+    # slot and offset arithmetic (DtuTest, VDtu) are the most
+    # UB-prone (handle lifetimes, histogram and offset arithmetic);
+    # run them again explicitly so a filter typo above cannot
+    # silently skip them.
     (cd build-asan && ctest --output-on-failure -R \
         'MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|'\
 'ResetAct|Restart|OverloadRecovery|DramTest|Wrapped|'\
-'EventCore|UniqueFunctionSbo')
+'EventCore|UniqueFunctionSbo|DtuTest|VDtu')
 }
 
 tsan_lanes() {

@@ -99,26 +99,13 @@ Dtu::extRequest(noc::TileId dst, ExtOp op, EpId ep_start,
     wd->epStart = ep_start;
     wd->epCount = count;
     wd->eps = std::move(eps);
-    addInflight(wd->reqId, Inflight::Kind::Ext, kInvalidEp,
-                std::move(cb));
+    inflight_.push_back(Inflight{wd->reqId, std::move(cb)});
     respond(dst, std::move(wd));
 }
 
 //
 // In-flight request table.
 //
-
-void
-Dtu::addInflight(std::uint64_t req_id, Inflight::Kind kind,
-                 EpId credit_ep, ExtCallback ext_cb)
-{
-    Inflight inf;
-    inf.reqId = req_id;
-    inf.kind = kind;
-    inf.creditEp = credit_ep;
-    inf.extCb = std::move(ext_cb);
-    inflight_.push_back(std::move(inf));
-}
 
 bool
 Dtu::takeInflight(std::uint64_t req_id, Inflight &out)
@@ -138,78 +125,63 @@ Dtu::takeInflight(std::uint64_t req_id, Inflight &out)
 void
 Dtu::completeInflight(Inflight inf, Error e, WireData *resp)
 {
-    auto expect = [this](CmdState::Kind k) {
-        if (curCmd_.kind != k)
-            sim::panic("%s: inflight response for wrong command",
-                       name().c_str());
-    };
-    switch (inf.kind) {
-      case Inflight::Kind::CmdSend:
-        expect(CmdState::Kind::Send);
+    if (inf.extCb) {
+        inf.extCb(e, resp != nullptr ? std::move(resp->eps)
+                                     : std::vector<Endpoint>{});
+        return;
+    }
+    // Only one command is ever in flight: the response is curCmd_'s.
+    CmdState &c = curCmd_;
+    switch (c.kind) {
+      case CmdState::Kind::Send:
         if (e != Error::None) {
             // Restore the credit on failed delivery.
-            if (inf.creditEp < eps_.size()) {
-                Endpoint &s = eps_[inf.creditEp];
-                if (s.kind == EpKind::Send &&
-                    s.send.credits < s.send.maxCredits) {
-                    s.send.credits++;
-                    if (e == Error::Timeout) {
-                        // A timed-out message may still have been
-                        // delivered (only the ack was lost) — record
-                        // the restore as conservation slack.
-                        timeoutRestores_[inf.creditEp]++;
-                    }
+            Endpoint &s = eps_[c.ep];
+            if (s.kind == EpKind::Send &&
+                s.send.credits < s.send.maxCredits) {
+                s.send.credits++;
+                if (e == Error::Timeout) {
+                    // A timed-out message may still have been
+                    // delivered (only the ack was lost) — record the
+                    // restore as conservation slack.
+                    timeoutRestores_[c.ep]++;
                 }
             }
-            nacks_->inc();
-        } else {
-            msgsSent_->inc();
         }
+        [[fallthrough]];
+      case CmdState::Kind::Reply:
+        (e == Error::None ? msgsSent_ : nacks_)->inc();
         completeCmd(e);
         break;
 
-      case Inflight::Kind::CmdReply:
-        expect(CmdState::Kind::Reply);
-        if (e == Error::None)
-            msgsSent_->inc();
-        else
-            nacks_->inc();
+      case CmdState::Kind::Write:
         completeCmd(e);
         break;
 
-      case Inflight::Kind::CmdWrite:
-        expect(CmdState::Kind::Write);
-        completeCmd(e);
-        break;
-
-      case Inflight::Kind::CmdRead: {
-        expect(CmdState::Kind::Read);
+      case CmdState::Kind::Read: {
         // Stage the response, then DMA the data into the core's
         // cache (the vector copy below models exactly that DMA; the
         // zero-copy discipline ends at the software boundary).
-        curCmd_.err = e;
-        curCmd_.readData.clear();
+        c.err = e;
+        c.readData.clear();
         if (resp != nullptr && !resp->data.empty()) {
             const auto &bytes = resp->data.bytes();
-            curCmd_.readData.assign(bytes.begin(), bytes.end());
+            c.readData.assign(bytes.begin(), bytes.end());
         }
-        sim::Cycles dma =
-            timing_.localMemFixed +
-            curCmd_.readData.size() / timing_.localMemBytesPerCycle;
+        sim::Cycles dma = timing_.localMemFixed +
+                          c.readData.size() / timing_.localMemBytesPerCycle;
         eq_.schedule(clk_.cyclesToTicks(dma),
                      [this]() { completeCmd(curCmd_.err); });
         break;
       }
 
-      case Inflight::Kind::Ext:
-        inf.extCb(e, resp != nullptr ? std::move(resp->eps)
-                                     : std::vector<Endpoint>{});
-        break;
+      case CmdState::Kind::None:
+        sim::panic("%s: command response while idle", name().c_str());
     }
 }
 
 //
-// Command engine.
+// Command engine (see the stage list in dtu.h).
 //
 
 void
@@ -227,14 +199,156 @@ Dtu::enqueueCmd(CmdState st)
 void
 Dtu::dispatchCmd()
 {
-    switch (curCmd_.kind) {
-      case CmdState::Kind::Send: doSend(); break;
-      case CmdState::Kind::Reply: doReply(); break;
-      case CmdState::Kind::Read: doRead(); break;
-      case CmdState::Kind::Write: doWrite(); break;
-      case CmdState::Kind::None:
+    static constexpr const char *kSpanNames[] = {nullptr, "SEND",
+                                                 "REPLY", "READ",
+                                                 "WRITE"};
+    if (curCmd_.kind == CmdState::Kind::None)
         sim::panic("%s: dispatch of empty command", name().c_str());
+    trc_->begin(sim::TraceCat::Dtu, tile_, sim::kTraceTidDtu,
+                kSpanNames[static_cast<std::size_t>(curCmd_.kind)]);
+    sim::Tick t0 =
+        clk_.cyclesToTicks(timing_.cmdDecode + timing_.tlbLookup);
+    eq_.schedule(t0, [this]() { checkCmd(); });
+}
+
+void
+Dtu::checkCmd()
+{
+    static constexpr EpKind kEpKinds[] = {EpKind::Invalid, EpKind::Send,
+                                          EpKind::Receive, EpKind::Memory,
+                                          EpKind::Memory};
+    CmdState &c = curCmd_;
+    if (c.ep >= eps_.size())
+        return completeCmd(Error::InvalidEp);
+    Endpoint &ep = eps_[c.ep];
+    if (ep.kind != kEpKinds[static_cast<std::size_t>(c.kind)])
+        return completeCmd(Error::InvalidEp);
+    if (Error e = checkEpAccess(c.act, ep); e != Error::None)
+        return completeCmd(e);
+    if (Error e = cmdChecks(ep); e != Error::None)
+        return completeCmd(e);
+    // READ stores into the core's buffer; the others load from it.
+    bool read = c.kind == CmdState::Kind::Read;
+    PhysAddr phys = 0;
+    if (Error e = translate(c.act, c.buf, read, phys); e != Error::None)
+        return completeCmd(e);
+    if (read)
+        return launchCmd();
+
+    // DMA the payload out of the core's cache.
+    sim::Cycles dma = timing_.localMemFixed +
+                      c.payload.size() / timing_.localMemBytesPerCycle;
+    eq_.schedule(clk_.cyclesToTicks(dma), [this]() { launchCmd(); });
+}
+
+Error
+Dtu::cmdChecks(const Endpoint &ep) const
+{
+    const CmdState &c = curCmd_;
+    switch (c.kind) {
+      case CmdState::Kind::Send:
+        if (c.payload.size() > ep.send.maxMsgSize)
+            return Error::MsgTooBig;
+        if (ep.send.credits == 0)
+            return Error::NoCredits;
+        break;
+
+      case CmdState::Kind::Reply: {
+        if (c.slot < 0 ||
+            static_cast<std::size_t>(c.slot) >= ep.recv.slots.size())
+            return Error::InvalidEp;
+        const RecvSlot &rs =
+            ep.recv.slots[static_cast<std::size_t>(c.slot)];
+        if (!rs.occupied || !rs.msg.canReply)
+            return Error::NoReplyAllowed;
+        break;
+      }
+
+      case CmdState::Kind::Read:
+      case CmdState::Kind::Write: {
+        std::uint8_t perm =
+            c.kind == CmdState::Kind::Read ? kPermR : kPermW;
+        if (!(ep.mem.perms & perm))
+            return Error::PmpFault;
+        if (c.size > ep.mem.size || c.offset > ep.mem.size - c.size)
+            return Error::OutOfBounds;
+        if (c.size > kPageSize)
+            return Error::OutOfBounds;
+        break;
+      }
+
+      case CmdState::Kind::None:
+        break;
     }
+    return Error::None;
+}
+
+void
+Dtu::launchCmd()
+{
+    CmdState &c = curCmd_;
+    Endpoint &ep = eps_[c.ep];
+    auto wd = std::make_unique<WireData>();
+    noc::TileId dst = 0;
+    switch (c.kind) {
+      case CmdState::Kind::Send:
+        ep.send.credits--;
+        dst = ep.send.destTile;
+        wd->kind = WireKind::MsgXfer;
+        wd->dstEp = ep.send.destEp;
+        wd->dstAct = ep.send.destAct;
+        wd->isReply = ep.send.isReply;
+        wd->msg.nonce = c.nonce;
+        wd->msg.label = ep.send.label;
+        wd->msg.srcTile = tile_;
+        wd->msg.srcAct = c.act;
+        wd->msg.replyEp = c.replyEp;
+        wd->msg.creditEp = c.ep;
+        wd->msg.canReply = c.replyEp != kInvalidEp;
+        // Zero-copy hand-off: the command's extent becomes the wire's.
+        wd->msg.payload = std::move(c.payload);
+        break;
+
+      case CmdState::Kind::Reply: {
+        RecvSlot &rs = ep.recv.slots[static_cast<std::size_t>(c.slot)];
+        dst = rs.msg.srcTile;
+        wd->kind = WireKind::MsgXfer;
+        wd->dstEp = rs.msg.replyEp;
+        wd->isReply = true;
+        wd->msg.nonce = rs.msg.nonce;
+        wd->msg.label = rs.msg.label;
+        wd->msg.srcTile = tile_;
+        wd->msg.srcAct = c.act;
+        wd->msg.replyEp = kInvalidEp;
+        wd->msg.creditEp = kInvalidEp;
+        wd->msg.canReply = false;
+        wd->msg.payload = std::move(c.payload);
+        // Replying acknowledges the original message: free the slot —
+        // dropping its payload reference so the extent recycles — and
+        // return the credit to the sender ahead of the reply.
+        rs.occupied = false;
+        rs.unread = false;
+        rs.msg.payload.reset();
+        sendCreditReturn(dst, rs.msg.creditEp);
+        break;
+      }
+
+      case CmdState::Kind::Read:
+      case CmdState::Kind::Write:
+        dst = ep.mem.destTile;
+        wd->kind = c.kind == CmdState::Kind::Read ? WireKind::MemReadReq
+                                                  : WireKind::MemWriteReq;
+        wd->addr = ep.mem.addr + c.offset;
+        wd->size = c.size;
+        wd->data = std::move(c.payload); // empty for READ
+        break;
+
+      case CmdState::Kind::None:
+        sim::panic("%s: launch of empty command", name().c_str());
+    }
+    wd->reqId = nextReqId_++;
+    inflight_.push_back(Inflight{wd->reqId, {}});
+    respond(dst, std::move(wd));
 }
 
 void
@@ -270,6 +384,10 @@ Dtu::completeCmd(Error e)
     cmdFinished();
 }
 
+//
+// Command API.
+//
+
 void
 Dtu::cmdSend(ActId act, EpId ep_id, VirtAddr buf,
              std::vector<std::uint8_t> payload, EpId reply_ep,
@@ -298,71 +416,6 @@ Dtu::cmdSendRef(ActId act, EpId ep_id, VirtAddr buf,
 }
 
 void
-Dtu::doSend()
-{
-    trc_->begin(sim::TraceCat::Dtu, tile_, sim::kTraceTidDtu, "SEND");
-    sim::Tick t0 =
-        clk_.cyclesToTicks(timing_.cmdDecode + timing_.tlbLookup);
-    eq_.schedule(t0, [this]() { sendChecks(); });
-}
-
-void
-Dtu::sendChecks()
-{
-    CmdState &c = curCmd_;
-    if (c.ep >= eps_.size())
-        return completeCmd(Error::InvalidEp);
-    Endpoint &sep = eps_[c.ep];
-    if (sep.kind != EpKind::Send)
-        return completeCmd(Error::InvalidEp);
-    if (Error e = checkEpAccess(c.act, sep); e != Error::None)
-        return completeCmd(e);
-    if (c.payload.size() > sep.send.maxMsgSize)
-        return completeCmd(Error::MsgTooBig);
-    if (sep.send.credits == 0)
-        return completeCmd(Error::NoCredits);
-    PhysAddr phys = 0;
-    if (Error e = translate(c.act, c.buf, false, phys);
-        e != Error::None)
-        return completeCmd(e);
-
-    // DMA the message out of the core's cache.
-    sim::Cycles dma =
-        timing_.localMemFixed +
-        c.payload.size() / timing_.localMemBytesPerCycle;
-    eq_.schedule(clk_.cyclesToTicks(dma),
-                 [this]() { sendLaunch(); });
-}
-
-void
-Dtu::sendLaunch()
-{
-    CmdState &c = curCmd_;
-    Endpoint &sep = eps_[c.ep];
-    sep.send.credits--;
-
-    auto wd = std::make_unique<WireData>();
-    wd->kind = WireKind::MsgXfer;
-    wd->reqId = nextReqId_++;
-    wd->dstEp = sep.send.destEp;
-    wd->dstAct = sep.send.destAct;
-    wd->isReply = sep.send.isReply;
-    wd->msg.nonce = c.nonce;
-    wd->msg.label = sep.send.label;
-    wd->msg.srcTile = tile_;
-    wd->msg.srcAct = c.act;
-    wd->msg.replyEp = c.replyEp;
-    wd->msg.creditEp = c.ep;
-    wd->msg.canReply = c.replyEp != kInvalidEp;
-    // Zero-copy hand-off: the command's extent becomes the wire's.
-    wd->msg.payload = std::move(c.payload);
-
-    noc::TileId dst = sep.send.destTile;
-    addInflight(wd->reqId, Inflight::Kind::CmdSend, c.ep);
-    respond(dst, std::move(wd));
-}
-
-void
 Dtu::cmdReply(ActId act, EpId rep_id, int slot, VirtAddr buf,
               std::vector<std::uint8_t> payload, CmdCallback cb)
 {
@@ -387,81 +440,6 @@ Dtu::cmdReplyRef(ActId act, EpId rep_id, int slot, VirtAddr buf,
 }
 
 void
-Dtu::doReply()
-{
-    trc_->begin(sim::TraceCat::Dtu, tile_, sim::kTraceTidDtu,
-                "REPLY");
-    sim::Tick t0 =
-        clk_.cyclesToTicks(timing_.cmdDecode + timing_.tlbLookup);
-    eq_.schedule(t0, [this]() { replyChecks(); });
-}
-
-void
-Dtu::replyChecks()
-{
-    CmdState &c = curCmd_;
-    if (c.ep >= eps_.size())
-        return completeCmd(Error::InvalidEp);
-    Endpoint &rep = eps_[c.ep];
-    if (rep.kind != EpKind::Receive)
-        return completeCmd(Error::InvalidEp);
-    if (Error e = checkEpAccess(c.act, rep); e != Error::None)
-        return completeCmd(e);
-    if (c.slot < 0 ||
-        static_cast<std::size_t>(c.slot) >= rep.recv.slots.size())
-        return completeCmd(Error::InvalidEp);
-    RecvSlot &rs = rep.recv.slots[static_cast<std::size_t>(c.slot)];
-    if (!rs.occupied || !rs.msg.canReply)
-        return completeCmd(Error::NoReplyAllowed);
-    PhysAddr phys = 0;
-    if (Error e = translate(c.act, c.buf, false, phys);
-        e != Error::None)
-        return completeCmd(e);
-
-    sim::Cycles dma =
-        timing_.localMemFixed +
-        c.payload.size() / timing_.localMemBytesPerCycle;
-    eq_.schedule(clk_.cyclesToTicks(dma),
-                 [this]() { replyLaunch(); });
-}
-
-void
-Dtu::replyLaunch()
-{
-    CmdState &c = curCmd_;
-    Endpoint &rep = eps_[c.ep];
-    RecvSlot &rs = rep.recv.slots[static_cast<std::size_t>(c.slot)];
-    noc::TileId dst = rs.msg.srcTile;
-    EpId dst_ep = rs.msg.replyEp;
-    EpId credit_ep = rs.msg.creditEp;
-
-    auto wd = std::make_unique<WireData>();
-    wd->kind = WireKind::MsgXfer;
-    wd->reqId = nextReqId_++;
-    wd->dstEp = dst_ep;
-    wd->isReply = true;
-    wd->msg.nonce = rs.msg.nonce;
-    wd->msg.label = rs.msg.label;
-    wd->msg.srcTile = tile_;
-    wd->msg.srcAct = c.act;
-    wd->msg.replyEp = kInvalidEp;
-    wd->msg.creditEp = kInvalidEp;
-    wd->msg.canReply = false;
-    wd->msg.payload = std::move(c.payload);
-
-    // Replying acknowledges the original message: free the slot —
-    // dropping its payload reference so the extent recycles — and
-    // return the credit to the sender.
-    rs.occupied = false;
-    rs.unread = false;
-    rs.msg.payload.reset();
-    sendCreditReturn(dst, credit_ep);
-
-    addInflight(wd->reqId, Inflight::Kind::CmdReply);
-    respond(dst, std::move(wd));
-}
-
-void
 Dtu::cmdRead(ActId act, EpId mep_id, std::uint64_t offset,
              std::size_t size, VirtAddr buf, ReadCallback cb)
 {
@@ -477,47 +455,6 @@ Dtu::cmdRead(ActId act, EpId mep_id, std::uint64_t offset,
 }
 
 void
-Dtu::doRead()
-{
-    trc_->begin(sim::TraceCat::Dtu, tile_, sim::kTraceTidDtu, "READ");
-    sim::Tick t0 =
-        clk_.cyclesToTicks(timing_.cmdDecode + timing_.tlbLookup);
-    eq_.schedule(t0, [this]() { readChecks(); });
-}
-
-void
-Dtu::readChecks()
-{
-    CmdState &c = curCmd_;
-    if (c.ep >= eps_.size())
-        return completeCmd(Error::InvalidEp);
-    Endpoint &mep = eps_[c.ep];
-    if (mep.kind != EpKind::Memory)
-        return completeCmd(Error::InvalidEp);
-    if (Error e = checkEpAccess(c.act, mep); e != Error::None)
-        return completeCmd(e);
-    if (!(mep.mem.perms & kPermR))
-        return completeCmd(Error::PmpFault);
-    if (c.size > mep.mem.size || c.offset > mep.mem.size - c.size)
-        return completeCmd(Error::OutOfBounds);
-    if (c.size > kPageSize)
-        return completeCmd(Error::OutOfBounds);
-    PhysAddr phys = 0;
-    if (Error e = translate(c.act, c.buf, true, phys);
-        e != Error::None)
-        return completeCmd(e);
-
-    auto wd = std::make_unique<WireData>();
-    wd->kind = WireKind::MemReadReq;
-    wd->reqId = nextReqId_++;
-    wd->addr = mep.mem.addr + c.offset;
-    wd->size = c.size;
-
-    addInflight(wd->reqId, Inflight::Kind::CmdRead);
-    respond(mep.mem.destTile, std::move(wd));
-}
-
-void
 Dtu::cmdWrite(ActId act, EpId mep_id, std::uint64_t offset,
               std::vector<std::uint8_t> data, VirtAddr buf,
               CmdCallback cb)
@@ -527,66 +464,11 @@ Dtu::cmdWrite(ActId act, EpId mep_id, std::uint64_t offset,
     st.act = act;
     st.ep = mep_id;
     st.offset = offset;
+    st.size = data.size();
     st.payload = noc_.payloadPool().adopt(std::move(data));
     st.buf = buf;
     st.cb = std::move(cb);
     enqueueCmd(std::move(st));
-}
-
-void
-Dtu::doWrite()
-{
-    trc_->begin(sim::TraceCat::Dtu, tile_, sim::kTraceTidDtu,
-                "WRITE");
-    sim::Tick t0 =
-        clk_.cyclesToTicks(timing_.cmdDecode + timing_.tlbLookup);
-    eq_.schedule(t0, [this]() { writeChecks(); });
-}
-
-void
-Dtu::writeChecks()
-{
-    CmdState &c = curCmd_;
-    if (c.ep >= eps_.size())
-        return completeCmd(Error::InvalidEp);
-    Endpoint &mep = eps_[c.ep];
-    if (mep.kind != EpKind::Memory)
-        return completeCmd(Error::InvalidEp);
-    if (Error e = checkEpAccess(c.act, mep); e != Error::None)
-        return completeCmd(e);
-    if (!(mep.mem.perms & kPermW))
-        return completeCmd(Error::PmpFault);
-    if (c.payload.size() > mep.mem.size ||
-        c.offset > mep.mem.size - c.payload.size())
-        return completeCmd(Error::OutOfBounds);
-    if (c.payload.size() > kPageSize)
-        return completeCmd(Error::OutOfBounds);
-    PhysAddr phys = 0;
-    if (Error e = translate(c.act, c.buf, false, phys);
-        e != Error::None)
-        return completeCmd(e);
-
-    sim::Cycles dma =
-        timing_.localMemFixed +
-        c.payload.size() / timing_.localMemBytesPerCycle;
-    eq_.schedule(clk_.cyclesToTicks(dma),
-                 [this]() { writeLaunch(); });
-}
-
-void
-Dtu::writeLaunch()
-{
-    CmdState &c = curCmd_;
-    Endpoint &mep = eps_[c.ep];
-    auto wd = std::make_unique<WireData>();
-    wd->kind = WireKind::MemWriteReq;
-    wd->reqId = nextReqId_++;
-    wd->addr = mep.mem.addr + c.offset;
-    wd->size = c.payload.size();
-    wd->data = std::move(c.payload);
-
-    addInflight(wd->reqId, Inflight::Kind::CmdWrite);
-    respond(mep.mem.destTile, std::move(wd));
 }
 
 //

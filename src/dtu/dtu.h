@@ -5,8 +5,8 @@
  *
  * This class implements the plain (non-virtualized) DTU of M3/M3x:
  *  - the *unprivileged interface*: SEND/REPLY/READ/WRITE commands
- *    (an FSM that serializes one command at a time) plus the
- *    register-level FETCH/ACK operations;
+ *    (one check -> DMA -> launch pipeline that runs one command at a
+ *    time) plus the register-level FETCH/ACK operations;
  *  - the *external interface*: endpoint configuration by the
  *    controller, locally or over the NoC (ExtReq packets), including
  *    the ReadEps/WriteEps bulk operations M3x uses to save/restore
@@ -28,12 +28,12 @@
  * (sim/slab_pool.h). A SEND hands its extent to the wire packet, the
  * packet hands it to the receive-ring slot, and the retransmission
  * engine keeps the message alive by holding a second reference — no
- * intermediate memcpy anywhere. Because the command FSM is fully
- * serialized (one command owns the engine from enqueue to completion
- * callback), all per-command state lives in a single member struct
- * and the stage closures capture nothing but `this`, which keeps the
- * steady-state send path free of heap allocation (asserted by
- * tests/dtu/msgpath_test.cc).
+ * intermediate memcpy anywhere. Because the command pipeline is
+ * fully serialized (one command owns the engine from enqueue to
+ * completion callback), all per-command state lives in a single
+ * member struct and the stage closures capture nothing but `this`,
+ * which keeps the steady-state send path free of heap allocation
+ * (asserted by tests/dtu/msgpath_test.cc).
  */
 
 #ifndef M3VSIM_DTU_DTU_H_
@@ -139,7 +139,7 @@ class Dtu : public sim::SimObject, public noc::HopTarget
                     ExtCallback cb);
 
     //
-    // Unprivileged interface: commands (serialized FSM).
+    // Unprivileged interface: commands (serialized pipeline).
     //
 
     /**
@@ -179,7 +179,7 @@ class Dtu : public sim::SimObject, public noc::HopTarget
                   CmdCallback cb);
 
     //
-    // Unprivileged interface: register-level operations (no FSM).
+    // Unprivileged interface: register-level operations (no pipeline).
     //
 
     /**
@@ -215,7 +215,7 @@ class Dtu : public sim::SimObject, public noc::HopTarget
     bool deviceMessage(EpId rep, std::vector<std::uint8_t> payload,
                        std::uint64_t label = 0);
 
-    /** True while the command FSM (or its queue) is busy. */
+    /** True while the command pipeline (or its queue) is busy. */
     bool cmdBusy() const { return cmdBusy_ || !cmdQueue_.empty(); }
 
     /**
@@ -374,12 +374,12 @@ class Dtu : public sim::SimObject, public noc::HopTarget
 
   private:
     /**
-     * All state of the command currently owning the FSM. Because the
-     * engine is strictly serialized (cmdBusy_ held from enqueue to
-     * completion callback), one member instance suffices and every
-     * stage closure captures only `this` — small enough for the
-     * UniqueFunction inline buffer, so command dispatch never touches
-     * the heap.
+     * All state of the command currently owning the pipeline.
+     * Because the engine is strictly serialized (cmdBusy_ held from
+     * enqueue to completion callback), one member instance suffices
+     * and every stage closure captures only `this` — small enough for
+     * the UniqueFunction inline buffer, so command dispatch never
+     * touches the heap.
      */
     struct CmdState
     {
@@ -401,30 +401,29 @@ class Dtu : public sim::SimObject, public noc::HopTarget
         EpId replyEp = kInvalidEp;   ///< send
         std::uint64_t nonce = 0;     ///< send
         std::uint64_t offset = 0;    ///< read/write
-        std::size_t size = 0;        ///< read
+        std::size_t size = 0;        ///< read/write length
         CmdCallback cb;              ///< send/reply/write completion
         ReadCallback rcb;            ///< read completion
         Error err = Error::None;     ///< read: staged response error
         std::vector<std::uint8_t> readData; ///< read: staged bytes
     };
 
+    /**
+     * The one command pipeline, driven by curCmd_.kind:
+     * dispatchCmd (trace span, decode + TLB delay) -> checkCmd (EP
+     * range, kind and access, cmdChecks, translate; DMA out unless
+     * READ) -> launchCmd (wire request, in-flight entry) -> response
+     * in completeInflight -> completeCmd.
+     */
     void enqueueCmd(CmdState st);
     void dispatchCmd();
+    void checkCmd();
+    /** The command kind's own checks against its endpoint @p ep. */
+    Error cmdChecks(const Endpoint &ep) const;
+    void launchCmd();
     void cmdFinished();
     /** Invoke the current command's callback with @p e and advance. */
     void completeCmd(Error e);
-
-    void doSend();
-    void sendChecks();
-    void sendLaunch();
-    void doReply();
-    void replyChecks();
-    void replyLaunch();
-    void doRead();
-    void readChecks();
-    void doWrite();
-    void writeChecks();
-    void writeLaunch();
 
     void sendPacket(noc::TileId dst, std::unique_ptr<WireData> wd);
     void handlePacket(WireData &wd, noc::TileId src);
@@ -464,33 +463,19 @@ class Dtu : public sim::SimObject, public noc::HopTarget
     std::uint64_t nextSeq_ = 1;
 
     /**
-     * An issued request awaiting its response. The FSM serialization
-     * means the heavy per-command state (callbacks, staged data)
-     * lives in curCmd_; an in-flight entry only records how to route
-     * the response — small enough for a flat vector with linear scan
-     * (at most one command plus a few ext requests outstanding).
+     * An issued request awaiting its response. The engine runs one
+     * command at a time, so a command's state (kind, callbacks, staged
+     * data) lives in curCmd_ and its entry holds only the request id;
+     * an ext request carries its callback instead. Few are ever
+     * outstanding: a flat vector with linear scan.
      */
     struct Inflight
     {
-        enum class Kind : std::uint8_t
-        {
-            CmdSend,  ///< completes curCmd_ (credit restore on error)
-            CmdReply, ///< completes curCmd_
-            CmdRead,  ///< completes curCmd_ (stages data + DMA-in)
-            CmdWrite, ///< completes curCmd_
-            Ext,      ///< standalone: invokes extCb
-        };
-
         std::uint64_t reqId = 0;
-        Kind kind = Kind::CmdSend;
-        EpId creditEp = kInvalidEp; ///< CmdSend: credit restore target
-        ExtCallback extCb;          ///< Ext only
+        ExtCallback extCb; ///< ext requests only; empty for commands
     };
     std::vector<Inflight> inflight_;
 
-    void addInflight(std::uint64_t req_id, Inflight::Kind kind,
-                     EpId credit_ep = kInvalidEp,
-                     ExtCallback ext_cb = {});
     bool takeInflight(std::uint64_t req_id, Inflight &out);
     /** Route a response/timeout into the waiting command or extCb. */
     void completeInflight(Inflight inf, Error e, WireData *resp);

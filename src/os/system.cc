@@ -50,7 +50,7 @@ System::System(sim::EventQueue &eq, SystemParams params)
 
     // Platform bring-up sizes the fabric before building it: when the
     // full tile complement would over-subscribe the configured mesh,
-    // grow it to the forTiles() geometry (timing parameters kept)
+    // grow it to the forTiles() geometry (only the mesh size changes)
     // rather than hit the typed config error at finalize().
     unsigned total = params_.userTiles + 1 + params_.memTiles +
                      params_.accelTiles + (shards - 1);
@@ -59,14 +59,8 @@ System::System(sim::EventQueue &eq, SystemParams params)
         params_.noc.meshRows * params_.noc.maxTilesPerRouter;
     if (total > cap) {
         noc::NocParams grown = noc::NocParams::forTiles(total);
-        grown.freqHz = params_.noc.freqHz;
-        grown.linkBytesPerCycle = params_.noc.linkBytesPerCycle;
-        grown.pipelineCycles = params_.noc.pipelineCycles;
-        grown.portQueuePackets = params_.noc.portQueuePackets;
-        grown.headerBytes = params_.noc.headerBytes;
-        grown.maxTilesPerRouter = params_.noc.maxTilesPerRouter;
-        grown.faults = params_.noc.faults;
-        params_.noc = grown;
+        params_.noc.meshCols = grown.meshCols;
+        params_.noc.meshRows = grown.meshRows;
     }
     noc_ = std::make_unique<noc::Noc>(eq, params_.noc);
 

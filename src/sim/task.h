@@ -5,8 +5,7 @@
  * Applications, OS services and benchmark drivers are written as
  * coroutines returning sim::Task. They co_await:
  *   - sub-tasks (structured composition),
- *   - Delay (simulated time passes),
- *   - Wait / Channel (blocking on events raised elsewhere).
+ *   - Delay (simulated time passes).
  *
  * All resumptions are funnelled through the EventQueue (never inline)
  * so stack depth stays bounded and same-tick ordering is deterministic.
@@ -20,7 +19,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -242,157 +240,6 @@ struct Delay
     }
 
     void await_resume() const noexcept {}
-};
-
-/**
- * One-shot edge-triggered wait point with memory: signalling before the
- * await completes immediately. A single waiter is supported; reset()
- * re-arms it. Resumption goes through the event queue.
- */
-class Wait
-{
-  public:
-    explicit Wait(EventQueue &eq) : eq_(eq) {}
-
-    Wait(const Wait &) = delete;
-    Wait &operator=(const Wait &) = delete;
-
-    /** Wake the waiter (or remember the signal if none waits yet). */
-    void
-    signal()
-    {
-        if (waiter_) {
-            auto h = waiter_;
-            waiter_ = {};
-            eq_.schedule(0, [h]() { h.resume(); });
-        } else {
-            signaled_ = true;
-        }
-    }
-
-    /** Re-arm after a completed wait (clears a pending signal too). */
-    void
-    reset()
-    {
-        signaled_ = false;
-    }
-
-    bool signaled() const { return signaled_; }
-
-    auto
-    operator co_await() noexcept
-    {
-        struct Awaiter
-        {
-            Wait &w;
-
-            bool
-            await_ready() const noexcept
-            {
-                return w.signaled_;
-            }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                if (w.waiter_)
-                    panic("sim::Wait: second waiter");
-                w.waiter_ = h;
-            }
-
-            void
-            await_resume() const noexcept
-            {
-                w.signaled_ = false;
-            }
-        };
-        return Awaiter{*this};
-    }
-
-  private:
-    EventQueue &eq_;
-    std::coroutine_handle<> waiter_{};
-    bool signaled_ = false;
-};
-
-/**
- * Unbounded FIFO channel of T with a single consumer. Producers push
- * from event context; the consumer co_awaits receive().
- */
-template <typename T>
-class Channel
-{
-  public:
-    explicit Channel(EventQueue &eq) : eq_(eq) {}
-
-    Channel(const Channel &) = delete;
-    Channel &operator=(const Channel &) = delete;
-
-    /** Enqueue an item and wake the consumer if it is waiting. */
-    void
-    push(T item)
-    {
-        items_.push_back(std::move(item));
-        if (waiter_) {
-            auto h = waiter_;
-            waiter_ = {};
-            eq_.schedule(0, [h]() { h.resume(); });
-        }
-    }
-
-    bool empty() const { return items_.empty(); }
-    std::size_t size() const { return items_.size(); }
-
-    /** Awaitable that yields the next item (blocking if empty). */
-    auto
-    receive()
-    {
-        struct Awaiter
-        {
-            Channel &ch;
-
-            bool
-            await_ready() const noexcept
-            {
-                return !ch.items_.empty();
-            }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                if (ch.waiter_)
-                    panic("sim::Channel: second consumer");
-                ch.waiter_ = h;
-            }
-
-            T
-            await_resume()
-            {
-                if (ch.items_.empty())
-                    panic("sim::Channel: resumed with no item");
-                T item = std::move(ch.items_.front());
-                ch.items_.pop_front();
-                return item;
-            }
-        };
-        return Awaiter{*this};
-    }
-
-    /** Non-blocking pop; returns false if empty. */
-    bool
-    tryReceive(T &out)
-    {
-        if (items_.empty())
-            return false;
-        out = std::move(items_.front());
-        items_.pop_front();
-        return true;
-    }
-
-  private:
-    EventQueue &eq_;
-    std::deque<T> items_;
-    std::coroutine_handle<> waiter_{};
 };
 
 /**

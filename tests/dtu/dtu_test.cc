@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dtu/dtu.h"
@@ -284,6 +285,21 @@ TEST_F(DtuTest, MemoryOutOfBoundsRejected)
                  [&](Error e, std::vector<std::uint8_t>) { err = e; });
     eq.run();
     EXPECT_EQ(err, Error::OutOfBounds);
+
+    // Inside a large enough EP, one command still moves at most a page.
+    PhysAddr big = mem.alloc(4 * kPageSize);
+    dtuA.configEp(3, Endpoint::makeMem(0, kMemTile, big, 4 * kPageSize,
+                                       kPermRW));
+    Error rerr = Error::None;
+    dtuA.cmdRead(0, 3, 0, kPageSize + 1, 0,
+                 [&](Error e, std::vector<std::uint8_t>) { rerr = e; });
+    eq.run();
+    EXPECT_EQ(rerr, Error::OutOfBounds);
+    Error werr = Error::None;
+    dtuA.cmdWrite(0, 3, 0, std::vector<std::uint8_t>(kPageSize + 1, 1),
+                  0, [&](Error e) { werr = e; });
+    eq.run();
+    EXPECT_EQ(werr, Error::OutOfBounds);
 }
 
 TEST_F(DtuTest, MemoryWrappedOffsetRejected)
@@ -411,6 +427,92 @@ TEST_F(DtuTest, StatsCountTraffic)
     eq.run();
     EXPECT_EQ(dtuA.msgsSent(), 1u);
     EXPECT_EQ(dtuB.msgsReceived(), 1u);
+}
+
+TEST_F(DtuTest, ReplyToBadEpOrSlotFails)
+{
+    channel(4, 4, 4);
+    dtuA.configEp(5, Endpoint::makeRecv(0, 256, 4));
+    dtuA.cmdSend(0, 4, 0x1000, bytes("ping"), 5, [](Error) {});
+    eq.run();
+    ASSERT_GE(dtuB.fetch(0, 4), 0);
+    dtuB.configEp(3, Endpoint::makeSend(0, kTileA, 5, 0, 2));
+    // A send EP cannot reply; the receive EP has 8 slots, so 8 is one
+    // past the end and -1 one before it.
+    const std::pair<EpId, int> cases[] = {{3, 0}, {4, 8}, {4, -1}};
+    for (auto [ep, slot] : cases) {
+        Error err = Error::None;
+        dtuB.cmdReply(0, ep, slot, 0, bytes("pong"),
+                      [&](Error e) { err = e; });
+        eq.run();
+        EXPECT_EQ(err, Error::InvalidEp)
+            << "ep " << ep << " slot " << slot;
+    }
+}
+
+TEST_F(DtuTest, ReadThroughSendEpFails)
+{
+    channel(4, 4, 4);
+    Error err = Error::None;
+    dtuA.cmdRead(0, 4, 0, 16, 0,
+                 [&](Error e, std::vector<std::uint8_t>) { err = e; });
+    eq.run();
+    EXPECT_EQ(err, Error::InvalidEp);
+}
+
+TEST_F(DtuTest, CommandCompletionTicksArePinned)
+{
+    // Each command's latency on the idle fabric: decode + TLB, checks,
+    // DMA out (not for READ), the wire round trip and, for READ, the
+    // DMA in. Dropping or adding any stage delay moves a pin.
+    channel(4, 4, 4);
+    dtuA.configEp(5, Endpoint::makeRecv(0, 256, 4));
+    PhysAddr region = mem.alloc(kPageSize);
+    dtuA.configEp(2, Endpoint::makeMem(0, kMemTile, region, kPageSize,
+                                       kPermRW));
+    auto latency = [&](auto issue) {
+        sim::Tick start = eq.now();
+        sim::Tick done = 0;
+        issue([&]() { done = eq.now(); });
+        eq.run();
+        return done - start;
+    };
+
+    sim::Tick send = latency([&](auto finish) {
+        dtuA.cmdSend(0, 4, 0, std::vector<std::uint8_t>(64, 1), 5,
+                     [finish](Error e) {
+                         EXPECT_EQ(e, Error::None);
+                         finish();
+                     });
+    });
+    int slot = dtuB.fetch(0, 4);
+    ASSERT_GE(slot, 0);
+    sim::Tick reply = latency([&](auto finish) {
+        dtuB.cmdReply(0, 4, slot, 0, std::vector<std::uint8_t>(32, 2),
+                      [finish](Error e) {
+                          EXPECT_EQ(e, Error::None);
+                          finish();
+                      });
+    });
+    sim::Tick write = latency([&](auto finish) {
+        dtuA.cmdWrite(0, 2, 0, std::vector<std::uint8_t>(256, 3), 0,
+                      [finish](Error e) {
+                          EXPECT_EQ(e, Error::None);
+                          finish();
+                      });
+    });
+    sim::Tick read = latency([&](auto finish) {
+        dtuA.cmdRead(0, 2, 0, 256, 0,
+                     [finish](Error e, std::vector<std::uint8_t> d) {
+                         EXPECT_EQ(e, Error::None);
+                         EXPECT_EQ(d.size(), 256u);
+                         finish();
+                     });
+    });
+    EXPECT_EQ(send, 1470000u);
+    EXPECT_EQ(reply, 1440000u);
+    EXPECT_EQ(write, 1940000u);
+    EXPECT_EQ(read, 1940000u);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "os/system.h"
+#include "sim/fault.h"
 
 namespace m3v::os {
 namespace {
@@ -59,24 +60,41 @@ TEST(SystemMeshTest, DefaultPlatformKeepsPaperMesh)
 TEST(SystemMeshTest, AutoMeshGrowsForLargePlatforms)
 {
     // 80 user tiles + controller + 2 memory tiles = 83 > the 2x2
-    // capacity: the fabric must grow to forTiles(83) = 5x5 while the
-    // timing parameters stay put, and boot must still succeed with
-    // every tile routed.
-    sim::EventQueue eq;
-    SystemParams p;
-    p.userTiles = 80;
-    // Small PMP windows: 80 tiles must fit the default DRAM.
-    p.perTilePmp = 64 << 10;
-    System sys(eq, p);
-    EXPECT_EQ(sys.params().noc.meshCols, 5u);
-    EXPECT_EQ(sys.params().noc.meshRows, 5u);
-    EXPECT_EQ(sys.params().noc.freqHz, noc::NocParams{}.freqHz);
-    EXPECT_EQ(sys.fabric().validate(), noc::NocConfigError::None);
-    // Opposite corners of the grown mesh are several hops apart.
-    EXPECT_GT(sys.fabric().hopCount(sys.userTile(0),
-                                    sys.memTileId(1)),
-              0u);
-    eq.run();
+    // capacity: the fabric must grow to forTiles(83) = 5x5 while every
+    // other fabric parameter stays put, and boot must still succeed
+    // with every tile routed.
+    sim::FaultPlan plan(1);
+    noc::NocParams tuned;
+    tuned.portQueuePackets = 8;
+    tuned.pipelineCycles = 5;
+    tuned.headerBytes = 24;
+    tuned.linkBytesPerCycle = 32;
+    tuned.faults = &plan;
+    for (const noc::NocParams &given : {noc::NocParams{}, tuned}) {
+        sim::EventQueue eq;
+        SystemParams p;
+        p.userTiles = 80;
+        // Small PMP windows: 80 tiles must fit the default DRAM.
+        p.perTilePmp = 64 << 10;
+        p.noc = given;
+        System sys(eq, p);
+        const noc::NocParams &got = sys.params().noc;
+        EXPECT_EQ(got.meshCols, 5u);
+        EXPECT_EQ(got.meshRows, 5u);
+        EXPECT_EQ(got.freqHz, given.freqHz);
+        EXPECT_EQ(got.portQueuePackets, given.portQueuePackets);
+        EXPECT_EQ(got.pipelineCycles, given.pipelineCycles);
+        EXPECT_EQ(got.headerBytes, given.headerBytes);
+        EXPECT_EQ(got.linkBytesPerCycle, given.linkBytesPerCycle);
+        EXPECT_EQ(got.maxTilesPerRouter, given.maxTilesPerRouter);
+        EXPECT_EQ(got.faults, given.faults);
+        EXPECT_EQ(sys.fabric().validate(), noc::NocConfigError::None);
+        // Opposite corners of the grown mesh are several hops apart.
+        EXPECT_GT(sys.fabric().hopCount(sys.userTile(0),
+                                        sys.memTileId(1)),
+                  0u);
+        eq.run();
+    }
 }
 
 TEST_F(SystemTest, EchoRpcBetweenApps)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for coroutine tasks: delays, nesting, waits, channels,
- * and pool lifetime management.
+ * Unit tests for coroutine tasks: delays, nesting, and pool lifetime
+ * management.
  */
 
 #include <gtest/gtest.h>
@@ -63,94 +63,17 @@ TEST(Task, NestedTasksRunInOrder)
 }
 
 Task
-waiter(Wait &w, std::vector<int> &log)
+forever()
 {
-    log.push_back(1);
-    co_await w;
-    log.push_back(2);
-}
-
-TEST(Task, WaitBlocksUntilSignal)
-{
-    EventQueue eq;
-    TaskPool pool(eq);
-    Wait w(eq);
-    std::vector<int> log;
-    pool.spawn(waiter(w, log));
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{1}));
-    EXPECT_EQ(pool.active(), 1u);
-    w.signal();
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{1, 2}));
-    EXPECT_EQ(pool.active(), 0u);
-}
-
-TEST(Task, WaitSignalBeforeAwaitCompletesImmediately)
-{
-    EventQueue eq;
-    TaskPool pool(eq);
-    Wait w(eq);
-    w.signal();
-    std::vector<int> log;
-    pool.spawn(waiter(w, log));
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{1, 2}));
-}
-
-Task
-consume(Channel<int> &ch, int n, std::vector<int> &log)
-{
-    for (int i = 0; i < n; i++) {
-        int v = co_await ch.receive();
-        log.push_back(v);
-    }
-}
-
-TEST(Task, ChannelDeliversInFifoOrder)
-{
-    EventQueue eq;
-    TaskPool pool(eq);
-    Channel<int> ch(eq);
-    std::vector<int> log;
-    pool.spawn(consume(ch, 3, log));
-    eq.run();
-    EXPECT_TRUE(log.empty());
-    ch.push(10);
-    ch.push(20);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{10, 20}));
-    ch.push(30);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{10, 20, 30}));
-    EXPECT_EQ(pool.active(), 0u);
-}
-
-TEST(Task, ChannelTryReceive)
-{
-    EventQueue eq;
-    Channel<int> ch(eq);
-    int v = 0;
-    EXPECT_FALSE(ch.tryReceive(v));
-    ch.push(7);
-    EXPECT_TRUE(ch.tryReceive(v));
-    EXPECT_EQ(v, 7);
-    EXPECT_FALSE(ch.tryReceive(v));
-}
-
-Task
-forever(Wait &w)
-{
-    co_await w;
+    co_await std::suspend_always{};
 }
 
 TEST(Task, PoolDestroysUnfinishedTasks)
 {
     EventQueue eq;
-    Wait w(eq);
     {
         TaskPool pool(eq);
-        pool.spawn(forever(w), "stuck");
+        pool.spawn(forever(), "stuck");
         eq.run();
         EXPECT_EQ(pool.active(), 1u);
         // Pool destructor must free the suspended frame without UB
