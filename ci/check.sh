@@ -158,15 +158,17 @@ asan_rerun() {
     # path (every Env::call acks and drops stale reply slots), the
     # sparse DRAM store's chunk-boundary arithmetic, the wrap-safe
     # memory-gate bounds checks, the event core's 4-ary heap index
-    # arithmetic and inline closures, and the DTU command pipeline's
-    # slot and offset arithmetic (DtuTest, VDtu) are the most
-    # UB-prone (handle lifetimes, histogram and offset arithmetic);
-    # run them again explicitly so a filter typo above cannot
-    # silently skip them.
+    # arithmetic and inline closures, the DTU command pipeline's
+    # slot and offset arithmetic (DtuTest, VDtu), the coroutine frame
+    # lifetimes of top-level tasks destroyed finished or not (Task.),
+    # and the slab hand-off behind inline message notification
+    # (MsgPath) are the most UB-prone (handle lifetimes, histogram
+    # and offset arithmetic); run them again explicitly so a filter
+    # typo above cannot silently skip them.
     (cd build-asan && ctest --output-on-failure -R \
         'MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|'\
 'ResetAct|Restart|OverloadRecovery|DramTest|Wrapped|'\
-'EventCore|UniqueFunctionSbo|DtuTest|VDtu')
+'EventCore|UniqueFunctionSbo|DtuTest|VDtu|Task\.|MsgPath')
 }
 
 tsan_lanes() {

@@ -47,8 +47,6 @@ class AddrSpace
      */
     const PageMapping *lookup(dtu::VirtAddr va) const;
 
-    std::size_t mappedPages() const { return table_.size(); }
-
   private:
     static dtu::VirtAddr
     pageOf(dtu::VirtAddr va)

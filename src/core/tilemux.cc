@@ -50,7 +50,7 @@ TileMux::TileMux(sim::EventQueue &eq, std::string name,
         }
     });
     // Start in the idle state.
-    vdtu_.xchgAct(params_.idleAct);
+    vdtu_.xchgAct(kIdleAct);
 }
 
 sim::Cycles
@@ -506,8 +506,8 @@ TileMux::scheduleNext()
         }
         // Nothing to run: become idle, but re-check the activity we
         // are switching away from for lost wake-ups (section 3.7).
-        CurAct old = vdtu_.xchgAct(params_.idleAct);
-        if (old.act != params_.idleAct && old.msgCount > 0) {
+        CurAct old = vdtu_.xchgAct(kIdleAct);
+        if (old.act != kIdleAct && old.msgCount > 0) {
             Activity *oa = activity(old.act);
             if (oa && oa->state_ == Activity::State::BlockedMsg) {
                 oa->state_ = Activity::State::Ready;

@@ -50,6 +50,9 @@ namespace m3v::core {
 
 class TileMux;
 
+/** Activity id representing the idle loop in CUR_ACT. */
+constexpr dtu::ActId kIdleAct = 0xfffd;
+
 /** TileMux tuning parameters. */
 struct TileMuxParams
 {
@@ -77,9 +80,6 @@ struct TileMuxParams
      * compute and is not charged to the switch.
      */
     std::size_t switchTouchDivisor = 3;
-
-    /** Activity id representing the idle loop in CUR_ACT. */
-    dtu::ActId idleAct = 0xfffd;
 
     /**
      * Watchdog: an activity that burns this many *consecutive* full
@@ -284,7 +284,6 @@ class TileMux : public sim::SimObject
     void scheduleNext();
     void switchTo(Activity *next);
     Activity *pickNext();
-    void requeueCurrent();
     void kickScheduler();
     void registerPoller(Activity &act);
     sim::Cycles touchMux();

@@ -45,8 +45,6 @@ Dtu::Dtu(sim::EventQueue &eq, std::string name, noc::Noc &noc,
     corruptDropped_ = statCounter("corrupt_dropped");
     straysDropped_ = statCounter("strays_dropped");
     creditsReclaimed_ = statCounter("credits_reclaimed");
-    doorbellsCoalesced_ = statCounter("doorbells_coalesced");
-    doorbellFlushes_ = statCounter("doorbell_flushes");
     trc_ = &eq.tracer();
 }
 
@@ -605,59 +603,11 @@ Dtu::deviceMessage(EpId rep, std::vector<std::uint8_t> payload,
     return true;
 }
 
-//
-// Doorbell batching.
-//
-
 void
 Dtu::notifyMsg(EpId ep, ActId act)
 {
-    if (!msgNotify_)
-        return;
-    sim::Tick now = eq_.now();
-    if (!doorbellFlushScheduled_ && doorbellTick_ != now) {
-        // A new burst window with nothing deferred from the last one:
-        // forget the old window's dedup records.
-        doorbellPending_.clear();
-    }
-    doorbellTick_ = now;
-    for (Doorbell &d : doorbellPending_) {
-        if (d.ep != ep || d.act != act)
-            continue;
-        // Same destination rung again within the burst window:
-        // coalesce. One deferred wakeup — delivered by the
-        // end-of-window flush — stands in for any number of
-        // duplicates.
-        doorbellsCoalesced_->inc();
-        if (!d.deferred) {
-            d.deferred = true;
-            if (!doorbellFlushScheduled_) {
-                doorbellFlushScheduled_ = true;
-                eq_.schedule(0, [this]() { flushDoorbells(); });
-            }
-        }
-        return;
-    }
-    // First doorbell for this destination in the window: ring through
-    // immediately (keeps single-message latency and, with no
-    // duplicates, makes batching a strict no-op).
-    doorbellPending_.push_back(Doorbell{ep, act, false});
-    msgNotify_(ep, act);
-}
-
-void
-Dtu::flushDoorbells()
-{
-    doorbellFlushScheduled_ = false;
-    doorbellFlushes_->inc();
-    // Swap into a scratch buffer (both keep their capacity, so the
-    // steady state allocates nothing) — the callbacks may ring new
-    // doorbells, which then open a fresh window.
-    doorbellScratch_.clear();
-    doorbellScratch_.swap(doorbellPending_);
-    for (const Doorbell &d : doorbellScratch_)
-        if (d.deferred)
-            msgNotify_(d.ep, d.act);
+    if (msgNotify_)
+        msgNotify_(ep, act);
 }
 
 //
@@ -1163,25 +1113,6 @@ registerDtuInvariants(sim::Invariants &inv,
                            s.staleReleases));
         }
     });
-
-    inv.addCheck("dtu.doorbell_flush_law",
-                 [dtus](sim::Invariants &v) {
-                     for (const Dtu *d : dtus)
-                         if (!d->doorbellFlushLawOk())
-                             v.fail("%s: coalesced doorbell without a "
-                                    "scheduled flush",
-                                    d->name().c_str());
-                 });
-
-    inv.addCheck(
-        "dtu.doorbell_drained",
-        [dtus](sim::Invariants &v) {
-            for (const Dtu *d : dtus)
-                if (!d->doorbellIdle())
-                    v.fail("%s: doorbell flush pending at quiescence",
-                           d->name().c_str());
-        },
-        sim::Invariants::When::QuiescentOnly);
 
     inv.addCheck(
         "dtu.slab_no_leak",

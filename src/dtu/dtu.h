@@ -261,44 +261,14 @@ class Dtu : public sim::SimObject, public noc::HopTarget
     /**
      * Install a notification hook invoked after every stored message
      * with (endpoint, owning activity). Software layers use it to
-     * wake threads that poll the DTU for new messages.
-     *
-     * Doorbell batching: the first notification per (endpoint,
-     * activity) in a burst window (one tick) rings through
-     * immediately; further stores to the same destination within the
-     * window are coalesced into a single deferred wakeup delivered by
-     * an end-of-window flush event. With at most one store per
-     * destination per tick — the common case — behaviour is
-     * bit-identical to unbatched delivery (no extra events at all).
+     * wake threads that poll the DTU for new messages. It rings
+     * inline, once per stored message, and schedules no event.
      */
     void
     setMsgNotify(sim::UniqueFunction<void(EpId, ActId)> cb)
     {
         msgNotify_ = std::move(cb);
     }
-
-    /** Doorbells coalesced into a batched wakeup (stats). */
-    std::uint64_t doorbellsCoalesced() const
-    {
-        return doorbellsCoalesced_->value();
-    }
-
-    /**
-     * The doorbell flush law: a coalesced (deferred) doorbell always
-     * has a flush event scheduled within the current tick, so no
-     * wakeup can leak past a lane barrier (the flush runs before the
-     * lane advances). Checked at every invariant boundary.
-     */
-    bool doorbellFlushLawOk() const
-    {
-        for (const Doorbell &d : doorbellPending_)
-            if (d.deferred && !doorbellFlushScheduled_)
-                return false;
-        return true;
-    }
-
-    /** No flush pending at all (the quiescent doorbell state). */
-    bool doorbellIdle() const { return !doorbellFlushScheduled_; }
 
     // noc::HopTarget
     bool acceptPacket(noc::Packet &pkt,
@@ -433,10 +403,8 @@ class Dtu : public sim::SimObject, public noc::HopTarget
     void sendCreditReturn(noc::TileId dst, EpId credit_ep);
     void addCredit(EpId credit_ep);
 
-    /** Ring or coalesce the doorbell for a stored message. */
+    /** Ring the notification hook for a stored message. */
     void notifyMsg(EpId ep, ActId act);
-    /** Deliver the deferred doorbells of the closing burst window. */
-    void flushDoorbells();
 
     //
     // Reliable wire protocol (active iff the NoC has a fault plan).
@@ -525,19 +493,6 @@ class Dtu : public sim::SimObject, public noc::HopTarget
     static constexpr std::size_t kSeenWindow = 128;
     std::unordered_map<noc::TileId, sim::RingDeque<SeenEntry>> seen_;
 
-    /** One pending doorbell of the current burst window. */
-    struct Doorbell
-    {
-        EpId ep = kInvalidEp;
-        ActId act = kInvalidAct;
-        /** Coalesced: delivery owed to the end-of-window flush. */
-        bool deferred = false;
-    };
-    std::vector<Doorbell> doorbellPending_;
-    std::vector<Doorbell> doorbellScratch_;
-    bool doorbellFlushScheduled_ = false;
-    sim::Tick doorbellTick_ = 0;
-
     sim::Counter *msgsSent_;
     sim::Counter *msgsRecv_;
     sim::Counter *nacks_;
@@ -547,8 +502,6 @@ class Dtu : public sim::SimObject, public noc::HopTarget
     sim::Counter *corruptDropped_;
     sim::Counter *straysDropped_;
     sim::Counter *creditsReclaimed_;
-    sim::Counter *doorbellsCoalesced_;
-    sim::Counter *doorbellFlushes_;
     sim::UniqueFunction<void(EpId, ActId)> msgNotify_;
 
   protected:
@@ -566,9 +519,6 @@ class Dtu : public sim::SimObject, public noc::HopTarget
  *    boundary), and at quiescence every live extent is accounted for
  *    by an occupied receive slot — no extent leaked by the zero-copy
  *    hand-off chain;
- *  - the doorbell flush law (every boundary) and doorbell idleness
- *    (quiescence): a coalesced wakeup never outlives its burst
- *    window, so none can leak past a lane barrier;
  *  - at quiescence every engine has drained (no queued command, tx
  *    packet, in-flight request, or retransmission);
  *  - at quiescence every non-reply send endpoint's credits are

@@ -26,12 +26,6 @@ MemoryTile::alloc(std::size_t size, std::size_t align)
     return base;
 }
 
-std::size_t
-MemoryTile::available() const
-{
-    return dram_.capacity() - allocNext_;
-}
-
 bool
 MemoryTile::acceptPacket(noc::Packet &pkt, sim::UniqueFunction<void()>)
 {

@@ -40,9 +40,6 @@ class MemoryTile : public sim::SimObject, public noc::HopTarget
      */
     PhysAddr alloc(std::size_t size, std::size_t align = 64);
 
-    /** Bytes still available for allocation. */
-    std::size_t available() const;
-
     // noc::HopTarget
     bool acceptPacket(noc::Packet &pkt,
                       sim::UniqueFunction<void()> on_space) override;

@@ -75,14 +75,6 @@ WireData::operator delete(void *ptr, std::size_t sz) noexcept
     p.free.push_back(ptr);
 }
 
-std::size_t
-WireData::pooledFree()
-{
-    WirePool &p = pool();
-    std::lock_guard<std::mutex> lock(p.mu);
-    return p.free.size();
-}
-
 void
 WireData::corruptPayload()
 {

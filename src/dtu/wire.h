@@ -60,9 +60,6 @@ struct WireData : noc::PacketData
     static void *operator new(std::size_t sz);
     static void operator delete(void *p, std::size_t sz) noexcept;
 
-    /** Pooled headers currently on the freelist (tests). */
-    static std::size_t pooledFree();
-
     /**
      * Fault injection flipped this packet's CRC: damage the payload
      * bytes through a copy-on-write view, so a retransmission buffer

@@ -484,7 +484,6 @@ M3xSystem::kernelMain()
             co_await t.externalWait();
             continue;
         }
-        sim::Tick t0 = eq_.now();
         dtu::Message msg = kernDtu_->slotMsg(kKernSyscallRep, slot);
         co_await t.compute(m.mmioWriteCycles);
         kernDtu_->ack(0, kKernSyscallRep, slot);
@@ -512,7 +511,6 @@ M3xSystem::kernelMain()
             break;
           }
         }
-        kernelBusy_ += eq_.now() - t0;
     }
 }
 

@@ -198,7 +198,6 @@ class M3xSystem
     std::uint64_t slowPaths() const { return slowPaths_->value(); }
     std::uint64_t fastPaths() const { return fastPaths_->value(); }
     std::uint64_t switches() const { return switches_->value(); }
-    sim::Tick kernelBusyTicks() const { return kernelBusy_; }
 
   private:
     class M3xTileDtu;
@@ -282,7 +281,6 @@ class M3xSystem
     sim::Counter *fastPaths_;
     sim::Counter *switches_;
     sim::Tracer *trc_;
-    sim::Tick kernelBusy_ = 0;
 };
 
 } // namespace m3v::m3x

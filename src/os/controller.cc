@@ -45,8 +45,8 @@ Controller::Controller(BareEnv &env, CapMgr &caps, const DtuMap &dtus,
     // service time instead of the whole syscall backlog. A single
     // controller has no peers: it polls its syscall EP alone.
     if (shardMap_.shards > 1)
-        pollEps_ = {params_.ctrlReplyRep, params_.ctrlReqRep};
-    pollEps_.push_back(params_.syscallRep);
+        pollEps_ = {kCtrlReplyRep, kCtrlReqRep};
+    pollEps_.push_back(kSyscallRep);
     for (EpId ep : pollEps_)
         env.addRecvEp(ep);
 }
@@ -403,14 +403,12 @@ Controller::ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp,
 
     auto &thread = env_->thread();
     sim::EventQueue &eq = env_->dtu().eventQueue();
-    const EpId reply_rep = params_.ctrlReplyRep;
-    const EpId req_rep = params_.ctrlReqRep;
-    const std::vector<EpId> wait_eps{reply_rep, req_rep};
+    const std::vector<EpId> wait_eps{kCtrlReplyRep, kCtrlReqRep};
 
     for (unsigned attempt = 0; attempt < params_.xshardRetries;
          attempt++) {
         Error serr = Error::Aborted;
-        co_await env_->send(sep, podBytes(req), reply_rep, &serr,
+        co_await env_->send(sep, podBytes(req), kCtrlReplyRep, &serr,
                             req.nonce);
         if (serr != Error::None) {
             // Out of credits (peer overloaded): back off and retry —
@@ -429,12 +427,12 @@ Controller::ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp,
             }
             co_await thread.compute(
                 thread.core().model().mmioReadCycles * 2);
-            int rslot = env_->dtu().fetch(env_->actId(), reply_rep);
+            int rslot = env_->dtu().fetch(env_->actId(), kCtrlReplyRep);
             if (rslot >= 0) {
-                const dtu::Message &m = env_->msgAt(reply_rep, rslot);
+                const dtu::Message &m = env_->msgAt(kCtrlReplyRep, rslot);
                 if (m.nonce == req.nonce) {
                     *resp = podFrom<CtrlResp>(m.payload);
-                    co_await env_->ackMsg(reply_rep, rslot);
+                    co_await env_->ackMsg(kCtrlReplyRep, rslot);
                     xacked_->inc();
                     *ok = true;
                     co_return;
@@ -444,12 +442,12 @@ Controller::ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp,
                 replyStash_.emplace_back(m.nonce, m.payload);
                 if (replyStash_.size() > kStashCap)
                     replyStash_.erase(replyStash_.begin());
-                co_await env_->ackMsg(reply_rep, rslot);
+                co_await env_->ackMsg(kCtrlReplyRep, rslot);
                 continue;
             }
             // Service incoming peer requests while waiting: two
             // shards calling into each other must not deadlock.
-            int qslot = env_->dtu().fetch(env_->actId(), req_rep);
+            int qslot = env_->dtu().fetch(env_->actId(), kCtrlReqRep);
             if (qslot >= 0) {
                 co_await handleCtrlReq(qslot);
                 continue;
@@ -466,8 +464,7 @@ sim::Task
 Controller::handleCtrlReq(int slot)
 {
     auto &thread = env_->thread();
-    const EpId rep = params_.ctrlReqRep;
-    const dtu::Message &m = env_->msgAt(rep, slot);
+    const dtu::Message &m = env_->msgAt(kCtrlReqRep, slot);
     CtrlReq req = podFrom<CtrlReq>(m.payload);
     const bool want_reply = (req.flags & CtrlReq::kWantReply) != 0;
 
@@ -477,7 +474,7 @@ Controller::handleCtrlReq(int slot)
         if (const CtrlResp *dup = recallDup(req.nonce)) {
             xhandled_->inc();
             Error rerr = Error::None;
-            co_await env_->reply(rep, slot, podBytes(*dup), &rerr);
+            co_await env_->reply(kCtrlReqRep, slot, podBytes(*dup), &rerr);
             co_return;
         }
     }
@@ -575,14 +572,14 @@ Controller::handleCtrlReq(int slot)
         remember(req.nonce, resp);
         xhandled_->inc();
         Error rerr = Error::None;
-        co_await env_->reply(rep, slot, podBytes(resp), &rerr);
+        co_await env_->reply(kCtrlReqRep, slot, podBytes(resp), &rerr);
         if (rerr != Error::None)
             sim::warn("controller %u: ctrl reply to shard %u failed: "
                       "%s",
                       shard_, req.srcShard, dtu::errorName(rerr));
     } else {
         xonewayHandled_->inc();
-        co_await env_->ackMsg(rep, slot);
+        co_await env_->ackMsg(kCtrlReqRep, slot);
     }
 }
 
@@ -696,18 +693,17 @@ sim::Task
 Controller::run()
 {
     auto &thread = env_->thread();
-    const EpId rep = params_.syscallRep;
     while (running_) {
         EpId which = dtu::kInvalidEp;
         int slot = -1;
         co_await env_->recvAny(pollEps_, &which, &slot);
-        if (which == params_.ctrlReplyRep) {
+        if (which == kCtrlReplyRep) {
             // Late reply of a timed-out cross-shard call: drop it so
             // it cannot wedge the poll loop.
             co_await env_->ackMsg(which, slot);
             continue;
         }
-        if (which == params_.ctrlReqRep) {
+        if (which == kCtrlReqRep) {
             co_await handleCtrlReq(slot);
             continue;
         }
@@ -715,7 +711,7 @@ Controller::run()
         // A syscall. The body is inlined rather than co_await'ed
         // through a helper: every coroutine nesting level costs one
         // scheduled event per syscall.
-        const dtu::Message &m = env_->msgAt(rep, slot);
+        const dtu::Message &m = env_->msgAt(kSyscallRep, slot);
         auto caller = static_cast<ActId>(m.label);
         SyscallReq req = podFrom<SyscallReq>(m.payload);
         syscalls_->inc();
@@ -725,8 +721,8 @@ Controller::run()
         // instead of executing them. The rejection travels the normal
         // vDTU reply path, so service RPCs that embed syscalls (e.g.
         // m3fs extent grants) surface it typed to their clients.
-        if (!env_->admit(admission_, rep, m)) {
-            co_await env_->shed(admission_, rep, slot,
+        if (!env_->admit(admission_, kSyscallRep, m)) {
+            co_await env_->shed(admission_, kSyscallRep, slot,
                                 podBytes(SyscallResp{Error::Overloaded}));
             continue;
         }
@@ -736,7 +732,7 @@ Controller::run()
         co_await handle(caller, req, &resp);
 
         Error rerr = Error::None;
-        co_await env_->reply(rep, slot, podBytes(resp), &rerr);
+        co_await env_->reply(kSyscallRep, slot, podBytes(resp), &rerr);
         if (rerr != Error::None)
             sim::warn("controller: reply to %u failed: %s", caller,
                       dtu::errorName(rerr));

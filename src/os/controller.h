@@ -52,6 +52,15 @@ constexpr noc::TileId kNoTile = ~0u;
  */
 constexpr dtu::ActId kStormActBase = 8192;
 
+/** The controller's syscall receive endpoint. */
+constexpr dtu::EpId kSyscallRep = 4;
+
+/** Receive EP for requests from peer controller shards. */
+constexpr dtu::EpId kCtrlReqRep = 6;
+
+/** Receive EP for replies to this shard's own peer requests. */
+constexpr dtu::EpId kCtrlReplyRep = 7;
+
 /** Controller cost parameters (cycles on the controller core). */
 struct ControllerParams
 {
@@ -60,15 +69,6 @@ struct ControllerParams
 
     /** Capability-table manipulation cost per touched cap. */
     sim::Cycles capCost = 150;
-
-    /** The controller's syscall receive endpoint. */
-    dtu::EpId syscallRep = 4;
-
-    /** Receive EP for requests from peer controller shards. */
-    dtu::EpId ctrlReqRep = 6;
-
-    /** Receive EP for replies to this shard's own peer requests. */
-    dtu::EpId ctrlReplyRep = 7;
 
     /** Reply deadline per cross-shard call attempt. */
     sim::Tick xshardTimeout = 200 * sim::kTicksPerUs;

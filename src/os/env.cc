@@ -81,12 +81,6 @@ Env::reply(dtu::EpId rep, int slot, Bytes msg, Error *err)
 }
 
 sim::Task
-Env::waitMsg()
-{
-    co_await waitImpl(dtu::kInvalidEp);
-}
-
-sim::Task
 Env::recvOn(dtu::EpId rep, int *slot)
 {
     int spurious = 0;

@@ -76,9 +76,6 @@ class Env
     sim::Task reply(dtu::EpId rep, int slot, Bytes msg,
                     dtu::Error *err);
 
-    /** Block/poll until this context has any unread message. */
-    sim::Task waitMsg();
-
     /** Wait for and fetch the next message on @p rep. */
     sim::Task recvOn(dtu::EpId rep, int *slot);
 

@@ -137,7 +137,7 @@ System::System(sim::EventQueue &eq, SystemParams params)
             *c.core, cname + ".thread", 0);
         c.env = std::make_unique<BareEnv>(cname, *c.thread, *c.dtu,
                                           kCtrlAct);
-        c.dtu->configEp(params_.ctrl.syscallRep,
+        c.dtu->configEp(kSyscallRep,
                         Endpoint::makeRecv(kCtrlAct, 128, 64));
         c.caps = std::make_unique<CapMgr>(s);
         c.ctrl = std::make_unique<Controller>(
@@ -195,15 +195,13 @@ System::System(sim::EventQueue &eq, SystemParams params)
     // send EP per peer after the sidecall send EPs. Peer credits are
     // sized so all senders together cannot overrun the ring.
     if (shards > 1) {
-        const EpId req_rep = params_.ctrl.ctrlReqRep;
-        const EpId rep_rep = params_.ctrl.ctrlReplyRep;
         unsigned pcred = std::min<unsigned>(
             8, std::max<unsigned>(2, 64 / (shards - 1)));
         for (unsigned s = 0; s < shards; s++) {
             dtu::Dtu *d = ctrls_[s].dtu.get();
-            d->configEp(req_rep,
+            d->configEp(kCtrlReqRep,
                         Endpoint::makeRecv(kCtrlAct, 512, 64));
-            d->configEp(rep_rep,
+            d->configEp(kCtrlReplyRep,
                         Endpoint::makeRecv(kCtrlAct, 512, 16));
         }
         for (unsigned s = 0; s < shards; s++) {
@@ -222,7 +220,7 @@ System::System(sim::EventQueue &eq, SystemParams params)
                 d->configEp(sep,
                             Endpoint::makeSend(kCtrlAct,
                                                ctrlTileOf(p),
-                                               req_rep, s, pcred,
+                                               kCtrlReqRep, s, pcred,
                                                512));
                 controllerOf(s).setPeerChannel(p, sep);
             }
@@ -274,7 +272,7 @@ System::createApp(unsigned tile_idx, const std::string &name,
     EpId rep = allocEp(tile_idx);
     vdtus_[tile_idx]->configEp(
         sep, Endpoint::makeSend(id, ctrlTileOf(shard),
-                                params_.ctrl.syscallRep, id, 1));
+                                kSyscallRep, id, 1));
     vdtus_[tile_idx]->configEp(rep, Endpoint::makeRecv(id, 128, 2));
     app->env->setSyscallGates(sep, rep);
 

@@ -38,7 +38,6 @@ class FileSession
                 unsigned ep_idx = 0,
                 sim::OverloadGuard *guard = nullptr);
 
-    bool isOpen() const { return fd_ != 0; }
     std::uint64_t size() const { return size_; }
     std::uint64_t offset() const { return off_; }
 

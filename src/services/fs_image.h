@@ -50,7 +50,6 @@ class FsImage
             std::uint32_t max_extent_blocks = 64);
 
     std::size_t blockSize() const { return blockSize_; }
-    std::size_t totalBlocks() const { return bitmap_.size(); }
     std::size_t freeBlocks() const { return free_; }
     std::uint32_t maxExtentBlocks() const { return maxExtent_; }
 

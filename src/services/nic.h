@@ -86,9 +86,6 @@ class Nic : public sim::SimObject
     /** Host-side delivery towards this NIC. */
     void hostDeliver(os::Bytes frame);
 
-    std::uint64_t txFrames() const { return tx_->value(); }
-    std::uint64_t rxFrames() const { return rx_->value(); }
-
   private:
     sim::Tick serTime(std::size_t bytes) const;
 
@@ -126,7 +123,6 @@ class ExtHost : public sim::SimObject
     void onFrame(os::Bytes frame);
 
     std::uint64_t framesReceived() const { return frames_->value(); }
-    std::uint64_t bytesReceived() const { return bytes_->value(); }
 
   private:
     Mode mode_;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/event_queue.h"
-#include "sim/log.h"
 
 namespace m3v::sim {
 
@@ -31,8 +30,6 @@ Invariants::fail(const char *fmt, ...)
     va_end(ap);
     std::string msg = running_ ? running_->name + ": " + buf
                                : std::string(buf);
-    if (panic_)
-        sim::panic("invariant violated: %s", msg.c_str());
     total_++;
     if (violations_.size() < kMaxRecorded)
         violations_.push_back(std::move(msg));

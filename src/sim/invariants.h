@@ -90,9 +90,6 @@ class Invariants
 
     void clear();
 
-    /** Abort the process on the first violation (debugging aid). */
-    void setPanicOnViolation(bool on) { panic_ = on; }
-
   private:
     friend class EventQueue;
 
@@ -112,7 +109,6 @@ class Invariants
     std::vector<std::string> violations_;
     std::uint64_t total_ = 0;
     const Check *running_ = nullptr;
-    bool panic_ = false;
 };
 
 } // namespace m3v::sim

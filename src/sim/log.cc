@@ -8,8 +8,6 @@ namespace m3v::sim {
 
 namespace {
 
-LogLevel gLogLevel = LogLevel::Warn;
-
 void
 emit(const char *tag, const char *fmt, va_list ap)
 {
@@ -19,18 +17,6 @@ emit(const char *tag, const char *fmt, va_list ap)
 }
 
 } // namespace
-
-LogLevel
-logLevel()
-{
-    return gLogLevel;
-}
-
-void
-setLogLevel(LogLevel lvl)
-{
-    gLogLevel = lvl;
-}
 
 void
 panic(const char *fmt, ...)
@@ -55,44 +41,9 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (gLogLevel < LogLevel::Warn)
-        return;
     va_list ap;
     va_start(ap, fmt);
     emit("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (gLogLevel < LogLevel::Info)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("info", fmt, ap);
-    va_end(ap);
-}
-
-void
-debugLog(const char *fmt, ...)
-{
-    if (gLogLevel < LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("debug", fmt, ap);
-    va_end(ap);
-}
-
-void
-traceLog(const char *fmt, ...)
-{
-    if (gLogLevel < LogLevel::Trace)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("trace", fmt, ap);
     va_end(ap);
 }
 

@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: panic() flags simulator bugs (invariant
  * violations) and aborts; fatal() flags user/configuration errors and
- * exits cleanly; warn()/inform() report conditions without stopping.
+ * exits cleanly; warn() reports a condition without stopping.
  */
 
 #ifndef M3VSIM_SIM_LOG_H_
@@ -14,21 +14,6 @@
 #include <string>
 
 namespace m3v::sim {
-
-/** Verbosity levels for trace logging. */
-enum class LogLevel : int {
-    None = 0,
-    Warn = 1,
-    Info = 2,
-    Debug = 3,
-    Trace = 4,
-};
-
-/** Global log verbosity; defaults to Warn. */
-LogLevel logLevel();
-
-/** Set the global log verbosity. */
-void setLogLevel(LogLevel lvl);
 
 /**
  * Report a simulator bug (an invariant that should never fail regardless
@@ -46,15 +31,6 @@ void setLogLevel(LogLevel lvl);
 
 /** Report a suspicious but survivable condition. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug-level trace line if the log level permits. */
-void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a trace-level line if the log level permits. */
-void traceLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)

@@ -84,7 +84,6 @@ class Admission
         return true;
     }
 
-    std::uint64_t admitted() const { return admitted_; }
     std::uint64_t shedByAge() const { return shedByAge_; }
     std::uint64_t shedByOccupancy() const { return shedByOccupancy_; }
     std::uint64_t shed() const { return shedByAge_ + shedByOccupancy_; }

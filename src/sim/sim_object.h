@@ -42,13 +42,6 @@ class SimObject
         return eq_.metrics().counter(name_ + "." + leaf);
     }
 
-    /** Register (or look up) this object's sampler "<name>.<leaf>". */
-    Sampler *
-    statSampler(const char *leaf)
-    {
-        return eq_.metrics().sampler(name_ + "." + leaf);
-    }
-
     EventQueue &eq_;
 
   private:

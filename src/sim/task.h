@@ -10,8 +10,9 @@
  * All resumptions are funnelled through the EventQueue (never inline)
  * so stack depth stays bounded and same-tick ordering is deterministic.
  *
- * Top-level tasks are owned by a TaskPool, which keeps frames alive
- * until completion and lets tests assert that every task finished.
+ * A top-level task is started with kick() and owned by whoever holds
+ * its Task (e.g. tile::Thread): the frame lives until that Task is
+ * destroyed, finished or not.
  */
 
 #ifndef M3VSIM_SIM_TASK_H_
@@ -21,8 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "sim/event_queue.h"
@@ -51,7 +50,7 @@ class [[nodiscard]] Task
             auto &p = h.promise();
             p.done = true;
             // Save the continuation before running the completion hook:
-            // the hook may destroy this frame (TaskPool cleanup).
+            // the hook may destroy the Task that owns this frame.
             std::coroutine_handle<> cont = p.continuation;
             if (p.onDone) {
                 auto hook = std::move(p.onDone);
@@ -169,8 +168,6 @@ class [[nodiscard]] Task
     }
 
   private:
-    friend class TaskPool;
-
     void
     destroy()
     {
@@ -188,13 +185,6 @@ class [[nodiscard]] Task
         } else {
             h.destroy();
         }
-    }
-
-    Handle release()
-    {
-        Handle h = handle_;
-        handle_ = {};
-        return h;
     }
 
     Handle handle_{};
@@ -240,42 +230,6 @@ struct Delay
     }
 
     void await_resume() const noexcept {}
-};
-
-/**
- * Owner of top-level (detached) tasks. Keeps coroutine frames alive
- * until they complete; destruction of unfinished frames happens in the
- * pool destructor (e.g., when a benchmark tears down mid-run).
- */
-class TaskPool
-{
-  public:
-    explicit TaskPool(EventQueue &eq) : eq_(eq) {}
-
-    TaskPool(const TaskPool &) = delete;
-    TaskPool &operator=(const TaskPool &) = delete;
-
-    ~TaskPool();
-
-    /**
-     * Take ownership of @p t and start it immediately. The name is
-     * used in diagnostics for tasks that never finish.
-     */
-    void spawn(Task t, std::string name = "task");
-
-    /** Number of spawned-but-unfinished tasks. */
-    std::size_t active() const { return tasks_.size(); }
-
-  private:
-    struct Entry
-    {
-        Task::Handle handle;
-        std::string name;
-    };
-
-    EventQueue &eq_;
-    std::uint64_t nextId_ = 0;
-    std::unordered_map<std::uint64_t, Entry> tasks_;
 };
 
 } // namespace m3v::sim

@@ -88,7 +88,6 @@ class Tracer
     std::uint32_t mask() const { return mask_; }
 
     void enableAll() { mask_ = kTraceAll; }
-    void disableAll() { mask_ = 0; }
 
     /**
      * Open a span. @p name must have static storage duration (a

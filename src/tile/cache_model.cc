@@ -40,10 +40,7 @@ CacheModel::touch(RegionId region, std::size_t footprint_bytes)
     used_ += cacheable;
 
     std::size_t miss_bytes = miss + uncacheable;
-    sim::Cycles cost =
-        (miss_bytes + lineBytes_ - 1) / lineBytes_ * fillCycles_;
-    totalFill_ += cost;
-    return cost;
+    return (miss_bytes + lineBytes_ - 1) / lineBytes_ * fillCycles_;
 }
 
 std::size_t

@@ -53,9 +53,6 @@ class CacheModel
     /** Drop all contents (e.g. address-space switch with ASID flush). */
     void flush();
 
-    /** Total refill cycles charged so far. */
-    std::uint64_t totalFillCycles() const { return totalFill_; }
-
   private:
     void evictFor(std::size_t need_bytes, RegionId except);
 
@@ -68,7 +65,6 @@ class CacheModel
     std::unordered_map<RegionId,
                        std::pair<std::size_t, std::list<RegionId>::iterator>>
         regions_;
-    std::uint64_t totalFill_ = 0;
 };
 
 } // namespace m3v::tile

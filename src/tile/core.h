@@ -101,9 +101,6 @@ class Thread
         return Awaiter{*this, cycles};
     }
 
-    /** Awaitable: execute @p insts instructions (scaled by IPC). */
-    auto computeInsts(std::uint64_t insts);
-
     /**
      * Awaitable: wait for an external wake() while notionally
      * occupying the core (models polling an MMIO status register).
@@ -385,12 +382,6 @@ class Core : public sim::SimObject
     sim::Tick kernelTicks_ = 0;
     sim::Tick idleTicks_ = 0;
 };
-
-inline auto
-Thread::computeInsts(std::uint64_t insts)
-{
-    return compute(core_.model().instsToCycles(insts));
-}
 
 } // namespace m3v::tile
 

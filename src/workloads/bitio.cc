@@ -26,7 +26,6 @@ BitWriter::put(std::uint32_t value, unsigned bits)
         bits == 32 ? 0xffffffffULL : ((1ULL << bits) - 1);
     acc_ = (acc_ << bits) | (value & mask);
     accBits_ += bits;
-    bits_ += bits;
     drain();
 }
 

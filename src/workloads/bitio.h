@@ -24,13 +24,10 @@ class BitWriter
     /** Flush to a byte boundary and take the buffer. */
     std::vector<std::uint8_t> finish();
 
-    std::size_t bitCount() const { return bits_; }
-
   private:
     std::vector<std::uint8_t> buf_;
     std::uint64_t acc_ = 0;
     unsigned accBits_ = 0;
-    std::size_t bits_ = 0;
 
     void drain();
 };

@@ -84,7 +84,6 @@ class KvStore
     sim::Task close();
 
     const KvStats &stats() const { return stats_; }
-    std::size_t memtableBytes() const { return memBytes_; }
     unsigned tableCount() const
     {
         return static_cast<unsigned>(ssts_.size());

@@ -13,8 +13,8 @@
  *    retx-held original redelivers the clean bytes;
  *  - releasing a stale {slot, generation} handle is detected and
  *    counted instead of corrupting the freelist;
- *  - same-tick doorbells for one (ep, act) coalesce into a single
- *    deferred flush, and the flush never outlives the tick.
+ *  - every stored message rings the notification hook inline, even
+ *    several in one tick for one (ep, act), and schedules no event.
  *
  * This binary overrides global operator new/delete to count heap
  * allocations, in the style of tests/sim/event_core_test.cc.
@@ -183,8 +183,8 @@ class MsgPathTest : public ::testing::Test
  * Tentpole acceptance check: after warm-up, a send/fetch/ack round
  * trip performs zero heap allocations and zero payload byte-copies.
  * Every structure on the path — command state, wire headers, NoC
- * queues, recv slots, doorbells, event records — must be pooled or
- * in recycled capacity.
+ * queues, recv slots, event records — must be pooled or in
+ * recycled capacity.
  */
 TEST_F(MsgPathTest, SteadyStateIsAllocAndCopyFree)
 {
@@ -368,11 +368,10 @@ TEST(MsgPathLifetimeTest, DoubleReleaseCaughtByGenerationCheck)
 }
 
 /**
- * Doorbell batching: the first notification per (ep, act) in a tick
- * rings inline (latency-neutral); same-tick duplicates coalesce into
- * one deferred flush, and no deferred doorbell survives the tick.
+ * Notification is unbatched: each same-tick store for one (ep, act)
+ * rings the hook inline, and none leaves an event behind.
  */
-TEST(MsgPathDoorbellTest, SameTickDoorbellsCoalesce)
+TEST(MsgPathDoorbellTest, SameTickStoresEachRingInline)
 {
     sim::EventQueue eq;
     noc::NocParams params;
@@ -380,36 +379,25 @@ TEST(MsgPathDoorbellTest, SameTickDoorbellsCoalesce)
     Dtu dtu(eq, "dtu", noc, kTileA, kFreq);
     noc.finalize();
     dtu.configEp(kRep, Endpoint::makeRecv(0, 64, 8));
-    dtu.configEp(5, Endpoint::makeRecv(1, 64, 8));
 
-    std::uint64_t notifies = 0;
-    dtu.setMsgNotify([&](EpId, ActId) { notifies++; });
+    std::vector<EpId> rung;
+    dtu.setMsgNotify([&](EpId ep, ActId act) {
+        EXPECT_EQ(act, 0u);
+        rung.push_back(ep);
+    });
 
-    // Three device stores for one (ep, act) in the same tick: one
-    // inline ring, the rest fold into a single flush.
     ASSERT_TRUE(dtu.deviceMessage(kRep, bytes("a")));
+    EXPECT_EQ(rung.size(), 1u);
     ASSERT_TRUE(dtu.deviceMessage(kRep, bytes("b")));
+    EXPECT_EQ(rung.size(), 2u);
     ASSERT_TRUE(dtu.deviceMessage(kRep, bytes("c")));
-    EXPECT_EQ(notifies, 1u);
-    EXPECT_EQ(dtu.doorbellsCoalesced(), 2u);
-    EXPECT_FALSE(dtu.doorbellIdle()); // flush pending this tick
-
-    eq.run();
-    EXPECT_EQ(notifies, 2u); // exactly one deferred wakeup
-    EXPECT_TRUE(dtu.doorbellIdle());
-    EXPECT_TRUE(dtu.doorbellFlushLawOk());
-
-    // Distinct (ep, act) pairs do not coalesce: both ring inline.
-    ASSERT_TRUE(dtu.deviceMessage(kRep, bytes("d")));
-    ASSERT_TRUE(dtu.deviceMessage(5, bytes("e")));
-    EXPECT_EQ(notifies, 4u);
-    EXPECT_EQ(dtu.doorbellsCoalesced(), 2u);
-    EXPECT_TRUE(dtu.doorbellIdle()); // nothing deferred
+    EXPECT_EQ(rung, (std::vector<EpId>{kRep, kRep, kRep}));
+    EXPECT_EQ(eq.pending(), 0u);
 }
 
-/** The registered invariant set (slab conservation, doorbell flush
- *  law, credit conservation, engine drain) holds at every event
- *  boundary of a faulty retx-heavy run and at quiescence. */
+/** The registered invariant set (slab conservation, credit
+ *  conservation, engine drain) holds at every event boundary of a
+ *  faulty retx-heavy run and at quiescence. */
 TEST(MsgPathInvariantTest, SlabAndDoorbellLawsHoldUnderFaults)
 {
     sim::EventQueue eq;

@@ -424,10 +424,11 @@ actBody(Platform &plat, RunState &rs, bool buggy, Prog prog,
             // Fan-in burst: 2-4 ungated back-to-back sends on the
             // remote EP. Every tile's remote EPs target the same
             // destination, so concurrent FanIn ops converge on one
-            // receiver — same-tick stores coalesce doorbells and, in
-            // laned mode, the stores from several source lanes meet
-            // in the barrier's outbox merge. Tags stay within this
-            // op's kTagStride window.
+            // receive EP: many senders compete for its slots and
+            // credits and, in laned mode, the stores from several
+            // source lanes meet in the barrier's outbox merge. (The
+            // router's exit port hands packets to the tile one at a
+            // time.) Tags stay within this op's kTagStride window.
             EpId sep = static_cast<EpId>(kRemoteSepBase + li);
             unsigned k = fanInLen(op);
             for (unsigned s = 0; s < k; s++) {

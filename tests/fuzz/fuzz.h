@@ -61,9 +61,9 @@ enum class OpKind : std::uint8_t
            ///< budget directly with an arg-derived outcome pattern
 
     FanIn, ///< ungated back-to-back sends on the remote EP: many
-           ///< activities' remote EPs converge on one receiver,
-           ///< exercising doorbell coalescing and the lane outbox
-           ///< merge under the laned differential
+           ///< activities' remote EPs converge on one receive EP,
+           ///< exercising many senders into one ring and the lane
+           ///< outbox merge under the laned differential
 };
 
 const char *opKindName(OpKind k);

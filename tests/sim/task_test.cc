@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for coroutine tasks: delays, nesting, and pool lifetime
- * management.
+ * Unit tests for coroutine tasks: delays, nesting, and the lifetime
+ * of top-level tasks started with kick().
  */
 
 #include <gtest/gtest.h>
@@ -25,14 +25,14 @@ delayTwice(EventQueue &eq, Tick d, std::vector<Tick> &log)
 TEST(Task, DelayAdvancesSimTime)
 {
     EventQueue eq;
-    TaskPool pool(eq);
     std::vector<Tick> log;
-    pool.spawn(delayTwice(eq, 100, log));
+    Task t = delayTwice(eq, 100, log);
+    t.kick();
     eq.run();
     ASSERT_EQ(log.size(), 2u);
     EXPECT_EQ(log[0], 100u);
     EXPECT_EQ(log[1], 200u);
-    EXPECT_EQ(pool.active(), 0u);
+    EXPECT_TRUE(t.done());
 }
 
 Task
@@ -54,31 +54,43 @@ outer(EventQueue &eq, std::vector<int> &log)
 TEST(Task, NestedTasksRunInOrder)
 {
     EventQueue eq;
-    TaskPool pool(eq);
     std::vector<int> log;
-    pool.spawn(outer(eq, log));
+    Task t = outer(eq, log);
+    t.kick();
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(pool.active(), 0u);
+    EXPECT_TRUE(t.done());
 }
 
-Task
-forever()
+/** Sets its flag when the coroutine frame holding it is destroyed. */
+struct FrameGuard
 {
+    bool &freed;
+    ~FrameGuard() { freed = true; }
+};
+
+Task
+forever(bool &freed)
+{
+    FrameGuard guard{freed};
     co_await std::suspend_always{};
 }
 
-TEST(Task, PoolDestroysUnfinishedTasks)
+TEST(Task, DestroyingUnfinishedTaskFreesFrame)
 {
     EventQueue eq;
+    bool freed = false;
     {
-        TaskPool pool(eq);
-        pool.spawn(forever(), "stuck");
+        Task t = forever(freed);
+        t.kick();
         eq.run();
-        EXPECT_EQ(pool.active(), 1u);
-        // Pool destructor must free the suspended frame without UB
-        // (verified by ASAN builds; here we just exercise the path).
+        EXPECT_FALSE(t.done());
+        EXPECT_FALSE(freed);
+        // Outside event execution the destructor frees the suspended
+        // frame at once (ASan builds check it is freed exactly once).
     }
+    EXPECT_TRUE(freed);
+    EXPECT_EQ(eq.pending(), 0u);
 }
 
 Task
@@ -91,13 +103,16 @@ spawnMany(EventQueue &eq, int &done)
 TEST(Task, ManyConcurrentTasks)
 {
     EventQueue eq;
-    TaskPool pool(eq);
+    std::vector<Task> tasks;
     int done = 0;
-    for (int i = 0; i < 500; i++)
-        pool.spawn(spawnMany(eq, done));
+    for (int i = 0; i < 500; i++) {
+        tasks.push_back(spawnMany(eq, done));
+        tasks.back().kick();
+    }
     eq.run();
     EXPECT_EQ(done, 500);
-    EXPECT_EQ(pool.active(), 0u);
+    for (const Task &t : tasks)
+        EXPECT_TRUE(t.done());
 }
 
 Task
@@ -114,12 +129,12 @@ deepNest(EventQueue &eq, int depth, int &leaf)
 TEST(Task, DeepNestingDoesNotOverflow)
 {
     EventQueue eq;
-    TaskPool pool(eq);
     int leaf = 0;
-    pool.spawn(deepNest(eq, 200, leaf));
+    Task t = deepNest(eq, 200, leaf);
+    t.kick();
     eq.run();
     EXPECT_EQ(leaf, 1);
-    EXPECT_EQ(pool.active(), 0u);
+    EXPECT_TRUE(t.done());
 }
 
 } // namespace
