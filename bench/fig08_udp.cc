@@ -100,8 +100,7 @@ linuxUdp()
     services::ExtHost host(eq, "host", services::ExtHost::Mode::Echo);
     nic.connect(&host);
     host.connect(&nic);
-    linuxref::LinuxKernel kernel(eq, "k", core, linuxref::LinuxCosts{},
-                                 &nic);
+    linuxref::LinuxKernel kernel(eq, "k", core, &nic);
     auto *p = kernel.createProcess("bench", 8 * 1024);
     sim::Sampler lat;
     kernel.start(p, sim::invoke([&]() -> sim::Task {

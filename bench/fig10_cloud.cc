@@ -292,8 +292,7 @@ linuxCloud(const YcsbMix &mix)
     services::ExtHost host(eq, "host", services::ExtHost::Mode::Sink);
     nic.connect(&host);
     host.connect(&nic);
-    linuxref::LinuxKernel kernel(eq, "k", core, linuxref::LinuxCosts{},
-                                 &nic);
+    linuxref::LinuxKernel kernel(eq, "k", core, &nic);
     auto *p = kernel.createProcess("leveldb", 11 * 1024);
 
     YcsbWorkload w =

@@ -168,7 +168,7 @@ runVoice(bool shared)
                                                      ap, true);
             co_await env.thread().compute(
                 workloads::scanCost(audio.size()));
-            if (!workloads::scanForTrigger(audio, ap.sampleRate))
+            if (!workloads::scanForTrigger(audio, workloads::kSampleRate))
                 sim::panic("voice: trigger not detected");
 
             // Store the samples into the shared buffer.

@@ -37,6 +37,19 @@ skip() {
     echo "$1|SKIP" >>"$RESULTS"
 }
 
+# check_filter DIR PATTERN: fail unless every |-alternative of the
+# ctest regex PATTERN matches at least one test registered in DIR, so
+# a deleted or renamed test cannot silently empty an explicit re-run.
+check_filter() {
+    printf '%s\n' "$2" | tr '|' '\n' | while read -r alt; do
+        n=$(cd "$1" && ctest -N -R "$alt" | sed -n 's/^Total Tests: //p')
+        if [ "${n:-0}" -eq 0 ]; then
+            echo "FAIL: ctest -R '$alt' matches no test in $1" >&2
+            exit 1
+        fi
+    done
+}
+
 plain_build() {
     # Warnings (-Wall -Wextra) are errors here, on incremental builds
     # too.
@@ -133,6 +146,7 @@ asan_shards() {
     # The caps campaign runs every seed at shards=1 too: the single
     # controller is the same code with no peers, and its revoke/reap
     # path gets the same fuzzing.
+    check_filter build-asan 'Shard|CapsFuzz'
     (cd build-asan && ctest --output-on-failure -R 'Shard|CapsFuzz')
     build-asan/tests/fuzz/fuzz_driver --seeds=0 --caps=3
 }
@@ -165,10 +179,11 @@ asan_rerun() {
     # (MsgPath) are the most UB-prone (handle lifetimes, histogram
     # and offset arithmetic); run them again explicitly so a filter
     # typo above cannot silently skip them.
-    (cd build-asan && ctest --output-on-failure -R \
-        'MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|'\
+    RERUN='MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|'\
 'ResetAct|Restart|OverloadRecovery|DramTest|Wrapped|'\
-'EventCore|UniqueFunctionSbo|DtuTest|VDtu|Task\.|MsgPath')
+'EventCore|UniqueFunctionSbo|DtuTest|VDtu|Task\.|MsgPath'
+    check_filter build-asan "$RERUN"
+    (cd build-asan && ctest --output-on-failure -R "$RERUN")
 }
 
 tsan_lanes() {

@@ -20,12 +20,6 @@ AddrSpace::map(dtu::VirtAddr va, dtu::PhysAddr pa, std::uint8_t perms)
                     perms};
 }
 
-void
-AddrSpace::unmap(dtu::VirtAddr va)
-{
-    table_.erase(pageOf(va));
-}
-
 const PageMapping *
 AddrSpace::lookup(dtu::VirtAddr va) const
 {

@@ -38,9 +38,6 @@ class AddrSpace
     /** Install or replace a mapping for the page containing @p va. */
     void map(dtu::VirtAddr va, dtu::PhysAddr pa, std::uint8_t perms);
 
-    /** Remove the mapping of the page containing @p va. */
-    void unmap(dtu::VirtAddr va);
-
     /**
      * Look up the page containing @p va. Returns nullptr if unmapped
      * (a page fault).

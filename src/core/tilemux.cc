@@ -56,7 +56,7 @@ TileMux::TileMux(sim::EventQueue &eq, std::string name,
 sim::Cycles
 TileMux::touchMux()
 {
-    return l1i_.touch(0, params_.muxFootprint);
+    return l1i_.touch(0, kMuxFootprint);
 }
 
 Activity *
@@ -168,12 +168,6 @@ TileMux::mapPage(ActId id, dtu::VirtAddr va, dtu::PhysAddr pa,
 }
 
 void
-TileMux::setPageFaultHandler(PageFaultHandler h)
-{
-    pageFault_ = std::move(h);
-}
-
-void
 TileMux::setSidecallEp(dtu::EpId rep, SidecallHandler h)
 {
     sidecallEp_ = rep;
@@ -232,8 +226,7 @@ TileMux::waitForMsg(Activity &act, dtu::EpId ep)
     tmCalls_->inc();
     trc_->begin(sim::TraceCat::TmCall, pid_, act.id(), "tmcall:wait");
     co_await act.thread().trapCall([this, &act, has_msg]() {
-        core_.kernelWork(params_.entryCost + touchMux(), [this, &act,
-                                                          has_msg]() {
+        core_.kernelWork(kEntryCost + touchMux(), [this, &act, has_msg]() {
             if (has_msg()) {
                 // The message raced with the TMCall; return at once.
                 act.state_ = Activity::State::Running;
@@ -256,27 +249,22 @@ TileMux::translCall(Activity &act, dtu::VirtAddr va, bool write)
     trc_->begin(sim::TraceCat::TmCall, pid_, act.id(),
                 "tmcall:transl");
     co_await act.thread().trapCall([this, &act, va, write]() {
-        sim::Cycles cost =
-            params_.entryCost + params_.translCost + touchMux();
+        sim::Cycles cost = kEntryCost + kTranslCost + touchMux();
         core_.kernelWork(cost, [this, &act, va, write]() {
             const PageMapping *pm = act.as_.lookup(va);
-            sim::Cycles extra = 0;
-            dtu::PhysAddr pa = 0;
-            std::uint8_t perms = 0;
-            if (pm) {
-                pa = pm->phys;
-                perms = pm->perms;
-            } else if (pageFault_ &&
-                       pageFault_(act, va, pa, perms, extra)) {
-                act.as_.map(va, pa, perms);
-            } else {
+            if (!pm) {
                 sim::panic("%s: unresolvable page fault for %s at "
                            "0x%llx",
                            name().c_str(), act.name().c_str(),
                            static_cast<unsigned long long>(va));
             }
             (void)write;
-            core_.kernelWork(extra, [this, &act, va, pa, perms]() {
+            dtu::PhysAddr pa = pm->phys;
+            std::uint8_t perms = pm->perms;
+            // The TLB insert is a zero-cycle kernel step of its own:
+            // folding it into the walk above would drop one event per
+            // transl TMCall and move every pinned event count.
+            core_.kernelWork(0, [this, &act, va, pa, perms]() {
                 vdtu_.tlbInsert(act.id(), va, pa, perms);
                 act.state_ = Activity::State::Running;
                 core_.kernelExitTo(&act.thread_);
@@ -294,8 +282,7 @@ TileMux::yieldCall(Activity &act)
     trc_->begin(sim::TraceCat::TmCall, pid_, act.id(),
                 "tmcall:yield");
     co_await act.thread().trapCall([this, &act]() {
-        core_.kernelWork(params_.entryCost + touchMux(), [this,
-                                                          &act]() {
+        core_.kernelWork(kEntryCost + touchMux(), [this, &act]() {
             act.state_ = Activity::State::Ready;
             ready_.push_back(&act);
             current_ = nullptr;
@@ -313,8 +300,7 @@ TileMux::exitCall(Activity &act)
     trc_->instant(sim::TraceCat::TmCall, pid_, act.id(),
                   "tmcall:exit");
     co_await act.thread().trapCall([this, &act]() {
-        core_.kernelWork(params_.entryCost + touchMux(), [this,
-                                                          &act]() {
+        core_.kernelWork(kEntryCost + touchMux(), [this, &act]() {
             act.state_ = Activity::State::Dead;
             current_ = nullptr;
             pollers_.erase(act.id());
@@ -382,7 +368,7 @@ TileMux::onIrq(tile::IrqKind kind)
         current_ = nullptr;
     }
 
-    core_.kernelWork(params_.entryCost + touchMux(), [this, kind]() {
+    core_.kernelWork(kEntryCost + touchMux(), [this, kind]() {
         switch (kind) {
           case tile::IrqKind::Timer:
             timerIrqs_->inc();
@@ -444,8 +430,8 @@ TileMux::handleSidecall()
     // TileMux must briefly switch to its own activity id to use its
     // endpoints (section 4.2): model the two exchanges plus handler.
     const auto &m = core_.model();
-    sim::Cycles cost = params_.sidecallCost +
-                       2 * (m.mmioReadCycles + m.mmioWriteCycles);
+    sim::Cycles cost =
+        kSidecallCost + 2 * (m.mmioReadCycles + m.mmioWriteCycles);
     core_.kernelWork(cost, [this]() {
         if (sidecallEp_ != dtu::kInvalidEp && sidecall_) {
             for (;;) {
@@ -466,8 +452,7 @@ TileMux::kickScheduler()
 {
     if (core_.inKernel() || core_.current())
         return;
-    core_.kernelEnter(params_.entryCost + touchMux(),
-                      [this]() { scheduleNext(); });
+    core_.kernelEnter(kEntryCost + touchMux(), [this]() { scheduleNext(); });
 }
 
 Activity *
@@ -498,7 +483,7 @@ TileMux::pickNext()
 void
 TileMux::scheduleNext()
 {
-    core_.kernelWork(params_.schedCost, [this]() {
+    core_.kernelWork(kSchedCost, [this]() {
         Activity *next = pickNext();
         if (next) {
             switchTo(next);
@@ -544,9 +529,7 @@ TileMux::switchTo(Activity *next)
         cost += 2 * m.regContextCycles + m.addrSpaceSwitchCycles;
         cost += l1i_.touch(
             static_cast<tile::RegionId>(next->id()) + 1,
-            next->footprint_ /
-                std::max<std::size_t>(1,
-                                      params_.switchTouchDivisor));
+            next->footprint_ / kSwitchTouchDivisor);
         switches_->inc();
         trc_->instant(sim::TraceCat::Sched, pid_, next->id(),
                       "switch");

@@ -53,33 +53,33 @@ class TileMux;
 /** Activity id representing the idle loop in CUR_ACT. */
 constexpr dtu::ActId kIdleAct = 0xfffd;
 
+/** Handler prologue cost after trap entry. */
+constexpr sim::Cycles kEntryCost = 200;
+
+/** Scheduling decision cost. */
+constexpr sim::Cycles kSchedCost = 100;
+
+/** Page-table walk on a transl TMCall. */
+constexpr sim::Cycles kTranslCost = 90;
+
+/** Fixed cost of processing one controller sidecall. */
+constexpr sim::Cycles kSidecallCost = 150;
+
+/** TileMux's own instruction footprint (cache model). */
+constexpr std::size_t kMuxFootprint = 5 * 1024;
+
+/**
+ * Fraction of an activity's footprint its dispatch touches
+ * (immediate hot path); the rest refills lazily during later
+ * compute and is not charged to the switch.
+ */
+constexpr std::size_t kSwitchTouchDivisor = 3;
+
 /** TileMux tuning parameters. */
 struct TileMuxParams
 {
     /** Round-robin time slice (a fresh slice per dispatch). */
     sim::Tick timeSlice = sim::kTicksPerMs;
-
-    /** Handler prologue cost after trap entry. */
-    sim::Cycles entryCost = 200;
-
-    /** Scheduling decision cost. */
-    sim::Cycles schedCost = 100;
-
-    /** Page-table walk on a transl TMCall. */
-    sim::Cycles translCost = 90;
-
-    /** Fixed cost of processing one controller sidecall. */
-    sim::Cycles sidecallCost = 150;
-
-    /** TileMux's own instruction footprint (cache model). */
-    std::size_t muxFootprint = 5 * 1024;
-
-    /**
-     * Fraction of an activity's footprint its dispatch touches
-     * (immediate hot path); the rest refills lazily during later
-     * compute and is not charged to the switch.
-     */
-    std::size_t switchTouchDivisor = 3;
 
     /**
      * Watchdog: an activity that burns this many *consecutive* full
@@ -149,13 +149,6 @@ class Activity
 class TileMux : public sim::SimObject
 {
   public:
-    /** Resolves a page fault during a transl TMCall (set by the OS
-     *  layer; models the pager interaction, see DESIGN.md). Returns
-     *  false if the address is truly unmapped (activity is killed). */
-    using PageFaultHandler = std::function<bool(
-        Activity &, dtu::VirtAddr, dtu::PhysAddr &, std::uint8_t &,
-        sim::Cycles &)>;
-
     /**
      * Handles a controller sidecall message (set by the OS layer).
      * The handler receives the message and its receive-buffer slot
@@ -209,8 +202,6 @@ class TileMux : public sim::SimObject
     /** Install a page-table mapping (controller map sidecall). */
     void mapPage(dtu::ActId id, dtu::VirtAddr va, dtu::PhysAddr pa,
                  std::uint8_t perms);
-
-    void setPageFaultHandler(PageFaultHandler h);
 
     /**
      * Register the endpoint on which controller sidecalls arrive and
@@ -304,7 +295,6 @@ class TileMux : public sim::SimObject
     sim::Tick sliceEnd_ = 0;
     std::unordered_map<dtu::ActId, Activity *> pollers_;
 
-    PageFaultHandler pageFault_;
     SidecallHandler sidecall_;
     dtu::EpId sidecallEp_ = dtu::kInvalidEp;
     std::function<void(dtu::ActId)> crashHandler_;

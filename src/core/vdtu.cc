@@ -169,7 +169,7 @@ VDtu::acceptPacket(noc::Packet &pkt, sim::UniqueFunction<void()> on_space)
     // queued request coalesces into it and needs no queue slot.
     auto *wd = dynamic_cast<dtu::WireData *>(pkt.data.get());
     if (wd && wd->kind == dtu::WireKind::MsgXfer &&
-        coreReqs_.size() >= params_.coreReqQueue &&
+        coreReqs_.size() >= kCoreReqQueue &&
         wd->dstEp < dtu::kNumEps) {
         const dtu::Endpoint &rep = ep(wd->dstEp);
         if (rep.kind == dtu::EpKind::Receive && rep.act != cur_.act &&
@@ -314,11 +314,11 @@ VDtu::registerInvariants(sim::Invariants &inv)
     inv.addCheck(name() + ".backpressure",
                  [this](sim::Invariants &v) {
         if (!spaceWaiters_.empty() &&
-            coreReqs_.size() < params_.coreReqQueue)
+            coreReqs_.size() < kCoreReqQueue)
             v.fail("%s: %zu NoC waiters parked but core-req queue "
                    "has space (%zu/%zu)",
                    name().c_str(), spaceWaiters_.size(),
-                   coreReqs_.size(), params_.coreReqQueue);
+                   coreReqs_.size(), kCoreReqQueue);
     });
 
     inv.addCheck(

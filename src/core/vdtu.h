@@ -71,14 +71,14 @@ struct TlbEntry
     std::uint64_t lastUse = 0;
 };
 
+/** Core-request queue depth (small, section 3.8). */
+constexpr std::size_t kCoreReqQueue = 4;
+
 /** vDTU-specific parameters. */
 struct VDtuParams
 {
     /** TLB capacity (entries). */
     std::size_t tlbEntries = 32;
-
-    /** Core-request queue depth (small, section 3.8). */
-    std::size_t coreReqQueue = 4;
 };
 
 /** The virtualized data transfer unit. */

@@ -166,8 +166,8 @@ Dtu::completeInflight(Inflight inf, Error e, WireData *resp)
             const auto &bytes = resp->data.bytes();
             c.readData.assign(bytes.begin(), bytes.end());
         }
-        sim::Cycles dma = timing_.localMemFixed +
-                          c.readData.size() / timing_.localMemBytesPerCycle;
+        sim::Cycles dma =
+            kLocalMemFixed + c.readData.size() / kLocalMemBytesPerCycle;
         eq_.schedule(clk_.cyclesToTicks(dma),
                      [this]() { completeCmd(curCmd_.err); });
         break;
@@ -204,8 +204,7 @@ Dtu::dispatchCmd()
         sim::panic("%s: dispatch of empty command", name().c_str());
     trc_->begin(sim::TraceCat::Dtu, tile_, sim::kTraceTidDtu,
                 kSpanNames[static_cast<std::size_t>(curCmd_.kind)]);
-    sim::Tick t0 =
-        clk_.cyclesToTicks(timing_.cmdDecode + timing_.tlbLookup);
+    sim::Tick t0 = clk_.cyclesToTicks(kCmdDecode + kTlbLookup);
     eq_.schedule(t0, [this]() { checkCmd(); });
 }
 
@@ -234,8 +233,8 @@ Dtu::checkCmd()
         return launchCmd();
 
     // DMA the payload out of the core's cache.
-    sim::Cycles dma = timing_.localMemFixed +
-                      c.payload.size() / timing_.localMemBytesPerCycle;
+    sim::Cycles dma =
+        kLocalMemFixed + c.payload.size() / kLocalMemBytesPerCycle;
     eq_.schedule(clk_.cyclesToTicks(dma), [this]() { launchCmd(); });
 }
 
@@ -633,7 +632,7 @@ Dtu::acceptPacket(noc::Packet &pkt, sim::UniqueFunction<void()> on_space)
     auto owned = std::unique_ptr<WireData>(
         static_cast<WireData *>(pkt.data.release()));
     noc::Packet consumed = std::move(pkt);
-    eq_.schedule(clk_.cyclesToTicks(timing_.rxProcess),
+    eq_.schedule(clk_.cyclesToTicks(kRxProcess),
                  [this, src, owned = std::move(owned)]() mutable {
                      handlePacket(*owned, src);
                  });
@@ -643,7 +642,7 @@ Dtu::acceptPacket(noc::Packet &pkt, sim::UniqueFunction<void()> on_space)
 void
 Dtu::deliverLocal(std::unique_ptr<WireData> wd)
 {
-    eq_.schedule(clk_.cyclesToTicks(timing_.loopback),
+    eq_.schedule(clk_.cyclesToTicks(kLoopback),
                  [this, wd = std::move(wd)]() mutable {
                      handlePacket(*wd, tile_);
                  });
@@ -916,7 +915,7 @@ Dtu::handlePacket(WireData &wd, noc::TileId src)
 
       case WireKind::ExtReq: {
         sim::Cycles cost =
-            timing_.extPerEp * std::max<std::uint16_t>(1, wd.epCount);
+            kExtPerEp * std::max<std::uint16_t>(1, wd.epCount);
         // Copy the fields we need; wd dies with the caller's frame.
         auto req = std::make_unique<WireData>(std::move(wd));
         eq_.schedule(clk_.cyclesToTicks(cost),

@@ -57,30 +57,34 @@
 
 namespace m3v::dtu {
 
-/** DTU-internal timing parameters (cycles at the tile clock). */
+//
+// DTU-internal costs (cycles at the tile clock).
+//
+
+/** Command decode and EP checks. */
+constexpr sim::Cycles kCmdDecode = 30;
+
+/** TLB lookup (vDTU only; checked once per command). */
+constexpr sim::Cycles kTlbLookup = 2;
+
+/** Fixed cost of a DMA access to the core's cache/memory. */
+constexpr sim::Cycles kLocalMemFixed = 18;
+
+/** DMA bandwidth to the core's cache. */
+constexpr std::size_t kLocalMemBytesPerCycle = 16;
+
+/** Receive-side packet processing. */
+constexpr sim::Cycles kRxProcess = 24;
+
+/** Applying an external (controller) request, per endpoint. */
+constexpr sim::Cycles kExtPerEp = 12;
+
+/** Internal loopback latency for tile-local delivery. */
+constexpr sim::Cycles kLoopback = 16;
+
+/** Reliable-mode retransmission parameters. */
 struct DtuTiming
 {
-    /** Command decode and EP checks. */
-    sim::Cycles cmdDecode = 30;
-
-    /** TLB lookup (vDTU only; checked once per command). */
-    sim::Cycles tlbLookup = 2;
-
-    /** Fixed cost of a DMA access to the core's cache/memory. */
-    sim::Cycles localMemFixed = 18;
-
-    /** DMA bandwidth to the core's cache. */
-    std::size_t localMemBytesPerCycle = 16;
-
-    /** Receive-side packet processing. */
-    sim::Cycles rxProcess = 24;
-
-    /** Applying an external (controller) request, per endpoint. */
-    sim::Cycles extPerEp = 12;
-
-    /** Internal loopback latency for tile-local delivery. */
-    sim::Cycles loopback = 16;
-
     /**
      * Reliable mode only: initial retransmission timeout in DTU
      * cycles. Doubles per attempt (bounded exponential backoff).

@@ -20,57 +20,57 @@
 
 namespace m3v::linuxref {
 
-/** Linux kernel path costs (cycles on the tile's core). */
-struct LinuxCosts
-{
-    /** Trap entry bookkeeping beyond the hardware trap cost. */
-    sim::Cycles syscallEntry = 220;
+//
+// Linux kernel path costs (cycles on the tile's core).
+//
 
-    /** Return path (restore, seccomp/audit stubs). */
-    sim::Cycles syscallExit = 180;
+/** Trap entry bookkeeping beyond the hardware trap cost. */
+constexpr sim::Cycles kSyscallEntry = 220;
 
-    /** scheduler: pick_next_task + switch_to for sched_yield. */
-    sim::Cycles schedPick = 500;
+/** Return path (restore, seccomp/audit stubs). */
+constexpr sim::Cycles kSyscallExit = 180;
 
-    /** Full process context switch (registers, mm, TLB flush). */
-    sim::Cycles ctxSwitch = 900;
+/** scheduler: pick_next_task + switch_to for sched_yield. */
+constexpr sim::Cycles kSchedPick = 500;
 
-    /** tmpfs path lookup per component. */
-    sim::Cycles vfsLookup = 350;
+/** Full process context switch (registers, mm, TLB flush). */
+constexpr sim::Cycles kCtxSwitch = 900;
 
-    /** read() path base cost (vfs + tmpfs + fdget). */
-    sim::Cycles readBase = 600;
+/** tmpfs path lookup per component. */
+constexpr sim::Cycles kVfsLookup = 350;
 
-    /** write() path base cost. */
-    sim::Cycles writeBase = 900;
+/** read() path base cost (vfs + tmpfs + fdget). */
+constexpr sim::Cycles kReadBase = 600;
 
-    /** Allocate + clear one fresh tmpfs page. */
-    sim::Cycles pageAlloc = 1200;
+/** write() path base cost. */
+constexpr sim::Cycles kWriteBase = 900;
 
-    /** copy_to_user / copy_from_user bandwidth. */
-    std::size_t copyBytesPerCycle = 8;
+/** Allocate + clear one fresh tmpfs page. */
+constexpr sim::Cycles kPageAlloc = 1200;
 
-    /** memset (page clearing) bandwidth. */
-    std::size_t clearBytesPerCycle = 8;
+/** copy_to_user / copy_from_user bandwidth. */
+constexpr std::size_t kCopyBytesPerCycle = 8;
 
-    /** UDP transmit path (headers, checksum base, queueing). */
-    sim::Cycles udpTxBase = 1800;
+/** memset (page clearing) bandwidth. */
+constexpr std::size_t kClearBytesPerCycle = 8;
 
-    /** UDP receive path (softirq, demux, queueing). */
-    sim::Cycles udpRxBase = 2100;
+/** UDP transmit path (headers, checksum base, queueing). */
+constexpr sim::Cycles kUdpTxBase = 1800;
 
-    /** Checksum/copy bandwidth in the network stack. */
-    std::size_t netBytesPerCycle = 4;
+/** UDP receive path (softirq, demux, queueing). */
+constexpr sim::Cycles kUdpRxBase = 2100;
 
-    /** I-cache footprints of kernel paths (bytes). */
-    std::size_t footNoop = 2 * 1024;
-    std::size_t footSched = 5 * 1024;
-    std::size_t footFile = 10 * 1024;
-    std::size_t footNet = 14 * 1024;
+/** Checksum/copy bandwidth in the network stack. */
+constexpr std::size_t kNetBytesPerCycle = 4;
 
-    /** Scheduler time slice. */
-    sim::Tick timeSlice = 4 * sim::kTicksPerMs;
-};
+/** I-cache footprints of kernel paths (bytes). */
+constexpr std::size_t kFootNoop = 2 * 1024;
+constexpr std::size_t kFootSched = 5 * 1024;
+constexpr std::size_t kFootFile = 10 * 1024;
+constexpr std::size_t kFootNet = 14 * 1024;
+
+/** Scheduler time slice. */
+constexpr sim::Tick kTimeSlice = 4 * sim::kTicksPerMs;
 
 } // namespace m3v::linuxref
 

@@ -17,10 +17,8 @@ LinuxProcess::LinuxProcess(LinuxKernel &kernel, tile::Core &core,
 }
 
 LinuxKernel::LinuxKernel(sim::EventQueue &eq, std::string name,
-                         tile::Core &core, LinuxCosts costs,
-                         services::Nic *nic)
-    : SimObject(eq, std::move(name)), core_(core), costs_(costs),
-      nic_(nic),
+                         tile::Core &core, services::Nic *nic)
+    : SimObject(eq, std::move(name)), core_(core), nic_(nic),
       l1i_(core.model().l1iBytes, 64, core.model().lineFillCycles)
 {
     syscalls_ = statCounter("syscalls");
@@ -49,9 +47,9 @@ LinuxKernel::start(LinuxProcess *p, sim::Task body)
     p->state_ = LinuxProcess::State::Ready;
     enqueue(p);
     if (core_.current() && !core_.timerArmed())
-        core_.setTimer(costs_.timeSlice);
+        core_.setTimer(kTimeSlice);
     if (!core_.inKernel() && !core_.current()) {
-        core_.kernelEnter(costs_.schedPick,
+        core_.kernelEnter(kSchedPick,
                           [this]() { scheduleNext(); });
     }
 }
@@ -91,7 +89,7 @@ LinuxKernel::pickNext()
 void
 LinuxKernel::scheduleNext()
 {
-    core_.kernelWork(costs_.schedPick, [this]() {
+    core_.kernelWork(kSchedPick, [this]() {
         LinuxProcess *next = pickNext();
         if (!next) {
             current_ = nullptr;
@@ -108,14 +106,14 @@ LinuxKernel::switchTo(LinuxProcess *next)
 {
     sim::Cycles cost = 0;
     if (next != current_) {
-        cost = costs_.ctxSwitch + touchApp(*next);
+        cost = kCtxSwitch + touchApp(*next);
         switches_->inc();
     }
     core_.kernelWork(cost, [this, next]() {
         current_ = next;
         next->state_ = LinuxProcess::State::Running;
         if (!ready_.empty())
-            core_.setTimer(costs_.timeSlice);
+            core_.setTimer(kTimeSlice);
         else
             core_.cancelTimer();
         core_.kernelExitTo(&next->thread_);
@@ -136,16 +134,15 @@ LinuxKernel::onIrq(tile::IrqKind kind)
     }
     switch (kind) {
       case tile::IrqKind::Timer:
-        core_.kernelWork(touchKernel(kRegSched, costs_.footSched),
+        core_.kernelWork(touchKernel(kRegSched, kFootSched),
                          [this]() { scheduleNext(); });
         break;
       case tile::IrqKind::Device: {
         // NIC rx softirq: demux pending frames to sockets and wake
         // blocked receivers.
-        sim::Cycles cost = touchKernel(kRegNet, costs_.footNet);
+        sim::Cycles cost = touchKernel(kRegNet, kFootNet);
         for (const Bytes &f : rxPending_)
-            cost += costs_.udpRxBase +
-                    f.size() / costs_.netBytesPerCycle;
+            cost += kUdpRxBase + f.size() / kNetBytesPerCycle;
         core_.kernelWork(cost, [this]() {
             auto frames = std::move(rxPending_);
             rxPending_.clear();
@@ -201,12 +198,12 @@ LinuxKernel::syscallSync(LinuxProcess &p, tile::RegionId reg,
     const std::function<void()> *fn = &apply;
     co_await p.thread().trapCall([this, &p, reg, foot, path_cost,
                                   fn]() {
-        sim::Cycles c1 = costs_.syscallEntry +
-                         touchKernel(reg, foot) + path_cost;
+        sim::Cycles c1 =
+            kSyscallEntry + touchKernel(reg, foot) + path_cost;
         core_.kernelWork(c1, [this, &p, c1, fn]() {
             if (*fn)
                 (*fn)();
-            sim::Cycles c2 = costs_.syscallExit + touchApp(p);
+            sim::Cycles c2 = kSyscallExit + touchApp(p);
             core_.kernelWork(c2, [this, &p, c1, c2]() {
                 const auto &m = core_.model();
                 p.systemTicks_ += core_.cyclesToTicks(
@@ -221,7 +218,7 @@ LinuxKernel::syscallSync(LinuxProcess &p, tile::RegionId reg,
 sim::Task
 LinuxKernel::sysNoop(LinuxProcess &p)
 {
-    co_await syscallSync(p, kRegNoop, costs_.footNoop, 60, nullptr);
+    co_await syscallSync(p, kRegNoop, kFootNoop, 60, nullptr);
 }
 
 sim::Task
@@ -229,9 +226,8 @@ LinuxKernel::sysYield(LinuxProcess &p)
 {
     syscalls_->inc();
     co_await p.thread().trapCall([this, &p]() {
-        sim::Cycles c = costs_.syscallEntry +
-                        touchKernel(kRegSched, costs_.footSched) +
-                        costs_.schedPick;
+        sim::Cycles c = kSyscallEntry +
+                        touchKernel(kRegSched, kFootSched) + kSchedPick;
         core_.kernelWork(c, [this, &p, c]() {
             p.systemTicks_ += core_.cyclesToTicks(c);
             p.state_ = LinuxProcess::State::Ready;
@@ -247,7 +243,7 @@ LinuxKernel::sysExit(LinuxProcess &p)
 {
     syscalls_->inc();
     co_await p.thread().trapCall([this, &p]() {
-        core_.kernelWork(costs_.syscallEntry, [this, &p]() {
+        core_.kernelWork(kSyscallEntry, [this, &p]() {
             p.state_ = LinuxProcess::State::Dead;
             current_ = nullptr;
             if (p.onExit)
@@ -263,9 +259,9 @@ LinuxKernel::sysOpen(LinuxProcess &p, const std::string &path,
                      std::uint32_t flags, int *fd)
 {
     sim::Cycles cost =
-        costs_.vfsLookup *
+        kVfsLookup *
         static_cast<sim::Cycles>(Tmpfs::components(path) + 1);
-    co_await syscallSync(p, kRegFile, costs_.footFile, cost, [&]() {
+    co_await syscallSync(p, kRegFile, kFootFile, cost, [&]() {
         Tmpfs::Ino ino = fs_.lookup(path);
         if (ino == Tmpfs::kNoIno && (flags & kOCreate))
             ino = fs_.create(path, false);
@@ -300,9 +296,8 @@ LinuxKernel::sysRead(LinuxProcess &p, int fd, std::size_t want,
             ? 0
             : std::min<std::size_t>(want, size - it->second.offset);
     sim::Cycles cost =
-        costs_.readBase +
-        static_cast<sim::Cycles>(n / costs_.copyBytesPerCycle);
-    co_await syscallSync(p, kRegFile, costs_.footFile, cost, [&]() {
+        kReadBase + static_cast<sim::Cycles>(n / kCopyBytesPerCycle);
+    co_await syscallSync(p, kRegFile, kFootFile, cost, [&]() {
         out->resize(n);
         std::size_t got = fs_.read(it->second.ino,
                                    it->second.offset, out->data(), n);
@@ -330,14 +325,12 @@ LinuxKernel::sysWrite(LinuxProcess &p, int fd, Bytes data,
                   (old_size + Tmpfs::kPage - 1) / Tmpfs::kPage
             : 0;
     sim::Cycles cost =
-        costs_.writeBase +
-        static_cast<sim::Cycles>(data.size() /
-                                 costs_.copyBytesPerCycle) +
+        kWriteBase +
+        static_cast<sim::Cycles>(data.size() / kCopyBytesPerCycle) +
         static_cast<sim::Cycles>(
             fresh_pages *
-            (costs_.pageAlloc +
-             Tmpfs::kPage / costs_.clearBytesPerCycle));
-    co_await syscallSync(p, kRegFile, costs_.footFile, cost, [&]() {
+            (kPageAlloc + Tmpfs::kPage / kClearBytesPerCycle));
+    co_await syscallSync(p, kRegFile, kFootFile, cost, [&]() {
         fs_.write(it->second.ino, off, data.data(), data.size());
         it->second.offset += data.size();
         if (written)
@@ -348,7 +341,7 @@ LinuxKernel::sysWrite(LinuxProcess &p, int fd, Bytes data,
 sim::Task
 LinuxKernel::sysLseek(LinuxProcess &p, int fd, std::uint64_t off)
 {
-    co_await syscallSync(p, kRegNoop, costs_.footNoop, 80, [&]() {
+    co_await syscallSync(p, kRegNoop, kFootNoop, 80, [&]() {
         auto it = p.fds_.find(fd);
         if (it != p.fds_.end())
             it->second.offset = off;
@@ -358,7 +351,7 @@ LinuxKernel::sysLseek(LinuxProcess &p, int fd, std::uint64_t off)
 sim::Task
 LinuxKernel::sysClose(LinuxProcess &p, int fd)
 {
-    co_await syscallSync(p, kRegFile, costs_.footFile, 200, [&]() {
+    co_await syscallSync(p, kRegFile, kFootFile, 200, [&]() {
         auto it = p.fds_.find(fd);
         if (it == p.fds_.end())
             return;
@@ -373,9 +366,9 @@ LinuxKernel::sysStat(LinuxProcess &p, const std::string &path,
                      StatInfo *out)
 {
     sim::Cycles cost =
-        costs_.vfsLookup *
+        kVfsLookup *
         static_cast<sim::Cycles>(Tmpfs::components(path) + 1);
-    co_await syscallSync(p, kRegFile, costs_.footFile, cost, [&]() {
+    co_await syscallSync(p, kRegFile, kFootFile, cost, [&]() {
         Tmpfs::Ino ino = fs_.lookup(path);
         out->exists = ino != Tmpfs::kNoIno;
         if (out->exists) {
@@ -391,8 +384,8 @@ LinuxKernel::sysReaddir(LinuxProcess &p, const std::string &path,
                         bool *ok)
 {
     sim::Cycles cost =
-        costs_.vfsLookup + 40 + static_cast<sim::Cycles>(idx / 4);
-    co_await syscallSync(p, kRegFile, costs_.footFile, cost, [&]() {
+        kVfsLookup + 40 + static_cast<sim::Cycles>(idx / 4);
+    co_await syscallSync(p, kRegFile, kFootFile, cost, [&]() {
         Tmpfs::Ino dir = fs_.lookup(path);
         Tmpfs::Ino child;
         *ok = dir != Tmpfs::kNoIno &&
@@ -405,9 +398,9 @@ LinuxKernel::sysUnlink(LinuxProcess &p, const std::string &path,
                        bool *ok)
 {
     sim::Cycles cost =
-        costs_.vfsLookup *
+        kVfsLookup *
         static_cast<sim::Cycles>(Tmpfs::components(path) + 1);
-    co_await syscallSync(p, kRegFile, costs_.footFile, cost,
+    co_await syscallSync(p, kRegFile, kFootFile, cost,
                          [&]() { *ok = fs_.unlink(path); });
 }
 
@@ -415,8 +408,8 @@ sim::Task
 LinuxKernel::sysMkdir(LinuxProcess &p, const std::string &path,
                       bool *ok)
 {
-    co_await syscallSync(p, kRegFile, costs_.footFile,
-                         costs_.vfsLookup * 2, [&]() {
+    co_await syscallSync(p, kRegFile, kFootFile,
+                         kVfsLookup * 2, [&]() {
                              *ok = fs_.create(path, true) !=
                                    Tmpfs::kNoIno;
                          });
@@ -426,7 +419,7 @@ sim::Task
 LinuxKernel::sysSocket(LinuxProcess &p, std::uint16_t local_port,
                        int *fd)
 {
-    co_await syscallSync(p, kRegNet, costs_.footNet, 600, [&]() {
+    co_await syscallSync(p, kRegNet, kFootNet, 600, [&]() {
         LinuxProcess::FdEntry e;
         e.kind = LinuxProcess::FdEntry::Kind::Socket;
         e.port = local_port;
@@ -443,10 +436,9 @@ LinuxKernel::sysSendTo(LinuxProcess &p, int fd, std::uint32_t dst_ip,
 {
     auto it = p.fds_.find(fd);
     sim::Cycles cost =
-        costs_.udpTxBase +
-        static_cast<sim::Cycles>(data.size() /
-                                 costs_.netBytesPerCycle);
-    co_await syscallSync(p, kRegNet, costs_.footNet, cost, [&]() {
+        kUdpTxBase +
+        static_cast<sim::Cycles>(data.size() / kNetBytesPerCycle);
+    co_await syscallSync(p, kRegNet, kFootNet, cost, [&]() {
         if (it == p.fds_.end() || !nic_)
             return;
         services::UdpFrameHdr hdr;
@@ -465,8 +457,8 @@ LinuxKernel::sysRecvFrom(LinuxProcess &p, int fd, Bytes *out)
         bool got = false;
         syscalls_->inc();
         co_await p.thread().trapCall([this, &p, fd, out, &got]() {
-            sim::Cycles c = costs_.syscallEntry +
-                            touchKernel(kRegNet, costs_.footNet) +
+            sim::Cycles c = kSyscallEntry +
+                            touchKernel(kRegNet, kFootNet) +
                             400;
             core_.kernelWork(c, [this, &p, fd, out, &got, c]() {
                 auto it = p.fds_.find(fd);
@@ -476,9 +468,9 @@ LinuxKernel::sysRecvFrom(LinuxProcess &p, int fd, Bytes *out)
                     it->second.rxQueue.pop_front();
                     got = true;
                     sim::Cycles c2 =
-                        costs_.syscallExit + touchApp(p) +
+                        kSyscallExit + touchApp(p) +
                         static_cast<sim::Cycles>(
-                            out->size() / costs_.netBytesPerCycle);
+                            out->size() / kNetBytesPerCycle);
                     core_.kernelWork(c2, [this, &p, c, c2]() {
                         p.systemTicks_ +=
                             core_.cyclesToTicks(c + c2);

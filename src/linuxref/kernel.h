@@ -120,12 +120,10 @@ class LinuxKernel : public sim::SimObject
 {
   public:
     LinuxKernel(sim::EventQueue &eq, std::string name,
-                tile::Core &core, LinuxCosts costs = {},
-                services::Nic *nic = nullptr);
+                tile::Core &core, services::Nic *nic = nullptr);
 
     tile::Core &core() { return core_; }
     Tmpfs &fs() { return fs_; }
-    const LinuxCosts &costs() const { return costs_; }
 
     LinuxProcess *createProcess(const std::string &name,
                                 std::size_t footprint = 12 * 1024);
@@ -204,7 +202,6 @@ class LinuxKernel : public sim::SimObject
     void enqueue(LinuxProcess *p);
 
     tile::Core &core_;
-    LinuxCosts costs_;
     Tmpfs fs_;
     services::Nic *nic_;
     tile::CacheModel l1i_;

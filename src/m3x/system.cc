@@ -87,7 +87,7 @@ M3xAct::M3xAct(M3xSystem &sys, tile::Core &core, dtu::ActId id,
     : sys_(sys), id_(id), tileIdx_(tile_idx), name_(std::move(name)),
       thread_(core, name_ + ".thread", id), nextEp_(kReplyRep + 1)
 {
-    savedEps_.resize(8);
+    savedEps_.resize(kEpsPerAct);
     savedEps_[0] = Endpoint::makeRecv(0, 4096, 8); // reply endpoint
 }
 
@@ -108,9 +108,9 @@ M3xSystem::M3xSystem(sim::EventQueue &eq, M3xParams params)
     for (unsigned i = 0; i < params_.userTiles; i++) {
         auto tname = "m3x.tile" + std::to_string(i);
         tiles_[i].core = std::make_unique<tile::Core>(
-            eq, tname + ".core", params_.coreModel, i);
+            eq, tname + ".core", kCoreModel, i);
         tiles_[i].dtu = std::make_unique<M3xTileDtu>(
-            eq, tname + ".dtu", *noc_, i, params_.coreModel.freqHz,
+            eq, tname + ".dtu", *noc_, i, kCoreModel.freqHz,
             [this, i]() {
                 const TileState &ts = tiles_[i];
                 return ts.current && !ts.suspended
@@ -119,10 +119,10 @@ M3xSystem::M3xSystem(sim::EventQueue &eq, M3xParams params)
             });
     }
     kernCore_ = std::make_unique<tile::Core>(
-        eq, "m3x.kern.core", params_.coreModel, kernelTile());
+        eq, "m3x.kern.core", kCoreModel, kernelTile());
     kernDtu_ = std::make_unique<dtu::Dtu>(eq, "m3x.kern.dtu", *noc_,
                                           kernelTile(),
-                                          params_.coreModel.freqHz);
+                                          kCoreModel.freqHz);
     mem_ = std::make_unique<dtu::MemoryTile>(
         eq, "m3x.mem", *noc_, kernelTile() + 1, params_.dram);
     noc_->finalize();
@@ -181,8 +181,6 @@ M3xSystem::createAct(unsigned tile_idx, const std::string &name)
     TileState &ts = tiles_.at(tile_idx);
     auto act = std::make_unique<M3xAct>(*this, *ts.core, nextAct_++,
                                         tile_idx, name);
-    if (params_.epsPerAct > act->savedEps_.size())
-        act->savedEps_.resize(params_.epsPerAct);
     M3xAct *ptr = act.get();
     ts.acts.push_back(std::move(act));
     actIndex_[ptr->id()] = ptr;
@@ -194,7 +192,7 @@ M3xSystem::makeChannel(M3xAct *owner, std::size_t slot_size,
                        std::size_t slots)
 {
     EpId rep = owner->nextEp_++;
-    if (rep >= kActEpBase + params_.epsPerAct)
+    if (rep >= kActEpBase + kEpsPerAct)
         sim::fatal("m3x: activity %s out of endpoints",
                    owner->name().c_str());
     owner->savedEps_.at(rep - kActEpBase) =
@@ -207,7 +205,7 @@ M3xSystem::addSender(const M3xChan &chan, M3xAct *sender,
                      std::uint32_t credits)
 {
     EpId sep = sender->nextEp_++;
-    if (sep >= kActEpBase + params_.epsPerAct)
+    if (sep >= kActEpBase + kEpsPerAct)
         sim::fatal("m3x: activity %s out of endpoints",
                    sender->name().c_str());
     const dtu::Endpoint &rep_ep =
@@ -224,7 +222,7 @@ void
 M3xSystem::installActEps(unsigned tile_idx, M3xAct *act)
 {
     TileState &ts = tiles_[tile_idx];
-    for (EpId j = 0; j < params_.epsPerAct; j++)
+    for (EpId j = 0; j < kEpsPerAct; j++)
         ts.dtu->configEp(kActEpBase + j, act->savedEps_[j]);
 }
 
@@ -253,7 +251,7 @@ M3xSystem::stubIrq(unsigned tile_idx)
 {
     TileState &ts = tiles_[tile_idx];
     tile::Core &core = *ts.core;
-    core.kernelWork(params_.stubEntryCost, [this, &ts, &core]() {
+    core.kernelWork(kStubEntryCost, [this, &ts, &core]() {
         int slot = ts.dtu->fetch(0, kStubRep);
         if (slot < 0) {
             // Spurious (e.g. raced with an earlier handler).
@@ -270,8 +268,7 @@ M3xSystem::stubIrq(unsigned tile_idx)
         switch (req.op) {
           case StubReq::Op::Save: {
             ts.suspended = true;
-            core.kernelWork(params_.stubSaveCost, [this, &ts, &core,
-                                                   slot]() {
+            core.kernelWork(kStubSaveCost, [this, &ts, &core, slot]() {
                 ts.dtu->cmdReply(0, kStubRep, slot, 0, Bytes{1},
                                  [](Error) {});
                 core.kernelExitIdle();
@@ -280,7 +277,7 @@ M3xSystem::stubIrq(unsigned tile_idx)
           }
           case StubReq::Op::Restore: {
             M3xAct *act = actById(req.act);
-            core.kernelWork(params_.stubRestoreCost,
+            core.kernelWork(kStubRestoreCost,
                             [this, &ts, &core, act, slot]() {
                 ts.dtu->cmdReply(0, kStubRep, slot, 0, Bytes{1},
                                  [](Error) {});
@@ -491,7 +488,7 @@ M3xSystem::kernelMain()
         Bytes payload;
         KernelReq req = splitPayload<KernelReq>(msg.payload,
                                                 &payload);
-        co_await t.compute(params_.kernelHandlerCost);
+        co_await t.compute(kKernelHandlerCost);
 
         switch (req.op) {
           case KernelReq::Op::Forward:
@@ -579,7 +576,7 @@ M3xSystem::switchTile(TileState &ts, M3xAct *next)
     switches_->inc();
     trc_->begin(sim::TraceCat::M3x, kernelTile(), sim::kTraceTidMux,
                 "remote_switch");
-    co_await kernThread_->compute(params_.kernelSwitchCost);
+    co_await kernThread_->compute(kKernelSwitchCost);
 
     if (ts.current) {
         M3xAct *old = ts.current;
@@ -656,7 +653,7 @@ M3xSystem::extEps(TileState &ts, bool write, M3xAct *act)
     if (write) {
         kernDtu_->extRequest(
             tile, dtu::ExtOp::WriteEps, kActEpBase, act->savedEps_,
-            params_.epsPerAct,
+            kEpsPerAct,
             [&](Error e, std::vector<Endpoint>) {
                 err = e;
                 done = true;
@@ -665,7 +662,7 @@ M3xSystem::extEps(TileState &ts, bool write, M3xAct *act)
     } else {
         kernDtu_->extRequest(
             tile, dtu::ExtOp::ReadEps, kActEpBase, {},
-            params_.epsPerAct,
+            kEpsPerAct,
             [&](Error e, std::vector<Endpoint> eps) {
                 err = e;
                 act->savedEps_ = std::move(eps);

@@ -44,31 +44,38 @@ namespace m3v::m3x {
 
 using os::Bytes;
 
-/** Kernel/stub cost parameters (cycles on the respective cores). */
+/** Core model of every M3x tile (CoreModel names its model with a
+ *  std::string, so this is const, not constexpr). */
+inline const tile::CoreModel kCoreModel = tile::CoreModel::x86Ooo();
+
+//
+// Kernel/stub costs (cycles on the respective cores).
+//
+
+/** Kernel: decode + bookkeeping per request. */
+constexpr sim::Cycles kKernelHandlerCost = 500;
+
+/** Kernel: scheduling decision per context switch. */
+constexpr sim::Cycles kKernelSwitchCost = 800;
+
+/** Stub: save the activity's core state. */
+constexpr sim::Cycles kStubSaveCost = 600;
+
+/** Stub: restore core state and return to user. */
+constexpr sim::Cycles kStubRestoreCost = 600;
+
+/** Stub handler prologue. */
+constexpr sim::Cycles kStubEntryCost = 250;
+
+/** Endpoints saved/restored per activity on a switch. */
+constexpr dtu::EpId kEpsPerAct = 8;
+
+/** M3x platform configuration. */
 struct M3xParams
 {
     unsigned userTiles = 12;
-    tile::CoreModel coreModel = tile::CoreModel::x86Ooo();
     noc::NocParams noc{};
     tile::DramParams dram{};
-
-    /** Kernel: decode + bookkeeping per request. */
-    sim::Cycles kernelHandlerCost = 500;
-
-    /** Kernel: scheduling decision per context switch. */
-    sim::Cycles kernelSwitchCost = 800;
-
-    /** Stub: save the activity's core state. */
-    sim::Cycles stubSaveCost = 600;
-
-    /** Stub: restore core state and return to user. */
-    sim::Cycles stubRestoreCost = 600;
-
-    /** Stub handler prologue. */
-    sim::Cycles stubEntryCost = 250;
-
-    /** Endpoints saved/restored per activity on a switch. */
-    dtu::EpId epsPerAct = 8;
 };
 
 /** Header embedded in every RPC payload (direct or forwarded). */
@@ -116,7 +123,7 @@ class M3xAct
     tile::Thread thread_;
     State state_ = State::Ready;
 
-    /** Endpoint image installed while Current (ids 8..8+epsPerAct). */
+    /** Endpoint image installed while Current (ids 8..8+kEpsPerAct). */
     std::vector<dtu::Endpoint> savedEps_;
     dtu::EpId nextEp_;
 

@@ -405,18 +405,17 @@ Controller::ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp,
     sim::EventQueue &eq = env_->dtu().eventQueue();
     const std::vector<EpId> wait_eps{kCtrlReplyRep, kCtrlReqRep};
 
-    for (unsigned attempt = 0; attempt < params_.xshardRetries;
-         attempt++) {
+    for (unsigned attempt = 0; attempt < kXshardRetries; attempt++) {
         Error serr = Error::Aborted;
         co_await env_->send(sep, podBytes(req), kCtrlReplyRep, &serr,
                             req.nonce);
         if (serr != Error::None) {
             // Out of credits (peer overloaded): back off and retry —
             // the same nonce keeps the retransmission idempotent.
-            co_await thread.compute(params_.dispatchCost);
+            co_await thread.compute(kDispatchCost);
             continue;
         }
-        sim::Tick deadline = eq.now() + params_.xshardTimeout;
+        sim::Tick deadline = eq.now() + kXshardTimeout;
         for (;;) {
             // A nested service loop may have drained our reply while
             // this call was suspended.
@@ -479,11 +478,11 @@ Controller::handleCtrlReq(int slot)
         }
     }
 
-    co_await thread.compute(params_.dispatchCost);
+    co_await thread.compute(kDispatchCost);
     CtrlResp resp;
     switch (req.op) {
       case CtrlReq::Op::Delegate: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         CapTable &t = caps_->tableOf(req.act);
         CapSel sel = t.insertRoot(std::make_shared<KObject>(req.obj));
         Capability *c = t.get(sel);
@@ -496,7 +495,7 @@ Controller::handleCtrlReq(int slot)
       }
 
       case CtrlReq::Op::Obtain: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         CapTable *t = caps_->tableIfExists(req.act);
         Capability *c = t ? t->get(req.sel) : nullptr;
         if (!c || c->revoking) {
@@ -523,7 +522,7 @@ Controller::handleCtrlReq(int slot)
       }
 
       case CtrlReq::Op::CreateAct: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         ActId id = allocActId();
         registerActivity(id, static_cast<noc::TileId>(req.tile));
         caps_->tableOf(id);
@@ -532,7 +531,7 @@ Controller::handleCtrlReq(int slot)
       }
 
       case CtrlReq::Op::DropShare: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         CapTable *t = caps_->tableIfExists(req.act);
         if (Capability *c = t ? t->get(req.sel) : nullptr)
             c->dropRemoteChild(
@@ -542,14 +541,14 @@ Controller::handleCtrlReq(int slot)
       }
 
       case CtrlReq::Op::DropTable: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         reapActivity(req.act);
         resp.val = 1;
         break;
       }
 
       case CtrlReq::Op::MapFor: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         noc::TileId tile = actTile(req.act);
         if (tile == kNoTile) {
             resp.err = Error::InvalidEp;
@@ -597,7 +596,7 @@ Controller::revokeTree(ActId act, CapSel sel, bool keep_root,
         if (p.act == act && p.sel == sel && !p.killed) {
             p.killed = true;
             *removed += 1;
-            co_await thread.compute(params_.capCost);
+            co_await thread.compute(kCapCost);
             co_return;
         }
     }
@@ -607,7 +606,7 @@ Controller::revokeTree(ActId act, CapSel sel, bool keep_root,
     RevokePlan plan;
     if (!caps_->planRevoke(act, sel, keep_root, &plan)) {
         // Nothing to do (already revoked / double revoke / retx).
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         co_return;
     }
 
@@ -667,8 +666,7 @@ Controller::revokeTree(ActId act, CapSel sel, bool keep_root,
                 RemoteRef{static_cast<std::uint8_t>(shard_),
                           c.owner(), c.sel()});
     });
-    co_await thread.compute(params_.capCost *
-                            std::max<std::size_t>(1, local));
+    co_await thread.compute(kCapCost * std::max<std::size_t>(1, local));
     for (auto &[tile, ep] : inv)
         co_await invalidateRemoteEp(tile, ep);
     for (auto &[parent, child] : rparents) {
@@ -727,7 +725,7 @@ Controller::run()
             continue;
         }
 
-        co_await thread.compute(params_.dispatchCost);
+        co_await thread.compute(kDispatchCost);
         SyscallResp resp;
         co_await handle(caller, req, &resp);
 
@@ -753,7 +751,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
         break;
 
       case SyscallReq::Op::DeriveMem: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         Capability *parent =
             table.get(static_cast<CapSel>(req.arg0));
         if (!parent || parent->obj().kind != CapKind::MemGate ||
@@ -778,7 +776,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
       }
 
       case SyscallReq::Op::Activate: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         Capability *cap = table.get(static_cast<CapSel>(req.arg0));
         auto ep = static_cast<EpId>(req.arg1);
         if (!cap) {
@@ -805,7 +803,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
       }
 
       case SyscallReq::Op::ActivateFor: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         Capability *actcap =
             table.get(static_cast<CapSel>(req.arg0));
         Capability *cap = table.get(static_cast<CapSel>(req.arg2));
@@ -832,7 +830,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
       }
 
       case SyscallReq::Op::Delegate: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         Capability *actcap =
             table.get(static_cast<CapSel>(req.arg0));
         Capability *cap = table.get(static_cast<CapSel>(req.arg1));
@@ -891,7 +889,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
       }
 
       case SyscallReq::Op::Obtain: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         Capability *actcap =
             table.get(static_cast<CapSel>(req.arg0));
         if (!actcap || actcap->obj().kind != CapKind::Activity) {
@@ -966,7 +964,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
       }
 
       case SyscallReq::Op::CreateAct: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         auto tile = static_cast<noc::TileId>(req.arg0);
         if (tile >= shardMap_.userTiles) {
             resp->err = Error::OutOfBounds;
@@ -1040,7 +1038,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
       }
 
       case SyscallReq::Op::MapFor: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         Capability *actcap =
             table.get(static_cast<CapSel>(req.arg0));
         if (!actcap || actcap->obj().kind != CapKind::Activity) {
@@ -1077,7 +1075,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
       }
 
       case SyscallReq::Op::CreateSgate: {
-        co_await thread.compute(params_.capCost);
+        co_await thread.compute(kCapCost);
         Capability *rcap = table.get(static_cast<CapSel>(req.arg0));
         if (!rcap || rcap->obj().kind != CapKind::RecvGate ||
             rcap->revoking) {

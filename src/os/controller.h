@@ -61,21 +61,21 @@ constexpr dtu::EpId kCtrlReqRep = 6;
 /** Receive EP for replies to this shard's own peer requests. */
 constexpr dtu::EpId kCtrlReplyRep = 7;
 
-/** Controller cost parameters (cycles on the controller core). */
+/** Fixed syscall decode/dispatch cost (controller-core cycles). */
+constexpr sim::Cycles kDispatchCost = 120;
+
+/** Capability-table manipulation cost per touched cap. */
+constexpr sim::Cycles kCapCost = 150;
+
+/** Reply deadline per cross-shard call attempt. */
+constexpr sim::Tick kXshardTimeout = 200 * sim::kTicksPerUs;
+
+/** Send attempts per cross-shard call before giving up. */
+constexpr unsigned kXshardRetries = 3;
+
+/** Controller parameters. */
 struct ControllerParams
 {
-    /** Fixed syscall decode/dispatch cost. */
-    sim::Cycles dispatchCost = 120;
-
-    /** Capability-table manipulation cost per touched cap. */
-    sim::Cycles capCost = 150;
-
-    /** Reply deadline per cross-shard call attempt. */
-    sim::Tick xshardTimeout = 200 * sim::kTicksPerUs;
-
-    /** Send attempts per cross-shard call before giving up. */
-    unsigned xshardRetries = 3;
-
     /** Admission control over the syscall ring (default off). */
     sim::AdmissionParams admission;
 };

@@ -52,8 +52,8 @@ System::System(sim::EventQueue &eq, SystemParams params)
     // full tile complement would over-subscribe the configured mesh,
     // grow it to the forTiles() geometry (only the mesh size changes)
     // rather than hit the typed config error at finalize().
-    unsigned total = params_.userTiles + 1 + params_.memTiles +
-                     params_.accelTiles + (shards - 1);
+    unsigned total =
+        params_.userTiles + 1 + params_.memTiles + (shards - 1);
     std::size_t cap =
         static_cast<std::size_t>(params_.noc.meshCols) *
         params_.noc.meshRows * params_.noc.maxTilesPerRouter;
@@ -90,16 +90,8 @@ System::System(sim::EventQueue &eq, SystemParams params)
             params_.dram));
     }
 
-    // Accelerator tiles (not multiplexed; plain DTUs).
-    for (unsigned i = 0; i < params_.accelTiles; i++) {
-        accels_.push_back(std::make_unique<AccelTile>(
-            eq, "accel" + std::to_string(i), *noc_, accelTileId(i),
-            params_.accel));
-    }
-
-    // Controller tiles of shards 1..n-1, appended after the
-    // accelerators so the other tile ids do not depend on the shard
-    // count.
+    // Controller tiles of shards 1..n-1, appended after the memory
+    // tiles so the other tile ids do not depend on the shard count.
     for (unsigned s = 1; s < shards; s++)
         addCtrlTile(s);
 

@@ -24,7 +24,6 @@
 #include "core/vdtu.h"
 #include "dtu/memory_tile.h"
 #include "noc/noc.h"
-#include "os/accel.h"
 #include "os/controller.h"
 #include "os/env.h"
 #include "sim/invariants.h"
@@ -47,17 +46,13 @@ struct SystemParams
 
     unsigned memTiles = 2;
 
-    /** Fixed-function accelerator tiles (sections 2.2/8). */
-    unsigned accelTiles = 0;
-    AccelParams accel{};
-
     /**
      * The NoC. When the platform's total tile count (user +
-     * controller + memory + accelerator) would exceed this mesh's
-     * capacity (routers * maxTilesPerRouter), System replaces the
-     * mesh by NocParams::forTiles(total), keeping every timing
-     * parameter. Platforms that fit are untouched, so the
-     * paper-sized configs keep their 2x2 star-mesh.
+     * controller + memory) would exceed this mesh's capacity
+     * (routers * maxTilesPerRouter), System replaces the mesh by
+     * NocParams::forTiles(total), keeping every timing parameter.
+     * Platforms that fit are untouched, so the paper-sized configs
+     * keep their 2x2 star-mesh.
      */
     noc::NocParams noc{};
 
@@ -66,14 +61,14 @@ struct SystemParams
      * autoCtrlShards() (1 below 64 user tiles, so every paper-sized
      * config has a single controller; 4–16 for 64–1024 tiles).
      * Shards 1..n-1 run on extra controller tiles appended after the
-     * accelerator tiles.
+     * memory tiles.
      */
     unsigned ctrlShards = 0;
 
     tile::DramParams dram{};
     core::TileMuxParams mux{};
     core::VDtuParams vdtu{};
-    /** DTU cost/protocol knobs (applied to every tile's DTU). */
+    /** DTU retransmission knobs (applied to every tile's DTU). */
     dtu::DtuTiming dtuTiming{};
     ControllerParams ctrl{};
 
@@ -135,11 +130,6 @@ class System
     {
         return params_.userTiles + 1 + i;
     }
-    noc::TileId
-    accelTileId(unsigned i) const
-    {
-        return params_.userTiles + 1 + params_.memTiles + i;
-    }
 
     /** Number of controller shards (resolved at construction). */
     unsigned ctrlShards() const { return shardMap_.shards; }
@@ -151,8 +141,7 @@ class System
     {
         if (s == 0)
             return ctrlTile();
-        return params_.userTiles + 1 + params_.memTiles +
-               params_.accelTiles + (s - 1);
+        return params_.userTiles + 1 + params_.memTiles + (s - 1);
     }
 
     noc::Noc &fabric() { return *noc_; }
@@ -160,7 +149,6 @@ class System
     core::VDtu &vdtu(unsigned i) { return *vdtus_[i]; }
     core::TileMux &mux(unsigned i) { return *muxes_[i]; }
     dtu::MemoryTile &memory(unsigned i) { return *memTiles_[i]; }
-    AccelTile &accel(unsigned i) { return *accels_[i]; }
     sim::EventQueue &eventQueue() { return eq_; }
 
     /** Controller shard @p s. */
@@ -252,7 +240,6 @@ class System
     std::vector<std::unique_ptr<core::VDtu>> vdtus_;
     std::vector<std::unique_ptr<core::TileMux>> muxes_;
     std::vector<std::unique_ptr<dtu::MemoryTile>> memTiles_;
-    std::vector<std::unique_ptr<AccelTile>> accels_;
 
     /** Resolved shard layout and the shared tile-to-DTU table (must
      *  outlive the controllers, which keep a pointer into it). */

@@ -15,13 +15,13 @@ using os::SyscallResp;
 M3fs::M3fs(os::System &sys, unsigned tile_idx, M3fsParams params)
     : sys_(sys), params_(params), admission_(params.admission)
 {
-    app_ = sys.createApp(tile_idx, "m3fs", params.footprint);
+    app_ = sys.createApp(tile_idx, "m3fs", kM3fsFootprint);
     storage_ = sys.makeMgate(app_, params.storageBytes,
                              dtu::kPermRW);
     rgate_ = sys.makeRgate(app_, params.slotSize, params.slots);
     img_ = std::make_unique<FsImage>(
         params.storageBytes / dtu::kPageSize, dtu::kPageSize,
-        params.maxExtentBlocks);
+        kMaxExtentBlocks);
 }
 
 M3fs::Client

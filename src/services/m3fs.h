@@ -23,20 +23,20 @@
 
 namespace m3v::services {
 
+/** Extent size cap in blocks (the paper's benchmarks use 64). */
+constexpr std::uint32_t kMaxExtentBlocks = 64;
+
+/** m3fs instruction footprint (cache competition model). */
+constexpr std::size_t kM3fsFootprint = 10 * 1024;
+
 /** m3fs configuration. */
 struct M3fsParams
 {
     /** DRAM storage region size. */
     std::size_t storageBytes = 32 << 20;
 
-    /** Extent size cap in blocks (the paper's benchmarks use 64). */
-    std::uint32_t maxExtentBlocks = 64;
-
     /** Fixed request handling cost (decode, fd table). */
     sim::Cycles opBaseCost = 500;
-
-    /** Service instruction footprint (cache competition model). */
-    std::size_t footprint = 10 * 1024;
 
     std::size_t slotSize = 128;
     std::size_t slots = 16;

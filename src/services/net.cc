@@ -45,7 +45,7 @@ NetService::NetService(os::System &sys, unsigned tile_idx, Nic &nic,
     : sys_(sys), params_(params), nic_(nic),
       admission_(params.admission)
 {
-    app_ = sys.createApp(tile_idx, "net", params.footprint);
+    app_ = sys.createApp(tile_idx, "net", kNetFootprint);
     rgate_ = sys.makeRgate(app_, 1600, params.reqSlots);
 
     // Driver mailbox: the NIC DMAs received frames here and signals
@@ -107,8 +107,7 @@ NetService::body(os::MuxEnv &env)
             co_await env.ackMsg(rxEp_, slot);
             pktRx_++;
             co_await env.thread().compute(
-                params_.perPacketCost +
-                frame.size() / params_.bytesPerCycle);
+                kNetPerPacketCost + frame.size() / kNetBytesPerCycle);
 
             Bytes payload;
             UdpFrameHdr hdr = parseFrame(frame, &payload);
@@ -147,7 +146,7 @@ NetService::body(os::MuxEnv &env)
         NetReqHdr req = splitPayload<NetReqHdr>(msg.payload,
                                                 &payload);
         NetRespHdr resp;
-        co_await env.thread().compute(params_.perPacketCost);
+        co_await env.thread().compute(kNetPerPacketCost);
 
         switch (req.op) {
           case NetReqHdr::Op::Create: {
@@ -165,9 +164,9 @@ NetService::body(os::MuxEnv &env)
                 break;
             }
             co_await env.thread().compute(
-                payload.size() / params_.bytesPerCycle);
+                payload.size() / kNetBytesPerCycle);
             UdpFrameHdr fh;
-            fh.srcIp = params_.localIp;
+            fh.srcIp = kNetLocalIp;
             fh.dstIp = req.dstIp;
             fh.srcPort = sit->second.port;
             fh.dstPort = req.dstPort;

@@ -53,21 +53,23 @@ struct NetDataHdr
     std::uint32_t len = 0;
 };
 
-/** Net service cost parameters. */
+/** Net service: fixed per-packet stack cost (headers, socket
+ *  lookup). */
+constexpr sim::Cycles kNetPerPacketCost = 3200;
+
+/** Net service: per-byte cost (checksums, copies) in bytes per
+ *  cycle. */
+constexpr std::size_t kNetBytesPerCycle = 3;
+
+/** Net service instruction footprint. */
+constexpr std::size_t kNetFootprint = 12 * 1024;
+
+/** The net service's IP address (cosmetic). */
+constexpr std::uint32_t kNetLocalIp = 0x0a000002;
+
+/** Net service parameters. */
 struct NetParams
 {
-    /** Fixed per-packet stack cost (headers, socket lookup). */
-    sim::Cycles perPacketCost = 3200;
-
-    /** Per-byte cost (checksums, copies) in bytes per cycle. */
-    std::size_t bytesPerCycle = 3;
-
-    /** Service instruction footprint. */
-    std::size_t footprint = 12 * 1024;
-
-    /** Our IP address (cosmetic). */
-    std::uint32_t localIp = 0x0a000002;
-
     /** Client-request ring slots (the bounded admission queue). */
     std::size_t reqSlots = 8;
 

@@ -35,8 +35,8 @@ parseFrame(const os::Bytes &frame, os::Bytes *payload)
     return hdr;
 }
 
-Nic::Nic(sim::EventQueue &eq, std::string name, NicParams params)
-    : SimObject(eq, std::move(name)), params_(params)
+Nic::Nic(sim::EventQueue &eq, std::string name)
+    : SimObject(eq, std::move(name))
 {
     tx_ = statCounter("tx_frames");
     rx_ = statCounter("rx_frames");
@@ -46,8 +46,7 @@ sim::Tick
 Nic::serTime(std::size_t bytes) const
 {
     // bits / bps, in picoseconds.
-    return (bytes + kWireOverhead) * 8 * sim::kTicksPerSec /
-           params_.linkBps;
+    return (bytes + kWireOverhead) * 8 * sim::kTicksPerSec / kLinkBps;
 }
 
 void
@@ -57,11 +56,10 @@ Nic::transmit(os::Bytes frame)
         sim::panic("%s: transmit with no connected host",
                    name().c_str());
     tx_->inc();
-    sim::Tick start =
-        std::max(now() + params_.dmaLatency, txBusyUntil_);
+    sim::Tick start = std::max(now() + kDmaLatency, txBusyUntil_);
     sim::Tick ser = serTime(frame.size());
     txBusyUntil_ = start + ser;
-    sim::Tick arrival = txBusyUntil_ + params_.propagation - now();
+    sim::Tick arrival = txBusyUntil_ + kPropagation - now();
     eq_.schedule(arrival, [this, frame = std::move(frame)]() mutable {
         host_->onFrame(std::move(frame));
     });
@@ -77,7 +75,7 @@ void
 Nic::hostDeliver(os::Bytes frame)
 {
     sim::Tick ser = serTime(frame.size());
-    eq_.schedule(params_.propagation + ser + params_.dmaLatency,
+    eq_.schedule(kPropagation + ser + kDmaLatency,
                  [this, frame = std::move(frame)]() mutable {
                      rx_->inc();
                      if (rxHandler_)
@@ -85,9 +83,8 @@ Nic::hostDeliver(os::Bytes frame)
                  });
 }
 
-ExtHost::ExtHost(sim::EventQueue &eq, std::string name, Mode mode,
-                 ExtHostParams params)
-    : SimObject(eq, std::move(name)), mode_(mode), params_(params)
+ExtHost::ExtHost(sim::EventQueue &eq, std::string name, Mode mode)
+    : SimObject(eq, std::move(name)), mode_(mode)
 {
     frames_ = statCounter("frames");
     bytes_ = statCounter("bytes");
@@ -110,7 +107,7 @@ ExtHost::onFrame(os::Bytes frame)
     back.srcPort = hdr.dstPort;
     back.dstPort = hdr.srcPort;
     os::Bytes reply = makeFrame(back, payload);
-    eq_.schedule(params_.turnaround,
+    eq_.schedule(kTurnaround,
                  [this, reply = std::move(reply)]() mutable {
                      nic_->hostDeliver(std::move(reply));
                  });

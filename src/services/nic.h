@@ -48,24 +48,23 @@ constexpr std::size_t kWireOverhead = 42;
 
 class ExtHost;
 
-/** NIC timing parameters. */
-struct NicParams
-{
-    /** Link speed. */
-    std::uint64_t linkBps = 1'000'000'000;
+/** NIC link speed. */
+constexpr std::uint64_t kLinkBps = 1'000'000'000;
 
-    /** One-way wire propagation (cabling + PHYs + switch). */
-    sim::Tick propagation = 5 * sim::kTicksPerUs;
+/** One-way wire propagation (cabling + PHYs + switch). */
+constexpr sim::Tick kPropagation = 5 * sim::kTicksPerUs;
 
-    /** DMA latency between NIC and the core's memory. */
-    sim::Tick dmaLatency = 2 * sim::kTicksPerUs;
-};
+/** DMA latency between NIC and the core's memory. */
+constexpr sim::Tick kDmaLatency = 2 * sim::kTicksPerUs;
+
+/** Application turnaround on the external host (fast x86 box). */
+constexpr sim::Tick kTurnaround = 120 * sim::kTicksPerUs;
 
 /** The tile-local Ethernet NIC. */
 class Nic : public sim::SimObject
 {
   public:
-    Nic(sim::EventQueue &eq, std::string name, NicParams params = {});
+    Nic(sim::EventQueue &eq, std::string name);
 
     void connect(ExtHost *host) { host_ = host; }
 
@@ -89,19 +88,11 @@ class Nic : public sim::SimObject
   private:
     sim::Tick serTime(std::size_t bytes) const;
 
-    NicParams params_;
     ExtHost *host_ = nullptr;
     std::function<void(os::Bytes)> rxHandler_;
     sim::Tick txBusyUntil_ = 0;
     sim::Counter *tx_;
     sim::Counter *rx_;
-};
-
-/** ExtHost behaviour parameters. */
-struct ExtHostParams
-{
-    /** Application turnaround on the host (fast x86 box). */
-    sim::Tick turnaround = 120 * sim::kTicksPerUs;
 };
 
 /** The external peer machine. */
@@ -114,8 +105,7 @@ class ExtHost : public sim::SimObject
         Sink, ///< count and discard
     };
 
-    ExtHost(sim::EventQueue &eq, std::string name, Mode mode,
-            ExtHostParams params = {});
+    ExtHost(sim::EventQueue &eq, std::string name, Mode mode);
 
     void connect(Nic *nic) { nic_ = nic; }
 
@@ -126,7 +116,6 @@ class ExtHost : public sim::SimObject
 
   private:
     Mode mode_;
-    ExtHostParams params_;
     Nic *nic_ = nullptr;
     sim::Counter *frames_;
     sim::Counter *bytes_;

@@ -59,12 +59,6 @@ Rng::nextBounded(std::uint64_t bound)
     }
 }
 
-std::uint64_t
-Rng::nextRange(std::uint64_t lo, std::uint64_t hi)
-{
-    return lo + nextBounded(hi - lo + 1);
-}
-
 double
 Rng::nextDouble()
 {

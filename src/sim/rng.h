@@ -31,9 +31,6 @@ class Rng
     /** Uniform integer in [0, bound) without modulo bias. */
     std::uint64_t nextBounded(std::uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::uint64_t nextRange(std::uint64_t lo, std::uint64_t hi);
-
     /** Uniform double in [0, 1). */
     double nextDouble();
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * A footprint-based instruction/data cache model.
+ * A footprint-based cache model. TileMux and the Linux kernel model
+ * use it for the L1 instruction cache; L1D and L2 are not modelled.
  *
  * We do not simulate individual lines; instead each software component
  * (application, kernel path, OS service) is a "region" with a code/data

@@ -199,12 +199,6 @@ Thread::busyTicks() const
     return user > wait ? user - wait : 0;
 }
 
-void
-Thread::setOnFinished(std::function<void(Thread &)> cb)
-{
-    onFinished_ = std::move(cb);
-}
-
 //
 // Core
 //
@@ -385,8 +379,6 @@ Core::threadFinished(Thread &t)
         accountTo(Owner::Idle);
         current_ = nullptr;
     }
-    if (t.onFinished_)
-        t.onFinished_(t);
 }
 
 sim::Tick

@@ -210,9 +210,6 @@ class Thread
     sim::Tick waitTicks() const;
     sim::Tick busyTicks() const;
 
-    /** Hook invoked (once) when the body finishes. */
-    void setOnFinished(std::function<void(Thread &)> cb);
-
   private:
     friend class Core;
 
@@ -253,7 +250,6 @@ class Thread
     sim::Tick waitBegin_ = 0;
     bool inWait_ = false;
     sim::Task body_;
-    std::function<void(Thread &)> onFinished_;
     /** Handler in flight between trapCall() and its await_suspend. */
     sim::UniqueFunction<void()> pendingTrap_;
 };

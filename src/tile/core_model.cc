@@ -15,7 +15,6 @@ CoreModel::rocket()
     m.irqOverheadCycles = 50;
     m.addrSpaceSwitchCycles = 120;
     m.regContextCycles = 64;
-    m.ipc = 0.7;
     m.lineFillCycles = 20;
     return m;
 }
@@ -33,7 +32,6 @@ CoreModel::boom()
     m.irqOverheadCycles = 90;
     m.addrSpaceSwitchCycles = 200;
     m.regContextCycles = 180;
-    m.ipc = 1.6;
     m.lineFillCycles = 28;
     return m;
 }
@@ -51,10 +49,7 @@ CoreModel::x86Ooo()
     m.irqOverheadCycles = 300;
     m.addrSpaceSwitchCycles = 600;
     m.regContextCycles = 200;
-    m.ipc = 2.5;
     m.l1iBytes = 32 * 1024;
-    m.l1dBytes = 32 * 1024;
-    m.l2Bytes = 1024 * 1024;
     m.lineFillCycles = 40;
     return m;
 }

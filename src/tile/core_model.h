@@ -48,27 +48,11 @@ struct CoreModel
     /** Save or restore one general-purpose register context. */
     sim::Cycles regContextCycles = 70;
 
-    /**
-     * Relative throughput on plain compute: instructions per cycle.
-     * Workload "work units" are instructions; cycles = insts / ipc.
-     */
-    double ipc = 1.0;
-
-    /** Cache geometry (footprint model, see CacheModel). */
+    /** L1I size in bytes (footprint model, see CacheModel). */
     std::size_t l1iBytes = 16 * 1024;
-    std::size_t l1dBytes = 16 * 1024;
-    std::size_t l2Bytes = 512 * 1024;
 
     /** Refill cost per 64-byte line from the next level. */
     sim::Cycles lineFillCycles = 24;
-
-    /** Convert an instruction count to cycles via the IPC. */
-    sim::Cycles
-    instsToCycles(std::uint64_t insts) const
-    {
-        return static_cast<sim::Cycles>(
-            static_cast<double>(insts) / ipc + 0.5);
-    }
 
     /** Rocket: 64-bit in-order RISC-V @ 100 MHz (paper section 4.1). */
     static CoreModel rocket();

@@ -81,8 +81,8 @@ Dram::startNext()
     busy_ = true;
     Request &req = queue_.front();
     sim::Cycles xfer =
-        (req.bytes + params_.bytesPerCycle - 1) / params_.bytesPerCycle;
-    sim::Tick dur = clk_.cyclesToTicks(params_.accessCycles + xfer);
+        (req.bytes + kDramBytesPerCycle - 1) / kDramBytesPerCycle;
+    sim::Tick dur = clk_.cyclesToTicks(kDramAccessCycles + xfer);
     eq_.schedule(dur, [this]() {
         auto done = std::move(queue_.front().done);
         queue_.pop_front();

@@ -25,17 +25,18 @@
 
 namespace m3v::tile {
 
-/** DDR4 interface timing parameters. */
+/** DRAM fixed access latency (activate + CAS) in controller
+ *  cycles. */
+constexpr sim::Cycles kDramAccessCycles = 30;
+
+/** DRAM transfer bandwidth in bytes per controller cycle. */
+constexpr std::size_t kDramBytesPerCycle = 16;
+
+/** DDR4 interface parameters. */
 struct DramParams
 {
     /** Memory controller clock. */
     std::uint64_t freqHz = 200'000'000;
-
-    /** Fixed access latency (activate + CAS) in controller cycles. */
-    sim::Cycles accessCycles = 30;
-
-    /** Transfer bandwidth in bytes per controller cycle. */
-    std::size_t bytesPerCycle = 16;
 
     /** Backing-store capacity. */
     std::size_t capacityBytes = 64 * 1024 * 1024;

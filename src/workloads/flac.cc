@@ -190,16 +190,16 @@ generateAudio(std::size_t n, const AudioParams &params,
 {
     sim::Rng rng(params.seed);
     Samples out(n);
-    double sr = params.sampleRate;
+    double sr = kSampleRate;
     std::size_t trig_start = n / 3;
     std::size_t trig_end = with_trigger ? 2 * n / 3 : trig_start;
 
     for (std::size_t i = 0; i < n; i++) {
         double t = static_cast<double>(i) / sr;
         // Voice-ish: fundamental plus two harmonics with vibrato.
-        double v = 0.30 * std::sin(2 * M_PI * params.baseHz * t) +
-                   0.18 * std::sin(2 * M_PI * 2 * params.baseHz * t) +
-                   0.08 * std::sin(2 * M_PI * 3 * params.baseHz * t);
+        double v = 0.30 * std::sin(2 * M_PI * kBaseHz * t) +
+                   0.18 * std::sin(2 * M_PI * 2 * kBaseHz * t) +
+                   0.08 * std::sin(2 * M_PI * 3 * kBaseHz * t);
         v *= 0.8 + 0.2 * std::sin(2 * M_PI * 5.0 * t);
         v += params.noise * (rng.nextDouble() * 2 - 1);
         if (i >= trig_start && i < trig_end) {

@@ -60,12 +60,15 @@ sim::Cycles flacEncodeCost(const FlacFrame &frame);
 // Synthetic audio for the voice assistant.
 //
 
+/** Sample rate of the synthetic audio. */
+constexpr unsigned kSampleRate = 16000;
+
+/** Base pitch of the synthetic voice band. */
+constexpr double kBaseHz = 220.0;
+
 /** Audio generator parameters. */
 struct AudioParams
 {
-    unsigned sampleRate = 16000;
-    /** Base pitch of the synthetic voice band. */
-    double baseHz = 220.0;
     /** Background noise amplitude (0..1). */
     double noise = 0.02;
     std::uint64_t seed = 7;

@@ -100,7 +100,7 @@ KvStore::walAppend(const std::string &key, const std::string &value)
 {
     Bytes rec;
     putRecord(rec, key, value);
-    co_await vfs_.thread().compute(params_.codecCost);
+    co_await vfs_.thread().compute(kCodecCost);
     bool ok = false;
     co_await wal_->write(std::move(rec), &ok);
     if (!ok)
@@ -114,7 +114,7 @@ KvStore::put(std::string key, std::string value)
     co_await walAppend(key, value);
     // Memtable insert: ~log2(n) comparisons.
     std::size_t n = memtable_.size() + 1;
-    sim::Cycles cmp = params_.cmpCost;
+    sim::Cycles cmp = kCmpCost;
     sim::Cycles cost = cmp;
     while (n > 1) {
         cost += cmp;
@@ -134,9 +134,9 @@ KvStore::get(const std::string &key, std::string *value, bool *found)
 {
     stats_.gets++;
     std::size_t n = memtable_.size() + 1;
-    sim::Cycles cost = params_.cmpCost;
+    sim::Cycles cost = kCmpCost;
     while (n > 1) {
-        cost += params_.cmpCost;
+        cost += kCmpCost;
         n >>= 1;
     }
     co_await vfs_.thread().compute(cost);
@@ -173,7 +173,7 @@ KvStore::scan(const std::string &start, unsigned count,
         merged[it->first] = it->second;
 
     co_await vfs_.thread().compute(
-        static_cast<sim::Cycles>(merged.size()) * params_.cmpCost);
+        static_cast<sim::Cycles>(merged.size()) * kCmpCost);
     out->clear();
     for (auto &kv : merged) {
         if (out->size() >= count)
@@ -232,7 +232,7 @@ KvStore::writeSst(const Map &records, const std::string &path)
     std::vector<std::pair<std::string, std::uint32_t>> index;
     unsigned i = 0;
     for (const auto &[key, val] : records) {
-        if (i % params_.indexInterval == 0)
+        if (i % kIndexInterval == 0)
             index.emplace_back(
                 key, static_cast<std::uint32_t>(data.size()));
         putRecord(data, key, val);
@@ -249,8 +249,7 @@ KvStore::writeSst(const Map &records, const std::string &path)
     put32(data, static_cast<std::uint32_t>(records.size()));
 
     co_await vfs_.thread().compute(
-        static_cast<sim::Cycles>(records.size()) *
-        params_.codecCost);
+        static_cast<sim::Cycles>(records.size()) * kCodecCost);
 
     std::unique_ptr<VfsFile> f;
     bool ok = false;
@@ -321,7 +320,7 @@ KvStore::sstGet(const std::string &path, const std::string &key,
             index.begin() + static_cast<long>(pos + 2 + klen));
         std::uint32_t off = get32(index, pos + 2 + klen);
         pos += 2 + klen + 4;
-        co_await vfs_.thread().compute(params_.cmpCost);
+        co_await vfs_.thread().compute(kCmpCost);
         if (ikey <= key) {
             block_off = off;
             any = true;
@@ -339,8 +338,8 @@ KvStore::sstGet(const std::string &path, const std::string &key,
     Bytes block;
     co_await f->read(4096, &block, &ok);
     std::size_t off = 0;
-    for (unsigned r = 0;
-         r < params_.indexInterval && off + 4 <= block.size(); r++) {
+    for (unsigned r = 0; r < kIndexInterval && off + 4 <= block.size();
+         r++) {
         std::string k, v;
         std::size_t next = off;
         std::uint16_t klen = get16(block, off);
@@ -348,8 +347,7 @@ KvStore::sstGet(const std::string &path, const std::string &key,
         if (off + 4 + klen + vlen > block.size())
             break;
         next = getRecord(block, off, &k, &v);
-        co_await vfs_.thread().compute(params_.cmpCost +
-                                       params_.codecCost);
+        co_await vfs_.thread().compute(kCmpCost + kCodecCost);
         if (k == key) {
             *value = std::move(v);
             *found = true;
@@ -384,8 +382,7 @@ KvStore::sstScanAll(const std::string &path, Map *out,
     std::uint32_t records = get32(data, data.size() - 4);
 
     co_await vfs_.thread().compute(
-        static_cast<sim::Cycles>(records) *
-        (params_.codecCost + params_.cmpCost));
+        static_cast<sim::Cycles>(records) * (kCodecCost + kCmpCost));
     std::size_t off = 0;
     for (std::uint32_t r = 0; r < records && off < index_off; r++) {
         std::string k, v;

@@ -24,6 +24,15 @@
 
 namespace m3v::workloads {
 
+/** Sparse-index interval (records per index entry). */
+constexpr unsigned kIndexInterval = 16;
+
+/** Per-key-comparison cost (cycles). */
+constexpr sim::Cycles kCmpCost = 14;
+
+/** Per-record encode/decode cost (cycles). */
+constexpr sim::Cycles kCodecCost = 60;
+
 /** Store configuration. */
 struct KvParams
 {
@@ -34,15 +43,6 @@ struct KvParams
 
     /** Number of L0 tables that triggers a compaction. */
     unsigned compactionTrigger = 4;
-
-    /** Sparse-index interval (records per index entry). */
-    unsigned indexInterval = 16;
-
-    /** Per-key-comparison cost (cycles). */
-    sim::Cycles cmpCost = 14;
-
-    /** Per-record encode/decode cost (cycles). */
-    sim::Cycles codecCost = 60;
 };
 
 /** Store statistics. */

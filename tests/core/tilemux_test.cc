@@ -467,38 +467,6 @@ TEST_F(TileMuxTest, TranslTmcallRefillsTlbViaPageTable)
     EXPECT_GE(mux0.tmCalls(), 1u);
 }
 
-TEST_F(TileMuxTest, PageFaultHandlerResolvesUnmappedPage)
-{
-    Activity *client = makeAct(mux0, 1, "client");
-    Activity *server = makeAct(mux1, 2, "server");
-    vdtu1.configEp(8, Endpoint::makeRecv(2, 256, 8));
-    vdtu0.configEp(9, Endpoint::makeSend(1, kTile1, 8, 0, 8));
-    vdtu0.configEp(10, Endpoint::makeRecv(1, 256, 8));
-
-    int faults = 0;
-    mux0.setPageFaultHandler([&](Activity &, dtu::VirtAddr va,
-                                 dtu::PhysAddr &pa,
-                                 std::uint8_t &perms,
-                                 sim::Cycles &extra) {
-        faults++;
-        pa = va & 0xffff'f000; // pager decision
-        perms = kPermRW;
-        extra = 500; // pager RPC cost
-        return true;
-    });
-
-    // Unmap the scratch page so the transl TMCall page-faults.
-    client->addrSpace().unmap(0x10000);
-
-    int completed = 0;
-    mux1.startActivity(server, pongBody(*server, vdtu1, 8));
-    mux0.startActivity(client,
-                       pingBody(*client, vdtu0, 9, 10, 2, &completed));
-    eq.run();
-    EXPECT_EQ(completed, 2);
-    EXPECT_EQ(faults, 1);
-}
-
 //
 // Watchdog and crash injection.
 //

@@ -210,7 +210,7 @@ TEST(LinuxNetTest, UdpEchoThroughNic)
     services::ExtHost host(eq, "host", services::ExtHost::Mode::Echo);
     nic.connect(&host);
     host.connect(&nic);
-    LinuxKernel kernel(eq, "k", core, LinuxCosts{}, &nic);
+    LinuxKernel kernel(eq, "k", core, &nic);
 
     auto *p = kernel.createProcess("app");
     bool ok = false;
@@ -243,7 +243,7 @@ TEST(LinuxNetTest, BlockingRecvYieldsCoreToOtherProcess)
     services::ExtHost host(eq, "host", services::ExtHost::Mode::Echo);
     nic.connect(&host);
     host.connect(&nic);
-    LinuxKernel kernel(eq, "k", core, LinuxCosts{}, &nic);
+    LinuxKernel kernel(eq, "k", core, &nic);
 
     auto *rx = kernel.createProcess("rx");
     auto *worker = kernel.createProcess("worker");

@@ -74,9 +74,11 @@ TEST(ShardMapTest, ShardedTopology)
     sim::EventQueue eq;
     System sys(eq, shardedParams(4));
     EXPECT_EQ(sys.ctrlShards(), 4u);
-    // Extra controller tiles sit after the accelerators, so the
-    // other tile ids do not depend on the shard count.
+    // Extra controller tiles follow the memory tiles, so the other
+    // tile ids do not depend on the shard count.
     EXPECT_EQ(sys.ctrlTileOf(0), sys.ctrlTile());
+    EXPECT_EQ(sys.memTileId(0), 9u);
+    EXPECT_EQ(sys.memTileId(1), 10u);
     EXPECT_EQ(sys.ctrlTileOf(1), 11u);
     EXPECT_EQ(sys.ctrlTileOf(3), 13u);
     EXPECT_EQ(&sys.controllerOf(0), &sys.controller());

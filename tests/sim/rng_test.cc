@@ -43,21 +43,6 @@ TEST(Rng, BoundedOneAlwaysZero)
         EXPECT_EQ(r.nextBounded(1), 0u);
 }
 
-TEST(Rng, RangeInclusive)
-{
-    Rng r(11);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 10000; i++) {
-        auto v = r.nextRange(5, 8);
-        EXPECT_GE(v, 5u);
-        EXPECT_LE(v, 8u);
-        saw_lo |= (v == 5);
-        saw_hi |= (v == 8);
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, DoubleInUnitInterval)
 {
     Rng r(3);
