@@ -48,7 +48,7 @@ rpcWithMediation(bool mediated, bool local)
     auto mediate = [mediated](os::MuxEnv &env) -> sim::Task {
         if (mediated) {
             co_await env.mux().translCall(env.activity(),
-                                          env.msgBuf(), false);
+                                          env.msgBuf());
         }
     };
 

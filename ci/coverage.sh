@@ -18,7 +18,9 @@
 #
 # The per-translation-unit gcov records (gcov --json-format) are
 # merged by file, so a header's lines count once, summed over every
-# unit that includes it. The report lists each file under src/ with
+# unit that includes it. The records of a unit whose own source file
+# is gone are skipped, so a reused build-cov/ reports what a fresh
+# one does. The report lists each file under src/ with
 # its reached/instrumented line counts and its unreached line ranges,
 # and ends with the total for src/.
 #
@@ -81,13 +83,21 @@ counts = defaultdict(dict)  # file -> line -> summed count
 for gcno in sorted(gcnos):
     out = subprocess.run(["gcov", "--json-format", "--stdout", gcno],
                          check=True, capture_output=True).stdout
+    # A unit's notes are named after its own source (foo.cc.gcno).
+    unit = os.path.basename(gcno)[:-len(".gcno")]
     for doc in out.decode().splitlines():
         if not doc.strip():
             continue
         data = json.loads(doc)
-        for f in data["files"]:
-            path = os.path.normpath(os.path.join(
-                data["current_working_directory"], f["file"]))
+        paths = [os.path.normpath(os.path.join(
+            data["current_working_directory"], f["file"]))
+            for f in data["files"]]
+        # A reused build tree keeps the notes of deleted sources:
+        # skip every record of a unit whose own source is gone.
+        if any(os.path.basename(p) == unit and not os.path.exists(p)
+               for p in paths):
+            continue
+        for path, f in zip(paths, data["files"]):
             if not path.startswith(src + os.sep) or not f["lines"]:
                 continue
             lines = counts[os.path.relpath(path, os.path.dirname(src))]

@@ -242,15 +242,15 @@ TileMux::waitForMsg(Activity &act, dtu::EpId ep)
 }
 
 sim::Task
-TileMux::translCall(Activity &act, dtu::VirtAddr va, bool write)
+TileMux::translCall(Activity &act, dtu::VirtAddr va)
 {
     act.hogSlices_ = 0;
     tmCalls_->inc();
     trc_->begin(sim::TraceCat::TmCall, pid_, act.id(),
                 "tmcall:transl");
-    co_await act.thread().trapCall([this, &act, va, write]() {
+    co_await act.thread().trapCall([this, &act, va]() {
         sim::Cycles cost = kEntryCost + kTranslCost + touchMux();
-        core_.kernelWork(cost, [this, &act, va, write]() {
+        core_.kernelWork(cost, [this, &act, va]() {
             const PageMapping *pm = act.as_.lookup(va);
             if (!pm) {
                 sim::panic("%s: unresolvable page fault for %s at "
@@ -258,7 +258,6 @@ TileMux::translCall(Activity &act, dtu::VirtAddr va, bool write)
                            name().c_str(), act.name().c_str(),
                            static_cast<unsigned long long>(va));
             }
-            (void)write;
             dtu::PhysAddr pa = pm->phys;
             std::uint8_t perms = pm->perms;
             // The TLB insert is a zero-cycle kernel step of its own:

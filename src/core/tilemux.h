@@ -226,7 +226,7 @@ class TileMux : public sim::SimObject
                          dtu::EpId ep = dtu::kInvalidEp);
 
     /** Refill the vDTU TLB for @p va (transl TMCall). */
-    sim::Task translCall(Activity &act, dtu::VirtAddr va, bool write);
+    sim::Task translCall(Activity &act, dtu::VirtAddr va);
 
     /** Give up the rest of the time slice. */
     sim::Task yieldCall(Activity &act);

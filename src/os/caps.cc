@@ -27,16 +27,20 @@ CapTable::insertChild(std::shared_ptr<KObject> obj, Capability &parent)
     return sel;
 }
 
-Capability &
-CapTable::insertReserved(CapSel sel, std::shared_ptr<KObject> obj)
+CapSel
+CapTable::insertShared(const KObject &obj, const RemoteRef &parent,
+                       CapSel sel)
 {
-    auto cap = std::make_unique<Capability>(sel, owner_,
-                                            std::move(obj));
-    Capability &ref = *cap;
+    if (sel == kInvalidSel)
+        sel = next_++;
+    auto cap = std::make_unique<Capability>(
+        sel, owner_, std::make_shared<KObject>(obj));
+    cap->hasRemoteParent = true;
+    cap->remoteParent = parent;
     if (!caps_.emplace(sel, std::move(cap)).second)
         sim::panic("CapTable: reserved selector %u already in use",
                    sel);
-    return ref;
+    return sel;
 }
 
 Capability *
@@ -114,13 +118,6 @@ CapMgr::planRevoke(dtu::ActId act, CapSel sel, bool keep_root,
             continue;
         cap->revoking = true;
         plan->caps.push_back(cap);
-        for (const RemoteRef &r : cap->remoteChildren)
-            plan->remoteChildren.push_back(r);
-        if (cap->hasRemoteParent)
-            plan->remoteParents.emplace_back(
-                cap->remoteParent,
-                RemoteRef{static_cast<std::uint8_t>(shard_),
-                          cap->owner(), cap->sel()});
         for (auto it = cap->children.rbegin();
              it != cap->children.rend(); ++it)
             stack.push_back(*it);

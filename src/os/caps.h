@@ -80,9 +80,18 @@ struct ActObj
     noc::TileId tile = 0;
 };
 
-/** A kernel object, referenced by one or more capabilities. */
+/**
+ * A kernel object, referenced by one or more capabilities. Its kind
+ * follows from the object it is built from.
+ */
 struct KObject
 {
+    KObject() = default;
+    explicit KObject(MemObj m) : kind(CapKind::MemGate), mem(m) {}
+    explicit KObject(RgateObj r) : kind(CapKind::RecvGate), rgate(r) {}
+    explicit KObject(SgateObj s) : kind(CapKind::SendGate), sgate(s) {}
+    explicit KObject(ActObj a) : kind(CapKind::Activity), act(a) {}
+
     CapKind kind;
     MemObj mem;
     RgateObj rgate;
@@ -193,13 +202,17 @@ class CapTable
     /**
      * Reserve a selector without inserting (cross-shard obtain: the
      * destination selector must be on the wire before the cap
-     * exists). Pair with insertReserved().
+     * exists). Pair with insertShared().
      */
     CapSel reserveSel() { return next_++; }
 
-    /** Insert a capability under a previously reserved selector. */
-    Capability &insertReserved(CapSel sel,
-                               std::shared_ptr<KObject> obj);
+    /**
+     * Insert a copy of @p obj derived from @p parent, a capability on
+     * another shard (cross-shard delegate or obtain), under @p sel
+     * from reserveSel() or, if kInvalidSel, a fresh selector.
+     */
+    CapSel insertShared(const KObject &obj, const RemoteRef &parent,
+                        CapSel sel = kInvalidSel);
 
     Capability *get(CapSel sel);
     const Capability *get(CapSel sel) const;
@@ -224,8 +237,9 @@ class CapTable
 
 /**
  * A marked revocation: the local part of the subtree, pre-order, with
- * every member's revoking flag set, plus the cross-shard edges that
- * must be severed before the local caps may be reaped.
+ * every member's revoking flag set. Its cross-shard edges stay on the
+ * marked caps (remoteChildren, remoteParent) for the controller to
+ * sever before and after the reap.
  */
 struct RevokePlan
 {
@@ -234,11 +248,6 @@ struct RevokePlan
     /** Local subtree, pre-order (root first); excludes subtrees that
      *  were already marked by another in-progress revoke. */
     std::vector<Capability *> caps;
-    /** Children of marked caps living on other shards. */
-    std::vector<RemoteRef> remoteChildren;
-    /** Remote parents of marked caps (share records to release). The
-     *  paired entry records which local cap held the reference. */
-    std::vector<std::pair<RemoteRef, RemoteRef>> remoteParents;
 };
 
 /**
@@ -278,7 +287,7 @@ class CapMgr
 
     /**
      * Phase one of a two-phase revoke: mark the local subtree rooted
-     * at (act, sel) and collect its cross-shard edges into @p plan.
+     * at (act, sel) into @p plan.
      * Returns false when there is nothing to do — the root does not
      * exist or is already owned by another in-progress revoke (both
      * make re-revocation idempotent). Subtrees already marked by

@@ -16,6 +16,46 @@ namespace {
 /** Bound on the stash of out-of-order replies / dedup memory. */
 constexpr std::size_t kStashCap = 64;
 
+/** The activity that capability @p sel names, or nullptr when @p sel
+ *  is not an activity capability. */
+const ActObj *
+actObjAt(CapTable &table, std::uint64_t sel)
+{
+    const Capability *c = table.get(static_cast<CapSel>(sel));
+    return c && c->obj().kind == CapKind::Activity ? &c->obj().act
+                                                   : nullptr;
+}
+
+/** The origin end (srcShard, act2, sel2) of a peer request's edge. */
+RemoteRef
+origin(const CtrlReq &req)
+{
+    return RemoteRef{static_cast<std::uint8_t>(req.srcShard), req.act2,
+                     req.sel2};
+}
+
+/** The DTU endpoint a capability activates into for @p owner. */
+dtu::Endpoint
+endpointFor(const KObject &obj, ActId owner)
+{
+    switch (obj.kind) {
+      case CapKind::MemGate:
+        return dtu::Endpoint::makeMem(owner, obj.mem.tile,
+                                      obj.mem.addr, obj.mem.size,
+                                      obj.mem.perms);
+      case CapKind::SendGate:
+        return dtu::Endpoint::makeSend(
+            owner, obj.sgate.target.tile, obj.sgate.target.ep,
+            obj.sgate.label, obj.sgate.credits);
+      case CapKind::RecvGate:
+        return dtu::Endpoint::makeRecv(owner, obj.rgate.slotSize,
+                                       obj.rgate.slots);
+      case CapKind::Activity:
+        break;
+    }
+    sim::panic("Controller: cannot activate this capability kind");
+}
+
 } // namespace
 
 Controller::Controller(BareEnv &env, CapMgr &caps, const DtuMap &dtus,
@@ -52,39 +92,10 @@ Controller::Controller(BareEnv &env, CapMgr &caps, const DtuMap &dtus,
 }
 
 CapSel
-Controller::grantMem(ActId act, MemObj mem)
+Controller::grant(ActId act, const KObject &obj)
 {
-    auto obj = std::make_shared<KObject>();
-    obj->kind = CapKind::MemGate;
-    obj->mem = mem;
-    return caps_->tableOf(act).insertRoot(std::move(obj));
-}
-
-CapSel
-Controller::grantActivity(ActId holder, ActObj a)
-{
-    auto obj = std::make_shared<KObject>();
-    obj->kind = CapKind::Activity;
-    obj->act = a;
-    return caps_->tableOf(holder).insertRoot(std::move(obj));
-}
-
-CapSel
-Controller::grantRgate(ActId act, RgateObj r)
-{
-    auto obj = std::make_shared<KObject>();
-    obj->kind = CapKind::RecvGate;
-    obj->rgate = r;
-    return caps_->tableOf(act).insertRoot(std::move(obj));
-}
-
-CapSel
-Controller::grantSgate(ActId act, SgateObj s)
-{
-    auto obj = std::make_shared<KObject>();
-    obj->kind = CapKind::SendGate;
-    obj->sgate = s;
-    return caps_->tableOf(act).insertRoot(std::move(obj));
+    return caps_->tableOf(act).insertRoot(
+        std::make_shared<KObject>(obj));
 }
 
 void
@@ -102,19 +113,38 @@ Controller::actTile(ActId id) const
 }
 
 ActId
-Controller::allocActId()
+Controller::createAct(noc::TileId tile)
 {
+    ActId id;
     if (!freeActs_.empty()) {
-        ActId id = freeActs_.back();
+        id = freeActs_.back();
         freeActs_.pop_back();
-        return id;
+    } else {
+        std::uint32_t n =
+            kStormActBase + nextLocalAct_ * shardMap_.shards + shard_;
+        nextLocalAct_++;
+        if (n >= dtu::kTileMuxAct)
+            sim::panic("controller %u: out of activity ids", shard_);
+        id = static_cast<ActId>(n);
     }
-    std::uint32_t id =
-        kStormActBase + nextLocalAct_ * shardMap_.shards + shard_;
-    nextLocalAct_++;
-    if (id >= dtu::kTileMuxAct)
-        sim::panic("controller %u: out of activity ids", shard_);
-    return static_cast<ActId>(id);
+    registerActivity(id, tile);
+    caps_->tableOf(id);
+    return id;
+}
+
+Capability *
+Controller::liveCap(ActId act, CapSel sel)
+{
+    CapTable *t = caps_->tableIfExists(act);
+    Capability *c = t ? t->get(sel) : nullptr;
+    return c && !c->revoking ? c : nullptr;
+}
+
+RemoteRef
+Controller::selfRef(const Capability &cap) const
+{
+    return RemoteRef{static_cast<std::uint8_t>(shard_), cap.owner(),
+                     cap.sel()};
 }
 
 void
@@ -151,8 +181,7 @@ Controller::reapActivity(ActId id)
     // one-way notifications: peers revoke remote children and drop
     // the share records our caps held on their parents.
     if (caps_->hasTable(id)) {
-        std::vector<RemoteRef> rchildren;
-        std::vector<std::pair<RemoteRef, RemoteRef>> rparents;
+        CutEdges cut;
         caps_->dropTable(id, [&](Capability &cap) {
             if (cap.activated) {
                 if (dtu::Dtu *d = dtus_->get(cap.actTile)) {
@@ -161,29 +190,11 @@ Controller::reapActivity(ActId id)
                 }
             }
             for (const RemoteRef &r : cap.remoteChildren)
-                rchildren.push_back(r);
+                cut.children.push_back(r);
             if (cap.hasRemoteParent)
-                rparents.emplace_back(
-                    cap.remoteParent,
-                    RemoteRef{static_cast<std::uint8_t>(shard_),
-                              cap.owner(), cap.sel()});
+                cut.parents.emplace_back(cap.remoteParent, selfRef(cap));
         });
-        for (const RemoteRef &r : rchildren) {
-            CtrlReq req;
-            req.op = CtrlReq::Op::Revoke;
-            req.act = r.act;
-            req.sel = r.sel;
-            ctrlOneway(r.shard, req);
-        }
-        for (auto &[parent, child] : rparents) {
-            CtrlReq req;
-            req.op = CtrlReq::Op::DropShare;
-            req.act = parent.act;
-            req.sel = parent.sel;
-            req.act2 = child.act;
-            req.sel2 = child.sel;
-            ctrlOneway(parent.shard, req);
-        }
+        cutEdges(cut);
     }
 
     // Return storm-allocated ids of this shard to the free list once
@@ -219,93 +230,61 @@ Controller::setPeerChannel(unsigned shard, EpId sep)
 }
 
 sim::Task
-Controller::sidecall(noc::TileId tile, SidecallReq req,
-                     SidecallResp *resp)
+Controller::mapPage(noc::TileId tile, ActId act, std::uint64_t virt,
+                    std::uint64_t phys, std::uint64_t perms, Error *err)
 {
     EpId sep = tile < sidecallSeps_.size() ? sidecallSeps_[tile]
                                            : dtu::kInvalidEp;
     if (sep == dtu::kInvalidEp || sidecallRep_ == dtu::kInvalidEp)
         sim::panic("controller: no sidecall channel to tile %u",
                    tile);
+    SidecallReq req;
+    req.act = act;
+    req.virt = virt;
+    req.phys = phys;
+    req.perms = static_cast<std::uint32_t>(perms);
     Bytes respb;
-    Error err = Error::Aborted;
+    Error cerr = Error::Aborted;
     co_await env_->call(sep, sidecallRep_, podBytes(req), &respb,
-                        &err);
-    if (err != Error::None)
+                        &cerr);
+    if (cerr != Error::None)
         sim::panic("controller: sidecall to tile %u failed: %s", tile,
-                   dtu::errorName(err));
-    *resp = podFrom<SidecallResp>(respb);
-}
-
-dtu::Endpoint
-Controller::endpointFor(const KObject &obj, ActId owner)
-{
-    switch (obj.kind) {
-      case CapKind::MemGate:
-        return dtu::Endpoint::makeMem(owner, obj.mem.tile,
-                                      obj.mem.addr, obj.mem.size,
-                                      obj.mem.perms);
-      case CapKind::SendGate:
-        return dtu::Endpoint::makeSend(
-            owner, obj.sgate.target.tile, obj.sgate.target.ep,
-            obj.sgate.label, obj.sgate.credits);
-      case CapKind::RecvGate:
-        return dtu::Endpoint::makeRecv(owner, obj.rgate.slotSize,
-                                       obj.rgate.slots);
-      case CapKind::Activity:
-        break;
-    }
-    sim::panic("Controller: cannot activate this capability kind");
+                   dtu::errorName(cerr));
+    *err = podFrom<SidecallResp>(respb).err;
 }
 
 sim::Task
-Controller::configRemoteEp(noc::TileId tile, EpId ep,
-                           dtu::Endpoint ndep, Error *err)
+Controller::writeEp(noc::TileId tile, EpId ep,
+                    std::optional<dtu::Endpoint> ndep, Error *err)
 {
+    // Setting programs the endpoint's fields, so it costs twice the
+    // MMIO writes of an invalidation.
+    const bool set = ndep.has_value();
     auto &thread = env_->thread();
-    co_await thread.compute(
-        thread.core().model().mmioWriteCycles * 4);
+    co_await thread.compute(thread.core().model().mmioWriteCycles *
+                            (set ? 4 : 2));
+    Error e = Error::None;
     if (tile == env_->tileId()) {
-        env_->dtu().configEp(ep, std::move(ndep));
-        if (err)
-            *err = Error::None;
-        co_return;
+        // Invalidating leaves an invalid (default) endpoint behind.
+        env_->dtu().configEp(ep, ndep.value_or(dtu::Endpoint()));
+    } else {
+        std::vector<dtu::Endpoint> eps;
+        if (set)
+            eps.push_back(*ndep);
+        bool done = false;
+        thread.clearWake();
+        env_->dtu().extRequest(
+            tile, set ? dtu::ExtOp::SetEp : dtu::ExtOp::InvEp, ep,
+            std::move(eps), 1, [&](Error r, std::vector<dtu::Endpoint>) {
+                e = r;
+                done = true;
+                thread.wake();
+            });
+        while (!done)
+            co_await thread.externalWait();
     }
-    bool done = false;
-    thread.clearWake();
-    std::vector<dtu::Endpoint> eps;
-    eps.push_back(std::move(ndep));
-    env_->dtu().extRequest(tile, dtu::ExtOp::SetEp, ep,
-                           std::move(eps), 1,
-                           [&](Error e, std::vector<dtu::Endpoint>) {
-                               if (err)
-                                   *err = e;
-                               done = true;
-                               thread.wake();
-                           });
-    while (!done)
-        co_await thread.externalWait();
-}
-
-sim::Task
-Controller::invalidateRemoteEp(noc::TileId tile, EpId ep)
-{
-    auto &thread = env_->thread();
-    co_await thread.compute(
-        thread.core().model().mmioWriteCycles * 2);
-    if (tile == env_->tileId()) {
-        env_->dtu().invalidateEp(ep);
-        co_return;
-    }
-    bool done = false;
-    thread.clearWake();
-    env_->dtu().extRequest(tile, dtu::ExtOp::InvEp, ep, {}, 1,
-                           [&](Error, std::vector<dtu::Endpoint>) {
-                               done = true;
-                               thread.wake();
-                           });
-    while (!done)
-        co_await thread.externalWait();
+    if (err)
+        *err = e;
 }
 
 //
@@ -363,14 +342,21 @@ Controller::takePendingObtain(ActId act, CapSel sel)
     return PendingObtain{};
 }
 
-void
-Controller::ctrlOneway(unsigned shard, CtrlReq req)
+EpId
+Controller::peerSep(unsigned shard) const
 {
     EpId sep = shard < peerSeps_.size() ? peerSeps_[shard]
                                         : dtu::kInvalidEp;
     if (sep == dtu::kInvalidEp)
         sim::panic("controller %u: no channel to shard %u", shard_,
                    shard);
+    return sep;
+}
+
+void
+Controller::ctrlOneway(unsigned shard, CtrlReq req)
+{
+    EpId sep = peerSep(shard);
     req.srcShard = shard_;
     req.nonce = makeNonce();
     sim::Counter *sent = xonewaySent_;
@@ -386,16 +372,33 @@ Controller::ctrlOneway(unsigned shard, CtrlReq req)
                         req.nonce);
 }
 
-sim::Task
-Controller::ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp,
-                     bool *ok)
+void
+Controller::cutEdges(const CutEdges &cut, const RemoteRef &requester)
 {
-    *ok = false;
-    EpId sep = shard < peerSeps_.size() ? peerSeps_[shard]
-                                        : dtu::kInvalidEp;
-    if (sep == dtu::kInvalidEp)
-        sim::panic("controller %u: no channel to shard %u", shard_,
-                   shard);
+    for (const RemoteRef &child : cut.children) {
+        CtrlReq req;
+        req.op = CtrlReq::Op::Revoke;
+        req.act = child.act;
+        req.sel = child.sel;
+        ctrlOneway(child.shard, req);
+    }
+    for (const auto &[parent, child] : cut.parents) {
+        if (requester.act != dtu::kInvalidAct && parent == requester)
+            continue;
+        CtrlReq req;
+        req.op = CtrlReq::Op::DropShare;
+        req.act = parent.act;
+        req.sel = parent.sel;
+        req.act2 = child.act;
+        req.sel2 = child.sel;
+        ctrlOneway(parent.shard, req);
+    }
+}
+
+sim::Task
+Controller::ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp)
+{
+    EpId sep = peerSep(shard);
     req.srcShard = shard_;
     req.flags |= CtrlReq::kWantReply;
     req.nonce = makeNonce();
@@ -421,7 +424,6 @@ Controller::ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp,
             // this call was suspended.
             if (takeStash(req.nonce, resp)) {
                 xacked_->inc();
-                *ok = true;
                 co_return;
             }
             co_await thread.compute(
@@ -433,7 +435,6 @@ Controller::ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp,
                     *resp = podFrom<CtrlResp>(m.payload);
                     co_await env_->ackMsg(kCtrlReplyRep, rslot);
                     xacked_->inc();
-                    *ok = true;
                     co_return;
                 }
                 // Another outstanding call's reply (ours is nested
@@ -457,6 +458,7 @@ Controller::ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp,
         }
     }
     xtimeouts_->inc();
+    resp->err = Error::Timeout;
 }
 
 sim::Task
@@ -479,32 +481,24 @@ Controller::handleCtrlReq(int slot)
     }
 
     co_await thread.compute(kDispatchCost);
+    // Every op but Revoke (which pays per removed cap) is one
+    // capability-table step.
+    if (req.op != CtrlReq::Op::Revoke)
+        co_await thread.compute(kCapCost);
     CtrlResp resp;
     switch (req.op) {
-      case CtrlReq::Op::Delegate: {
-        co_await thread.compute(kCapCost);
-        CapTable &t = caps_->tableOf(req.act);
-        CapSel sel = t.insertRoot(std::make_shared<KObject>(req.obj));
-        Capability *c = t.get(sel);
-        c->hasRemoteParent = true;
-        c->remoteParent =
-            RemoteRef{static_cast<std::uint8_t>(req.srcShard),
-                      req.act2, req.sel2};
-        resp.val = sel;
+      case CtrlReq::Op::Delegate:
+        resp.val = caps_->tableOf(req.act).insertShared(req.obj,
+                                                        origin(req));
         break;
-      }
 
       case CtrlReq::Op::Obtain: {
-        co_await thread.compute(kCapCost);
-        CapTable *t = caps_->tableIfExists(req.act);
-        Capability *c = t ? t->get(req.sel) : nullptr;
-        if (!c || c->revoking) {
+        Capability *c = liveCap(req.act, req.sel);
+        if (!c) {
             resp.err = Error::InvalidEp;
             break;
         }
-        c->remoteChildren.push_back(
-            RemoteRef{static_cast<std::uint8_t>(req.srcShard),
-                      req.act2, req.sel2});
+        c->remoteChildren.push_back(origin(req));
         resp.obj = c->obj();
         resp.val = 1;
         break;
@@ -512,57 +506,36 @@ Controller::handleCtrlReq(int slot)
 
       case CtrlReq::Op::Revoke: {
         std::size_t removed = 0;
-        co_await revokeTree(
-            req.act, req.sel, (req.flags & CtrlReq::kKeepRoot) != 0,
-            RemoteRef{static_cast<std::uint8_t>(req.srcShard),
-                      req.act2, req.sel2},
-            &removed);
+        co_await revokeTree(req.act, req.sel,
+                            (req.flags & CtrlReq::kKeepRoot) != 0,
+                            origin(req), &removed);
         resp.val = removed;
         break;
       }
 
-      case CtrlReq::Op::CreateAct: {
-        co_await thread.compute(kCapCost);
-        ActId id = allocActId();
-        registerActivity(id, static_cast<noc::TileId>(req.tile));
-        caps_->tableOf(id);
-        resp.val = id;
+      case CtrlReq::Op::CreateAct:
+        resp.val = createAct(static_cast<noc::TileId>(req.tile));
         break;
-      }
 
       case CtrlReq::Op::DropShare: {
-        co_await thread.compute(kCapCost);
         CapTable *t = caps_->tableIfExists(req.act);
         if (Capability *c = t ? t->get(req.sel) : nullptr)
-            c->dropRemoteChild(
-                RemoteRef{static_cast<std::uint8_t>(req.srcShard),
-                          req.act2, req.sel2});
+            c->dropRemoteChild(origin(req));
         break;
       }
 
-      case CtrlReq::Op::DropTable: {
-        co_await thread.compute(kCapCost);
+      case CtrlReq::Op::DropTable:
         reapActivity(req.act);
         resp.val = 1;
         break;
-      }
 
       case CtrlReq::Op::MapFor: {
-        co_await thread.compute(kCapCost);
         noc::TileId tile = actTile(req.act);
         if (tile == kNoTile) {
             resp.err = Error::InvalidEp;
             break;
         }
-        SidecallReq side;
-        side.op = SidecallReq::Op::MapPage;
-        side.act = req.act;
-        side.virt = req.a;
-        side.phys = req.b;
-        side.perms = static_cast<std::uint32_t>(req.c);
-        SidecallResp sresp;
-        co_await sidecall(tile, side, &sresp);
-        resp.err = sresp.err;
+        co_await mapPage(tile, req.act, req.a, req.b, req.c, &resp.err);
         break;
       }
     }
@@ -612,17 +585,10 @@ Controller::revokeTree(ActId act, CapSel sel, bool keep_root,
 
     // Snapshot remote children before any suspension: DropShare
     // notifications arriving while we wait may mutate the vectors.
-    struct RemoteChild
-    {
-        RemoteRef ref;
-        ActId parentAct;
-        CapSel parentSel;
-        Capability *parent;
-    };
-    std::vector<RemoteChild> rc;
+    std::vector<std::pair<RemoteRef, RemoteRef>> rc; // (child, parent)
     auto collect = [&](Capability *cap) {
         for (const RemoteRef &r : cap->remoteChildren)
-            rc.push_back({r, cap->owner(), cap->sel(), cap});
+            rc.emplace_back(r, selfRef(*cap));
     };
     if (plan.keepRoot && plan.root)
         collect(plan.root);
@@ -632,23 +598,26 @@ Controller::revokeTree(ActId act, CapSel sel, bool keep_root,
     // Revoke remote children over the wire. Marked caps cannot be
     // reaped by anyone else (exactly one plan owns them), so the
     // snapshot stays valid across these suspensions.
-    for (const RemoteChild &r : rc) {
+    for (const auto &[child, parent] : rc) {
         CtrlReq creq;
         creq.op = CtrlReq::Op::Revoke;
-        creq.act = r.ref.act;
-        creq.sel = r.ref.sel;
-        creq.act2 = r.parentAct;
-        creq.sel2 = r.parentSel;
+        creq.act = child.act;
+        creq.sel = child.sel;
+        creq.act2 = parent.act;
+        creq.sel2 = parent.sel;
         CtrlResp cresp;
-        bool ok = false;
-        co_await ctrlCall(r.ref.shard, creq, &cresp, &ok);
-        if (ok)
+        co_await ctrlCall(child.shard, creq, &cresp);
+        if (cresp.err == Error::None)
             *removed += cresp.val;
         // A kept root survives the reap: release its share records
         // for the children we just revoked (the reaped caps' records
-        // die with them).
-        if (plan.keepRoot && r.parent == plan.root)
-            plan.root->dropRemoteChild(r.ref);
+        // die with them). Look the root up again: it is not marked,
+        // so a crash reap may have dropped it while we waited.
+        if (keep_root && parent.act == act && parent.sel == sel) {
+            CapTable *t = caps_->tableIfExists(act);
+            if (Capability *root = t ? t->get(sel) : nullptr)
+                root->dropRemoteChild(child);
+        }
     }
 
     // Phase two: reap the marked subtree, leaves first, invalidating
@@ -656,30 +625,17 @@ Controller::revokeTree(ActId act, CapSel sel, bool keep_root,
     // root's remote parent — unless the requester *is* that parent
     // (it is reaping its own side already).
     std::vector<std::pair<noc::TileId, EpId>> inv;
-    std::vector<std::pair<RemoteRef, RemoteRef>> rparents;
+    CutEdges cut;
     std::size_t local = caps_->executeRevoke(plan, [&](Capability &c) {
         if (c.activated)
             inv.emplace_back(c.actTile, c.actEp);
         if (c.hasRemoteParent)
-            rparents.emplace_back(
-                c.remoteParent,
-                RemoteRef{static_cast<std::uint8_t>(shard_),
-                          c.owner(), c.sel()});
+            cut.parents.emplace_back(c.remoteParent, selfRef(c));
     });
     co_await thread.compute(kCapCost * std::max<std::size_t>(1, local));
     for (auto &[tile, ep] : inv)
-        co_await invalidateRemoteEp(tile, ep);
-    for (auto &[parent, child] : rparents) {
-        if (requester.act != dtu::kInvalidAct && parent == requester)
-            continue;
-        CtrlReq dreq;
-        dreq.op = CtrlReq::Op::DropShare;
-        dreq.act = parent.act;
-        dreq.sel = parent.sel;
-        dreq.act2 = child.act;
-        dreq.sel2 = child.sel;
-        ctrlOneway(parent.shard, dreq);
-    }
+        co_await writeEp(tile, ep, std::nullopt, nullptr);
+    cutEdges(cut, requester);
     *removed += local;
 }
 
@@ -706,9 +662,6 @@ Controller::run()
             continue;
         }
 
-        // A syscall. The body is inlined rather than co_await'ed
-        // through a helper: every coroutine nesting level costs one
-        // scheduled event per syscall.
         const dtu::Message &m = env_->msgAt(kSyscallRep, slot);
         auto caller = static_cast<ActId>(m.label);
         SyscallReq req = podFrom<SyscallReq>(m.payload);
@@ -741,7 +694,13 @@ sim::Task
 Controller::handle(ActId caller, const SyscallReq &req,
                    SyscallResp *resp)
 {
-    auto &thread = env_->thread();
+    // Every op but Noop, Revoke and DestroyAct starts with one
+    // capability-table step. The caller's table is resolved after it:
+    // a crash reap may drop the table while the step runs.
+    if (req.op != SyscallReq::Op::Noop &&
+        req.op != SyscallReq::Op::Revoke &&
+        req.op != SyscallReq::Op::DestroyAct)
+        co_await env_->thread().compute(kCapCost);
     CapTable &table = caps_->tableOf(caller);
     resp->err = Error::None;
     resp->val = 0;
@@ -751,11 +710,9 @@ Controller::handle(ActId caller, const SyscallReq &req,
         break;
 
       case SyscallReq::Op::DeriveMem: {
-        co_await thread.compute(kCapCost);
         Capability *parent =
-            table.get(static_cast<CapSel>(req.arg0));
-        if (!parent || parent->obj().kind != CapKind::MemGate ||
-            parent->revoking) {
+            liveCap(caller, static_cast<CapSel>(req.arg0));
+        if (!parent || parent->obj().kind != CapKind::MemGate) {
             resp->err = Error::InvalidEp;
             break;
         }
@@ -768,80 +725,62 @@ Controller::handle(ActId caller, const SyscallReq &req,
             resp->err = Error::OutOfBounds;
             break;
         }
-        auto obj = std::make_shared<KObject>();
-        obj->kind = CapKind::MemGate;
-        obj->mem = MemObj{pm.tile, pm.addr + off, size, perms};
-        resp->val = table.insertChild(std::move(obj), *parent);
+        resp->val = table.insertChild(
+            std::make_shared<KObject>(
+                MemObj{pm.tile, pm.addr + off, size, perms}),
+            *parent);
         break;
       }
 
-      case SyscallReq::Op::Activate: {
-        co_await thread.compute(kCapCost);
-        Capability *cap = table.get(static_cast<CapSel>(req.arg0));
-        auto ep = static_cast<EpId>(req.arg1);
-        if (!cap) {
-            resp->err = Error::InvalidEp;
-            break;
-        }
-        noc::TileId tile = actTile(caller);
-        if (tile == kNoTile) {
-            resp->err = Error::InvalidEp;
-            break;
-        }
-        if (cap->obj().kind == CapKind::RecvGate) {
-            cap->obj().rgate.tile = tile;
-            cap->obj().rgate.act = caller;
-            cap->obj().rgate.ep = ep;
-        }
-        co_await configRemoteEp(tile, ep,
-                                endpointFor(cap->obj(), caller),
-                                &resp->err);
-        cap->activated = true;
-        cap->actTile = tile;
-        cap->actEp = ep;
-        break;
-      }
-
+      case SyscallReq::Op::Activate:
       case SyscallReq::Op::ActivateFor: {
-        co_await thread.compute(kCapCost);
-        Capability *actcap =
-            table.get(static_cast<CapSel>(req.arg0));
-        Capability *cap = table.get(static_cast<CapSel>(req.arg2));
+        // Activate installs cap arg0 into the caller's own EP arg1;
+        // ActivateFor installs cap arg2 into EP arg1 of the activity
+        // that activity cap arg0 names.
+        ActId target = caller;
+        noc::TileId tile = actTile(caller);
+        auto sel = static_cast<CapSel>(req.arg0);
+        if (req.op == SyscallReq::Op::ActivateFor) {
+            const ActObj *act = actObjAt(table, req.arg0);
+            if (!act) {
+                resp->err = Error::InvalidEp;
+                break;
+            }
+            target = act->id;
+            tile = act->tile;
+            sel = static_cast<CapSel>(req.arg2);
+        }
+        Capability *cap = table.get(sel);
         auto ep = static_cast<EpId>(req.arg1);
-        if (!actcap || actcap->obj().kind != CapKind::Activity ||
-            !cap) {
+        if (!cap || tile == kNoTile) {
             resp->err = Error::InvalidEp;
             break;
         }
-        ActId target = actcap->obj().act.id;
-        noc::TileId tile = actcap->obj().act.tile;
         if (cap->obj().kind == CapKind::RecvGate) {
             cap->obj().rgate.tile = tile;
             cap->obj().rgate.act = target;
             cap->obj().rgate.ep = ep;
         }
-        co_await configRemoteEp(tile, ep,
-                                endpointFor(cap->obj(), target),
-                                &resp->err);
+        // Record the activation before the EP write suspends us: a
+        // crash reap may free the cap meanwhile (and then also
+        // invalidates the EP).
         cap->activated = true;
         cap->actTile = tile;
         cap->actEp = ep;
+        co_await writeEp(tile, ep, endpointFor(cap->obj(), target),
+                         &resp->err);
         break;
       }
 
       case SyscallReq::Op::Delegate: {
-        co_await thread.compute(kCapCost);
-        Capability *actcap =
-            table.get(static_cast<CapSel>(req.arg0));
+        const ActObj *act = actObjAt(table, req.arg0);
         Capability *cap = table.get(static_cast<CapSel>(req.arg1));
-        if (!actcap || actcap->obj().kind != CapKind::Activity ||
-            !cap || cap->revoking) {
+        if (!act || !cap || cap->revoking) {
             resp->err = Error::InvalidEp;
             break;
         }
-        ActId target = actcap->obj().act.id;
-        unsigned tshard =
-            shardMap_.shardOfTile(actcap->obj().act.tile);
+        ActId target = act->id;
+        unsigned tshard = shardMap_.shardOfTile(act->tile);
         if (tshard == shard_) {
             resp->val = caps_->tableOf(target).insertChild(
                 cap->objPtr(), *cap);
@@ -854,12 +793,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
         creq.sel2 = cap->sel();
         creq.obj = cap->obj();
         CtrlResp cresp;
-        bool ok = false;
-        co_await ctrlCall(tshard, creq, &cresp, &ok);
-        if (!ok) {
-            resp->err = Error::Timeout;
-            break;
-        }
+        co_await ctrlCall(tshard, creq, &cresp);
         if (cresp.err != Error::None) {
             resp->err = cresp.err;
             break;
@@ -869,41 +803,32 @@ Controller::handle(ActId caller, const SyscallReq &req,
         // cap. If so, compensate by revoking the child we just
         // created on the peer — the revoke already owns this subtree,
         // so resurrecting the record here would leak the child.
-        CapTable *ct = caps_->tableIfExists(caller);
-        Capability *cap2 =
-            ct ? ct->get(static_cast<CapSel>(req.arg1)) : nullptr;
-        if (!cap2 || cap2->revoking) {
-            CtrlReq undo;
-            undo.op = CtrlReq::Op::Revoke;
-            undo.act = target;
-            undo.sel = static_cast<CapSel>(cresp.val);
-            ctrlOneway(tshard, undo);
+        RemoteRef child{static_cast<std::uint8_t>(tshard), target,
+                        static_cast<CapSel>(cresp.val)};
+        Capability *src =
+            liveCap(caller, static_cast<CapSel>(req.arg1));
+        if (!src) {
+            cutEdges(CutEdges{{child}, {}});
             resp->err = Error::InvalidEp;
             break;
         }
-        cap2->remoteChildren.push_back(
-            RemoteRef{static_cast<std::uint8_t>(tshard), target,
-                      static_cast<CapSel>(cresp.val)});
+        src->remoteChildren.push_back(child);
         resp->val = cresp.val;
         break;
       }
 
       case SyscallReq::Op::Obtain: {
-        co_await thread.compute(kCapCost);
-        Capability *actcap =
-            table.get(static_cast<CapSel>(req.arg0));
-        if (!actcap || actcap->obj().kind != CapKind::Activity) {
+        const ActObj *act = actObjAt(table, req.arg0);
+        if (!act) {
             resp->err = Error::InvalidEp;
             break;
         }
-        ActId src = actcap->obj().act.id;
-        auto src_sel = static_cast<CapSel>(req.arg1);
-        unsigned sshard =
-            shardMap_.shardOfTile(actcap->obj().act.tile);
-        if (sshard == shard_) {
-            CapTable *st = caps_->tableIfExists(src);
-            Capability *scap = st ? st->get(src_sel) : nullptr;
-            if (!scap || scap->revoking) {
+        RemoteRef parent{
+            static_cast<std::uint8_t>(shardMap_.shardOfTile(act->tile)),
+            act->id, static_cast<CapSel>(req.arg1)};
+        if (parent.shard == shard_) {
+            Capability *scap = liveCap(parent.act, parent.sel);
+            if (!scap) {
                 resp->err = Error::InvalidEp;
                 break;
             }
@@ -918,40 +843,28 @@ Controller::handle(ActId caller, const SyscallReq &req,
         pendingObtains_.push_back(PendingObtain{caller, dst, false});
         CtrlReq creq;
         creq.op = CtrlReq::Op::Obtain;
-        creq.act = src;
-        creq.sel = src_sel;
+        creq.act = parent.act;
+        creq.sel = parent.sel;
         creq.act2 = caller;
         creq.sel2 = dst;
         CtrlResp cresp;
-        bool ok = false;
-        co_await ctrlCall(sshard, creq, &cresp, &ok);
+        co_await ctrlCall(parent.shard, creq, &cresp);
         PendingObtain pend = takePendingObtain(caller, dst);
-        if (!ok || cresp.err != Error::None || pend.killed ||
-            !caps_->tableIfExists(caller)) {
+        CapTable *ct = caps_->tableIfExists(caller);
+        if (cresp.err != Error::None || pend.killed || !ct) {
             // The share record may exist on the source side (reply
             // lost, caller reaped): release it. DropShare is
             // idempotent, so over-notifying is safe.
-            if (ok && cresp.err == Error::None && !pend.killed) {
-                CtrlReq undo;
-                undo.op = CtrlReq::Op::DropShare;
-                undo.act = src;
-                undo.sel = src_sel;
-                undo.act2 = caller;
-                undo.sel2 = dst;
-                ctrlOneway(sshard, undo);
+            if (cresp.err == Error::None && !pend.killed) {
+                RemoteRef child{static_cast<std::uint8_t>(shard_),
+                                caller, dst};
+                cutEdges(CutEdges{{}, {{parent, child}}});
             }
-            resp->err = !ok ? Error::Timeout : Error::InvalidEp;
-            if (ok && cresp.err != Error::None)
-                resp->err = cresp.err;
+            resp->err = cresp.err != Error::None ? cresp.err
+                                                 : Error::InvalidEp;
             break;
         }
-        Capability &c = caps_->tableIfExists(caller)->insertReserved(
-            dst, std::make_shared<KObject>(cresp.obj));
-        c.hasRemoteParent = true;
-        c.remoteParent =
-            RemoteRef{static_cast<std::uint8_t>(sshard), src,
-                      src_sel};
-        resp->val = dst;
+        resp->val = ct->insertShared(cresp.obj, parent, dst);
         break;
       }
 
@@ -964,7 +877,6 @@ Controller::handle(ActId caller, const SyscallReq &req,
       }
 
       case SyscallReq::Op::CreateAct: {
-        co_await thread.compute(kCapCost);
         auto tile = static_cast<noc::TileId>(req.arg0);
         if (tile >= shardMap_.userTiles) {
             resp->err = Error::OutOfBounds;
@@ -973,20 +885,13 @@ Controller::handle(ActId caller, const SyscallReq &req,
         unsigned tshard = shardMap_.shardOfTile(tile);
         ActId id = dtu::kInvalidAct;
         if (tshard == shard_) {
-            id = allocActId();
-            registerActivity(id, tile);
-            caps_->tableOf(id);
+            id = createAct(tile);
         } else {
             CtrlReq creq;
             creq.op = CtrlReq::Op::CreateAct;
             creq.tile = tile;
             CtrlResp cresp;
-            bool ok = false;
-            co_await ctrlCall(tshard, creq, &cresp, &ok);
-            if (!ok) {
-                resp->err = Error::Timeout;
-                break;
-            }
+            co_await ctrlCall(tshard, creq, &cresp);
             if (cresp.err != Error::None) {
                 resp->err = cresp.err;
                 break;
@@ -998,24 +903,20 @@ Controller::handle(ActId caller, const SyscallReq &req,
             resp->err = Error::InvalidEp;
             break;
         }
-        auto obj = std::make_shared<KObject>();
-        obj->kind = CapKind::Activity;
-        obj->act = ActObj{id, tile};
-        CapSel sel = ct->insertRoot(std::move(obj));
+        CapSel sel =
+            ct->insertRoot(std::make_shared<KObject>(ActObj{id, tile}));
         resp->val = (static_cast<std::uint64_t>(sel) << 32) | id;
         break;
       }
 
       case SyscallReq::Op::DestroyAct: {
-        Capability *actcap =
-            table.get(static_cast<CapSel>(req.arg0));
-        if (!actcap || actcap->obj().kind != CapKind::Activity) {
+        const ActObj *act = actObjAt(table, req.arg0);
+        if (!act) {
             resp->err = Error::InvalidEp;
             break;
         }
-        ActId id = actcap->obj().act.id;
-        unsigned hshard =
-            shardMap_.shardOfTile(actcap->obj().act.tile);
+        ActId id = act->id;
+        unsigned hshard = shardMap_.shardOfTile(act->tile);
         std::size_t removed = 0;
         co_await revokeTree(caller, static_cast<CapSel>(req.arg0),
                             false, RemoteRef{}, &removed);
@@ -1026,10 +927,9 @@ Controller::handle(ActId caller, const SyscallReq &req,
             creq.op = CtrlReq::Op::DropTable;
             creq.act = id;
             CtrlResp cresp;
-            bool ok = false;
-            co_await ctrlCall(hshard, creq, &cresp, &ok);
-            if (!ok) {
-                resp->err = Error::Timeout;
+            co_await ctrlCall(hshard, creq, &cresp);
+            if (cresp.err != Error::None) {
+                resp->err = cresp.err;
                 break;
             }
         }
@@ -1038,56 +938,28 @@ Controller::handle(ActId caller, const SyscallReq &req,
       }
 
       case SyscallReq::Op::MapFor: {
-        co_await thread.compute(kCapCost);
-        Capability *actcap =
-            table.get(static_cast<CapSel>(req.arg0));
-        if (!actcap || actcap->obj().kind != CapKind::Activity) {
+        const ActObj *act = actObjAt(table, req.arg0);
+        if (!act) {
             resp->err = Error::InvalidEp;
             break;
         }
-        unsigned tshard =
-            shardMap_.shardOfTile(actcap->obj().act.tile);
-        if (tshard != shard_) {
-            // The sidecall channel to that TileMux belongs to its
-            // home quadrant's controller: forward.
-            CtrlReq creq;
-            creq.op = CtrlReq::Op::MapFor;
-            creq.act = actcap->obj().act.id;
-            creq.a = req.arg1;
-            creq.b = req.arg2;
-            creq.c = req.arg3;
-            CtrlResp cresp;
-            bool ok = false;
-            co_await ctrlCall(tshard, creq, &cresp, &ok);
-            resp->err = ok ? cresp.err : Error::Timeout;
+        unsigned tshard = shardMap_.shardOfTile(act->tile);
+        if (tshard == shard_) {
+            co_await mapPage(act->tile, act->id, req.arg1, req.arg2,
+                             req.arg3, &resp->err);
             break;
         }
-        SidecallReq side;
-        side.op = SidecallReq::Op::MapPage;
-        side.act = actcap->obj().act.id;
-        side.virt = req.arg1;
-        side.phys = req.arg2;
-        side.perms = static_cast<std::uint32_t>(req.arg3);
-        SidecallResp sresp;
-        co_await sidecall(actcap->obj().act.tile, side, &sresp);
-        resp->err = sresp.err;
-        break;
-      }
-
-      case SyscallReq::Op::CreateSgate: {
-        co_await thread.compute(kCapCost);
-        Capability *rcap = table.get(static_cast<CapSel>(req.arg0));
-        if (!rcap || rcap->obj().kind != CapKind::RecvGate ||
-            rcap->revoking) {
-            resp->err = Error::InvalidEp;
-            break;
-        }
-        auto obj = std::make_shared<KObject>();
-        obj->kind = CapKind::SendGate;
-        obj->sgate.target = rcap->obj().rgate;
-        obj->sgate.label = req.arg1;
-        obj->sgate.credits = static_cast<std::uint32_t>(req.arg2);
-        resp->val = table.insertChild(std::move(obj), *rcap);
+        // The sidecall channel to that TileMux belongs to its home
+        // quadrant's controller: forward.
+        CtrlReq creq;
+        creq.op = CtrlReq::Op::MapFor;
+        creq.act = act->id;
+        creq.a = req.arg1;
+        creq.b = req.arg2;
+        creq.c = req.arg3;
+        CtrlResp cresp;
+        co_await ctrlCall(tshard, creq, &cresp);
+        resp->err = cresp.err;
         break;
       }
     }

@@ -23,14 +23,18 @@
  * incoming peer requests, so two shards calling into each other
  * cannot deadlock. A single controller is simply one shard with an
  * empty peer set: the same main loop, syscall body and revoke path.
+ *
+ * Each owner-side step has one body. The syscall's local branch and
+ * the handler of the forwarded peer request call the same plain
+ * helper (createAct, liveCap, mapPage, cutEdges), so the two sides
+ * of a cross-shard operation cannot drift apart.
  */
 
 #ifndef M3VSIM_OS_CONTROLLER_H_
 #define M3VSIM_OS_CONTROLLER_H_
 
-#include <functional>
-#include <memory>
-#include <string>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "os/caps.h"
@@ -94,16 +98,10 @@ class Controller
     unsigned shard() const { return shard_; }
     const ShardMap &shardMap() const { return shardMap_; }
 
-    //
-    // Boot-time (untimed) capability grants, used by the system
-    // builder to set up the initial environment — analogous to the
-    // boot modules the real M3 controller starts with.
-    //
-
-    CapSel grantMem(dtu::ActId act, MemObj mem);
-    CapSel grantActivity(dtu::ActId holder, ActObj obj);
-    CapSel grantRgate(dtu::ActId act, RgateObj obj);
-    CapSel grantSgate(dtu::ActId act, SgateObj obj);
+    /** Boot-time (untimed) root capability for @p obj in @p act's
+     *  table: the system builder's initial environment, analogous to
+     *  the boot modules the real M3 controller starts with. */
+    CapSel grant(dtu::ActId act, const KObject &obj);
 
     /** Record an activity so syscalls can resolve it. */
     void registerActivity(dtu::ActId id, noc::TileId tile);
@@ -178,14 +176,40 @@ class Controller
         bool killed = false;
     };
 
+    /** Cross-shard edges of reaped caps, cut with one-way notes. */
+    struct CutEdges
+    {
+        /** Remote children to revoke. */
+        std::vector<RemoteRef> children;
+        /** (remote parent, our reaped child) share records to drop. */
+        std::vector<std::pair<RemoteRef, RemoteRef>> parents;
+    };
+
     sim::Task handle(dtu::ActId caller, const SyscallReq &req,
                      SyscallResp *resp);
-    sim::Task configRemoteEp(noc::TileId tile, dtu::EpId ep,
-                             dtu::Endpoint ndep, dtu::Error *err);
-    sim::Task invalidateRemoteEp(noc::TileId tile, dtu::EpId ep);
-    dtu::Endpoint endpointFor(const KObject &obj, dtu::ActId owner);
-    sim::Task sidecall(noc::TileId tile, SidecallReq req,
-                       SidecallResp *resp);
+
+    /** Set endpoint @p ep on @p tile to @p ndep, or invalidate it if
+     *  @p ndep is empty (external interface; own tile: directly). */
+    sim::Task writeEp(noc::TileId tile, dtu::EpId ep,
+                      std::optional<dtu::Endpoint> ndep,
+                      dtu::Error *err);
+
+    /** MapFor's owner-side step: a MapPage sidecall to the TileMux
+     *  on @p tile installs virt -> phys for @p act. */
+    sim::Task mapPage(noc::TileId tile, dtu::ActId act,
+                      std::uint64_t virt, std::uint64_t phys,
+                      std::uint64_t perms, dtu::Error *err);
+
+    /** CreateAct's owner-side step: allocate an activity id homed on
+     *  @p tile, register it and create its capability table. */
+    dtu::ActId createAct(noc::TileId tile);
+
+    /** The cap at (@p act, @p sel) if it exists and is not being
+     *  revoked: a valid delegation or obtain source. */
+    Capability *liveCap(dtu::ActId act, CapSel sel);
+
+    /** This shard's end of a cross-shard edge at @p cap. */
+    RemoteRef selfRef(const Capability &cap) const;
 
     //
     // Cross-shard protocol.
@@ -195,13 +219,20 @@ class Controller
      * RPC to a peer shard: send with a fresh nonce, poll for the
      * matching reply, service incoming peer requests while waiting
      * (deadlock avoidance), retransmit on timeout (the receiver
-     * dedups by nonce). Sets *ok=false when every attempt timed out.
+     * dedups by nonce). When every attempt fails, resp->err is
+     * Error::Timeout.
      */
-    sim::Task ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp,
-                       bool *ok);
+    sim::Task ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp);
 
     /** Fire-and-forget notification to a peer shard. */
     void ctrlOneway(unsigned shard, CtrlReq req);
+
+    /** One-way severing of @p cut: revoke its remote children, drop
+     *  its share records except at @p requester (reaping it itself). */
+    void cutEdges(const CutEdges &cut, const RemoteRef &requester = {});
+
+    /** The send EP to peer shard @p shard (panics if none). */
+    dtu::EpId peerSep(unsigned shard) const;
 
     /** Service one request from the peer-request EP. */
     sim::Task handleCtrlReq(int slot);
@@ -222,7 +253,6 @@ class Controller
     void remember(std::uint64_t nonce, const CtrlResp &resp);
     const CtrlResp *recallDup(std::uint64_t nonce) const;
     noc::TileId actTile(dtu::ActId id) const;
-    dtu::ActId allocActId();
     PendingObtain takePendingObtain(dtu::ActId act, CapSel sel);
 
     BareEnv *env_;

@@ -28,8 +28,8 @@ Env::mmioW(unsigned n) const
 
 template <typename Launch>
 sim::Task
-Env::command(sim::Cycles setup, bool status_read, bool buf_write,
-             Launch launch, Error *err)
+Env::command(sim::Cycles setup, bool status_read, Launch launch,
+             Error *err)
 {
     for (;;) {
         co_await thread_->compute(setup);
@@ -46,7 +46,7 @@ Env::command(sim::Cycles setup, bool status_read, bool buf_write,
         if (status_read)
             co_await thread_->compute(mmioR(1)); // final status read
         if (e == Error::TlbMiss) {
-            co_await translFix(msgBuf_, buf_write);
+            co_await translFix(msgBuf_);
             continue;
         }
         if (err)
@@ -60,7 +60,7 @@ Env::send(dtu::EpId sep, Bytes msg, dtu::EpId reply_ep, Error *err,
           std::uint64_t nonce)
 {
     // Program EP id, buffer address, size, reply EP; start; poll.
-    return command(mmioW(5) + mmioR(1), true, false,
+    return command(mmioW(5) + mmioR(1), true,
                    [this, sep, msg = std::move(msg), reply_ep,
                     nonce](auto done) {
                        dtu_->cmdSend(act_, sep, msgBuf_, msg, reply_ep,
@@ -72,7 +72,7 @@ Env::send(dtu::EpId sep, Bytes msg, dtu::EpId reply_ep, Error *err,
 sim::Task
 Env::reply(dtu::EpId rep, int slot, Bytes msg, Error *err)
 {
-    return command(mmioW(5) + mmioR(1), true, false,
+    return command(mmioW(5) + mmioR(1), true,
                    [this, rep, slot, msg = std::move(msg)](auto done) {
                        dtu_->cmdReply(act_, rep, slot, msgBuf_, msg,
                                       std::move(done));
@@ -224,7 +224,7 @@ sim::Task
 Env::readMem(dtu::EpId mep, std::uint64_t off, std::size_t size,
              Bytes *out, Error *err)
 {
-    return command(mmioW(4) + mmioR(1), false, true,
+    return command(mmioW(4) + mmioR(1), false,
                    [this, mep, off, size, out](auto done) {
                        dtu_->cmdRead(act_, mep, off, size, msgBuf_,
                                      [out, done](Error res,
@@ -240,7 +240,7 @@ Env::readMem(dtu::EpId mep, std::uint64_t off, std::size_t size,
 sim::Task
 Env::writeMem(dtu::EpId mep, std::uint64_t off, Bytes data, Error *err)
 {
-    return command(mmioW(4) + mmioR(1), false, false,
+    return command(mmioW(4) + mmioR(1), false,
                    [this, mep, off, data = std::move(data)](auto done) {
                        dtu_->cmdWrite(act_, mep, off, data, msgBuf_,
                                       std::move(done));
@@ -287,9 +287,9 @@ MuxEnv::waitImpl(dtu::EpId ep)
 }
 
 sim::Task
-MuxEnv::translFix(dtu::VirtAddr va, bool write)
+MuxEnv::translFix(dtu::VirtAddr va)
 {
-    co_await mux().translCall(*act_, va, write);
+    co_await mux().translCall(*act_, va);
 }
 
 sim::Task
@@ -366,7 +366,7 @@ BareEnv::waitEpsUntil(const std::vector<dtu::EpId> &eps,
 }
 
 sim::Task
-BareEnv::translFix(dtu::VirtAddr, bool)
+BareEnv::translFix(dtu::VirtAddr)
 {
     sim::panic("%s: TLB miss on a bare tile?", name_.c_str());
 }

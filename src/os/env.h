@@ -165,7 +165,7 @@ class Env
     virtual sim::Task waitImpl(dtu::EpId ep) = 0;
 
     /** Resolve a TLB miss for @p va (no-op on bare tiles). */
-    virtual sim::Task translFix(dtu::VirtAddr va, bool write) = 0;
+    virtual sim::Task translFix(dtu::VirtAddr va) = 0;
 
     /** MMIO cost shorthands (cycles from the core model). */
     sim::Cycles mmioR(unsigned n = 1) const;
@@ -185,10 +185,10 @@ class Env
   private:
     /** One DTU command: @p setup MMIO cycles, @p launch(done), wait for
      *  done(Error), an optional status read, and a transl retry on a
-     *  TLB miss of the message buffer (written if @p buf_write). */
+     *  TLB miss of the message buffer. */
     template <typename Launch>
     sim::Task command(sim::Cycles setup, bool status_read,
-                      bool buf_write, Launch launch, dtu::Error *err);
+                      Launch launch, dtu::Error *err);
 };
 
 /** Environment of an activity on a multiplexed tile. */
@@ -205,7 +205,7 @@ class MuxEnv : public Env
 
   protected:
     sim::Task waitImpl(dtu::EpId ep) override;
-    sim::Task translFix(dtu::VirtAddr va, bool write) override;
+    sim::Task translFix(dtu::VirtAddr va) override;
 
   private:
     core::Activity *act_;
@@ -236,7 +236,7 @@ class BareEnv : public Env
 
   protected:
     sim::Task waitImpl(dtu::EpId ep) override;
-    sim::Task translFix(dtu::VirtAddr va, bool write) override;
+    sim::Task translFix(dtu::VirtAddr va) override;
 
   private:
     bool anyUnread() const;

@@ -89,7 +89,6 @@ struct SyscallReq
                      ///< (requires holding that activity's cap)
         Delegate,    ///< copy a capability to another activity
         Revoke,      ///< recursively revoke a capability subtree
-        CreateSgate, ///< create a send gate for an own recv gate
         MapFor,      ///< install a page mapping for another activity
                      ///< (controller forwards it to that TileMux as a
                      ///< sidecall, paper section 4.3)
@@ -122,13 +121,13 @@ struct SyscallResp
     std::uint64_t val = 0;
 };
 
-/** Sidecalls from the controller to a TileMux instance. */
+/** Sidecalls from the controller to a TileMux instance (only
+ *  MapPage; the op field keeps the message's wire size). */
 struct SidecallReq
 {
     enum class Op : std::uint32_t
     {
         MapPage, ///< install a page-table entry for an activity
-        KillAct, ///< forcefully terminate an activity
     };
 
     Op op = Op::MapPage;

@@ -1,5 +1,6 @@
 #include "os/system.h"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -167,16 +168,8 @@ System::System(sim::EventQueue &eq, SystemParams params)
             [mux, vd](const dtu::Message &msg, int slot) {
                 SidecallReq req = podFrom<SidecallReq>(msg.payload);
                 SidecallResp resp;
-                switch (req.op) {
-                  case SidecallReq::Op::MapPage:
-                    mux->mapPage(req.act, req.virt, req.phys,
-                                 static_cast<std::uint8_t>(
-                                     req.perms));
-                    break;
-                  case SidecallReq::Op::KillAct:
-                    mux->killActivity(req.act);
-                    break;
-                }
+                mux->mapPage(req.act, req.virt, req.phys,
+                             static_cast<std::uint8_t>(req.perms));
                 vd->cmdReply(dtu::kTileMuxAct, 4, slot, 0,
                              podBytes(resp), [](dtu::Error) {});
             });
@@ -305,14 +298,8 @@ System::makeRgate(App *app, std::size_t slot_size, std::size_t slots)
     r.ep = h.ep;
     r.slotSize = slot_size;
     r.slots = slots;
-    unsigned s = shardMap_.shardOfTile(userTile(app->tileIdx));
-    h.sel = controllerOf(s).grantRgate(app->act->id(), r);
-    if (Capability *cap =
-            capsOf(s).tableOf(app->act->id()).get(h.sel)) {
-        cap->activated = true;
-        cap->actTile = userTile(app->tileIdx);
-        cap->actEp = h.ep;
-    }
+    h.sel = grantActivated(
+        app, KObject(r), h.ep);
     return h;
 }
 
@@ -333,14 +320,8 @@ System::makeSgate(App *sender, App *recv_owner, EpId rep,
     s.target.ep = rep;
     s.label = label;
     s.credits = credits;
-    unsigned sh = shardMap_.shardOfTile(userTile(sender->tileIdx));
-    h.sel = controllerOf(sh).grantSgate(sender->act->id(), s);
-    if (Capability *cap =
-            capsOf(sh).tableOf(sender->act->id()).get(h.sel)) {
-        cap->activated = true;
-        cap->actTile = userTile(sender->tileIdx);
-        cap->actEp = h.ep;
-    }
+    h.sel = grantActivated(
+        sender, KObject(s), h.ep);
     return h;
 }
 
@@ -356,26 +337,32 @@ System::makeMgate(App *app, std::size_t size, std::uint8_t perms,
     vdtus_[app->tileIdx]->configEp(
         h.ep, Endpoint::makeMem(app->act->id(), memTileId(mem_idx),
                                 h.addr, size, perms));
-    unsigned s = shardMap_.shardOfTile(userTile(app->tileIdx));
-    h.sel = controllerOf(s).grantMem(
-        app->act->id(),
-        MemObj{memTileId(mem_idx), h.addr, size, perms});
-    if (Capability *cap =
-            capsOf(s).tableOf(app->act->id()).get(h.sel)) {
-        cap->activated = true;
-        cap->actTile = userTile(app->tileIdx);
-        cap->actEp = h.ep;
-    }
+    h.sel = grantActivated(
+        app,
+        KObject(MemObj{memTileId(mem_idx), h.addr, size, perms}), h.ep);
     return h;
+}
+
+CapSel
+System::grantActivated(App *app, const KObject &obj, EpId ep)
+{
+    noc::TileId tile = userTile(app->tileIdx);
+    unsigned s = shardMap_.shardOfTile(tile);
+    CapSel sel = controllerOf(s).grant(app->act->id(), obj);
+    Capability *cap = capsOf(s).tableOf(app->act->id()).get(sel);
+    cap->activated = true;
+    cap->actTile = tile;
+    cap->actEp = ep;
+    return sel;
 }
 
 CapSel
 System::grantActCap(App *holder, App *target)
 {
     unsigned s = shardMap_.shardOfTile(userTile(holder->tileIdx));
-    return controllerOf(s).grantActivity(
+    return controllerOf(s).grant(
         holder->act->id(),
-        ActObj{target->act->id(), userTile(target->tileIdx)});
+        KObject(ActObj{target->act->id(), userTile(target->tileIdx)}));
 }
 
 dtu::PhysAddr
@@ -471,19 +458,20 @@ registerControllerInvariants(sim::Invariants &inv, System &sys)
                     c.onewayDropped() != 0)
                     return;
             }
+            // The capability at the far end of a share record.
+            auto capAt = [&sys](const RemoteRef &r) -> Capability * {
+                CapTable *t = sys.capsOf(r.shard).tableIfExists(r.act);
+                return t ? t->get(r.sel) : nullptr;
+            };
             for (unsigned s = 0; s < sys.ctrlShards(); s++) {
                 sys.capsOf(s).forEachTable([&](CapTable &t) {
                     t.forEachCap([&](Capability &c) {
+                        const RemoteRef self{static_cast<std::uint8_t>(s),
+                                             t.owner(), c.sel()};
                         for (const RemoteRef &r : c.remoteChildren) {
-                            CapTable *pt = sys.capsOf(r.shard)
-                                               .tableIfExists(r.act);
-                            Capability *rc =
-                                pt ? pt->get(r.sel) : nullptr;
-                            RemoteRef back{
-                                static_cast<std::uint8_t>(s),
-                                t.owner(), c.sel()};
+                            Capability *rc = capAt(r);
                             if (!rc || !rc->hasRemoteParent ||
-                                !(rc->remoteParent == back)) {
+                                !(rc->remoteParent == self)) {
                                 iv.fail(
                                     "shard %u cap (%u, 0x%x) has a "
                                     "remote child record for shard "
@@ -493,31 +481,20 @@ registerControllerInvariants(sim::Invariants &inv, System &sys)
                                     r.act, r.sel);
                             }
                         }
-                        if (c.hasRemoteParent) {
-                            const RemoteRef &p = c.remoteParent;
-                            CapTable *pt = sys.capsOf(p.shard)
-                                               .tableIfExists(p.act);
-                            Capability *pc =
-                                pt ? pt->get(p.sel) : nullptr;
-                            RemoteRef self{
-                                static_cast<std::uint8_t>(s),
-                                t.owner(), c.sel()};
-                            bool linked = false;
-                            if (pc) {
-                                for (const RemoteRef &r :
-                                     pc->remoteChildren)
-                                    if (r == self)
-                                        linked = true;
-                            }
-                            if (!linked) {
-                                iv.fail(
-                                    "shard %u cap (%u, 0x%x) claims "
-                                    "a remote parent on shard %u "
+                        if (!c.hasRemoteParent)
+                            return;
+                        const RemoteRef &p = c.remoteParent;
+                        Capability *pc = capAt(p);
+                        if (!pc || std::find(pc->remoteChildren.begin(),
+                                             pc->remoteChildren.end(),
+                                             self) ==
+                                       pc->remoteChildren.end()) {
+                            iv.fail("shard %u cap (%u, 0x%x) claims a "
+                                    "remote parent on shard %u "
                                     "(%u, 0x%x) that does not record "
                                     "it",
                                     s, t.owner(), c.sel(), p.shard,
                                     p.act, p.sel);
-                            }
                         }
                     });
                 });

@@ -233,6 +233,10 @@ class System
      *  ctrls_; the call order fixes the tile's NoC attachment). */
     void addCtrlTile(unsigned s);
 
+    /** Boot-grant @p app a capability for @p obj, recorded as already
+     *  activated into EP @p ep on its tile. */
+    CapSel grantActivated(App *app, const KObject &obj, dtu::EpId ep);
+
     sim::EventQueue &eq_;
     SystemParams params_;
     std::unique_ptr<noc::Noc> noc_;

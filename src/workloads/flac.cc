@@ -216,13 +216,13 @@ generateAudio(std::size_t n, const AudioParams &params,
 }
 
 bool
-scanForTrigger(const Samples &samples, unsigned sample_rate)
+scanForTrigger(const Samples &samples)
 {
     // Sliding 32 ms windows: detect sustained high-band energy by
     // first-differencing (a crude high-pass) and comparing to the
     // total energy.
-    std::size_t win = sample_rate / 32;
-    if (win == 0 || samples.size() < 2 * win)
+    constexpr std::size_t win = kSampleRate / 32;
+    if (samples.size() < 2 * win)
         return false;
     unsigned hot = 0;
     for (std::size_t off = 0; off + win < samples.size();

@@ -84,9 +84,10 @@ Samples generateAudio(std::size_t n, const AudioParams &params,
 
 /**
  * The trigger-word scanner: sliding-window energy + chirp-band
- * detection. Returns true if the trigger is present.
+ * detection over @p samples at kSampleRate. Returns true if the
+ * trigger is present.
  */
-bool scanForTrigger(const Samples &samples, unsigned sample_rate);
+bool scanForTrigger(const Samples &samples);
 
 /** Modelled scan cost in cycles (linear in the input). */
 sim::Cycles scanCost(std::size_t samples);

@@ -53,7 +53,7 @@ sendMsg(Activity &act, VDtu &vdtu, EpId ep, dtu::VirtAddr buf,
         while (!done)
             co_await t.externalWait();
         if (err == Error::TlbMiss) {
-            co_await act.mux().translCall(act, buf, false);
+            co_await act.mux().translCall(act, buf);
             continue;
         }
         if (out)
@@ -169,7 +169,7 @@ pongBody(Activity &act, VDtu &vdtu, EpId rep)
             co_await act.thread().externalWait();
         if (err == Error::TlbMiss) {
             // Refill and retry once (reply buffers are page-local).
-            co_await act.mux().translCall(act, 0x10000, false);
+            co_await act.mux().translCall(act, 0x10000);
             // The one-shot reply permission was not consumed on a
             // failed command; retry.
             done = false;

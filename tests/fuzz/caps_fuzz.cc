@@ -395,6 +395,8 @@ runCapsScenario(std::uint64_t seed, std::size_t ops_per_driver,
         });
     }
     eq.run();
+    out.endTick = eq.now();
+    out.events = eq.executed();
 
     inv.runAll(true);
     for (const std::string &v : inv.violations())

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/types.h"
+
 namespace m3v::fuzz {
 
 /** Result of one capability-fuzz scenario (or differential). */
@@ -24,6 +26,10 @@ struct CapsOutcome
     std::uint64_t digest = 0;
     /** Syscalls that completed with Error::None. */
     std::uint64_t opsOk = 0;
+    /** Simulated tick at which the scenario drained (not digested). */
+    sim::Tick endTick = 0;
+    /** Events the scenario executed (not digested). */
+    std::uint64_t events = 0;
     /** Invariant violations, model mismatches, digest divergences. */
     std::vector<std::string> errors;
 

@@ -45,6 +45,36 @@ TEST(CapsFuzzTest, ScenariosMatchModelOneShard)
     expectScenariosMatchModel(1);
 }
 
+/** The four-shard outcome of seeds 1-3 down to the event: the
+ *  digest covers the final capability forest and the shard counters,
+ *  the end tick and event count cover the timing of every syscall
+ *  and cross-shard message on the way there. */
+TEST(CapsFuzzTest, FourShardOutcomesPinned)
+{
+    struct Pin
+    {
+        std::uint64_t seed;
+        std::uint64_t digest;
+        std::uint64_t opsOk;
+        sim::Tick endTick;
+        std::uint64_t events;
+    };
+    const Pin pins[] = {
+        {1, 0xeaaa3f2e0fedb336ull, 179, 1343112500, 18578},
+        {2, 0x1f442c4dab2cbf32ull, 180, 1340822500, 18683},
+        {3, 0x30674510c1390355ull, 183, 1360562500, 19021},
+    };
+    for (const Pin &p : pins) {
+        CapsOutcome out = runCapsScenario(p.seed, 60, 4);
+        EXPECT_FALSE(out.failed()) << "seed " << p.seed << ":\n"
+                                   << joined(out);
+        EXPECT_EQ(out.digest, p.digest) << "seed " << p.seed;
+        EXPECT_EQ(out.opsOk, p.opsOk) << "seed " << p.seed;
+        EXPECT_EQ(out.endTick, p.endTick) << "seed " << p.seed;
+        EXPECT_EQ(out.events, p.events) << "seed " << p.seed;
+    }
+}
+
 TEST(CapsFuzzTest, JobsDifferentialDigestParity)
 {
     CapsOutcome out = runCapsDifferential(7, 40, 4);

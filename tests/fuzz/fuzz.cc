@@ -303,7 +303,7 @@ oneSend(Platform &plat, unsigned idx, EpId sep, std::uint64_t tag,
             co_await th.externalWait();
         if (err != Error::TlbMiss)
             break;
-        co_await mux.translCall(act, kBufVa, false);
+        co_await mux.translCall(act, kBufVa);
     }
     err_out = err;
 }

@@ -424,6 +424,68 @@ TEST(ShardRaceTest, RevokeRacesInFlightDelegation)
     }
 }
 
+TEST(ShardRaceTest, CrashDuringSyscallService)
+{
+    // A (tile 0) delegates a cap to B (tile 7, shard 3), revokes the
+    // delegated copy keeping its own root, then activates the root.
+    // Crash A at every 200 ns of that service window: the reap drops
+    // A's table while a syscall body is suspended in a cap-table
+    // step, a peer call or an endpoint write. The body must not touch
+    // what the reap freed (ASan checks this test), and the
+    // conservation laws must hold.
+    auto scenario = [](sim::Tick crash_at, sim::Tick *first,
+                       sim::Tick *last) {
+        sim::EventQueue eq;
+        System sys(eq, shardedParams(4));
+        sim::Invariants inv;
+        registerControllerInvariants(inv, sys);
+        auto *a = sys.createApp(0, "a");
+        auto *b = sys.createApp(7, "b");
+        auto storage = sys.makeMgate(a, 64 << 10, dtu::kPermRW);
+        CapSel b_act = sys.grantActCap(a, b);
+        dtu::EpId mep = sys.allocEp(0);
+        dtu::ActId a_id = a->act->id();
+
+        sys.start(a, [&, storage, b_act, mep](MuxEnv &env)
+                      -> sim::Task {
+            const SyscallReq reqs[] = {
+                {SyscallReq::Op::Delegate, b_act, storage.sel},
+                {SyscallReq::Op::Revoke, storage.sel, 1},
+                {SyscallReq::Op::Activate, storage.sel, mep},
+            };
+            if (first)
+                *first = eq.now();
+            for (const SyscallReq &req : reqs) {
+                SyscallResp resp;
+                Error err = Error::None;
+                co_await env.trySyscall(req, &resp, &err);
+            }
+            if (last)
+                *last = eq.now();
+            // Linger so late crash points still find A alive.
+            co_await env.thread().compute(5'000'000'000);
+        });
+        sys.start(b, [&](MuxEnv &env) -> sim::Task {
+            co_await env.thread().compute(1);
+        });
+        eq.schedule(crash_at, [&] { sys.mux(0).crashActivity(a_id); });
+        eq.run();
+        inv.runAll(true);
+        EXPECT_TRUE(inv.ok())
+            << "crash at " << crash_at << " ticks:\n" << inv.report();
+        EXPECT_EQ(sys.controllerOf(0).activitiesReaped(), 1u)
+            << "crash at " << crash_at << " ticks";
+    };
+
+    // A crash after the window finds the service span.
+    sim::Tick first = 0, last = 0;
+    scenario(sim::kTicksPerMs, &first, &last);
+    ASSERT_LT(first, last);
+    ASSERT_LT(last, sim::kTicksPerMs);
+    for (sim::Tick t = first; t <= last; t += 200 * sim::kTicksPerNs)
+        scenario(t, nullptr, nullptr);
+}
+
 TEST_F(ShardSystemTest, CreateAndDestroyActivityAcrossShards)
 {
     // The control-plane storm primitive: create a controller-side
@@ -464,6 +526,86 @@ TEST_F(ShardSystemTest, CreateAndDestroyActivityAcrossShards)
     runAndCheck();
     EXPECT_TRUE(done);
     EXPECT_GE(sys.controllerOf(3).activitiesReaped(), 1u);
+}
+
+TEST_F(ShardSystemTest, CrossShardMapForReachesHomeTileMux)
+{
+    // A (tile 0, shard 0) maps a page for B (tile 7, shard 3). The
+    // sidecall channel to tile 7's TileMux belongs to shard 3, so
+    // shard 0 forwards the MapFor and shard 3 issues the sidecall.
+    auto *a = sys.createApp(0, "a");
+    auto *b = sys.createApp(7, "b");
+    CapSel b_act = sys.grantActCap(a, b);
+    const dtu::VirtAddr va = 0x4000'0000;
+    const dtu::PhysAddr pa = sys.allocTilePhys(7, 1);
+
+    bool done = false;
+    sys.start(a, [&, b_act](MuxEnv &env) -> sim::Task {
+        SyscallReq req;
+        req.op = SyscallReq::Op::MapFor;
+        req.arg0 = b_act;
+        req.arg1 = va;
+        req.arg2 = pa;
+        req.arg3 = dtu::kPermRW;
+        SyscallResp resp;
+        co_await env.syscall(req, &resp);
+        EXPECT_EQ(resp.err, Error::None);
+        done = true;
+    });
+    sys.start(b, [&](MuxEnv &env) -> sim::Task {
+        co_await env.thread().compute(1);
+    });
+
+    runAndCheck();
+    EXPECT_TRUE(done);
+    const core::PageMapping *pm = b->act->addrSpace().lookup(va);
+    ASSERT_NE(pm, nullptr);
+    EXPECT_EQ(pm->phys, pa);
+    EXPECT_EQ(pm->perms, dtu::kPermRW);
+    EXPECT_EQ(sys.controllerOf(0).xshardSent(), 1u);
+    EXPECT_EQ(sys.controllerOf(0).xshardAcked(), 1u);
+    EXPECT_EQ(sys.controllerOf(3).xshardHandled(), 1u);
+    // Pinned simulated timing of the forward + sidecall round trip.
+    EXPECT_EQ(eq.now(), 274'902'500u);
+    EXPECT_EQ(eq.executed(), 196u);
+}
+
+TEST_F(ShardSystemTest, UnansweredPeerCallTimesOut)
+{
+    // Shard 3's controller never runs, so nothing answers shard 0's
+    // cross-shard calls. A CreateAct on tile 6 (shard 3) retries until
+    // its attempts are spent and fails typed with Error::Timeout.
+    // Unanswered requests keep their credits: the third call runs out
+    // of them and takes the send-error back-off path.
+    sys.controllerOf(3).stop();
+    auto *a = sys.createApp(0, "a");
+
+    bool done = false;
+    sys.start(a, [&](MuxEnv &env) -> sim::Task {
+        SyscallReq req;
+        req.op = SyscallReq::Op::CreateAct;
+        req.arg0 = 6;
+        SyscallResp resp;
+        co_await env.syscall(req, &resp);
+        EXPECT_EQ(resp.err, Error::Timeout);
+        EXPECT_EQ(sys.controllerOf(0).xshardTimeouts(), 1u);
+        for (int i = 0; i < 2; i++) {
+            co_await env.syscall(req, &resp);
+            EXPECT_EQ(resp.err, Error::Timeout);
+        }
+        done = true;
+    });
+
+    runAndCheck();
+    EXPECT_TRUE(done);
+    const Controller &c0 = sys.controllerOf(0);
+    EXPECT_EQ(c0.xshardTimeouts(), 3u);
+    EXPECT_EQ(c0.xshardSent(), 3u);
+    EXPECT_EQ(c0.xshardAcked(), 0u);
+    EXPECT_EQ(sys.controllerOf(3).xshardHandled(), 0u);
+    // Pinned simulated timing of three exhausted calls.
+    EXPECT_EQ(eq.now(), 1'717'547'500u);
+    EXPECT_EQ(eq.executed(), 345u);
 }
 
 } // namespace

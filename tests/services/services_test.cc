@@ -216,7 +216,7 @@ TEST(PagerTest, AllocMapBacksHeapViaSidecalls)
         EXPECT_NE(va, 0u);
         // The mapping is installed in the page table: a transl
         // TMCall resolves without the fault handler.
-        co_await env.mux().translCall(env.activity(), va, true);
+        co_await env.mux().translCall(env.activity(), va);
         done = true;
     });
     eq.run();

@@ -82,8 +82,8 @@ TEST(Audio, TriggerIsDetected)
     AudioParams params;
     Samples with = generateAudio(32000, params, true);
     Samples without = generateAudio(32000, params, false);
-    EXPECT_TRUE(scanForTrigger(with, kSampleRate));
-    EXPECT_FALSE(scanForTrigger(without, kSampleRate));
+    EXPECT_TRUE(scanForTrigger(with));
+    EXPECT_FALSE(scanForTrigger(without));
 }
 
 TEST(Zipf, SkewsTowardsLowRanks)
