@@ -56,8 +56,3 @@ add_executable(ctrl_storm ${M3V_BENCH_DIR}/ctrl_storm.cc)
 target_link_libraries(ctrl_storm PRIVATE m3v_os m3v_workloads)
 target_include_directories(ctrl_storm PRIVATE ${M3V_BENCH_DIR})
 set_target_properties(ctrl_storm PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-add_executable(fanin ${M3V_BENCH_DIR}/fanin.cc)
-target_link_libraries(fanin PRIVATE m3v_dtu)
-target_include_directories(fanin PRIVATE ${M3V_BENCH_DIR})
-set_target_properties(fanin PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

@@ -12,8 +12,7 @@ BUILD_DIR="${BUILD_DIR:-build}"
 OUT="${OUT:-BENCH_eventcore.json}"
 
 cmake -B "$BUILD_DIR" -S . >/dev/null
-cmake --build "$BUILD_DIR" -j --target micro_sim fig09_scale fanin \
-    ctrl_storm
+cmake --build "$BUILD_DIR" -j --target micro_sim fig09_scale ctrl_storm
 
 echo "== micro_sim (event-queue benchmarks) =="
 MICRO_JSON=$(mktemp)
@@ -86,19 +85,6 @@ jq '{host_cpus, speedup_valid,
      speedup: (.speedup // "skipped"),
      jobs1: .jobs1.wall_ms, jobs4: .jobs4.wall_ms,
      mesh_tiles: [.mesh[].tiles]}' "$SCALE_OUT"
-
-echo "== bench/fanin (zero-copy message path) =="
-# Reduced message count: this is a smoke run that checks the slab
-# path works end to end and records the msgs/sec + byte-copy
-# figures; the full-size run is for perf investigation.
-MSGPATH_OUT="${MSGPATH_OUT:-BENCH_msgpath.json}"
-"$BUILD_DIR/bench/fanin" --msgs=4000 --out="$MSGPATH_OUT"
-echo "== wrote $MSGPATH_OUT =="
-jq '{k16_msgs_per_sec: ."k16.zero_copy.msgs_per_sec",
-     k16_byte_copies: ."k16.zero_copy.byte_copies",
-     k64_msgs_per_sec: ."k64.zero_copy.msgs_per_sec",
-     k64_byte_copies: ."k64.zero_copy.byte_copies"}' \
-    "$MSGPATH_OUT"
 
 echo "== bench/ctrl_storm (sharded controller, 1/2/4 shards) =="
 # The storm binary runs every shard count at --jobs=1/2/4 internally

@@ -158,15 +158,6 @@ asan_fleet() {
     build-asan/bench/fleet --tenants=100 --rate=6000 --chaos >/dev/null
 }
 
-asan_fanin() {
-    # The zero-copy slab path hands one refcounted extent through
-    # wire, mailbox and recv slot: exactly the shared-ownership
-    # lifetimes ASan checks. Bounded iterations — this is a
-    # correctness pass, the timing numbers are discarded.
-    cmake --build build-asan -j --target fanin
-    build-asan/bench/fanin --msgs=2000 --out="" >/dev/null
-}
-
 asan_rerun() {
     # The metrics/trace layer, the activity-teardown paths, the call
     # path (every Env::call acks and drops stale reply slots), the
@@ -175,8 +166,8 @@ asan_rerun() {
     # arithmetic and inline closures, the DTU command pipeline's
     # slot and offset arithmetic (DtuTest, VDtu), the coroutine frame
     # lifetimes of top-level tasks destroyed finished or not (Task.),
-    # and the slab hand-off behind inline message notification
-    # (MsgPath) are the most UB-prone (handle lifetimes, histogram
+    # and the payload moves and retransmission copies of the message
+    # path with its inline notification (MsgPath) are the most UB-prone (handle lifetimes, histogram
     # and offset arithmetic); run them again explicitly so a filter
     # typo above cannot silently skip them.
     RERUN='MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|'\
@@ -193,7 +184,7 @@ tsan_lanes() {
     # unreliable); the plain and ASan passes above cover them.
     cmake -B build-tsan -S . -DM3VSIM_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j --target sim_lane_test noc_lane_test \
-        fuzz_driver fanin
+        fuzz_driver
     build-tsan/tests/sim/sim_lane_test --gtest_filter='-*Panic*'
     build-tsan/tests/noc/noc_lane_test
 }
@@ -221,14 +212,6 @@ tsan_shards() {
     build-tsan/tests/fuzz/caps_fuzz_test
 }
 
-tsan_fanin() {
-    # The slab pool's refcount mutex and the COW hand-off are the
-    # cross-thread contract of the zero-copy path (lane workers share
-    # the pool); run the fan-in traffic with the race detector
-    # watching.
-    build-tsan/bench/fanin --msgs=2000 --out="" >/dev/null
-}
-
 tsan_fuzz() {
     # Laned differential runs are the threaded path: per-lane
     # invariant registries must stay lane-local, and jobs=1 vs jobs=4
@@ -253,7 +236,6 @@ stage "fuzz smoke under ASan (bounded)" asan_fuzz
 stage "sharded controller under ASan (cross-shard revoke paths)" \
     asan_shards
 stage "fleet smoke under ASan" asan_fleet
-stage "fan-in microbench under ASan (bounded)" asan_fanin
 stage "sanitized re-run: observability + lifecycle regressions" \
     asan_rerun
 stage "TSan build: parallel event execution" tsan_lanes
@@ -269,7 +251,6 @@ else
     skip "sharded controller under TSan (caps differential)" \
         "single hardware thread"
 fi
-stage "fan-in microbench under TSan (bounded)" tsan_fanin
 stage "fuzz smoke under TSan (differential only, bounded)" tsan_fuzz
 
 echo "== summary =="

@@ -10,8 +10,7 @@
 # type its driver runs), then runs
 #   - the nine golden figure tests (ctest -L golden),
 #   - the protocol and caps fuzzer (824 scenarios),
-#   - the controller storm, the 64-tile router-sharded mesh sweep and
-#     the fan-in microbench,
+#   - the controller storm and the 64-tile router-sharded mesh sweep,
 #   - m3vbench --small --trace 1 for every perfbench workload.
 # Unit tests are deliberately not run: code that only a unit test
 # reaches is what this report is meant to find.
@@ -42,7 +41,7 @@ cmake -B "$COV_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="--coverage -fkeep-inline-functions" >/dev/null
 cmake --build "$COV_DIR" -j "$JOBS" --target fig06_micro fig07_fs \
     fig08_udp fig09_scale fig10_cloud fleet voice_assistant ablations \
-    table1_area fuzz_driver ctrl_storm fanin
+    table1_area fuzz_driver ctrl_storm
 cmake -S perfbench -B "$PERF_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=--coverage >/dev/null
 cmake --build "$PERF_DIR" -j "$JOBS" --target m3vbench
@@ -59,8 +58,6 @@ echo "== ctrl_storm =="
 "$COV_DIR/bench/ctrl_storm" --ops=12000 >/dev/null
 echo "== fig09_scale --mesh-only (64 tiles) =="
 M3V_FIG09_TILES=64 "$COV_DIR/bench/fig09_scale" --mesh-only >/dev/null
-echo "== fanin =="
-"$COV_DIR/bench/fanin" --msgs=2000 --out="" >/dev/null
 for w in switch_replay ctrl_storm mesh_lanes; do
     echo "== m3vbench $w --small =="
     "$PERF_DIR/m3vbench" --workload "$w" --small --seconds 0 \

@@ -437,7 +437,8 @@ TileMux::handleSidecall()
                 int slot = vdtu_.fetch(kTileMuxAct, sidecallEp_);
                 if (slot < 0)
                     break;
-                dtu::Message msg = vdtu_.slotMsg(sidecallEp_, slot);
+                const dtu::Message &msg =
+                    vdtu_.slotMsg(sidecallEp_, slot);
                 // The handler replies (or acks) the slot itself.
                 sidecall_(msg, slot);
             }

@@ -158,16 +158,12 @@ Dtu::completeInflight(Inflight inf, Error e, WireData *resp)
 
       case CmdState::Kind::Read: {
         // Stage the response, then DMA the data into the core's
-        // cache (the vector copy below models exactly that DMA; the
-        // zero-copy discipline ends at the software boundary).
+        // cache: the bytes move on into the ReadCallback.
         c.err = e;
-        c.readData.clear();
-        if (resp != nullptr && !resp->data.empty()) {
-            const auto &bytes = resp->data.bytes();
-            c.readData.assign(bytes.begin(), bytes.end());
-        }
+        if (resp != nullptr)
+            c.payload = std::move(resp->data);
         sim::Cycles dma =
-            kLocalMemFixed + c.readData.size() / kLocalMemBytesPerCycle;
+            kLocalMemFixed + c.payload.size() / kLocalMemBytesPerCycle;
         eq_.schedule(clk_.cyclesToTicks(dma),
                      [this]() { completeCmd(curCmd_.err); });
         break;
@@ -302,7 +298,6 @@ Dtu::launchCmd()
         wd->msg.replyEp = c.replyEp;
         wd->msg.creditEp = c.ep;
         wd->msg.canReply = c.replyEp != kInvalidEp;
-        // Zero-copy hand-off: the command's extent becomes the wire's.
         wd->msg.payload = std::move(c.payload);
         break;
 
@@ -321,11 +316,11 @@ Dtu::launchCmd()
         wd->msg.canReply = false;
         wd->msg.payload = std::move(c.payload);
         // Replying acknowledges the original message: free the slot —
-        // dropping its payload reference so the extent recycles — and
-        // return the credit to the sender ahead of the reply.
+        // and its payload — and return the credit to the sender ahead
+        // of the reply.
         rs.occupied = false;
         rs.unread = false;
-        rs.msg.payload.reset();
+        rs.msg.payload = std::vector<std::uint8_t>();
         sendCreditReturn(dst, rs.msg.creditEp);
         break;
       }
@@ -370,7 +365,7 @@ Dtu::completeCmd(Error e)
     // invoking it: the callback may enqueue the next command.
     if (curCmd_.kind == CmdState::Kind::Read) {
         ReadCallback rcb = std::move(curCmd_.rcb);
-        std::vector<std::uint8_t> data = std::move(curCmd_.readData);
+        std::vector<std::uint8_t> data = std::move(curCmd_.payload);
         curCmd_ = CmdState{};
         rcb(e, std::move(data));
     } else {
@@ -390,16 +385,6 @@ Dtu::cmdSend(ActId act, EpId ep_id, VirtAddr buf,
              std::vector<std::uint8_t> payload, EpId reply_ep,
              CmdCallback cb, std::uint64_t nonce)
 {
-    cmdSendRef(act, ep_id, buf,
-               noc_.payloadPool().adopt(std::move(payload)), reply_ep,
-               std::move(cb), nonce);
-}
-
-void
-Dtu::cmdSendRef(ActId act, EpId ep_id, VirtAddr buf,
-                sim::PayloadRef payload, EpId reply_ep,
-                CmdCallback cb, std::uint64_t nonce)
-{
     CmdState st;
     st.kind = CmdState::Kind::Send;
     st.act = act;
@@ -415,15 +400,6 @@ Dtu::cmdSendRef(ActId act, EpId ep_id, VirtAddr buf,
 void
 Dtu::cmdReply(ActId act, EpId rep_id, int slot, VirtAddr buf,
               std::vector<std::uint8_t> payload, CmdCallback cb)
-{
-    cmdReplyRef(act, rep_id, slot, buf,
-                noc_.payloadPool().adopt(std::move(payload)),
-                std::move(cb));
-}
-
-void
-Dtu::cmdReplyRef(ActId act, EpId rep_id, int slot, VirtAddr buf,
-                 sim::PayloadRef payload, CmdCallback cb)
 {
     CmdState st;
     st.kind = CmdState::Kind::Reply;
@@ -462,7 +438,7 @@ Dtu::cmdWrite(ActId act, EpId mep_id, std::uint64_t offset,
     st.ep = mep_id;
     st.offset = offset;
     st.size = data.size();
-    st.payload = noc_.payloadPool().adopt(std::move(data));
+    st.payload = std::move(data);
     st.buf = buf;
     st.cb = std::move(cb);
     enqueueCmd(std::move(st));
@@ -534,10 +510,8 @@ Dtu::ack(ActId act, EpId rep_id, int slot)
     EpId credit_ep = rs.msg.creditEp;
     rs.occupied = false;
     rs.unread = false;
-    // The receiver is done with the payload: drop the slot's extent
-    // reference so it recycles (the slab conservation law counts
-    // only occupied slots as legitimate holders).
-    rs.msg.payload.reset();
+    // The receiver is done with the payload: free it with the slot.
+    rs.msg.payload = std::vector<std::uint8_t>();
     if (credit_ep == kInvalidEp)
         return; // replies carry no credits
     sendCreditReturn(dst, credit_ep);
@@ -593,7 +567,7 @@ Dtu::deviceMessage(EpId rep, std::vector<std::uint8_t> payload,
     rs.msg = Message{};
     rs.msg.label = label;
     rs.msg.srcTile = tile_;
-    rs.msg.payload = noc_.payloadPool().adopt(std::move(payload));
+    rs.msg.payload = std::move(payload);
     rs.msg.seq = nextSeq_++;
     rs.msg.arrival = eq_.now();
     msgsRecv_->inc();
@@ -653,10 +627,9 @@ Dtu::sendPacket(noc::TileId dst, std::unique_ptr<WireData> wd)
 {
     if (reliable_ && isRetxKind(wd->kind) && wd->seq == 0) {
         // First transmission of a reliable request: stamp the wire
-        // sequence number, keep a reference-holding copy, and arm the
-        // retx timer. The saved WireData shares the payload extent
-        // with the transmitted packet — corruption on the wire
-        // mutates a COW view, so this original stays clean.
+        // sequence number, save a copy of the packet (payload
+        // included, so corruption on the wire leaves it clean), and
+        // arm the retx timer.
         wd->seq = wireSeq_++;
         Retx r;
         r.seq = wd->seq;
@@ -756,8 +729,7 @@ Dtu::retxTimeout(std::uint64_t seq)
     retransmits_->inc();
     trc_->instant(sim::TraceCat::Dtu, tile_, sim::kTraceTidDtu,
                   "retransmit");
-    // The retransmitted packet is a fresh header sharing the saved
-    // payload extent (a refcount bump, not a byte copy).
+    // The retransmitted packet is a fresh copy of the save.
     auto copy = std::make_unique<WireData>(r->wd);
     noc::Packet pkt;
     pkt.src = tile_;
@@ -1007,7 +979,6 @@ Dtu::handleMsgXfer(WireData &wd, noc::TileId src)
     RecvSlot &rs = rep.recv.slots[static_cast<std::size_t>(slot)];
     rs.occupied = true;
     rs.unread = true;
-    // Zero-copy hand-off: the wire's extent becomes the slot's.
     rs.msg = std::move(wd.msg);
     rs.msg.seq = nextSeq_++;
     rs.msg.arrival = eq_.now();
@@ -1089,66 +1060,6 @@ registerDtuInvariants(sim::Invariants &inv,
             }
         }
     });
-
-    inv.addCheck("dtu.slab_conservation", [dtus](sim::Invariants &v) {
-        // Distinct pools (a differential rig runs two platforms).
-        std::vector<const sim::SlabPool *> pools;
-        for (const Dtu *d : dtus) {
-            const sim::SlabPool *p = &d->payloadPool();
-            if (std::find(pools.begin(), pools.end(), p) ==
-                pools.end())
-                pools.push_back(p);
-        }
-        for (const sim::SlabPool *p : pools) {
-            sim::SlabPool::Stats s = p->stats();
-            if (s.allocated != s.live + s.free)
-                v.fail("slab pool accounting broken: allocated %zu "
-                       "!= live %zu + free %zu",
-                       s.allocated, s.live, s.free);
-            if (s.staleReleases != 0)
-                v.fail("slab pool saw %llu stale releases "
-                       "(double-release or use-after-free handle)",
-                       static_cast<unsigned long long>(
-                           s.staleReleases));
-        }
-    });
-
-    inv.addCheck(
-        "dtu.slab_no_leak",
-        [dtus](sim::Invariants &v) {
-            // At quiescence the only legitimate extent holders are
-            // occupied receive slots (engines drained, no packets in
-            // flight, retx empty): live extents must match exactly.
-            std::vector<const sim::SlabPool *> pools;
-            for (const Dtu *d : dtus) {
-                const sim::SlabPool *p = &d->payloadPool();
-                if (std::find(pools.begin(), pools.end(), p) ==
-                    pools.end())
-                    pools.push_back(p);
-            }
-            for (const sim::SlabPool *p : pools) {
-                std::size_t held = 0;
-                for (const Dtu *d : dtus) {
-                    if (&d->payloadPool() != p)
-                        continue;
-                    for (EpId i = 0; i < kNumEps; i++) {
-                        const Endpoint &e = d->ep(i);
-                        if (e.kind != EpKind::Receive)
-                            continue;
-                        for (const RecvSlot &rs : e.recv.slots)
-                            if (rs.occupied &&
-                                rs.msg.payload.valid())
-                                held++;
-                    }
-                }
-                sim::SlabPool::Stats s = p->stats();
-                if (s.live != held)
-                    v.fail("slab pool leaked extents: %zu live but "
-                           "only %zu held by receive slots",
-                           s.live, held);
-            }
-        },
-        sim::Invariants::When::QuiescentOnly);
 
     inv.addCheck(
         "dtu.engines_drained",

@@ -23,16 +23,16 @@
  * protection checks and timing; payload bytes travel alongside
  * (content and timing are decoupled, see DESIGN.md).
  *
- * Zero-copy message path (DESIGN.md section 4g): payloads are
- * reference-counted extents in the platform's slab pool
- * (sim/slab_pool.h). A SEND hands its extent to the wire packet, the
- * packet hands it to the receive-ring slot, and the retransmission
- * engine keeps the message alive by holding a second reference — no
- * intermediate memcpy anywhere. Because the command pipeline is
- * fully serialized (one command owns the engine from enqueue to
- * completion callback), all per-command state lives in a single
- * member struct and the stage closures capture nothing but `this`,
- * which keeps the steady-state send path free of heap allocation
+ * Message payload ownership (DESIGN.md section 4g): a payload is a
+ * plain byte vector with one owner at a time. A SEND moves it into
+ * the wire packet, the packet moves it into the receive-ring slot,
+ * and a READ response's bytes move into the ReadCallback. Only the
+ * reliable wire protocol copies: its retransmission save keeps its
+ * own copy of each packet. Because the command pipeline is fully
+ * serialized (one command owns the engine from enqueue to completion
+ * callback), all per-command state lives in a single member struct
+ * and the stage closures capture nothing but `this`, so the
+ * steady-state send path allocates nothing beyond the payload buffer
  * (asserted by tests/dtu/msgpath_test.cc).
  */
 
@@ -51,7 +51,6 @@
 #include "sim/event_queue.h"
 #include "sim/ring_deque.h"
 #include "sim/sim_object.h"
-#include "sim/slab_pool.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
 
@@ -113,13 +112,6 @@ class Dtu : public sim::SimObject, public noc::HopTarget
     const DtuTiming &timing() const { return timing_; }
     const sim::Clock &clock() const { return clk_; }
 
-    /** The platform's shared payload-extent pool (owned by the NoC). */
-    sim::SlabPool &payloadPool() { return noc_.payloadPool(); }
-    const sim::SlabPool &payloadPool() const
-    {
-        return noc_.payloadPool();
-    }
-
     //
     // External interface (controller side).
     //
@@ -151,18 +143,10 @@ class Dtu : public sim::SimObject, public noc::HopTarget
      * endpoint @p ep_id; replies (if any) arrive at @p reply_ep.
      * @p nonce is stamped into the message and echoed back by the
      * receiver's REPLY (see Message::nonce); 0 means "unused".
-     *
-     * The byte-vector overload adopts the buffer into the payload
-     * pool (a move, not a copy). cmdSendRef takes a pooled extent
-     * directly — the allocation-free path (pool().make() + fill, or
-     * forwarding a received payload).
      */
     void cmdSend(ActId act, EpId ep_id, VirtAddr buf,
                  std::vector<std::uint8_t> payload, EpId reply_ep,
                  CmdCallback cb, std::uint64_t nonce = 0);
-    void cmdSendRef(ActId act, EpId ep_id, VirtAddr buf,
-                    sim::PayloadRef payload, EpId reply_ep,
-                    CmdCallback cb, std::uint64_t nonce = 0);
 
     /**
      * REPLY: consume the one-shot reply permission of the message in
@@ -170,8 +154,6 @@ class Dtu : public sim::SimObject, public noc::HopTarget
      */
     void cmdReply(ActId act, EpId rep_id, int slot, VirtAddr buf,
                   std::vector<std::uint8_t> payload, CmdCallback cb);
-    void cmdReplyRef(ActId act, EpId rep_id, int slot, VirtAddr buf,
-                     sim::PayloadRef payload, CmdCallback cb);
 
     /** READ: DMA @p size bytes at @p offset within memory EP. */
     void cmdRead(ActId act, EpId mep_id, std::uint64_t offset,
@@ -371,7 +353,8 @@ class Dtu : public sim::SimObject, public noc::HopTarget
         EpId ep = kInvalidEp;        ///< command's endpoint
         int slot = -1;               ///< reply: acked recv slot
         VirtAddr buf = 0;
-        sim::PayloadRef payload;     ///< send/reply payload, write data
+        /** Send/reply/write bytes; read: the staged response. */
+        std::vector<std::uint8_t> payload;
         EpId replyEp = kInvalidEp;   ///< send
         std::uint64_t nonce = 0;     ///< send
         std::uint64_t offset = 0;    ///< read/write
@@ -379,7 +362,6 @@ class Dtu : public sim::SimObject, public noc::HopTarget
         CmdCallback cb;              ///< send/reply/write completion
         ReadCallback rcb;            ///< read completion
         Error err = Error::None;     ///< read: staged response error
-        std::vector<std::uint8_t> readData; ///< read: staged bytes
     };
 
     /**
@@ -464,10 +446,10 @@ class Dtu : public sim::SimObject, public noc::HopTarget
 
     /**
      * An unacknowledged reliable packet awaiting retransmission. The
-     * saved WireData shares the payload extent with the transmitted
-     * packet (a refcount, not a deep copy); a retransmission bumps it
-     * again. Flat vector: few packets are ever outstanding, and
-     * steady-state operation must not churn the heap.
+     * saved WireData is a copy of the transmitted packet, payload
+     * included, so damage to the packet in flight never reaches it;
+     * each retransmission sends a fresh copy of the save. Flat
+     * vector: few packets are ever outstanding.
      */
     struct Retx
     {
@@ -518,11 +500,6 @@ class Dtu : public sim::SimObject, public noc::HopTarget
  * (tests only):
  *  - per send endpoint, credits never exceed the configured maximum,
  *    and per receive slot, unread implies occupied (every boundary);
- *  - the payload pool's slot accounting balances (allocated ==
- *    live + free) and no stale release was ever observed (every
- *    boundary), and at quiescence every live extent is accounted for
- *    by an occupied receive slot — no extent leaked by the zero-copy
- *    hand-off chain;
  *  - at quiescence every engine has drained (no queued command, tx
  *    packet, in-flight request, or retransmission);
  *  - at quiescence every non-reply send endpoint's credits are
@@ -531,7 +508,7 @@ class Dtu : public sim::SimObject, public noc::HopTarget
  *    retransmission exhaustion and restored on a timed-out-but-
  *    delivered send (both zero in fault-free runs).
  * All DTUs that exchange traffic must be in @p dtus or the
- * attribution scans under-count held credits and live extents.
+ * attribution scan under-counts held credits.
  */
 void registerDtuInvariants(sim::Invariants &inv,
                            std::vector<const Dtu *> dtus);

@@ -54,10 +54,9 @@ MemoryTile::acceptPacket(noc::Packet &pkt, sim::UniqueFunction<void()>)
             resp->kind = WireKind::MemReadResp;
             resp->reqId = req_id;
             resp->seq = seq;
-            resp->data = noc_.payloadPool().make(size);
+            resp->data.resize(size);
             if (size > 0)
-                dram_.read(addr, resp->data.mutableBytes().data(),
-                           size);
+                dram_.read(addr, resp->data.data(), size);
             sendResp(src, std::move(resp));
         });
         break;

@@ -7,10 +7,10 @@
 #define M3VSIM_DTU_MESSAGE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "dtu/types.h"
 #include "noc/packet.h"
-#include "sim/slab_pool.h"
 
 namespace m3v::dtu {
 
@@ -58,13 +58,11 @@ struct Message
     std::uint64_t arrival = 0;
 
     /**
-     * Payload bytes: a shared reference into the platform's payload
-     * pool (sim/slab_pool.h). The sender's DTU allocates the extent
-     * once; packets, retransmission buffers and the receive-ring slot
-     * all share it. Reads convert implicitly to a byte vector, so
-     * software treats it as plain bytes.
+     * Payload bytes, owned by whoever holds the message: the sending
+     * command, then the wire packet, then the receive-ring slot. Each
+     * hand-off is a move (DESIGN.md section 4g).
      */
-    sim::PayloadRef payload;
+    std::vector<std::uint8_t> payload;
 };
 
 } // namespace m3v::dtu

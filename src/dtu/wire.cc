@@ -5,8 +5,8 @@
  * The message path builds one WireData header per packet. With plain
  * `new` that is a per-message heap allocation — the pool below
  * recycles headers through a global freelist instead, so a warmed-up
- * send/receive cycle touches the allocator zero times (asserted by
- * tests/dtu/msgpath_test.cc).
+ * send/receive cycle allocates nothing beyond the payload buffer the
+ * sender hands in (asserted by tests/dtu/msgpath_test.cc).
  */
 
 #include "dtu/wire.h"
@@ -78,24 +78,10 @@ WireData::operator delete(void *ptr, std::size_t sz) noexcept
 void
 WireData::corruptPayload()
 {
-    // Damage whichever payload this packet carries. mutableBytes() is
-    // copy-on-write: a retx buffer sharing the extent keeps the clean
-    // original; only this packet's view sees the flipped bits.
-    sim::PayloadRef *target = nullptr;
-    switch (kind) {
-      case WireKind::MsgXfer:
-        target = &msg.payload;
-        break;
-      case WireKind::MemReadResp:
-      case WireKind::MemWriteReq:
-        target = &data;
-        break;
-      default:
-        break;
-    }
-    if (target == nullptr || !target->valid() || target->empty())
-        return;
-    auto &bytes = target->mutableBytes();
+    // Damage whichever payload this packet carries. The packet owns
+    // its bytes: a retransmission save keeps a separate clean copy.
+    std::vector<std::uint8_t> &bytes =
+        kind == WireKind::MsgXfer ? msg.payload : data;
     for (std::size_t i = 0; i < bytes.size(); i += 64)
         bytes[i] ^= 0xA5;
 }

@@ -18,7 +18,6 @@
 #include "dtu/message.h"
 #include "dtu/types.h"
 #include "noc/packet.h"
-#include "sim/slab_pool.h"
 
 namespace m3v::dtu {
 
@@ -53,17 +52,17 @@ struct WireData : noc::PacketData
     /**
      * WireData headers are pooled: the message path creates and
      * destroys one per packet in steady state, and a global freelist
-     * (wire.cc) recycles them so the hot path performs no heap
-     * allocation. Thread-safe (one mutex) because packets are created
-     * and destroyed on different lanes.
+     * (wire.cc) recycles them so the hot path allocates nothing
+     * beyond the payload buffer it carries. Thread-safe (one mutex)
+     * because packets are created and destroyed on different lanes.
      */
     static void *operator new(std::size_t sz);
     static void operator delete(void *p, std::size_t sz) noexcept;
 
     /**
-     * Fault injection flipped this packet's CRC: damage the payload
-     * bytes through a copy-on-write view, so a retransmission buffer
-     * sharing the extent keeps the clean original (wire.cc).
+     * Fault injection flipped this packet's CRC: damage its payload
+     * bytes. The packet owns them; a retransmission save holds its
+     * own copy, which stays clean (wire.cc).
      */
     void corruptPayload() override;
 
@@ -96,8 +95,8 @@ struct WireData : noc::PacketData
     // --- Mem* ---
     PhysAddr addr = 0;
     std::size_t size = 0;
-    /** DMA payload (MemReadResp/MemWriteReq): pooled like msg. */
-    sim::PayloadRef data;
+    /** DMA payload (MemReadResp/MemWriteReq), owned like msg's. */
+    std::vector<std::uint8_t> data;
 
     // --- Ext* ---
     ExtOp extOp = ExtOp::SetEp;

@@ -21,7 +21,6 @@
 #include "noc/router.h"
 #include "sim/clock.h"
 #include "sim/sim_object.h"
-#include "sim/slab_pool.h"
 
 namespace m3v::sim {
 class Invariants;
@@ -59,17 +58,6 @@ class Noc : public sim::SimObject
 
     const NocParams &params() const { return params_; }
     const sim::Clock &clock() const { return clk_; }
-
-    /**
-     * The platform's payload-extent pool (sim/slab_pool.h). Owned by
-     * the fabric because every tile of one platform shares it — a
-     * PayloadRef allocated by a sender DTU travels through packets
-     * and lane outboxes and is released wherever the last holder
-     * lives — while separate platforms (e.g. sweep cells under
-     * --jobs) stay fully isolated.
-     */
-    sim::SlabPool &payloadPool() { return payloadPool_; }
-    const sim::SlabPool &payloadPool() const { return payloadPool_; }
 
     /**
      * Shard the fabric by router: router r, its tile exits, and its
@@ -178,7 +166,6 @@ class Noc : public sim::SimObject
 
     NocParams params_;
     sim::Clock clk_;
-    sim::SlabPool payloadPool_;
     bool finalized_ = false;
     std::vector<std::unique_ptr<Router>> routers_;
     /** meshPort_[r][n]: port index on router r toward router n. */

@@ -696,14 +696,20 @@ Controller::handle(ActId caller, const SyscallReq &req,
 {
     // Every op but Noop, Revoke and DestroyAct starts with one
     // capability-table step. The caller's table is resolved after it:
-    // a crash reap may drop the table while the step runs.
+    // a crash reap may drop the table while the step runs, and a
+    // caller without one has been reaped.
     if (req.op != SyscallReq::Op::Noop &&
         req.op != SyscallReq::Op::Revoke &&
         req.op != SyscallReq::Op::DestroyAct)
         co_await env_->thread().compute(kCapCost);
-    CapTable &table = caps_->tableOf(caller);
     resp->err = Error::None;
     resp->val = 0;
+    CapTable *caller_table = caps_->tableIfExists(caller);
+    if (!caller_table) {
+        resp->err = Error::InvalidEp;
+        co_return;
+    }
+    CapTable &table = *caller_table;
 
     switch (req.op) {
       case SyscallReq::Op::Noop:

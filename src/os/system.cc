@@ -261,7 +261,10 @@ System::createApp(unsigned tile_idx, const std::string &name,
     vdtus_[tile_idx]->configEp(rep, Endpoint::makeRecv(id, 128, 2));
     app->env->setSyscallGates(sep, rep);
 
+    // The app's capability table lives on its home shard from boot:
+    // the controller answers a caller without one as reaped.
     controllerOf(shard).registerActivity(id, userTile(tile_idx));
+    capsOf(shard).tableOf(id);
 
     App *ptr = app.get();
     apps_.push_back(std::move(app));

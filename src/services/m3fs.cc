@@ -56,7 +56,7 @@ M3fs::body(os::MuxEnv &env)
     for (;;) {
         int slot = -1;
         co_await env.recvOn(rgate_.ep, &slot);
-        dtu::Message msg = env.msgAt(rgate_.ep, slot);
+        const dtu::Message &msg = env.msgAt(rgate_.ep, slot);
         requests_++;
 
         auto it = clients_.find(msg.label);

@@ -102,8 +102,7 @@ NetService::body(os::MuxEnv &env)
 
         if (which == rxEp_) {
             // Frame from the wire.
-            dtu::Message msg = env.msgAt(rxEp_, slot);
-            Bytes frame = msg.payload;
+            Bytes frame = env.msgAt(rxEp_, slot).payload;
             co_await env.ackMsg(rxEp_, slot);
             pktRx_++;
             co_await env.thread().compute(

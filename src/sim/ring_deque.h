@@ -7,8 +7,8 @@
  * pair churns the heap. RingDeque keeps one contiguous slot array
  * that only grows (doubling, never shrinking), so a warmed-up queue
  * performs zero allocations regardless of how many elements pass
- * through it — the property the zero-alloc message-path assertions
- * rely on (see tests/dtu/msgpath_test.cc).
+ * through it — the property the message-path allocation counts rely
+ * on (see tests/dtu/msgpath_test.cc).
  *
  * Single-threaded; the elements only need to be movable.
  */

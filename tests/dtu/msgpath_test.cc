@@ -1,89 +1,36 @@
 /**
  * @file
- * Lifetime and steady-state tests for the zero-copy slab message
- * path (sim/slab_pool.h + the DTU payload hand-off):
+ * Ownership and steady-state tests for the DTU message path, where a
+ * payload has one owner at a time (DESIGN.md section 4g):
  *
- *  - a warmed-up send/fetch/ack loop performs zero heap allocations
- *    and zero payload byte-copies per message, in both unreliable
- *    and reliable (retx-armed) wire modes;
- *  - a retransmission-held extent survives the receiver reaping the
- *    slot mid-flight (VDtu::resetAct), with the pool conservation
- *    law intact and no stale release;
- *  - fault-injected corruption mutates a copy-on-write clone, so the
- *    retx-held original redelivers the clean bytes;
- *  - releasing a stale {slot, generation} handle is detected and
- *    counted instead of corrupting the freelist;
+ *  - after warm-up, a send/fetch/ack loop allocates only the payload
+ *    buffer the sender hands in, plus, in reliable (retx-armed) wire
+ *    mode, the retransmission save's copy of it;
+ *  - after the receiver reaps the message's slot (VDtu::resetAct),
+ *    the retransmissions still carry the original bytes and every
+ *    engine drains;
+ *  - a corrupted transmission is dropped at the receiver, and the
+ *    retransmission delivers the original bytes;
  *  - every stored message rings the notification hook inline, even
  *    several in one tick for one (ep, act), and schedules no event.
  *
- * This binary overrides global operator new/delete to count heap
- * allocations, in the style of tests/sim/event_core_test.cc.
+ * This binary counts heap allocations through tests/alloc_count.h.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "alloc_count.h"
 #include "core/vdtu.h"
 #include "dtu/dtu.h"
 #include "sim/fault.h"
 #include "sim/invariants.h"
-#include "sim/slab_pool.h"
-
-// The replacement operator new below forwards to malloc, so pairing
-// its allocations with the matching free-based delete is correct;
-// GCC's heuristic cannot see that and warns.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::uint64_t> gAllocCount{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    gAllocCount.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace m3v::dtu {
 namespace {
@@ -101,13 +48,15 @@ bytes(const std::string &s)
 }
 
 /**
- * Two plain DTUs over a (possibly faulty) NoC with a pump that keeps
- * a configurable number of sends going from a single long-lived
- * extent — the steady-state fixture.
+ * Two plain DTUs over a (possibly faulty) NoC with a pump that sends
+ * messages back to back, each in a fresh payload buffer — the
+ * steady-state fixture.
  */
 class MsgPathTest : public ::testing::Test
 {
   protected:
+    static constexpr std::size_t kPayloadBytes = 64;
+
     void
     build(sim::FaultPlan *plan)
     {
@@ -124,67 +73,64 @@ class MsgPathTest : public ::testing::Test
             int slot;
             while ((slot = dtuB->fetch(0, ep)) >= 0) {
                 const Message &m = dtuB->slotMsg(ep, slot);
-                const std::vector<std::uint8_t> &p = m.payload;
-                if (!p.empty())
-                    consumedBytes += p[0];
+                if (m.payload == templ)
+                    intact++;
                 received++;
                 dtuB->ack(0, ep, slot);
             }
         });
-        extent = noc->payloadPool().make(64);
-        auto &b = extent.mutableBytes();
-        for (std::size_t i = 0; i < b.size(); i++)
-            b[i] = static_cast<std::uint8_t>(i + 1);
+        templ.resize(kPayloadBytes);
+        for (std::size_t i = 0; i < templ.size(); i++)
+            templ[i] = static_cast<std::uint8_t>(i + 1);
     }
 
-    /** Send `remaining` messages back-to-back, backing off on
-     *  NoCredits; every closure captures only `this` so the pump
-     *  itself stays allocation-free. */
+    /** Send `remaining` messages one after another, each in a fresh
+     *  copy of the template (one allocation); every closure captures
+     *  only `this`, so the pump itself allocates nothing more. */
     void
     pump()
     {
         if (remaining == 0)
             return;
-        dtuA->cmdSendRef(0, kSep, 0x1000, extent, kInvalidEp,
-                         [this](Error e) {
-                             if (e == Error::None) {
-                                 remaining--;
-                                 pump();
-                             } else if (e == Error::NoCredits) {
-                                 eq.schedule(2000,
-                                             [this]() { pump(); });
-                             } else {
-                                 FAIL() << "send failed: "
-                                        << errorName(e);
-                             }
-                         });
+        dtuA->cmdSend(0, kSep, 0x1000, templ, kInvalidEp,
+                      [this](Error e) {
+                          ASSERT_EQ(e, Error::None)
+                              << "send failed: " << errorName(e);
+                          remaining--;
+                          pump();
+                      });
     }
 
-    void
+    /** Heap allocations made while sending @p n messages. */
+    std::uint64_t
     runBatch(std::uint64_t n)
     {
+        std::uint64_t a0 = test::allocCount.load();
         remaining = n;
         pump();
         eq.run();
-        ASSERT_EQ(remaining, 0u);
+        std::uint64_t a1 = test::allocCount.load();
+        EXPECT_EQ(remaining, 0u);
+        return a1 - a0;
     }
 
     sim::EventQueue eq;
     std::unique_ptr<noc::Noc> noc;
     std::unique_ptr<Dtu> dtuA;
     std::unique_ptr<Dtu> dtuB;
-    sim::PayloadRef extent;
+    std::vector<std::uint8_t> templ;
     std::uint64_t remaining = 0;
     std::uint64_t received = 0;
-    std::uint64_t consumedBytes = 0;
+    std::uint64_t intact = 0;
 };
 
 /**
- * Tentpole acceptance check: after warm-up, a send/fetch/ack round
- * trip performs zero heap allocations and zero payload byte-copies.
- * Every structure on the path — command state, wire headers, NoC
- * queues, recv slots, event records — must be pooled or in
- * recycled capacity.
+ * After warm-up, the DTUs and the NoC add no heap allocation to a
+ * send/fetch/ack round trip: the one allocation per message is the
+ * payload buffer the sender hands in, which moves from the command
+ * to the wire packet to the receive slot without a copy. Every other
+ * structure on the path — command state, wire headers, NoC queues,
+ * recv slots, event records — is pooled or in recycled capacity.
  */
 TEST_F(MsgPathTest, SteadyStateIsAllocAndCopyFree)
 {
@@ -193,29 +139,21 @@ TEST_F(MsgPathTest, SteadyStateIsAllocAndCopyFree)
     // queue's heap vectors to their steady-state depth.
     runBatch(8192);
 
-    sim::SlabPool::Stats s0 = noc->payloadPool().stats();
-    std::uint64_t a0 = gAllocCount.load();
-    runBatch(1024);
-    std::uint64_t a1 = gAllocCount.load();
-    sim::SlabPool::Stats s1 = noc->payloadPool().stats();
-
-    EXPECT_EQ(a1 - a0, 0u) << "heap allocations in steady state";
-    EXPECT_EQ(s1.byteCopies - s0.byteCopies, 0u)
-        << "payload byte-copies in steady state";
+    EXPECT_EQ(runBatch(1024), 1024u)
+        << "heap allocations beyond the payload buffer";
     EXPECT_EQ(received, 8192u + 1024u);
-    // Conservation: every extent ever created is live or free.
-    EXPECT_EQ(s1.allocated, s1.live + s1.free);
-    EXPECT_EQ(s1.staleReleases, 0u);
+    EXPECT_EQ(intact, received);
 }
 
 /**
- * The same law with the reliable wire protocol armed (an empty fault
+ * The same loop with the reliable wire protocol armed (an empty fault
  * plan switches the DTUs to sequence numbers, retx timers, delivery
- * acks and credit-return acks): the retx engine keeps messages alive
- * by refcount, its save path must not heap-allocate per packet, and
- * the dedup windows must run in recycled ring capacity.
+ * acks and credit-return acks). The retransmission save keeps its own
+ * copy of each packet: one more allocation per message, and nothing
+ * else — the dedup windows and the retx vector run in recycled
+ * capacity.
  */
-TEST_F(MsgPathTest, ReliableModeSteadyStateIsAllocAndCopyFree)
+TEST_F(MsgPathTest, ReliableModeSteadyStateCopiesOnlyForRetx)
 {
     sim::FaultPlan plan(7); // no windows: reliable mode, no faults
     build(&plan);
@@ -224,30 +162,42 @@ TEST_F(MsgPathTest, ReliableModeSteadyStateIsAllocAndCopyFree)
     // queue's heaps (as above).
     runBatch(8192);
 
-    sim::SlabPool::Stats s0 = noc->payloadPool().stats();
-    std::uint64_t a0 = gAllocCount.load();
-    runBatch(1024);
-    std::uint64_t a1 = gAllocCount.load();
-    sim::SlabPool::Stats s1 = noc->payloadPool().stats();
-
-    EXPECT_EQ(a1 - a0, 0u)
-        << "heap allocations on the reliable retx save path";
-    EXPECT_EQ(s1.byteCopies - s0.byteCopies, 0u);
+    EXPECT_EQ(runBatch(1024), 2u * 1024u)
+        << "heap allocations beyond the payload and its retx copy";
     EXPECT_EQ(dtuA->retransmits(), 0u);
-    EXPECT_EQ(s1.allocated, s1.live + s1.free);
-    EXPECT_EQ(s1.staleReleases, 0u);
+    EXPECT_EQ(intact, received);
 }
 
+/** A VDtu that records the payload of every message packet that
+ *  reaches it, with the arrival tick, before processing it. */
+class RecordingVDtu : public core::VDtu
+{
+  public:
+    using core::VDtu::VDtu;
+
+    bool
+    acceptPacket(noc::Packet &pkt,
+                 sim::UniqueFunction<void()> on_space) override
+    {
+        auto *wd = dynamic_cast<WireData *>(pkt.data.get());
+        if (wd && wd->kind == WireKind::MsgXfer)
+            arrivals.emplace_back(eventQueue().now(), wd->msg.payload);
+        return core::VDtu::acceptPacket(pkt, std::move(on_space));
+    }
+
+    std::vector<std::pair<sim::Tick, std::vector<std::uint8_t>>>
+        arrivals;
+};
+
 /**
- * Extent lifetime under fault injection: the receiver reaps the
- * recv slot (VDtu::resetAct, the controller killing an activity)
- * while the sender's retransmission engine still holds a reference
- * to the same extent. The reap releases the slot's reference; the
- * retx reference must keep the extent valid until the delivery ack
- * finally arrives, and the generation check must see no stale
- * release.
+ * Ownership under fault injection: the receiver reaps the message's
+ * slot (VDtu::resetAct, the controller killing an activity) while the
+ * sender still waits for the delivery ack. The reap frees the slot's
+ * payload; the sender's retransmission save owns a separate copy, so
+ * every retransmission after the reap still carries the original
+ * bytes, the send completes and every engine drains.
  */
-TEST(MsgPathLifetimeTest, RetxHeldExtentSurvivesReceiverReap)
+TEST(MsgPathLifetimeTest, RetxDeliversOriginalAfterReceiverReap)
 {
     sim::EventQueue eq;
     sim::FaultPlan plan(3);
@@ -258,21 +208,26 @@ TEST(MsgPathLifetimeTest, RetxHeldExtentSurvivesReceiverReap)
     params.faults = &plan;
     noc::Noc noc(eq, params);
     Dtu dtuA(eq, "dtuA", noc, kTileA, kFreq);
-    core::VDtu dtuB(eq, "vdtuB", noc, kTileB, kFreq);
+    RecordingVDtu dtuB(eq, "vdtuB", noc, kTileB, kFreq);
     noc.finalize();
     constexpr ActId kVictim = 5;
     dtuB.configEp(kRep, Endpoint::makeRecv(kVictim, 256, 8));
     dtuA.configEp(kSep,
                   Endpoint::makeSend(0, kTileB, kRep, 0x77, 4));
 
+    const std::vector<std::uint8_t> original = bytes("reaped-under-retx");
+    constexpr sim::Tick kReapAt = 10 * sim::kTicksPerUs;
     Error err = Error::Aborted;
-    dtuA.cmdSend(0, kSep, 0x1000, bytes("reaped-under-retx"),
-                 kInvalidEp, [&](Error e) { err = e; });
+    dtuA.cmdSend(0, kSep, 0x1000, original, kInvalidEp,
+                 [&](Error e) { err = e; });
     // Mid-drop-window, the controller reaps the victim activity: the
-    // recv slot (and its payload reference) is released while A's
-    // retx entry still shares the extent.
-    eq.schedule(10 * sim::kTicksPerUs, [&]() {
-        EXPECT_EQ(dtuB.unread(kVictim, kRep), 1u);
+    // recv slot and its payload are freed while A's retx save still
+    // holds its copy.
+    eq.schedule(kReapAt, [&]() {
+        ASSERT_EQ(dtuB.unread(kVictim, kRep), 1u);
+        int slot = dtuB.fetch(kVictim, kRep);
+        ASSERT_GE(slot, 0);
+        EXPECT_EQ(dtuB.slotMsg(kRep, slot).payload, original);
         dtuB.resetAct(kVictim);
         EXPECT_EQ(dtuB.unread(kVictim, kRep), 0u);
     });
@@ -282,20 +237,25 @@ TEST(MsgPathLifetimeTest, RetxHeldExtentSurvivesReceiverReap)
     // retransmit dedups and re-acks: the send completes cleanly.
     EXPECT_EQ(err, Error::None);
     EXPECT_GT(dtuA.retransmits(), 0u);
-    sim::SlabPool::Stats s = noc.payloadPool().stats();
-    EXPECT_EQ(s.staleReleases, 0u);
-    EXPECT_EQ(s.allocated, s.live + s.free);
-    EXPECT_EQ(s.live, 0u) << "extent leaked after reap + ack";
+    std::size_t after_reap = 0;
+    for (const auto &[tick, payload] : dtuB.arrivals) {
+        EXPECT_EQ(payload, original) << "arrival at tick " << tick;
+        if (tick > kReapAt)
+            after_reap++;
+    }
+    EXPECT_GT(after_reap, 0u) << "no retransmission reached B after "
+                                 "the reap";
     EXPECT_TRUE(dtuA.engineQuiescent());
+    EXPECT_TRUE(dtuB.engineQuiescent());
 }
 
 /**
- * Corruption under COW: the fault site mutates the in-flight wire
- * copy, which shares its extent with the retx save. The mutation
- * must clone (copy-on-write), the corrupt clone is discarded at the
- * receiver, and the retransmission delivers the untouched original.
+ * Corruption in flight: the fault site damages the transmitted
+ * packet's own bytes. The receiver drops the corrupt packet, and the
+ * retransmission, sent from the sender's clean save, delivers the
+ * original bytes.
  */
-TEST(MsgPathLifetimeTest, CorruptionMutatesCowCloneNotRetxOriginal)
+TEST(MsgPathLifetimeTest, CorruptedTransmissionDroppedRetxDeliversOriginal)
 {
     sim::EventQueue eq;
     sim::FaultPlan plan(4);
@@ -313,7 +273,7 @@ TEST(MsgPathLifetimeTest, CorruptionMutatesCowCloneNotRetxOriginal)
     dtuA.configEp(kSep,
                   Endpoint::makeSend(0, kTileB, kRep, 0x77, 4));
 
-    std::vector<std::uint8_t> original =
+    const std::vector<std::uint8_t> original =
         bytes("payload-that-must-arrive-unmangled");
     Error err = Error::Aborted;
     dtuA.cmdSend(0, kSep, 0x1000, original, kInvalidEp,
@@ -322,49 +282,11 @@ TEST(MsgPathLifetimeTest, CorruptionMutatesCowCloneNotRetxOriginal)
 
     EXPECT_EQ(err, Error::None);
     EXPECT_GT(dtuB.corruptDropped(), 0u);
+    EXPECT_GT(dtuA.retransmits(), 0u);
+    EXPECT_EQ(dtuB.msgsReceived(), 1u);
     int slot = dtuB.fetch(0, kRep);
     ASSERT_GE(slot, 0);
-    const std::vector<std::uint8_t> &got =
-        dtuB.slotMsg(kRep, slot).payload;
-    EXPECT_EQ(got, original);
-    sim::SlabPool::Stats s = noc.payloadPool().stats();
-    EXPECT_GE(s.cowClones, 1u) << "corruption wrote through a "
-                                  "shared extent instead of cloning";
-    EXPECT_EQ(s.staleReleases, 0u);
-    EXPECT_EQ(s.allocated, s.live + s.free);
-}
-
-/** A rogue release of an already-recycled {slot, generation} handle
- *  is rejected by the generation check and counted, and the later
- *  legitimate release of the recycled slot still balances. */
-TEST(MsgPathLifetimeTest, DoubleReleaseCaughtByGenerationCheck)
-{
-    sim::SlabPool pool;
-    sim::PayloadRef r = pool.make(64);
-    std::uint32_t slot = r.debugSlot();
-    std::uint32_t gen = r.debugGen();
-
-    // First (rogue) release recycles the slot under the live ref.
-    EXPECT_TRUE(pool.releaseHandle(slot, gen));
-    EXPECT_EQ(pool.stats().staleReleases, 0u);
-    EXPECT_EQ(pool.stats().live, 0u);
-
-    // The ref's own destructor-release now carries a stale
-    // generation: detected, counted, freelist untouched.
-    r.reset();
-    sim::SlabPool::Stats s = pool.stats();
-    EXPECT_EQ(s.staleReleases, 1u);
-    EXPECT_EQ(s.live, 0u);
-    EXPECT_EQ(s.allocated, s.free);
-
-    // The recycled slot still works (a second release of the same
-    // stale handle is likewise rejected).
-    EXPECT_FALSE(pool.releaseHandle(slot, gen));
-    EXPECT_EQ(pool.stats().staleReleases, 2u);
-    sim::PayloadRef r2 = pool.make(16);
-    EXPECT_EQ(pool.stats().live, 1u);
-    r2.reset();
-    EXPECT_EQ(pool.stats().live, 0u);
+    EXPECT_EQ(dtuB.slotMsg(kRep, slot).payload, original);
 }
 
 /**
@@ -395,9 +317,9 @@ TEST(MsgPathDoorbellTest, SameTickStoresEachRingInline)
     EXPECT_EQ(eq.pending(), 0u);
 }
 
-/** The registered invariant set (slab conservation, credit
- *  conservation, engine drain) holds at every event boundary of a
- *  faulty retx-heavy run and at quiescence. */
+/** The registered invariant set (credit conservation, engine drain,
+ *  the local endpoint laws) holds at every event boundary of a faulty
+ *  retx-heavy run and at quiescence. */
 TEST(MsgPathInvariantTest, SlabAndDoorbellLawsHoldUnderFaults)
 {
     sim::EventQueue eq;
@@ -448,9 +370,6 @@ TEST(MsgPathInvariantTest, SlabAndDoorbellLawsHoldUnderFaults)
     inv.runAll(true);
     EXPECT_TRUE(inv.ok()) << inv.report();
     EXPECT_GE(done, 64u);
-    sim::SlabPool::Stats s = noc.payloadPool().stats();
-    EXPECT_EQ(s.allocated, s.live + s.free);
-    EXPECT_EQ(s.staleReleases, 0u);
 }
 
 } // namespace

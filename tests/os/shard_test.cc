@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "os/system.h"
 
@@ -366,13 +368,27 @@ TEST_F(ShardSystemTest, CrashedHolderReapDropsShareRecords)
 
 TEST(ShardRaceTest, RevokeRacesInFlightDelegation)
 {
-    // Crash the delegating activity at staggered points around its
-    // cross-shard delegation: before the syscall, mid-flight (the
-    // compensating revoke path), and after completion (the reap's
-    // one-way revoke path). In every interleaving the peer shard must
-    // end with no trace of the delegated cap and the conservation
-    // laws must hold.
-    for (sim::Tick us : {2u, 6u, 12u, 25u, 50u, 400u}) {
+    // A (tile 0, shard 0) delegates a cap to B (tile 7, shard 3).
+    // Crash A before the syscall, at every eighth of its measured
+    // service span, and after it completes. A crash while the
+    // delegation is in flight to shard 3 takes the compensating path:
+    // the reap finds no cross-shard edge to cut yet, and when the
+    // peer's reply finds the source cap gone, the controller revokes
+    // the child the peer just made. A crash after completion cuts the
+    // edge in the reap itself. In every interleaving the peer shard
+    // must end with no trace of the delegated cap and the
+    // conservation laws must hold.
+    struct Outcome
+    {
+        /** Shard 0 had a peer call outstanding at the crash. */
+        bool inFlight = false;
+        /** One-way peer messages shard 0 sent. */
+        std::uint64_t oneways = 0;
+        /** One-way peer messages shard 3 handled. */
+        std::uint64_t peerOneways = 0;
+    };
+    auto scenario = [](sim::Tick crash_at, sim::Tick *first,
+                       sim::Tick *last) {
         sim::EventQueue eq;
         System sys(eq, shardedParams(4));
         sim::Invariants inv;
@@ -391,10 +407,14 @@ TEST(ShardRaceTest, RevokeRacesInFlightDelegation)
             req.arg0 = b_act;
             req.arg1 = storage.sel;
             SyscallResp resp;
+            if (first)
+                *first = eq.now();
             // The crash may reset A's endpoints mid-call; a transport
             // error is an acceptable way for this coroutine to die.
             Error err = Error::None;
             co_await env.trySyscall(req, &resp, &err);
+            if (last)
+                *last = eq.now();
             // Linger so late crash points still find A alive (body
             // completion marks the activity dead and a dead activity
             // cannot crash).
@@ -403,25 +423,62 @@ TEST(ShardRaceTest, RevokeRacesInFlightDelegation)
         sys.start(b, [&](MuxEnv &env) -> sim::Task {
             co_await env.thread().compute(1'000'000);
         });
-        eq.schedule(us * sim::kTicksPerUs,
-                    [&] { sys.mux(0).crashActivity(a_id); });
+        Outcome out;
+        eq.schedule(crash_at, [&] {
+            const Controller &c0 = sys.controllerOf(0);
+            out.inFlight = c0.xshardSent() > c0.xshardAcked();
+            sys.mux(0).crashActivity(a_id);
+        });
 
         eq.run();
         inv.runAll(true);
         EXPECT_TRUE(inv.ok())
-            << "crash at " << us << "us:\n" << inv.report();
+            << "crash at " << crash_at << " ticks:\n" << inv.report();
 
         // The delegated copy must not survive its source's death.
         if (CapTable *bt = sys.capsOf(3).tableIfExists(b_id)) {
             bt->forEachCap([&](Capability &c) {
                 EXPECT_FALSE(c.hasRemoteParent)
-                    << "crash at " << us
-                    << "us left an orphaned delegated cap";
+                    << "crash at " << crash_at
+                    << " ticks left an orphaned delegated cap";
             });
         }
         EXPECT_EQ(sys.controllerOf(0).activitiesReaped(), 1u)
-            << "crash at " << us << "us";
+            << "crash at " << crash_at << " ticks";
+        out.oneways = sys.controllerOf(0).onewaySent();
+        out.peerOneways = sys.controllerOf(3).onewayHandled();
+        return out;
+    };
+
+    // A crash long after the syscall finds its service span.
+    sim::Tick first = 0, last = 0;
+    scenario(sim::kTicksPerMs, &first, &last);
+    ASSERT_LT(first, last);
+    ASSERT_LT(last, sim::kTicksPerMs);
+
+    std::vector<sim::Tick> points{first / 2};
+    for (sim::Tick k = 1; k < 8; k++)
+        points.push_back(first + (last - first) * k / 8);
+    points.push_back(last + 50 * sim::kTicksPerUs);
+
+    unsigned in_span = 0;
+    unsigned compensated = 0;
+    for (sim::Tick t : points) {
+        Outcome o = scenario(t, nullptr, nullptr);
+        if (t > first && t < last)
+            in_span++;
+        if (!o.inFlight)
+            continue;
+        // The reap cut nothing, so the one one-way message shard 0
+        // sent is the compensating revoke, and shard 3 handled it.
+        EXPECT_EQ(o.oneways, 1u) << "crash at " << t << " ticks";
+        EXPECT_EQ(o.peerOneways, 1u) << "crash at " << t << " ticks";
+        compensated++;
     }
+    EXPECT_GT(in_span, 0u);
+    EXPECT_GT(compensated, 0u)
+        << "no crash point hit the in-flight delegation ("
+        << first << ".." << last << " ticks)";
 }
 
 TEST(ShardRaceTest, CrashDuringSyscallService)
@@ -474,6 +531,10 @@ TEST(ShardRaceTest, CrashDuringSyscallService)
         EXPECT_TRUE(inv.ok())
             << "crash at " << crash_at << " ticks:\n" << inv.report();
         EXPECT_EQ(sys.controllerOf(0).activitiesReaped(), 1u)
+            << "crash at " << crash_at << " ticks";
+        // A syscall the reaped A still had queued must not re-create
+        // its capability table.
+        EXPECT_FALSE(sys.capsOf(0).hasTable(a_id))
             << "crash at " << crash_at << " ticks";
     };
 

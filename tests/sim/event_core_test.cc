@@ -5,71 +5,19 @@
  * across the near-horizon boundary, determinism against a reference
  * (tick, seq) model, and steady-state allocation freedom.
  *
- * This binary overrides global operator new/delete to count heap
- * allocations; the override is a pure pass-through to malloc/free, so
- * it is safe under ASan as well.
+ * This binary counts heap allocations through tests/alloc_count.h.
  */
 
 #include <gtest/gtest.h>
 
-// The replacement operator new below forwards to malloc, so pairing
-// its result with free is intentional; GCC cannot see through the
-// global replacement and misdiagnoses the pair.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "alloc_count.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-
-namespace {
-std::atomic<std::uint64_t> gAllocCount{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    gAllocCount.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace m3v::sim {
 namespace {
@@ -519,9 +467,9 @@ TEST(EventCore, SteadyStateScheduleFireIsAllocationFree)
     align();
     cycle(10000);
     align();
-    std::uint64_t before = gAllocCount.load();
+    std::uint64_t before = test::allocCount.load();
     cycle(10000);
-    std::uint64_t after = gAllocCount.load();
+    std::uint64_t after = test::allocCount.load();
     EXPECT_EQ(after - before, 0u) << "steady-state cycle allocated";
     EXPECT_GT(sink, 0u);
 }
