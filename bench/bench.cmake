@@ -1,5 +1,6 @@
-# One binary per paper table/figure plus ablations; micro_sim uses
-# google-benchmark for simulator-core host performance.
+# One binary per paper table/figure plus the ablations, the fleet
+# drill and the controller storm. They report simulated results; host
+# performance is measured by perfbench/.
 set(M3V_BENCH_DIR ${CMAKE_SOURCE_DIR}/bench)
 
 add_executable(fig06_micro ${M3V_BENCH_DIR}/fig06_micro.cc)
@@ -46,11 +47,6 @@ add_executable(ablations ${M3V_BENCH_DIR}/ablations.cc)
 target_link_libraries(ablations PRIVATE m3v_workloads m3v_m3x)
 target_include_directories(ablations PRIVATE ${M3V_BENCH_DIR})
 set_target_properties(ablations PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-add_executable(micro_sim ${M3V_BENCH_DIR}/micro_sim.cc)
-target_link_libraries(micro_sim PRIVATE m3v_workloads benchmark::benchmark)
-target_include_directories(micro_sim PRIVATE ${M3V_BENCH_DIR})
-set_target_properties(micro_sim PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
 add_executable(ctrl_storm ${M3V_BENCH_DIR}/ctrl_storm.cc)
 target_link_libraries(ctrl_storm PRIVATE m3v_os m3v_workloads)

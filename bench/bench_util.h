@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -76,14 +75,13 @@ struct ObsOptions
 {
     std::string metricsOut; ///< --metrics-out=<file> (empty: off)
     std::string traceOut;   ///< --trace-out=<file> (empty: off)
-    std::string perfOut;    ///< --perf-out=<file> (empty: off)
     std::string summaryOut; ///< --summary-out=<file> (empty: off)
     unsigned jobs = 1;      ///< --jobs=<n> worker threads for cells
 };
 
 /**
- * Parse `--metrics-out=` / `--trace-out=` / `--perf-out=` /
- * `--summary-out=` / `--jobs=` from argv. Unknown arguments are
+ * Parse `--metrics-out=` / `--trace-out=` / `--summary-out=` /
+ * `--jobs=` from argv. Unknown arguments are
  * ignored so figure binaries stay forgiving about harness-added
  * flags.
  */
@@ -95,15 +93,12 @@ parseObsArgs(int argc, char **argv)
         std::string arg = argv[i];
         const std::string kMetrics = "--metrics-out=";
         const std::string kTrace = "--trace-out=";
-        const std::string kPerf = "--perf-out=";
         const std::string kSummary = "--summary-out=";
         const std::string kJobs = "--jobs=";
         if (arg.rfind(kMetrics, 0) == 0)
             opts.metricsOut = arg.substr(kMetrics.size());
         else if (arg.rfind(kTrace, 0) == 0)
             opts.traceOut = arg.substr(kTrace.size());
-        else if (arg.rfind(kPerf, 0) == 0)
-            opts.perfOut = arg.substr(kPerf.size());
         else if (arg.rfind(kSummary, 0) == 0)
             opts.summaryOut = arg.substr(kSummary.size());
         else if (arg.rfind(kJobs, 0) == 0) {
@@ -235,34 +230,6 @@ wallMs()
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-/**
- * Write a host-performance record for scaling smoke runs
- * (--perf-out): wall-clock, simulated events, and throughput at the
- * given worker count, plus the host's hardware concurrency so scaling
- * numbers can be judged against the machine that produced them.
- * No-op when @p path is empty.
- */
-inline void
-writePerfJson(const std::string &path, unsigned jobs, double wall_ms,
-              std::uint64_t events)
-{
-    if (path.empty())
-        return;
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        sim::fatal("writePerfJson: cannot open %s", path.c_str());
-    double eps = wall_ms > 0 ? static_cast<double>(events) /
-                                   (wall_ms / 1000.0)
-                             : 0.0;
-    std::fprintf(f,
-                 "{\n  \"jobs\": %u,\n  \"hw_concurrency\": %u,\n"
-                 "  \"wall_ms\": %.1f,\n"
-                 "  \"events\": %llu,\n  \"events_per_sec\": %.0f\n}\n",
-                 jobs, std::thread::hardware_concurrency(), wall_ms,
-                 static_cast<unsigned long long>(events), eps);
-    std::fclose(f);
 }
 
 /** Cycles at @p freq_hz for a tick duration. */

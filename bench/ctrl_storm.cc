@@ -16,16 +16,15 @@
  * the open-loop arrival schedule, cross-shard message counts, and a
  * state digest. Each shard count runs under --jobs = 1, 2 and 4
  * worker threads and must produce byte-identical digests (the
- * determinism contract of the cell runner); host-side wall clock and
- * the shards=4 vs shards=1 speedup go to BENCH_controller.json
- * (--storm-out=), never to stdout.
+ * determinism contract of the cell runner). --summary-out=FILE writes
+ * the simulated results per shard count (tests/golden pins them);
+ * the host wall clock of each jobs sweep goes to stderr only.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -79,13 +78,11 @@ struct StormResult
     std::uint64_t errors = 0;   ///< non-None syscall responses
     std::uint64_t xshardSent = 0;
     std::uint64_t xshardTimeouts = 0;
-    std::uint64_t reaps = 0;
     std::uint64_t crossOps = 0; ///< ops whose target tile crossed shards
     sim::Tick makespan = 0;     ///< last op completion (simulated)
     double p50Us = 0;
     double p99Us = 0;
     std::uint64_t digest = 0;
-    double wallMs = 0; ///< host wall clock of this cell
     std::string invReport; ///< empty = invariants clean
 };
 
@@ -213,7 +210,6 @@ driverBody(sim::EventQueue &eq, MuxEnv &env, System &sys,
 StormResult
 runStorm(const StormConfig &cfg)
 {
-    double t0 = bench::wallMs();
     sim::EventQueue eq;
     SystemParams params;
     params.userTiles = kUserTiles;
@@ -285,9 +281,7 @@ runStorm(const StormConfig &cfg)
         res.digest = fnv(res.digest, c.xshardHandled());
         res.xshardSent += c.xshardSent();
         res.xshardTimeouts += c.xshardTimeouts();
-        res.reaps += c.activitiesReaped();
     }
-    res.wallMs = bench::wallMs() - t0;
     return res;
 }
 
@@ -297,7 +291,7 @@ int
 main(int argc, char **argv)
 {
     StormConfig base;
-    std::string storm_out;
+    std::string summary_out;
     for (int i = 1; i < argc; i++) {
         if (!std::strncmp(argv[i], "--ops=", 6))
             base.totalOps = std::strtoull(argv[i] + 6, nullptr, 10);
@@ -307,8 +301,8 @@ main(int argc, char **argv)
             base.theta = std::atof(argv[i] + 8);
         else if (!std::strncmp(argv[i], "--seed=", 7))
             base.seed = std::strtoull(argv[i] + 7, nullptr, 10);
-        else if (!std::strncmp(argv[i], "--storm-out=", 12))
-            storm_out = argv[i] + 12;
+        else if (!std::strncmp(argv[i], "--summary-out=", 14))
+            summary_out = argv[i] + 14;
         // Unknown args ignored (harness compatibility).
     }
     if (base.ratePerSec <= 0) {
@@ -394,73 +388,23 @@ main(int argc, char **argv)
                 100.0 * cells[0][2].crossOps /
                     std::max<std::uint64_t>(1, cells[0][2].ops));
 
-    // Host-side numbers: stderr + --storm-out only.
-    unsigned hw = std::thread::hardware_concurrency();
+    // Host-side numbers: stderr only.
     for (std::size_t j = 0; j < jobs_sweep.size(); j++)
         std::fprintf(stderr, "jobs=%u sweep: %.1f ms host wall\n",
                      jobs_sweep[j], sweepWallMs[j]);
 
-    if (!storm_out.empty()) {
-        FILE *f = std::fopen(storm_out.c_str(), "w");
-        if (!f)
-            sim::panic("ctrl_storm: cannot write %s",
-                       storm_out.c_str());
-        std::fprintf(f,
-                     "{\n  \"bench\": \"ctrl_storm\",\n"
-                     "  \"ops\": %llu,\n"
-                     "  \"user_tiles\": %u,\n"
-                     "  \"zipf_theta\": %.2f,\n"
-                     "  \"rate_per_sec\": %.0f,\n"
-                     "  \"hw_concurrency\": %u,\n"
-                     "  \"jobs_checked\": [1, 2, 4],\n"
-                     "  \"shards\": [\n",
-                     static_cast<unsigned long long>(base.totalOps),
-                     kUserTiles, base.theta, base.ratePerSec, hw);
-        for (std::size_t s = 0; s < shard_counts.size(); s++) {
-            const StormResult &r = cells[0][s];
-            std::fprintf(
-                f,
-                "    {\n      \"shards\": %u,\n"
-                "      \"ops\": %llu,\n"
-                "      \"errors\": %llu,\n"
-                "      \"syscalls_per_sec\": %.0f,\n"
-                "      \"p50_us\": %.2f,\n"
-                "      \"p99_us\": %.2f,\n"
-                "      \"makespan_ms\": %.3f,\n"
-                "      \"xshard_sent\": %llu,\n"
-                "      \"xshard_timeouts\": %llu,\n"
-                "      \"cross_op_fraction\": %.3f,\n"
-                "      \"digest\": \"%016llx\",\n"
-                "      \"wall_ms_jobs1\": %.3f,\n"
-                "      \"wall_ms_jobs2\": %.3f,\n"
-                "      \"wall_ms_jobs4\": %.3f\n    }%s\n",
-                r.shards, static_cast<unsigned long long>(r.ops),
-                static_cast<unsigned long long>(r.errors), rate[s],
-                r.p50Us, r.p99Us, sim::ticksToMs(r.makespan),
-                static_cast<unsigned long long>(r.xshardSent),
-                static_cast<unsigned long long>(r.xshardTimeouts),
-                static_cast<double>(r.crossOps) /
-                    std::max<std::uint64_t>(1, r.ops),
-                static_cast<unsigned long long>(r.digest),
-                cells[0][s].wallMs, cells[1][s].wallMs,
-                cells[2][s].wallMs,
-                s + 1 < shard_counts.size() ? "," : "");
-        }
-        std::fprintf(f, "  ],\n");
-        // The simulated speedups are deterministic; the speedup keys
-        // are still only emitted on hosts that could actually verify
-        // the jobs=4 sweep in parallel (ci/bench_smoke.sh skips the
-        // comparison when they are absent — same contract as the
-        // fig09 mesh rows).
-        std::fprintf(f, "  \"speedup_valid\": %s",
-                     hw >= 4 ? "true" : "false");
-        if (hw >= 4)
-            std::fprintf(f,
-                         ",\n  \"speedup_shards2\": %.3f,\n"
-                         "  \"speedup_shards4\": %.3f",
-                         rate[1] / rate[0], rate[2] / rate[0]);
-        std::fprintf(f, "\n}\n");
-        std::fclose(f);
+    bench::Summary summary;
+    for (const StormResult &r : cells[0]) {
+        std::string key = "shards_" + std::to_string(r.shards);
+        summary.addU64(key + "_ops", r.ops);
+        summary.addU64(key + "_errors", r.errors);
+        summary.add(key + "_p50_us", r.p50Us);
+        summary.add(key + "_p99_us", r.p99Us);
+        summary.addU64(key + "_makespan_tick", r.makespan);
+        summary.addU64(key + "_xshard_sent", r.xshardSent);
+        summary.addU64(key + "_xshard_timeouts", r.xshardTimeouts);
+        summary.addU64(key + "_digest", r.digest);
     }
+    summary.write(summary_out);
     return 0;
 }

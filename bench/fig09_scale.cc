@@ -143,20 +143,10 @@ class M3xVfs : public workloads::Vfs
     sim::Task
     rpc(FsReq req, Bytes data, FsResp *resp, Bytes *data_out)
     {
-        Bytes payload(sizeof(FsReq) + data.size());
-        std::memcpy(payload.data(), &req, sizeof(FsReq));
-        std::memcpy(payload.data() + sizeof(FsReq), data.data(),
-                    data.size());
         Bytes respb;
-        co_await sys_.rpc(self_, chan_, sep_, std::move(payload),
+        co_await sys_.rpc(self_, chan_, sep_, os::withPayload(req, data),
                           &respb);
-        if (respb.size() < sizeof(FsResp))
-            sim::panic("m3x vfs: short response");
-        std::memcpy(resp, respb.data(), sizeof(FsResp));
-        if (data_out)
-            data_out->assign(
-                respb.begin() + static_cast<long>(sizeof(FsResp)),
-                respb.end());
+        *resp = os::splitPayload<FsResp>(respb, data_out);
     }
 
     sim::Task open(const std::string &path, std::uint32_t flags,
@@ -336,12 +326,8 @@ m3xFsServer(m3x::M3xSystem &sys, m3x::M3xAct &self,
         Bytes reqb;
         m3x::MsgHdr reply_to;
         co_await sys.serveNext(self, chan, &reqb, &reply_to);
-        if (reqb.size() < sizeof(FsReq))
-            sim::panic("m3x fs: short request");
-        FsReq req;
-        std::memcpy(&req, reqb.data(), sizeof(FsReq));
-        Bytes data(reqb.begin() + static_cast<long>(sizeof(FsReq)),
-                   reqb.end());
+        Bytes data;
+        FsReq req = os::splitPayload<FsReq>(reqb, &data);
         req.path[sizeof(req.path) - 1] = '\0';
         std::string path(req.path);
 
@@ -458,11 +444,8 @@ m3xFsServer(m3x::M3xSystem &sys, m3x::M3xAct &self,
         }
         co_await self.thread().compute(img.takeOpCost());
 
-        Bytes respb(sizeof(FsResp) + resp_data.size());
-        std::memcpy(respb.data(), &resp, sizeof(FsResp));
-        std::memcpy(respb.data() + sizeof(FsResp), resp_data.data(),
-                    resp_data.size());
-        co_await sys.replyTo(self, reply_to, std::move(respb));
+        co_await sys.replyTo(self, reply_to,
+                             os::withPayload(resp, resp_data));
     }
 }
 
@@ -535,9 +518,10 @@ m3xRunsPerSec(unsigned tiles, bool find,
 // cheapest link chains). Deterministic synthetic traffic; every tile count
 // runs at jobs = 1, 2, 4 and the runs must be digest-identical — the
 // jobs=1-vs-N gate of the parallel fabric at scale. Simulated-time
-// results go to stdout/summary; wall-clock throughput and speedup go
-// to stderr and --scale-out (host-dependent numbers must not disturb
-// the byte-identical-output contract).
+// results go to stdout/summary (tests/golden pins the 64/256-tile
+// rows); wall-clock throughput and speedup go to stderr and
+// --scale-out (host-dependent numbers must not disturb the
+// byte-identical-output contract).
 //
 
 constexpr unsigned kMeshShots = 48;
@@ -695,7 +679,8 @@ main(int argc, char **argv)
 
     // Sweep-local flags (parseObsArgs ignores what it doesn't know):
     // --mesh-only skips the trace-replay sweep (CI mesh smoke);
-    // --scale-out=FILE records the host-side mesh throughput JSON.
+    // --scale-out=FILE records the host-side mesh throughput JSON
+    // (ci/check.sh's 64-tile speedup gate reads it).
     bool mesh_only = false;
     std::string scale_out;
     for (int i = 1; i < argc; i++) {
@@ -785,7 +770,8 @@ main(int argc, char **argv)
                 "M3v 84 (find) and 111 (SQLite) at 1 tile, scaling "
                 "almost linearly to 12 tiles.\n");
     dump.write(obs.metricsOut);
-    m3v::bench::writePerfJson(obs.perfOut, obs.jobs, wall, events);
+    std::fprintf(stderr, "trace sweep: %.1f ms host wall at jobs=%u\n",
+                 wall, obs.jobs);
 
     for (std::size_t i = 0; i < ns.size(); i++) {
         const CellOut *o = &outs[i * 4];
@@ -925,8 +911,8 @@ main(int argc, char **argv)
                     row.r1.events / (row.r4.wallMs / 1000.0),
                     valid ? "true" : "false");
                 // The speedup keys are only present when the host
-                // can actually run 4 workers (see ci/bench_smoke.sh:
-                // absent beats a null that reads as 0 downstream).
+                // can actually run 4 workers: absent beats a null
+                // that reads as 0 downstream.
                 if (valid)
                     std::fprintf(
                         f,

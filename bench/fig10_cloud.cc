@@ -16,6 +16,7 @@
  */
 
 #include <cstdio>
+#include <functional>
 #include <iterator>
 #include <string>
 
@@ -50,11 +51,14 @@ struct Split
     double total() const { return userSec + systemSec; }
 };
 
+/** Sends one request+result packet to the UDP sink. */
+using SendStep = std::function<sim::Task(Bytes)>;
+
 /** The database application: load, read requests file, execute, send
- *  requests+results via UDP. */
+ *  requests+results via UDP with @p send. */
 sim::Task
-dbRun(workloads::Vfs &vfs, services::UdpSocket *sock,
-      const YcsbWorkload &w, const std::string &dir)
+dbRun(workloads::Vfs &vfs, const YcsbWorkload &w, const std::string &dir,
+      SendStep send)
 {
     workloads::KvParams kv_params;
     kv_params.dir = dir;
@@ -80,7 +84,6 @@ dbRun(workloads::Vfs &vfs, services::UdpSocket *sock,
         co_await reqf->close();
     }
 
-    dtu::Error nerr = dtu::Error::None;
     for (const auto &op : w.run) {
         Bytes result;
         switch (op.kind) {
@@ -105,76 +108,11 @@ dbRun(workloads::Vfs &vfs, services::UdpSocket *sock,
           }
         }
         // Send request + result to the peer (UDP, sink side).
-        if (sock) {
-            Bytes pkt(op.key.begin(), op.key.end());
-            std::size_t n = std::min<std::size_t>(result.size(),
-                                                  1200);
-            pkt.insert(pkt.end(), result.begin(),
-                       result.begin() + static_cast<long>(n));
-            co_await sock->sendTo(0x0a000001, 9, std::move(pkt),
-                                  &nerr);
-        }
-    }
-    co_await db.close();
-}
-
-/** Linux equivalent using in-kernel sockets. */
-sim::Task
-dbRunLinux(workloads::Vfs &vfs, linuxref::LinuxKernel &kernel,
-           linuxref::LinuxProcess &p, int sock_fd,
-           const YcsbWorkload &w, const std::string &dir)
-{
-    workloads::KvParams kv_params;
-    kv_params.dir = dir;
-    kv_params.memtableLimit = 48 * 1024;
-    KvStore db(vfs, kv_params);
-    co_await db.open();
-    for (const auto &op : w.load)
-        co_await db.put(op.key, op.value);
-
-    std::unique_ptr<workloads::VfsFile> reqf;
-    bool ok = false;
-    co_await vfs.open(dir + "/requests", workloads::kVfsR, &reqf,
-                      &ok);
-    if (ok) {
-        for (;;) {
-            Bytes chunk;
-            co_await reqf->read(4096, &chunk, &ok);
-            if (chunk.empty())
-                break;
-        }
-        co_await reqf->close();
-    }
-
-    for (const auto &op : w.run) {
-        Bytes result;
-        switch (op.kind) {
-          case YcsbOp::Kind::Read: {
-            std::string v;
-            bool found = false;
-            co_await db.get(op.key, &v, &found);
-            result.assign(v.begin(), v.end());
-            break;
-          }
-          case YcsbOp::Kind::Insert:
-          case YcsbOp::Kind::Update:
-            co_await db.put(op.key, op.value);
-            break;
-          case YcsbOp::Kind::Scan: {
-            std::vector<std::pair<std::string, std::string>> out;
-            co_await db.scan(op.key, op.scanLen, &out);
-            for (auto &kvp : out)
-                result.insert(result.end(), kvp.second.begin(),
-                              kvp.second.end());
-            break;
-          }
-        }
         Bytes pkt(op.key.begin(), op.key.end());
         std::size_t n = std::min<std::size_t>(result.size(), 1200);
         pkt.insert(pkt.end(), result.begin(),
                    result.begin() + static_cast<long>(n));
-        co_await kernel.sysSendTo(p, sock_fd, 0x0a000001, 9,
-                                  std::move(pkt));
+        co_await send(std::move(pkt));
     }
     co_await db.close();
 }
@@ -268,7 +206,9 @@ m3vCloud(bool shared, const YcsbMix &mix,
                 t_start = eq.now();
                 sys0 = system_ticks();
             }
-            co_await dbRun(vfs, &sock, w, dir);
+            co_await dbRun(vfs, w, dir, [&sock, &err](Bytes pkt) {
+                return sock.sendTo(0x0a000001, 9, std::move(pkt), &err);
+            });
         }
         t_end = eq.now();
         sys1 = system_ticks();
@@ -310,7 +250,10 @@ linuxCloud(const YcsbMix &mix)
                 user0 = p->userTicks();
                 sys0 = p->systemTicks();
             }
-            co_await dbRunLinux(vfs, kernel, *p, s, w, dir);
+            co_await dbRun(vfs, w, dir, [&kernel, p, s](Bytes pkt) {
+                return kernel.sysSendTo(*p, s, 0x0a000001, 9,
+                                        std::move(pkt));
+            });
         }
         user1 = p->userTicks();
         sys1 = p->systemTicks();

@@ -17,10 +17,10 @@
  * Cells are independent simulations executed via runCells, so the
  * summary is byte-identical for any --jobs value.
  *
- * Flags (on top of the common --jobs/--summary-out/--metrics-out/
- * --perf-out): --tenants=N, --rate=R (aggregate request rate per
- * simulated second), --burst=M (burst rate multiplier), --slo-ms=S
- * (latency SLO), --chaos (run the drill cell).
+ * Flags (on top of the common --jobs/--summary-out/--metrics-out):
+ * --tenants=N, --rate=R (aggregate request rate per simulated
+ * second), --burst=M (burst rate multiplier), --slo-ms=S (latency
+ * SLO), --chaos (run the drill cell).
  */
 
 #include <cstdio>
@@ -515,7 +515,6 @@ main(int argc, char **argv)
                std::to_string(fo.tenants) + " tenants, " +
                std::to_string(kDrivers) + " drivers)");
 
-    double t0 = m3v::bench::wallMs();
     CellOut steady, chaos;
     std::vector<sim::UniqueFunction<void()>> cells;
     cells.push_back([&]() {
@@ -526,7 +525,6 @@ main(int argc, char **argv)
             runFleet(fo, true, 0xC4A05BA11, &chaos);
         });
     sim::runCells(obs.jobs, std::move(cells));
-    double wall = m3v::bench::wallMs() - t0;
 
     m3v::bench::Summary s;
     s.addU64("tenants", fo.tenants);
@@ -572,7 +570,5 @@ main(int argc, char **argv)
     if (fo.chaos)
         dump.absorb(chaos.dump);
     dump.write(obs.metricsOut);
-    m3v::bench::writePerfJson(obs.perfOut, obs.jobs, wall,
-                              steady.events + chaos.events);
     return 0;
 }

@@ -1,7 +1,6 @@
 #include "m3x/system.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/log.h"
 
@@ -10,6 +9,8 @@ namespace m3v::m3x {
 using dtu::Endpoint;
 using dtu::EpId;
 using dtu::Error;
+using os::splitPayload;
+using os::withPayload;
 
 namespace {
 
@@ -24,30 +25,6 @@ constexpr EpId kKernSyscallRep = 4;
 constexpr EpId kKernStubReplyRep = 5;
 constexpr EpId kKernFirstStubSep = 8;
 constexpr EpId kKernTmpSep = 100;
-
-template <typename T>
-Bytes
-withPayload(const T &hdr, const Bytes &payload)
-{
-    Bytes b(sizeof(T) + payload.size());
-    std::memcpy(b.data(), &hdr, sizeof(T));
-    std::memcpy(b.data() + sizeof(T), payload.data(), payload.size());
-    return b;
-}
-
-template <typename T>
-T
-splitPayload(const Bytes &msg, Bytes *payload)
-{
-    if (msg.size() < sizeof(T))
-        sim::panic("m3x: truncated message (%zu bytes)", msg.size());
-    T hdr;
-    std::memcpy(&hdr, msg.data(), sizeof(T));
-    if (payload)
-        payload->assign(msg.begin() + static_cast<long>(sizeof(T)),
-                        msg.end());
-    return hdr;
-}
 
 } // namespace
 
@@ -481,13 +458,12 @@ M3xSystem::kernelMain()
             co_await t.externalWait();
             continue;
         }
-        dtu::Message msg = kernDtu_->slotMsg(kKernSyscallRep, slot);
+        // Decode in place: the ack below frees the slot.
+        Bytes payload;
+        KernelReq req = splitPayload<KernelReq>(
+            kernDtu_->slotMsg(kKernSyscallRep, slot).payload, &payload);
         co_await t.compute(m.mmioWriteCycles);
         kernDtu_->ack(0, kKernSyscallRep, slot);
-
-        Bytes payload;
-        KernelReq req = splitPayload<KernelReq>(msg.payload,
-                                                &payload);
         co_await t.compute(kKernelHandlerCost);
 
         switch (req.op) {

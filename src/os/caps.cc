@@ -58,7 +58,7 @@ CapTable::get(CapSel sel) const
 }
 
 CapTable &
-CapMgr::tableOf(dtu::ActId act)
+CapMgr::createTable(dtu::ActId act)
 {
     if (act >= tables_.size())
         tables_.resize(act + 1);

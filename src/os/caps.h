@@ -263,8 +263,13 @@ class CapMgr
 
     unsigned shard() const { return shard_; }
 
-    /** Create (or fetch) the table of an activity. */
-    CapTable &tableOf(dtu::ActId act);
+    /**
+     * Create the table of a new activity (or fetch it if it exists).
+     * Only activity creation calls this: every other lookup goes
+     * through tableIfExists(), so a reaped activity stays without a
+     * table.
+     */
+    CapTable &createTable(dtu::ActId act);
 
     /** The table of @p act, or nullptr (never creates). */
     CapTable *tableIfExists(dtu::ActId act);

@@ -94,8 +94,11 @@ Controller::Controller(BareEnv &env, CapMgr &caps, const DtuMap &dtus,
 CapSel
 Controller::grant(ActId act, const KObject &obj)
 {
-    return caps_->tableOf(act).insertRoot(
-        std::make_shared<KObject>(obj));
+    CapTable *t = caps_->tableIfExists(act);
+    if (!t)
+        sim::panic("controller %u: grant to activity %u without a "
+                   "capability table", shard_, act);
+    return t->insertRoot(std::make_shared<KObject>(obj));
 }
 
 void
@@ -128,7 +131,7 @@ Controller::createAct(noc::TileId tile)
         id = static_cast<ActId>(n);
     }
     registerActivity(id, tile);
-    caps_->tableOf(id);
+    caps_->createTable(id);
     return id;
 }
 
@@ -487,10 +490,16 @@ Controller::handleCtrlReq(int slot)
         co_await thread.compute(kCapCost);
     CtrlResp resp;
     switch (req.op) {
-      case CtrlReq::Op::Delegate:
-        resp.val = caps_->tableOf(req.act).insertShared(req.obj,
-                                                        origin(req));
+      case CtrlReq::Op::Delegate: {
+        // A crash reap may have dropped the target's table.
+        CapTable *t = caps_->tableIfExists(req.act);
+        if (!t) {
+            resp.err = Error::InvalidEp;
+            break;
+        }
+        resp.val = t->insertShared(req.obj, origin(req));
         break;
+      }
 
       case CtrlReq::Op::Obtain: {
         Capability *c = liveCap(req.act, req.sel);
@@ -788,8 +797,13 @@ Controller::handle(ActId caller, const SyscallReq &req,
         ActId target = act->id;
         unsigned tshard = shardMap_.shardOfTile(act->tile);
         if (tshard == shard_) {
-            resp->val = caps_->tableOf(target).insertChild(
-                cap->objPtr(), *cap);
+            // A crash reap may have dropped the target's table.
+            CapTable *t = caps_->tableIfExists(target);
+            if (!t) {
+                resp->err = Error::InvalidEp;
+                break;
+            }
+            resp->val = t->insertChild(cap->objPtr(), *cap);
             break;
         }
         CtrlReq creq;

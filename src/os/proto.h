@@ -45,6 +45,35 @@ podFrom(const Bytes &b)
     return v;
 }
 
+/** Concatenate a POD header and payload bytes. */
+template <typename T>
+Bytes
+withPayload(const T &hdr, const Bytes &payload)
+{
+    static_assert(std::is_trivially_copyable_v<T>);
+    Bytes b(sizeof(T) + payload.size());
+    std::memcpy(b.data(), &hdr, sizeof(T));
+    if (!payload.empty())
+        std::memcpy(b.data() + sizeof(T), payload.data(),
+                    payload.size());
+    return b;
+}
+
+/**
+ * Split a message built by withPayload(): return its POD header and,
+ * if @p payload is set, copy the bytes after it there.
+ */
+template <typename T>
+T
+splitPayload(const Bytes &msg, Bytes *payload)
+{
+    T hdr = podFrom<T>(msg);
+    if (payload)
+        payload->assign(msg.begin() + static_cast<long>(sizeof(T)),
+                        msg.end());
+    return hdr;
+}
+
 /**
  * Capability selector within an activity's capability table.
  *

@@ -264,7 +264,7 @@ System::createApp(unsigned tile_idx, const std::string &name,
     // The app's capability table lives on its home shard from boot:
     // the controller answers a caller without one as reaped.
     controllerOf(shard).registerActivity(id, userTile(tile_idx));
-    capsOf(shard).tableOf(id);
+    capsOf(shard).createTable(id);
 
     App *ptr = app.get();
     apps_.push_back(std::move(app));
@@ -352,7 +352,7 @@ System::grantActivated(App *app, const KObject &obj, EpId ep)
     noc::TileId tile = userTile(app->tileIdx);
     unsigned s = shardMap_.shardOfTile(tile);
     CapSel sel = controllerOf(s).grant(app->act->id(), obj);
-    Capability *cap = capsOf(s).tableOf(app->act->id()).get(sel);
+    Capability *cap = capsOf(s).tableIfExists(app->act->id())->get(sel);
     cap->activated = true;
     cap->actTile = tile;
     cap->actEp = ep;

@@ -1,44 +1,13 @@
 #include "services/net.h"
 
-#include <cstring>
-
 #include "sim/log.h"
 
 namespace m3v::services {
 
 using dtu::Error;
 using os::Bytes;
-
-namespace {
-
-/** Concatenate a POD header and payload bytes. */
-template <typename T>
-Bytes
-withPayload(const T &hdr, const Bytes &payload)
-{
-    Bytes b(sizeof(T) + payload.size());
-    std::memcpy(b.data(), &hdr, sizeof(T));
-    if (!payload.empty())
-        std::memcpy(b.data() + sizeof(T), payload.data(),
-                    payload.size());
-    return b;
-}
-
-template <typename T>
-T
-splitPayload(const Bytes &msg, Bytes *payload)
-{
-    if (msg.size() < sizeof(T))
-        sim::panic("net: truncated message (%zu bytes)", msg.size());
-    T hdr;
-    std::memcpy(&hdr, msg.data(), sizeof(T));
-    if (payload)
-        payload->assign(msg.begin() + static_cast<long>(sizeof(T)),
-                        msg.end());
-    return hdr;
-}
-
-} // namespace
+using os::splitPayload;
+using os::withPayload;
 
 NetService::NetService(os::System &sys, unsigned tile_idx, Nic &nic,
                        NetParams params)
@@ -130,8 +99,10 @@ NetService::body(os::MuxEnv &env)
             continue;
         }
 
-        // Client request.
-        dtu::Message msg = env.msgAt(rgate_.ep, slot);
+        // Client request, read in its slot. Everything the handler
+        // needs is taken out before its first suspension.
+        const dtu::Message &msg = env.msgAt(rgate_.ep, slot);
+        const std::uint64_t label = msg.label;
 
         // Admission control over the bounded request ring: reject
         // aged or over-occupancy requests early and typed.
@@ -150,7 +121,7 @@ NetService::body(os::MuxEnv &env)
         switch (req.op) {
           case NetReqHdr::Op::Create: {
             std::uint32_t id = nextSock_++;
-            sockets_[id] = Socket{msg.label, req.localPort};
+            sockets_[id] = Socket{label, req.localPort};
             if (req.localPort)
                 ports_[req.localPort] = id;
             resp.sock = id;

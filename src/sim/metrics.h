@@ -14,7 +14,7 @@
  *
  * The registry can enumerate everything it holds in sorted path order
  * and render it as a flat JSON object, which the bench binaries dump
- * via --metrics-out and ci/bench_smoke.sh sanity-checks.
+ * via --metrics-out and the fig06_observability test sanity-checks.
  */
 
 #ifndef M3VSIM_SIM_METRICS_H_

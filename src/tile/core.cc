@@ -395,12 +395,4 @@ Core::idleTicks()
     return idleTicks_;
 }
 
-void
-Core::resetAccounting()
-{
-    accountTo(owner_);
-    kernelTicks_ = 0;
-    idleTicks_ = 0;
-}
-
 } // namespace m3v::tile

@@ -345,9 +345,6 @@ class Core : public sim::SimObject
     /** Cumulative idle time. */
     sim::Tick idleTicks();
 
-    /** Reset the user/kernel/idle accounting clocks. */
-    void resetAccounting();
-
   private:
     friend class Thread;
 

@@ -42,7 +42,7 @@ TEST(CapTable, ChildrenTrackParent)
 TEST(CapMgr, RevokeRemovesSubtree)
 {
     CapMgr mgr;
-    CapTable &t = mgr.tableOf(1);
+    CapTable &t = mgr.createTable(1);
     CapSel root = t.insertRoot(memObj(4096));
     CapSel c1 = t.insertChild(memObj(1024), *t.get(root));
     t.insertChild(memObj(512), *t.get(c1));
@@ -57,7 +57,7 @@ TEST(CapMgr, RevokeRemovesSubtree)
 TEST(CapMgr, RevokeKeepRootSparesRoot)
 {
     CapMgr mgr;
-    CapTable &t = mgr.tableOf(1);
+    CapTable &t = mgr.createTable(1);
     CapSel root = t.insertRoot(memObj(4096));
     t.insertChild(memObj(1024), *t.get(root));
     t.insertChild(memObj(1024), *t.get(root));
@@ -74,8 +74,8 @@ TEST(CapMgr, RevokeKeepRootSparesRoot)
 TEST(CapMgr, DelegationCrossesTablesAndRevokes)
 {
     CapMgr mgr;
-    CapTable &ta = mgr.tableOf(1);
-    CapTable &tb = mgr.tableOf(2);
+    CapTable &ta = mgr.createTable(1);
+    CapTable &tb = mgr.createTable(2);
     CapSel root = ta.insertRoot(memObj(4096));
     // Delegate: child in B's table sharing the object.
     CapSel dsel = tb.insertChild(ta.get(root)->objPtr(),
@@ -94,34 +94,35 @@ TEST(CapMgr, DelegationCrossesTablesAndRevokes)
 TEST(CapMgr, DeepDelegationChainRevokesAll)
 {
     CapMgr mgr;
-    CapSel prev_sel = mgr.tableOf(1).insertRoot(memObj(1 << 20));
-    Capability *prev = mgr.tableOf(1).get(prev_sel);
+    CapTable &first = mgr.createTable(1);
+    CapSel prev_sel = first.insertRoot(memObj(1 << 20));
+    Capability *prev = first.get(prev_sel);
     for (dtu::ActId act = 2; act <= 6; act++) {
-        CapSel s =
-            mgr.tableOf(act).insertChild(prev->objPtr(), *prev);
-        prev = mgr.tableOf(act).get(s);
+        CapTable &t = mgr.createTable(act);
+        prev = t.get(t.insertChild(prev->objPtr(), *prev));
     }
     std::size_t n = mgr.revoke(1, prev_sel, [](Capability &) {});
     EXPECT_EQ(n, 6u);
     for (dtu::ActId act = 2; act <= 6; act++)
-        EXPECT_EQ(mgr.tableOf(act).size(), 0u);
+        EXPECT_EQ(mgr.tableIfExists(act)->size(), 0u);
 }
 
 TEST(CapMgr, DropTableRevokesDelegatedDescendants)
 {
     CapMgr mgr;
-    CapSel root = mgr.tableOf(1).insertRoot(memObj(4096));
-    mgr.tableOf(2).insertChild(mgr.tableOf(1).get(root)->objPtr(),
-                               *mgr.tableOf(1).get(root));
+    CapTable &ta = mgr.createTable(1);
+    CapTable &tb = mgr.createTable(2);
+    CapSel root = ta.insertRoot(memObj(4096));
+    tb.insertChild(ta.get(root)->objPtr(), *ta.get(root));
     mgr.dropTable(1, [](Capability &) {});
     EXPECT_FALSE(mgr.hasTable(1));
-    EXPECT_EQ(mgr.tableOf(2).size(), 0u);
+    EXPECT_EQ(tb.size(), 0u);
 }
 
 TEST(CapMgr, SiblingSubtreesAreIndependent)
 {
     CapMgr mgr;
-    CapTable &t = mgr.tableOf(1);
+    CapTable &t = mgr.createTable(1);
     CapSel root = t.insertRoot(memObj(8192));
     CapSel a = t.insertChild(memObj(4096), *t.get(root));
     CapSel b = t.insertChild(memObj(4096), *t.get(root));

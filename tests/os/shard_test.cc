@@ -359,11 +359,61 @@ TEST_F(ShardSystemTest, CrashedHolderReapDropsShareRecords)
     EXPECT_EQ(sys.controllerOf(3).activitiesReaped(), 1u);
     // A's source cap survives with no dangling share record.
     Capability *src =
-        sys.capsOf(0).tableOf(a->act->id()).get(storage.sel);
+        sys.capsOf(0).tableIfExists(a->act->id())->get(storage.sel);
     ASSERT_NE(src, nullptr);
     EXPECT_TRUE(src->remoteChildren.empty());
     // B's table is gone on shard 3.
     EXPECT_FALSE(sys.capsOf(3).hasTable(b_id));
+}
+
+TEST(ShardCrashTest, DelegateToReapedActivityFails)
+{
+    // B crashes and its home shard reaps its table. A Delegate to B
+    // afterwards must fail and must not bring the table back: at one
+    // shard through the controller's local branch, at four through
+    // the peer side of the cross-shard protocol.
+    for (unsigned shards : {1u, 4u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        sim::EventQueue eq;
+        System sys(eq, shardedParams(shards));
+        sim::Invariants inv;
+        registerControllerInvariants(inv, sys);
+
+        auto *a = sys.createApp(0, "a");
+        auto *b = sys.createApp(7, "b");
+        auto storage = sys.makeMgate(a, 64 << 10, dtu::kPermRW);
+        CapSel b_act = sys.grantActCap(a, b);
+        dtu::ActId b_id = b->act->id();
+        unsigned home = sys.shardMap().shardOfTile(sys.userTile(7));
+
+        bool a_done = false;
+        Error err = Error::None;
+        sys.start(a, [&, storage, b_act](MuxEnv &env) -> sim::Task {
+            // Delegate well after B's crash has been reaped.
+            co_await env.thread().compute(20'000'000);
+            SyscallReq req;
+            req.op = SyscallReq::Op::Delegate;
+            req.arg0 = b_act;
+            req.arg1 = storage.sel;
+            SyscallResp resp;
+            co_await env.syscall(req, &resp);
+            err = resp.err;
+            a_done = true;
+        });
+        sys.start(b, [&](MuxEnv &env) -> sim::Task {
+            co_await env.thread().compute(100'000'000);
+        });
+        eq.schedule(sim::kTicksPerMs,
+                    [&] { sys.mux(7).crashActivity(b_id); });
+
+        eq.run();
+        inv.runAll(true);
+        EXPECT_TRUE(inv.ok()) << inv.report();
+        EXPECT_EQ(sys.controllerOf(home).activitiesReaped(), 1u);
+        EXPECT_TRUE(a_done);
+        EXPECT_EQ(err, Error::InvalidEp);
+        EXPECT_FALSE(sys.capsOf(home).hasTable(b_id));
+    }
 }
 
 TEST(ShardRaceTest, RevokeRacesInFlightDelegation)
