@@ -1,5 +1,5 @@
-# One binary per paper table/figure plus the ablations, the fleet
-# drill and the controller storm. They report simulated results; host
+# One binary per paper table/figure plus the ablations and the
+# controller storm. They report simulated results; host
 # performance is measured by perfbench/.
 set(M3V_BENCH_DIR ${CMAKE_SOURCE_DIR}/bench)
 
@@ -27,11 +27,6 @@ add_executable(fig10_cloud ${M3V_BENCH_DIR}/fig10_cloud.cc)
 target_link_libraries(fig10_cloud PRIVATE m3v_workloads)
 target_include_directories(fig10_cloud PRIVATE ${M3V_BENCH_DIR})
 set_target_properties(fig10_cloud PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-add_executable(fleet ${M3V_BENCH_DIR}/fleet.cc)
-target_link_libraries(fleet PRIVATE m3v_workloads)
-target_include_directories(fleet PRIVATE ${M3V_BENCH_DIR})
-set_target_properties(fleet PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
 add_executable(voice_assistant ${M3V_BENCH_DIR}/voice_assistant.cc)
 target_link_libraries(voice_assistant PRIVATE m3v_workloads)

@@ -128,8 +128,8 @@ driverBody(sim::EventQueue &eq, MuxEnv &env, System &sys,
         if (eq.now() < at)
             co_await sleepUntil(eq, env, at);
         // Behind schedule: issue immediately, the queueing delay is
-        // part of the measured latency (open-loop, no client shed —
-        // every storm completes all its ops so digests can agree).
+        // part of the measured latency (open-loop; every storm
+        // completes all its ops so digests can agree).
 
         SyscallReq req;
         SyscallResp resp;

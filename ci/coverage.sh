@@ -8,7 +8,7 @@
 # unreached instead of not at all) and a standalone coverage build
 # of perfbench/ in build-cov/perfbench (RelWithDebInfo, the only build
 # type its driver runs), then runs
-#   - the nine golden figure tests (ctest -L golden),
+#   - the ten golden figure tests (ctest -L golden),
 #   - the protocol and caps fuzzer (824 scenarios),
 #   - the controller storm and the 64-tile router-sharded mesh sweep,
 #   - m3vbench --small --trace 1 for every perfbench workload.
@@ -40,7 +40,7 @@ echo "== build (--coverage) =="
 cmake -B "$COV_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="--coverage -fkeep-inline-functions" >/dev/null
 cmake --build "$COV_DIR" -j "$JOBS" --target fig06_micro fig07_fs \
-    fig08_udp fig09_scale fig10_cloud fleet voice_assistant ablations \
+    fig08_udp fig09_scale fig10_cloud voice_assistant ablations \
     table1_area fuzz_driver ctrl_storm
 cmake -S perfbench -B "$PERF_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=--coverage >/dev/null

@@ -24,7 +24,6 @@ errorName(Error e)
       case Error::MsgTooBig: return "MsgTooBig";
       case Error::Aborted: return "Aborted";
       case Error::Timeout: return "Timeout";
-      case Error::Overloaded: return "Overloaded";
     }
     return "Unknown";
 }
@@ -569,7 +568,6 @@ Dtu::deviceMessage(EpId rep, std::vector<std::uint8_t> payload,
     rs.msg.srcTile = tile_;
     rs.msg.payload = std::move(payload);
     rs.msg.seq = nextSeq_++;
-    rs.msg.arrival = eq_.now();
     msgsRecv_->inc();
     onMessageStored(rep, ep.act);
     notifyMsg(rep, ep.act);
@@ -981,7 +979,6 @@ Dtu::handleMsgXfer(WireData &wd, noc::TileId src)
     rs.unread = true;
     rs.msg = std::move(wd.msg);
     rs.msg.seq = nextSeq_++;
-    rs.msg.arrival = eq_.now();
     msgsRecv_->inc();
 
     if (reliable_ && wd.seq != 0)

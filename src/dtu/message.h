@@ -42,20 +42,12 @@ struct Message
     /**
      * Call-correlation nonce: chosen by the sender per SEND command
      * (0 when unused) and echoed verbatim into the reply by REPLY.
-     * Timed RPC callers use it to tell their own reply apart from
-     * the late reply of an earlier, timed-out call on the same
+     * os::Env::call uses it to tell its own reply apart from the
+     * late reply of an earlier call whose send timed out on the same
      * receive endpoint. Fits in the 16-byte wire header alongside
      * @ref seq, so it does not change wireBytes().
      */
     std::uint64_t nonce = 0;
-
-    /**
-     * Tick at which the message was stored into the receive ring.
-     * Hardware metadata like @ref seq (not wire payload): receivers
-     * use it for deadline-aware admission control — the age of a
-     * fetched request is the time it waited in the bounded ring.
-     */
-    std::uint64_t arrival = 0;
 
     /**
      * Payload bytes, owned by whoever holds the message: the sending

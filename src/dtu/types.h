@@ -68,18 +68,11 @@ enum class Error : std::uint8_t
     Aborted,
     /** Retransmissions exhausted without an acknowledgement. */
     Timeout,
-    /**
-     * Receiver shed the request before executing it (admission
-     * control): the server was overloaded and rejected early rather
-     * than queueing forever. Always safe to retry — the request had
-     * no effect — but retries must be budgeted.
-     */
-    Overloaded,
 };
 
 /** Number of Error enumerators (keep in sync with the enum). */
 constexpr std::size_t kNumErrors =
-    static_cast<std::size_t>(Error::Overloaded) + 1;
+    static_cast<std::size_t>(Error::Timeout) + 1;
 
 /** Human-readable error name (for logs and tests). */
 const char *errorName(Error e);

@@ -59,10 +59,9 @@ endpointFor(const KObject &obj, ActId owner)
 } // namespace
 
 Controller::Controller(BareEnv &env, CapMgr &caps, const DtuMap &dtus,
-                       ControllerParams params, ShardMap shard_map,
-                       unsigned shard)
-    : env_(&env), caps_(&caps), dtus_(&dtus), params_(params),
-      shardMap_(shard_map), shard_(shard), admission_(params.admission)
+                       ShardMap shard_map, unsigned shard)
+    : env_(&env), caps_(&caps), dtus_(&dtus), shardMap_(shard_map),
+      shard_(shard)
 {
     sim::MetricsRegistry &m = env.dtu().eventQueue().metrics();
     const std::string p = env.name() + ".kernel.";
@@ -675,17 +674,6 @@ Controller::run()
         auto caller = static_cast<ActId>(m.label);
         SyscallReq req = podFrom<SyscallReq>(m.payload);
         syscalls_->inc();
-
-        // Admission control over the bounded syscall ring: reject
-        // aged or over-occupancy syscalls early with a typed error
-        // instead of executing them. The rejection travels the normal
-        // vDTU reply path, so service RPCs that embed syscalls (e.g.
-        // m3fs extent grants) surface it typed to their clients.
-        if (!env_->admit(admission_, kSyscallRep, m)) {
-            co_await env_->shed(admission_, kSyscallRep, slot,
-                                podBytes(SyscallResp{Error::Overloaded}));
-            continue;
-        }
 
         co_await thread.compute(kDispatchCost);
         SyscallResp resp;

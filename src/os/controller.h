@@ -41,7 +41,6 @@
 #include "os/env.h"
 #include "os/proto.h"
 #include "os/shard.h"
-#include "sim/overload.h"
 #include "sim/stats.h"
 
 namespace m3v::os {
@@ -77,24 +76,15 @@ constexpr sim::Tick kXshardTimeout = 200 * sim::kTicksPerUs;
 /** Send attempts per cross-shard call before giving up. */
 constexpr unsigned kXshardRetries = 3;
 
-/** Controller parameters. */
-struct ControllerParams
-{
-    /** Admission control over the syscall ring (default off). */
-    sim::AdmissionParams admission;
-};
-
 /** One communication controller shard. */
 class Controller
 {
   public:
     Controller(BareEnv &env, CapMgr &caps, const DtuMap &dtus,
-               ControllerParams params = {}, ShardMap shard_map = {},
-               unsigned shard = 0);
+               ShardMap shard_map = {}, unsigned shard = 0);
 
     BareEnv &env() { return *env_; }
     CapMgr &caps() { return *caps_; }
-    const ControllerParams &params() const { return params_; }
     unsigned shard() const { return shard_; }
     const ShardMap &shardMap() const { return shardMap_; }
 
@@ -161,9 +151,6 @@ class Controller
     {
         return pendingObtains_.size();
     }
-
-    /** Admission decision state (shed/admit counters). */
-    const sim::Admission &admission() const { return admission_; }
 
   private:
     /** An obtain whose destination selector is reserved but whose cap
@@ -258,7 +245,6 @@ class Controller
     BareEnv *env_;
     CapMgr *caps_;
     const DtuMap *dtus_;
-    ControllerParams params_;
     ShardMap shardMap_;
     unsigned shard_ = 0;
 
@@ -295,7 +281,6 @@ class Controller
     sim::Counter *xonewaySent_;
     sim::Counter *xonewayHandled_;
     sim::Counter *xonewayDropped_;
-    sim::Admission admission_;
 };
 
 } // namespace m3v::os

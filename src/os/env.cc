@@ -133,21 +133,8 @@ Env::ackMsg(dtu::EpId rep, int slot)
 
 sim::Task
 Env::call(dtu::EpId sep, dtu::EpId rep, Bytes req, Bytes *resp,
-          Error *err, sim::Tick reply_deadline)
+          Error *err)
 {
-    if (reply_deadline != 0) {
-        // Drain late replies of earlier timed-out calls on this EP so
-        // the ring cannot fill up with them.
-        for (;;) {
-            co_await thread_->compute(mmioW(1) + mmioR(1));
-            int stale = dtu_->fetch(act_, rep);
-            if (stale < 0)
-                break;
-            staleDrops_++;
-            co_await ackMsg(rep, stale);
-        }
-    }
-
     // A fresh correlation nonce for this call: the reply echoes it,
     // so a late reply of an earlier call cannot be misattributed.
     const std::uint64_t nonce = ++callNonce_;
@@ -159,8 +146,6 @@ Env::call(dtu::EpId sep, dtu::EpId rep, Bytes req, Bytes *resp,
         co_return;
     }
 
-    sim::EventQueue &eq = dtu_->eventQueue();
-    const sim::Tick deadline = eq.now() + reply_deadline;
     int spurious = 0;
     for (;;) {
         // FETCH via MMIO.
@@ -183,41 +168,13 @@ Env::call(dtu::EpId sep, dtu::EpId rep, Bytes req, Bytes *resp,
                 *err = Error::None;
             co_return;
         }
-        if (reply_deadline == 0) {
-            if (++spurious > 10000) {
-                sim::panic("%s: livelock in call(ep %u): unread "
-                           "message on an unexpected EP?",
-                           name_.c_str(), rep);
-            }
-            co_await waitImpl(rep);
-            continue;
+        if (++spurious > 10000) {
+            sim::panic("%s: livelock in call(ep %u): unread "
+                       "message on an unexpected EP?",
+                       name_.c_str(), rep);
         }
-        // Timed: poll (section 3.7 style), since nothing wakes a
-        // blocked context at the deadline.
-        if (eq.now() >= deadline) {
-            if (err)
-                *err = Error::Timeout;
-            co_return;
-        }
-        co_await yield();
+        co_await waitImpl(rep);
     }
-}
-
-bool
-Env::admit(sim::Admission &adm, dtu::EpId rep, const dtu::Message &msg)
-{
-    return !adm.enabled() ||
-           adm.admit(dtu_->now(), msg.arrival,
-                     dtu_->unread(act_, rep) + 1);
-}
-
-sim::Task
-Env::shed(const sim::Admission &adm, dtu::EpId rep, int slot,
-          Bytes resp)
-{
-    co_await thread_->compute(adm.params().shedCost);
-    Error serr = Error::None;
-    co_await reply(rep, slot, std::move(resp), &serr);
 }
 
 sim::Task

@@ -26,7 +26,6 @@
 #include "core/vdtu.h"
 #include "dtu/dtu.h"
 #include "os/proto.h"
-#include "sim/overload.h"
 #include "sim/task.h"
 #include "tile/core.h"
 
@@ -95,31 +94,17 @@ class Env
     /**
      * Full RPC: send with a fresh correlation nonce, await the reply
      * that echoes it (dtu::Message::nonce), copy it out, acknowledge.
-     * A reply with another nonce is the late reply of an earlier,
-     * timed-out call: it is acked and counted as a stale drop. The
-     * reply EP must be used by one caller at a time.
-     *
-     * A nonzero @p reply_deadline first drains such late replies,
-     * then polls, yielding the core, and gives up after that many
-     * ticks with dtu::Error::Timeout (a reply the wire lost would
-     * otherwise block forever); 0 blocks until the reply arrives.
+     * A reply with another nonce is the late reply of an earlier call
+     * whose send failed with dtu::Error::Timeout after the request
+     * was delivered (reliable mode: every ack was lost): it is acked
+     * and counted as a stale drop. The reply EP must be used by one
+     * caller at a time.
      */
     sim::Task call(dtu::EpId sep, dtu::EpId rep, Bytes req,
-                   Bytes *resp, dtu::Error *err,
-                   sim::Tick reply_deadline = 0);
+                   Bytes *resp, dtu::Error *err);
 
-    /** Late replies of timed-out calls dropped by call(). */
+    /** Late replies of earlier calls dropped by call(). */
     std::uint64_t staleRepliesDropped() const { return staleDrops_; }
-
-    /** Server admission: decide the fetched request @p msg on @p rep
-     *  (true = execute; always true while @p adm is disabled). */
-    bool admit(sim::Admission &adm, dtu::EpId rep,
-               const dtu::Message &msg);
-
-    /** Shed the request in @p slot of @p rep: pay @p adm's shed cost,
-     *  then reply @p resp (a typed Overloaded). */
-    sim::Task shed(const sim::Admission &adm, dtu::EpId rep, int slot,
-                   Bytes resp);
 
     //
     // Memory gates.

@@ -134,7 +134,7 @@ System::System(sim::EventQueue &eq, SystemParams params)
                         Endpoint::makeRecv(kCtrlAct, 128, 64));
         c.caps = std::make_unique<CapMgr>(s);
         c.ctrl = std::make_unique<Controller>(
-            *c.env, *c.caps, dtuMap_, params_.ctrl, shardMap_, s);
+            *c.env, *c.caps, dtuMap_, shardMap_, s);
         c.dtu->configEp(kCtrlSideReply,
                         Endpoint::makeRecv(kCtrlAct, 64, 8));
         c.ctrl->setSidecallReplyEp(kCtrlSideReply);

@@ -70,7 +70,6 @@ struct SystemParams
     core::VDtuParams vdtu{};
     /** DTU retransmission knobs (applied to every tile's DTU). */
     dtu::DtuTiming dtuTiming{};
-    ControllerParams ctrl{};
 
     /** Per-user-tile PMP window (local memory) in bytes. */
     std::size_t perTilePmp = 4 << 20;

@@ -37,17 +37,36 @@ isIdempotent(FsReq::Op op)
 } // namespace
 
 FileSession::FileSession(os::Env &env, const M3fs::Client &client,
-                         unsigned ep_idx, sim::OverloadGuard *guard)
+                         unsigned ep_idx)
     : env_(env), sgate_(client.sgateEp), reply_(client.replyEp),
-      fileEp_(client.fileEps.at(ep_idx)), guard_(guard)
+      fileEp_(client.fileEps.at(ep_idx))
 {
 }
 
 sim::Task
 FileSession::rpc(FsReq req, FsResp *resp)
 {
-    return guardedRpc(env_, sgate_, reply_, os::podBytes(req),
-                      isIdempotent(req.op), guard_, &counters_, resp);
+    constexpr unsigned kAttempts = 4;
+    const bool retry_timeout = isIdempotent(req.op);
+    sim::Cycles backoff = 4096;
+    for (unsigned attempt = 1;; attempt++) {
+        Bytes respb;
+        Error err = Error::Aborted;
+        co_await env_.call(sgate_, reply_, os::podBytes(req), &respb,
+                           &err);
+        if (err == Error::None) {
+            *resp = os::podFrom<FsResp>(respb);
+            co_return;
+        }
+        if (err != Error::Timeout || !retry_timeout ||
+            attempt == kAttempts) {
+            *resp = FsResp{err};
+            co_return;
+        }
+        retries_++;
+        co_await env_.thread().compute(backoff);
+        backoff *= 2;
+    }
 }
 
 sim::Task

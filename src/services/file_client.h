@@ -16,8 +16,6 @@
 #include "os/env.h"
 #include "services/fs_proto.h"
 #include "services/m3fs.h"
-#include "services/rpc.h"
-#include "sim/overload.h"
 
 namespace m3v::services {
 
@@ -29,14 +27,9 @@ class FileSession
      * @param env    the client's environment
      * @param client the boot wiring to the FS service
      * @param ep_idx which EP of the client's file-EP pool to bind
-     * @param guard  optional per-destination overload discipline
-     *               (retry budget, circuit breaker, jittered backoff,
-     *               reply deadline). Null retries with a fixed
-     *               doubling backoff and waits for every reply.
      */
     FileSession(os::Env &env, const M3fs::Client &client,
-                unsigned ep_idx = 0,
-                sim::OverloadGuard *guard = nullptr);
+                unsigned ep_idx = 0);
 
     std::uint64_t size() const { return size_; }
     std::uint64_t offset() const { return off_; }
@@ -78,18 +71,16 @@ class FileSession
     /** Number of NextIn/NextOut RPCs performed (extent switches). */
     std::uint64_t extentRpcs() const { return extentRpcs_; }
 
-    /** RPCs re-sent after a timeout or server shed. */
-    std::uint64_t rpcRetries() const { return counters_.retries; }
-
-    /** Server-side Error::Overloaded rejections observed. */
-    std::uint64_t rpcOverloaded() const { return counters_.overloaded; }
+    /** RPCs re-sent after a transport timeout. */
+    std::uint64_t rpcRetries() const { return retries_; }
 
   private:
     /**
-     * Send one m3fs RPC through guardedRpc(). A transport timeout
-     * (the reliable DTU layer exhausted its retransmissions) is
-     * retried for idempotent operations; any failure that is not
-     * retried surfaces in resp->err, typed instead of a panic.
+     * Send one m3fs RPC. A transport timeout (the reliable DTU layer
+     * exhausted its retransmissions) is retried for idempotent
+     * operations, in at most four attempts with a backoff doubling
+     * from 4096 cycles; any failure that is not retried surfaces in
+     * resp->err, typed instead of a panic.
      */
     sim::Task rpc(FsReq req, FsResp *resp);
 
@@ -97,7 +88,6 @@ class FileSession
     dtu::EpId sgate_;
     dtu::EpId reply_;
     dtu::EpId fileEp_;
-    sim::OverloadGuard *guard_;
 
     std::uint32_t fd_ = 0;
     bool write_ = false;
@@ -108,7 +98,7 @@ class FileSession
     std::uint64_t winLen_ = 0;
     bool winValid_ = false;
     std::uint64_t extentRpcs_ = 0;
-    RpcCounters counters_;
+    std::uint64_t retries_ = 0;
     /** Next NextOut allocation hint in blocks. */
     std::uint32_t nextHint_ = 4;
 };

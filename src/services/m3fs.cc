@@ -13,12 +13,12 @@ using os::SyscallReq;
 using os::SyscallResp;
 
 M3fs::M3fs(os::System &sys, unsigned tile_idx, M3fsParams params)
-    : sys_(sys), params_(params), admission_(params.admission)
+    : sys_(sys)
 {
     app_ = sys.createApp(tile_idx, "m3fs", kM3fsFootprint);
     storage_ = sys.makeMgate(app_, params.storageBytes,
                              dtu::kPermRW);
-    rgate_ = sys.makeRgate(app_, params.slotSize, params.slots);
+    rgate_ = sys.makeRgate(app_, kM3fsReqSlotSize, kM3fsReqSlots);
     img_ = std::make_unique<FsImage>(
         params.storageBytes / dtu::kPageSize, dtu::kPageSize,
         kMaxExtentBlocks);
@@ -64,18 +64,9 @@ M3fs::body(os::MuxEnv &env)
             sim::panic("m3fs: request from unknown client %llu",
                        static_cast<unsigned long long>(msg.label));
 
-        // Admission control: the fixed-slot ring is the (bounded)
-        // request queue; shed aged or over-occupancy requests with a
-        // cheap typed rejection instead of executing them.
-        if (!env.admit(admission_, rgate_.ep, msg)) {
-            co_await env.shed(admission_, rgate_.ep, slot,
-                              os::podBytes(FsResp{Error::Overloaded}));
-            continue;
-        }
-
         FsReq req = os::podFrom<FsReq>(msg.payload);
         FsResp resp;
-        co_await env.thread().compute(params_.opBaseCost);
+        co_await env.thread().compute(kM3fsOpBaseCost);
         co_await handle(env, it->second, req, &resp);
         co_await env.thread().compute(img_->takeOpCost());
 

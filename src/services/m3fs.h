@@ -19,7 +19,6 @@
 #include "os/system.h"
 #include "services/fs_image.h"
 #include "services/fs_proto.h"
-#include "sim/overload.h"
 
 namespace m3v::services {
 
@@ -29,24 +28,18 @@ constexpr std::uint32_t kMaxExtentBlocks = 64;
 /** m3fs instruction footprint (cache competition model). */
 constexpr std::size_t kM3fsFootprint = 10 * 1024;
 
+/** m3fs fixed request handling cost (decode, fd table). */
+constexpr sim::Cycles kM3fsOpBaseCost = 500;
+
+/** m3fs request ring: slot size in bytes and slot count. */
+constexpr std::size_t kM3fsReqSlotSize = 128;
+constexpr std::size_t kM3fsReqSlots = 16;
+
 /** m3fs configuration. */
 struct M3fsParams
 {
     /** DRAM storage region size. */
     std::size_t storageBytes = 32 << 20;
-
-    /** Fixed request handling cost (decode, fd table). */
-    sim::Cycles opBaseCost = 500;
-
-    std::size_t slotSize = 128;
-    std::size_t slots = 16;
-
-    /**
-     * Admission control over the request ring (default off): shed
-     * aged or over-occupancy requests with Error::Overloaded instead
-     * of executing them.
-     */
-    sim::AdmissionParams admission;
 };
 
 /** The m3fs service instance. */
@@ -76,9 +69,6 @@ class M3fs
     void startService();
 
     std::uint64_t requests() const { return requests_; }
-
-    /** Admission decision state (shed/admit counters). */
-    const sim::Admission &admission() const { return admission_; }
 
   private:
     struct OpenFile
@@ -116,7 +106,6 @@ class M3fs
     sim::Task zeroExtent(os::MuxEnv &env, const Extent &ext);
 
     os::System &sys_;
-    M3fsParams params_;
     os::System::App *app_;
     os::System::MgateHandle storage_;
     os::System::RgateHandle rgate_;
@@ -124,7 +113,6 @@ class M3fs
     std::map<std::uint64_t, ClientState> clients_;
     std::uint64_t nextClient_ = 1;
     std::uint64_t requests_ = 0;
-    sim::Admission admission_;
 };
 
 } // namespace m3v::services

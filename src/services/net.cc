@@ -9,13 +9,11 @@ using os::Bytes;
 using os::splitPayload;
 using os::withPayload;
 
-NetService::NetService(os::System &sys, unsigned tile_idx, Nic &nic,
-                       NetParams params)
-    : sys_(sys), params_(params), nic_(nic),
-      admission_(params.admission)
+NetService::NetService(os::System &sys, unsigned tile_idx, Nic &nic)
+    : sys_(sys), nic_(nic)
 {
     app_ = sys.createApp(tile_idx, "net", kNetFootprint);
-    rgate_ = sys.makeRgate(app_, 1600, params.reqSlots);
+    rgate_ = sys.makeRgate(app_, 1600, kNetReqSlots);
 
     // Driver mailbox: the NIC DMAs received frames here and signals
     // the driver (deviceMessage models the MSI path).
@@ -104,14 +102,6 @@ NetService::body(os::MuxEnv &env)
         const dtu::Message &msg = env.msgAt(rgate_.ep, slot);
         const std::uint64_t label = msg.label;
 
-        // Admission control over the bounded request ring: reject
-        // aged or over-occupancy requests early and typed.
-        if (!env.admit(admission_, rgate_.ep, msg)) {
-            co_await env.shed(admission_, rgate_.ep, slot,
-                              os::podBytes(NetRespHdr{Error::Overloaded}));
-            continue;
-        }
-
         Bytes payload;
         NetReqHdr req = splitPayload<NetReqHdr>(msg.payload,
                                                 &payload);
@@ -162,20 +152,20 @@ NetService::body(os::MuxEnv &env)
     }
 }
 
-UdpSocket::UdpSocket(os::Env &env, const NetService::Client &client,
-                     sim::OverloadGuard *guard)
-    : env_(env), wiring_(client), guard_(guard)
+UdpSocket::UdpSocket(os::Env &env, const NetService::Client &client)
+    : env_(env), wiring_(client)
 {
 }
 
 sim::Task
 UdpSocket::rpc(NetReqHdr hdr, Bytes payload, NetRespHdr *resp)
 {
-    // UDP semantics: a timed-out request is a lost datagram and is
-    // never re-sent; only a server shed is retried.
-    return guardedRpc(env_, wiring_.sgateEp, wiring_.replyEp,
-                      withPayload(hdr, payload), false, guard_,
-                      &counters_, resp);
+    Bytes respb;
+    Error err = Error::Aborted;
+    co_await env_.call(wiring_.sgateEp, wiring_.replyEp,
+                       withPayload(hdr, payload), &respb, &err);
+    *resp = err == Error::None ? os::podFrom<NetRespHdr>(respb)
+                               : NetRespHdr{err};
 }
 
 sim::Task

@@ -13,8 +13,6 @@
 
 #include "os/system.h"
 #include "services/nic.h"
-#include "services/rpc.h"
-#include "sim/overload.h"
 
 namespace m3v::services {
 
@@ -67,15 +65,8 @@ constexpr std::size_t kNetFootprint = 12 * 1024;
 /** The net service's IP address (cosmetic). */
 constexpr std::uint32_t kNetLocalIp = 0x0a000002;
 
-/** Net service parameters. */
-struct NetParams
-{
-    /** Client-request ring slots (the bounded admission queue). */
-    std::size_t reqSlots = 8;
-
-    /** Admission control over the client-request ring (default off). */
-    sim::AdmissionParams admission;
-};
+/** Net service: client-request ring slots. */
+constexpr std::size_t kNetReqSlots = 8;
 
 /** The net service. */
 class NetService
@@ -91,8 +82,7 @@ class NetService
         dtu::EpId dataRep = dtu::kInvalidEp;
     };
 
-    NetService(os::System &sys, unsigned tile_idx, Nic &nic,
-               NetParams params = {});
+    NetService(os::System &sys, unsigned tile_idx, Nic &nic);
 
     os::System::App *app() { return app_; }
 
@@ -102,9 +92,6 @@ class NetService
     std::uint64_t packetsTx() const { return pktTx_; }
     std::uint64_t packetsRx() const { return pktRx_; }
     std::uint64_t rxDropped() const { return rxDropped_; }
-
-    /** Admission decision state (shed/admit counters). */
-    const sim::Admission &admission() const { return admission_; }
 
   private:
     struct Socket
@@ -116,7 +103,6 @@ class NetService
     sim::Task body(os::MuxEnv &env);
 
     os::System &sys_;
-    NetParams params_;
     Nic &nic_;
     os::System::App *app_;
     os::System::RgateHandle rgate_;
@@ -132,20 +118,13 @@ class NetService
     std::uint64_t pktTx_ = 0;
     std::uint64_t pktRx_ = 0;
     std::uint64_t rxDropped_ = 0;
-    sim::Admission admission_;
 };
 
 /** Client-side UDP socket over a net-service channel. */
 class UdpSocket
 {
   public:
-    /**
-     * @param guard optional per-destination overload discipline; null
-     *              retries a server shed with a fixed doubling backoff
-     *              and waits for every reply.
-     */
-    UdpSocket(os::Env &env, const NetService::Client &client,
-              sim::OverloadGuard *guard = nullptr);
+    UdpSocket(os::Env &env, const NetService::Client &client);
 
     sim::Task create(std::uint16_t local_port, dtu::Error *err);
     sim::Task sendTo(std::uint32_t dst_ip, std::uint16_t dst_port,
@@ -157,21 +136,19 @@ class UdpSocket
     /** Receive the next datagram for this socket. */
     sim::Task recv(os::Bytes *payload, dtu::Error *err);
 
-    /** RPCs re-sent after a server shed. */
-    std::uint64_t rpcRetries() const { return counters_.retries; }
-
-    /** Server-side Error::Overloaded rejections observed. */
-    std::uint64_t rpcOverloaded() const { return counters_.overloaded; }
-
   private:
+    /**
+     * One request/reply with the net service. A transport failure
+     * (e.g. a typed Timeout: the reliable DTU layer exhausted its
+     * retransmissions) surfaces in resp->err; it is never re-sent,
+     * since a timed-out request is a lost datagram.
+     */
     sim::Task rpc(NetReqHdr hdr, os::Bytes payload,
                   NetRespHdr *resp);
 
     os::Env &env_;
     NetService::Client wiring_;
-    sim::OverloadGuard *guard_;
     std::uint32_t sock_ = 0;
-    RpcCounters counters_;
 };
 
 } // namespace m3v::services

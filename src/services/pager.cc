@@ -7,14 +7,11 @@ namespace m3v::services {
 using dtu::Error;
 using os::Bytes;
 
-PagerService::PagerService(os::System &sys, unsigned tile_idx,
-                           std::size_t footprint,
-                           sim::AdmissionParams admission,
-                           std::size_t req_slots)
-    : sys_(sys), admission_(admission)
+PagerService::PagerService(os::System &sys, unsigned tile_idx)
+    : sys_(sys)
 {
-    app_ = sys.createApp(tile_idx, "pager", footprint);
-    rgate_ = sys.makeRgate(app_, 64, req_slots);
+    app_ = sys.createApp(tile_idx, "pager", kPagerFootprint);
+    rgate_ = sys.makeRgate(app_, 64, kPagerReqSlots);
 }
 
 PagerService::Client
@@ -56,13 +53,6 @@ PagerService::body(os::MuxEnv &env)
             sim::panic("pager: unknown client %llu",
                        static_cast<unsigned long long>(msg.label));
         ClientState &cs = it->second;
-
-        // Admission control over the bounded request ring.
-        if (!env.admit(admission_, rgate_.ep, msg)) {
-            co_await env.shed(admission_, rgate_.ep, slot,
-                              os::podBytes(PagerResp{Error::Overloaded}));
-            continue;
-        }
 
         PagerReq req = os::podFrom<PagerReq>(msg.payload);
         PagerResp resp;

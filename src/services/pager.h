@@ -14,7 +14,6 @@
 #include <map>
 
 #include "os/system.h"
-#include "sim/overload.h"
 
 namespace m3v::services {
 
@@ -37,6 +36,12 @@ struct PagerResp
     dtu::Error err = dtu::Error::None;
 };
 
+/** Pager instruction footprint (cache competition model). */
+constexpr std::size_t kPagerFootprint = 6 * 1024;
+
+/** Pager request ring slots. */
+constexpr std::size_t kPagerReqSlots = 8;
+
 /** The pager service. */
 class PagerService
 {
@@ -49,10 +54,7 @@ class PagerService
         dtu::EpId replyEp = dtu::kInvalidEp;
     };
 
-    PagerService(os::System &sys, unsigned tile_idx,
-                 std::size_t footprint = 6 * 1024,
-                 sim::AdmissionParams admission = {},
-                 std::size_t req_slots = 8);
+    PagerService(os::System &sys, unsigned tile_idx);
 
     os::System::App *app() { return app_; }
 
@@ -61,9 +63,6 @@ class PagerService
 
     std::uint64_t requests() const { return requests_; }
     std::uint64_t pagesMapped() const { return pagesMapped_; }
-
-    /** Admission decision state (shed/admit counters). */
-    const sim::Admission &admission() const { return admission_; }
 
   private:
     struct ClientState
@@ -81,7 +80,6 @@ class PagerService
     std::uint64_t nextClient_ = 1;
     std::uint64_t requests_ = 0;
     std::uint64_t pagesMapped_ = 0;
-    sim::Admission admission_;
 };
 
 /**

@@ -1,21 +1,18 @@
 /**
  * @file
- * Open-loop arrival generator: a Poisson process whose rate is
- * modulated by a diurnal wave and explicit burst windows. Open-loop
- * means arrivals are scheduled by the clock, not by completions —
- * when the system slows down, work keeps arriving and queues grow,
- * which is the regime where admission control earns its keep (and
- * what closed-loop harnesses can never show).
+ * Open-loop arrival generator: a Poisson process at a fixed rate.
+ * Open-loop means arrivals are scheduled by the clock, not by
+ * completions — when the system slows down, work keeps arriving and
+ * queues grow, which closed-loop harnesses can never show.
  *
  * Fully deterministic: arrivals are a pure function of the seed and
- * the configured rate profile.
+ * the rate.
  */
 
 #ifndef M3VSIM_SIM_OPEN_LOOP_H_
 #define M3VSIM_SIM_OPEN_LOOP_H_
 
 #include <cmath>
-#include <vector>
 
 #include "sim/rng.h"
 #include "sim/types.h"
@@ -28,89 +25,36 @@ class OpenLoopSource
   public:
     /**
      * @param seed          arrival-jitter seed
-     * @param rate_per_sec  base arrival rate (events per simulated s)
+     * @param rate_per_sec  arrival rate (events per simulated s)
      * @param start         tick of the first possible arrival
      */
     OpenLoopSource(std::uint64_t seed, double rate_per_sec,
                    Tick start = 0)
-        : rng_(seed), rate_(rate_per_sec), now_(start)
+        : rng_(seed), rate_(rate_per_sec > 0.0 ? rate_per_sec : 1e-9),
+          now_(start)
     {
     }
 
-    /** Multiply the rate by @p multiplier within [start, end). */
-    void
-    addBurst(Tick start, Tick end, double multiplier)
-    {
-        bursts_.push_back(Burst{start, end, multiplier});
-    }
-
-    /**
-     * Diurnal modulation: rate *= 1 + amplitude * sin(2*pi*t/period).
-     * Compresses a day's load curve into @p period of simulated time.
-     */
-    void
-    setDiurnal(double amplitude, Tick period)
-    {
-        diurnalAmp_ = amplitude;
-        diurnalPeriod_ = period;
-    }
-
-    /** Instantaneous rate at @p t (events per simulated second). */
-    double
-    rateAt(Tick t) const
-    {
-        double r = rate_;
-        if (diurnalPeriod_ > 0) {
-            double phase = 2.0 * 3.14159265358979323846 *
-                           (static_cast<double>(t % diurnalPeriod_) /
-                            static_cast<double>(diurnalPeriod_));
-            r *= 1.0 + diurnalAmp_ * std::sin(phase);
-        }
-        for (const Burst &b : bursts_)
-            if (t >= b.start && t < b.end)
-                r *= b.multiplier;
-        return r > 0.0 ? r : 0.0;
-    }
-
-    /**
-     * Tick of the next arrival (strictly advancing). Exponential
-     * inter-arrivals at the instantaneous rate — a piecewise
-     * approximation of the non-homogeneous Poisson process that is
-     * exact within each constant-rate window.
-     */
+    /** Tick of the next arrival (strictly advancing): exponential
+     *  inter-arrivals at the rate. */
     Tick
     next()
     {
-        double r = rateAt(now_);
-        if (r <= 0.0)
-            r = 1e-9;
         // Inverse-CDF draw; clamp u away from 0 so log() is finite.
         double u = rng_.nextDouble();
         if (u < 1e-12)
             u = 1e-12;
-        double gap_sec = -std::log(u) / r;
+        double gap_sec = -std::log(u) / rate_;
         auto gap = static_cast<Tick>(
             gap_sec * static_cast<double>(kTicksPerSec));
         now_ += gap > 0 ? gap : 1;
         return now_;
     }
 
-    Tick now() const { return now_; }
-
   private:
-    struct Burst
-    {
-        Tick start = 0;
-        Tick end = 0;
-        double multiplier = 1.0;
-    };
-
     Rng rng_;
     double rate_;
     Tick now_;
-    double diurnalAmp_ = 0.0;
-    Tick diurnalPeriod_ = 0;
-    std::vector<Burst> bursts_;
 };
 
 } // namespace m3v::sim

@@ -24,7 +24,6 @@
 #include "sim/fault.h"
 #include "sim/invariants.h"
 #include "sim/lane.h"
-#include "sim/overload.h"
 #include "sim/rng.h"
 
 namespace m3v::fuzz {
@@ -123,37 +122,6 @@ partition(const Scenario &sc)
     return progs;
 }
 
-/** Small, twitchy overload knobs: short scenarios must still reach
- *  the interesting edges (shed, trip, half-open probe, reset). */
-sim::AdmissionParams
-fuzzAdmission()
-{
-    sim::AdmissionParams p;
-    p.maxQueueDelay = 50 * sim::kTicksPerUs;
-    p.highWater = 3;
-    return p;
-}
-
-sim::CircuitBreakerParams
-fuzzBreaker()
-{
-    sim::CircuitBreakerParams p;
-    p.failureThreshold = 2;
-    p.openInterval = 50 * sim::kTicksPerUs;
-    p.halfOpenSuccesses = 1;
-    return p;
-}
-
-sim::RetryBudgetParams
-fuzzBudget()
-{
-    sim::RetryBudgetParams p;
-    p.initial = 2;
-    p.cap = 4;
-    p.successesPerToken = 2;
-    return p;
-}
-
 /** Per-run observations shared by all activity bodies. */
 struct RunState
 {
@@ -164,16 +132,7 @@ struct RunState
         /** Result of each *executed* send op, in program order. */
         std::vector<std::uint8_t> sendErrs;
     };
-    /** Per-activity overload state machines driven by the burst/
-     *  shed/trip ops; their end state folds into the digest. */
-    struct Overload
-    {
-        sim::Admission adm{fuzzAdmission()};
-        sim::CircuitBreaker breaker{fuzzBreaker()};
-        sim::RetryBudget budget{fuzzBudget()};
-    };
     std::array<ActRec, kNumActs> acts;
-    std::array<Overload, kNumActs> over;
     std::uint64_t tile0SendsOk = 0;
     bool leaked = false;
 };
@@ -321,7 +280,6 @@ actBody(Platform &plat, RunState &rs, bool buggy, Prog prog,
     tile::Thread &th = act.thread();
     EpId rep = kRecvEpBase + li;
     RunState::ActRec &rec = rs.acts[idx];
-    RunState::Overload &ov = rs.over[idx];
 
     for (const auto &[op, tag] : prog) {
         switch (op.kind) {
@@ -345,79 +303,33 @@ actBody(Platform &plat, RunState &rs, bool buggy, Prog prog,
             break;
         }
         case OpKind::Burst: {
-            // Arrival burst: back-to-back sends gated per attempt by
-            // the breaker. A short-circuited attempt never reaches
-            // the wire but still records a result so the reference
-            // model's send-result stream stays aligned; a failed
-            // attempt spends a retry token (a real client would
-            // retry) without ever re-sending the tag.
+            // Arrival burst: 1-3 back-to-back sends on one send EP.
+            // Tags stay within this op's kTagStride window.
             EpId sep = (op.arg & 1)
                            ? static_cast<EpId>(kRemoteSepBase + li)
                            : static_cast<EpId>(kLocalSepBase + li);
             unsigned k = burstLen(op);
             for (unsigned s = 0; s < k; s++) {
-                if (!ov.breaker.allow(vdtu.eventQueue().now())) {
-                    rec.sendErrs.push_back(
-                        static_cast<std::uint8_t>(Error::Aborted));
-                    co_await th.compute(20);
-                    continue;
-                }
                 Error err = Error::Aborted;
                 co_await oneSend(plat, idx, sep, tag + s, err);
                 rec.sendErrs.push_back(
                     static_cast<std::uint8_t>(err));
-                sim::Tick now = vdtu.eventQueue().now();
-                if (err == Error::None) {
-                    ov.breaker.recordSuccess(now);
-                    ov.budget.recordSuccess();
-                } else {
-                    ov.breaker.recordFailure(now);
-                    ov.budget.tryAcquire();
-                }
             }
             break;
         }
         case OpKind::Shed: {
-            // Non-blocking drain: run every pending request through
-            // the admission decision (ring-age + occupancy) exactly
-            // as the services do, acking either way — a shed is a
-            // decode + typed-reject, modelled by the larger cost.
+            // Non-blocking drain: fetch and ack every pending
+            // message without waiting for one.
             for (;;) {
                 co_await th.compute(14); // MMIO fetch
                 int slot = vdtu.fetch(act.id(), rep);
                 if (slot < 0)
                     break;
-                const auto &msg = vdtu.slotMsg(rep, slot);
-                std::size_t occ =
-                    vdtu.ep(rep).recv.unreadCount() + 1;
-                bool run = ov.adm.admit(vdtu.eventQueue().now(),
-                                        msg.arrival, occ);
-                rec.tags.push_back(parseTag(msg.payload));
-                co_await th.compute(run ? 14 : 80);
+                rec.tags.push_back(
+                    parseTag(vdtu.slotMsg(rep, slot).payload));
+                co_await th.compute(14); // MMIO ack
                 vdtu.ack(act.id(), rep, slot);
             }
-            break;
-        }
-        case OpKind::Trip: {
-            // Drive the breaker edges (trip, short-circuit, half-
-            // open probe, reset) with an outcome pattern derived
-            // from the op's arg; computes in between advance time so
-            // the open interval can elapse across ops.
-            unsigned n = 2 + op.arg % 3;
-            for (unsigned s = 0; s < n; s++) {
-                co_await th.compute(60 + (op.arg >> 4) % 200);
-                sim::Tick now = vdtu.eventQueue().now();
-                if (!ov.breaker.allow(now))
-                    continue;
-                if ((op.arg >> s) & 1)
-                    ov.breaker.recordFailure(now);
-                else
-                    ov.breaker.recordSuccess(now);
-            }
-            if (op.arg & 8)
-                ov.budget.tryAcquire();
-            else
-                ov.budget.recordSuccess();
             break;
         }
         case OpKind::FanIn: {
@@ -630,13 +542,6 @@ computeDigest(Platform &plat, const RunState &rs,
         f.add(m.tmCalls());
         f.add(m.crashes());
     }
-    for (unsigned idx = 0; idx < kNumActs; idx++) {
-        const RunState::Overload &ov = rs.over[idx];
-        f.add(0xE0 + idx);
-        f.h = ov.adm.digest(f.h);
-        f.h = ov.breaker.digest(f.h);
-        f.h = ov.budget.digest(f.h);
-    }
     f.add(noc.delivered());
     f.add(noc.deliveredBytes());
     return f.h;
@@ -695,7 +600,6 @@ opKindName(OpKind k)
     case OpKind::Exit: return "exit";
     case OpKind::Burst: return "burst";
     case OpKind::Shed: return "shed";
-    case OpKind::Trip: return "trip";
     case OpKind::FanIn: return "fanin";
     }
     return "?";
@@ -716,7 +620,9 @@ makeScenario(std::uint64_t seed, std::uint64_t index, bool faults,
         op.actIdx =
             static_cast<std::uint8_t>(rng.nextBounded(kNumActs));
         std::uint64_t roll = rng.nextBounded(100);
-        if (roll < 15)
+        // Noop owns two bands of the roll, so every other kind keeps
+        // its band and a seed's scenario its other ops.
+        if (roll < 15 || (roll >= 92 && roll < 96))
             op.kind = OpKind::Noop;
         else if (roll < 44)
             op.kind = OpKind::Send;
@@ -730,8 +636,6 @@ makeScenario(std::uint64_t seed, std::uint64_t index, bool faults,
             op.kind = OpKind::Burst;
         else if (roll < 92)
             op.kind = OpKind::Shed;
-        else if (roll < 96)
-            op.kind = OpKind::Trip;
         else
             op.kind = OpKind::FanIn;
         op.arg = static_cast<std::uint32_t>(rng.next());
@@ -959,8 +863,6 @@ readTrace(std::istream &is, Scenario &sc)
                 op.kind = OpKind::Burst;
             else if (kind == "shed")
                 op.kind = OpKind::Shed;
-            else if (kind == "trip")
-                op.kind = OpKind::Trip;
             else if (kind == "fanin")
                 op.kind = OpKind::FanIn;
             else

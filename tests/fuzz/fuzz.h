@@ -3,8 +3,8 @@
  * Model-based protocol fuzzer for the vDTU/TileMux/NoC stack.
  *
  * A Scenario is a seeded, fully deterministic program: a flat list of
- * operations (noop/send/wait/yield/exit, plus the overload vocabulary
- * burst/shed/trip) distributed over six activities on two multiplexed
+ * operations (noop/send/wait/yield/exit, plus burst/shed/fanin)
+ * distributed over six activities on two multiplexed
  * tiles, plus optional crash injections at fixed ticks and optional
  * NoC fault injection. runScenario()
  * executes it on a freshly built platform — either on a single event
@@ -46,20 +46,10 @@ enum class OpKind : std::uint8_t
     Yield, ///< yield TMCall
     Exit,  ///< exit TMCall (drops the rest of the program)
 
-    //
-    // Overload vocabulary: deterministic drivers for the resilience
-    // state machines (sim/overload.h), whose end state folds into the
-    // differential digest.
-    //
-    Burst, ///< arrival burst: 1-3 back-to-back sends gated by the
-           ///< activity's circuit breaker; failures spend retry-
-           ///< budget tokens
-    Shed,  ///< non-blocking drain of own recv EP, each fetched
-           ///< request run through the admission shed decision
-           ///< (queue age + ring occupancy)
-    Trip,  ///< drive the breaker trip/reset edges and the retry
-           ///< budget directly with an arg-derived outcome pattern
-
+    Burst, ///< 1-3 back-to-back sends on the local (arg even) or
+           ///< remote (odd) send EP
+    Shed,  ///< non-blocking drain of own recv EP: fetch and ack
+           ///< every pending message without blocking
     FanIn, ///< ungated back-to-back sends on the remote EP: many
            ///< activities' remote EPs converge on one receive EP,
            ///< exercising many senders into one ring and the lane
