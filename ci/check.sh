@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: build and run the full test suite twice —
 # once plain (the configuration the benchmarks use) and once under
-# ASan + UBSan (M3VSIM_SANITIZE=ON), chaos/robustness tests included —
+# ASan + UBSan (M3VSIM_SANITIZE=ON), crash/robustness tests included —
 # then run the parallel-execution tests under TSan
 # (M3VSIM_SANITIZE=thread).
 #
@@ -65,7 +65,7 @@ fuzz_smoke() {
     # digests). Any invariant trip, reference-model mismatch, or
     # divergence fails.
     build/tests/fuzz/fuzz_driver --seeds=5 --seqs=2100 --diff=25 \
-        --faults=both --caps=10
+        --caps=10
 }
 
 fig09_jobs() {
@@ -109,7 +109,7 @@ asan_fuzz() {
     # bugs in the protocol engines surface here before they corrupt
     # state.
     build-asan/tests/fuzz/fuzz_driver --seeds=5 --seqs=300 --diff=10 \
-        --faults=both --caps=3
+        --caps=3
 }
 
 asan_shards() {
@@ -128,19 +128,19 @@ asan_shards() {
 }
 
 asan_rerun() {
-    # The metrics/trace layer, the activity-teardown paths, the call
-    # path (every Env::call acks and drops stale reply slots), the
-    # sparse DRAM store's chunk-boundary arithmetic, the wrap-safe
-    # memory-gate bounds checks, the event core's 4-ary heap index
-    # arithmetic and inline closures, the DTU command pipeline's
-    # slot and offset arithmetic (DtuTest, VDtu), the coroutine frame
-    # lifetimes of top-level tasks destroyed finished or not (Task.),
-    # and the payload moves and retransmission copies of the message
-    # path with its inline notification (MsgPath) are the most UB-prone (handle lifetimes, histogram
-    # and offset arithmetic); run them again explicitly so a filter
-    # typo above cannot silently skip them.
-    RERUN='MetricsRegistry|Tracer\.|JsonEscape|Histogram\.|Sampler\.|'\
-'ResetAct|Restart|RetxRecovery|DramTest|Wrapped|'\
+    # The metrics/trace layer, the activity-teardown paths (a crash
+    # reap with an RPC in flight: CrashReapTest), the sparse DRAM
+    # store's chunk-boundary arithmetic, the wrap-safe memory-gate
+    # bounds checks, the event core's 4-ary heap index arithmetic and
+    # inline closures, the DTU command pipeline's slot and offset
+    # arithmetic (DtuTest, VDtu), the coroutine frame lifetimes of
+    # top-level tasks destroyed finished or not (Task.), and the
+    # payload moves of the message path with its inline notification
+    # (MsgPath) are the most UB-prone (handle lifetimes and offset
+    # arithmetic); run them again explicitly so a filter typo above
+    # cannot silently skip them.
+    RERUN='MetricsRegistry|Tracer\.|JsonEscape|Sampler\.|'\
+'ResetAct|Restart|CrashReapTest|DramTest|Wrapped|'\
 'EventCore|UniqueFunctionSbo|DtuTest|VDtu|Task\.|MsgPath'
     check_filter build-asan "$RERUN"
     (cd build-asan && ctest --output-on-failure -R "$RERUN")
@@ -185,8 +185,7 @@ tsan_fuzz() {
     # Laned differential runs are the threaded path: per-lane
     # invariant registries must stay lane-local, and jobs=1 vs jobs=4
     # digests must match with the race detector watching.
-    build-tsan/tests/fuzz/fuzz_driver --seeds=2 --seqs=0 --diff=15 \
-        --faults=both
+    build-tsan/tests/fuzz/fuzz_driver --seeds=2 --seqs=0 --diff=15
 }
 
 stage "plain build + ctest" plain_build

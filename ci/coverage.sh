@@ -53,7 +53,7 @@ echo "== goldens =="
 (cd "$COV_DIR" && ctest -L golden -j "$JOBS" --output-on-failure)
 echo "== fuzz =="
 "$COV_DIR/tests/fuzz/fuzz_driver" --seeds=2 --seqs=400 --diff=6 \
-    --faults=both --caps=2
+    --caps=2
 echo "== ctrl_storm =="
 "$COV_DIR/bench/ctrl_storm" --ops=12000 >/dev/null
 echo "== fig09_scale --mesh-only (64 tiles) =="

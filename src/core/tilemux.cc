@@ -132,6 +132,12 @@ TileMux::crashActivity(ActId id)
         return;
     }
     reapLocal(*act, *crashes_, "crash");
+    if (core_.exitingTo() == &act->thread_) {
+        // The kernel is on its way back to the victim: a pending
+        // interrupt takes the core away right after the dispatch,
+        // before the victim runs again, and schedules the next one.
+        core_.raiseIrq(tile::IrqKind::Device);
+    }
 }
 
 void
@@ -147,6 +153,15 @@ TileMux::reapLocal(Activity &act, sim::Counter &reason,
         // activity's endpoints, capabilities, and credits.
         eq_.schedule(0, [this, id]() { crashHandler_(id); });
     }
+}
+
+bool
+TileMux::reapedInKernel(Activity &act)
+{
+    if (act.state_ != Activity::State::Dead)
+        return false;
+    scheduleNext();
+    return true;
 }
 
 Activity *
@@ -227,6 +242,8 @@ TileMux::waitForMsg(Activity &act, dtu::EpId ep)
     trc_->begin(sim::TraceCat::TmCall, pid_, act.id(), "tmcall:wait");
     co_await act.thread().trapCall([this, &act, has_msg]() {
         core_.kernelWork(kEntryCost + touchMux(), [this, &act, has_msg]() {
+            if (reapedInKernel(act))
+                return;
             if (has_msg()) {
                 // The message raced with the TMCall; return at once.
                 act.state_ = Activity::State::Running;
@@ -264,6 +281,8 @@ TileMux::translCall(Activity &act, dtu::VirtAddr va)
             // folding it into the walk above would drop one event per
             // transl TMCall and move every pinned event count.
             core_.kernelWork(0, [this, &act, va, pa, perms]() {
+                if (reapedInKernel(act))
+                    return;
                 vdtu_.tlbInsert(act.id(), va, pa, perms);
                 act.state_ = Activity::State::Running;
                 core_.kernelExitTo(&act.thread_);
@@ -282,6 +301,8 @@ TileMux::yieldCall(Activity &act)
                 "tmcall:yield");
     co_await act.thread().trapCall([this, &act]() {
         core_.kernelWork(kEntryCost + touchMux(), [this, &act]() {
+            if (reapedInKernel(act))
+                return;
             act.state_ = Activity::State::Ready;
             ready_.push_back(&act);
             current_ = nullptr;
@@ -300,6 +321,8 @@ TileMux::exitCall(Activity &act)
                   "tmcall:exit");
     co_await act.thread().trapCall([this, &act]() {
         core_.kernelWork(kEntryCost + touchMux(), [this, &act]() {
+            if (reapedInKernel(act))
+                return;
             act.state_ = Activity::State::Dead;
             current_ = nullptr;
             pollers_.erase(act.id());
@@ -536,6 +559,8 @@ TileMux::switchTo(Activity *next)
     }
 
     core_.kernelWork(cost, [this, next]() {
+        if (reapedInKernel(*next))
+            return;
         current_ = next;
         next->state_ = Activity::State::Running;
         // If messages arrived while the activity was switched out

@@ -269,6 +269,11 @@ class TileMux : public sim::SimObject
      *  @p why names the trace/fault event ("watchdog", "crash"). */
     void reapLocal(Activity &act, sim::Counter &reason,
                    const char *why);
+    /** A crash that landed while the kernel worked for @p act (a
+     *  TMCall, or the switch to it) has already reaped it: schedule
+     *  the next activity instead of finishing that work. Returns
+     *  true in that case. */
+    bool reapedInKernel(Activity &act);
     void handleCoreRequest();
     void handleSidecall();
     /** Pick next and switch (kernel context). */

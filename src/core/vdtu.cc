@@ -13,9 +13,8 @@ using dtu::EpId;
 using dtu::Error;
 
 VDtu::VDtu(sim::EventQueue &eq, std::string name, noc::Noc &noc,
-           noc::TileId tile, std::uint64_t freq_hz, VDtuParams params,
-           dtu::DtuTiming timing)
-    : Dtu(eq, std::move(name), noc, tile, freq_hz, timing),
+           noc::TileId tile, std::uint64_t freq_hz, VDtuParams params)
+    : Dtu(eq, std::move(name), noc, tile, freq_hz),
       params_(params), tlb_(params.tlbEntries)
 {
     tlbMisses_ = statCounter("tlb.misses");
@@ -158,10 +157,6 @@ VDtu::findCoreReq(ActId act)
 bool
 VDtu::acceptPacket(noc::Packet &pkt, sim::UniqueFunction<void()> on_space)
 {
-    // Corrupted packets are discarded by the base DTU; never exert
-    // backpressure for something that will not be stored.
-    if (pkt.corrupted)
-        return Dtu::acceptPacket(pkt, std::move(on_space));
     // Backpressure: a message that will require a *new* core request
     // cannot be accepted while the core-request queue is full. The
     // NoC's packet-level flow control holds it at the last hop

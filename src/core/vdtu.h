@@ -87,7 +87,7 @@ class VDtu : public dtu::Dtu
   public:
     VDtu(sim::EventQueue &eq, std::string name, noc::Noc &noc,
          noc::TileId tile, std::uint64_t freq_hz,
-         VDtuParams params = {}, dtu::DtuTiming timing = {});
+         VDtuParams params = {});
 
     //
     // Privileged interface (TileMux only).

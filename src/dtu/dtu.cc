@@ -29,20 +29,14 @@ errorName(Error e)
 }
 
 Dtu::Dtu(sim::EventQueue &eq, std::string name, noc::Noc &noc,
-         noc::TileId tile, std::uint64_t freq_hz, DtuTiming timing)
+         noc::TileId tile, std::uint64_t freq_hz)
     : SimObject(eq, std::move(name)), clk_(freq_hz), noc_(noc),
-      tile_(tile), timing_(timing), eps_(kNumEps),
-      reliable_(noc.params().faults != nullptr)
+      tile_(tile), eps_(kNumEps)
 {
     noc_.attachTile(tile, this);
     msgsSent_ = statCounter("msgs_sent");
     msgsRecv_ = statCounter("msgs_recv");
     nacks_ = statCounter("nacks");
-    retransmits_ = statCounter("retransmits");
-    timeouts_ = statCounter("timeouts");
-    duplicates_ = statCounter("duplicates");
-    corruptDropped_ = statCounter("corrupt_dropped");
-    straysDropped_ = statCounter("strays_dropped");
     creditsReclaimed_ = statCounter("credits_reclaimed");
     trc_ = &eq.tracer();
 }
@@ -120,11 +114,10 @@ Dtu::takeInflight(std::uint64_t req_id, Inflight &out)
 }
 
 void
-Dtu::completeInflight(Inflight inf, Error e, WireData *resp)
+Dtu::completeInflight(Inflight inf, Error e, WireData &resp)
 {
     if (inf.extCb) {
-        inf.extCb(e, resp != nullptr ? std::move(resp->eps)
-                                     : std::vector<Endpoint>{});
+        inf.extCb(e, std::move(resp.eps));
         return;
     }
     // Only one command is ever in flight: the response is curCmd_'s.
@@ -133,17 +126,7 @@ Dtu::completeInflight(Inflight inf, Error e, WireData *resp)
       case CmdState::Kind::Send:
         if (e != Error::None) {
             // Restore the credit on failed delivery.
-            Endpoint &s = eps_[c.ep];
-            if (s.kind == EpKind::Send &&
-                s.send.credits < s.send.maxCredits) {
-                s.send.credits++;
-                if (e == Error::Timeout) {
-                    // A timed-out message may still have been
-                    // delivered (only the ack was lost) — record the
-                    // restore as conservation slack.
-                    timeoutRestores_[c.ep]++;
-                }
-            }
+            addCredit(c.ep);
         }
         [[fallthrough]];
       case CmdState::Kind::Reply:
@@ -159,8 +142,7 @@ Dtu::completeInflight(Inflight inf, Error e, WireData *resp)
         // Stage the response, then DMA the data into the core's
         // cache: the bytes move on into the ReadCallback.
         c.err = e;
-        if (resp != nullptr)
-            c.payload = std::move(resp->data);
+        c.payload = std::move(resp.data);
         sim::Cycles dma =
             kLocalMemFixed + c.payload.size() / kLocalMemBytesPerCycle;
         eq_.schedule(clk_.cyclesToTicks(dma),
@@ -589,13 +571,6 @@ bool
 Dtu::acceptPacket(noc::Packet &pkt, sim::UniqueFunction<void()> on_space)
 {
     (void)on_space;
-    if (pkt.corrupted) {
-        // The link CRC failed: discard the packet. In reliable mode
-        // the sender's retransmission recovers it.
-        corruptDropped_->inc();
-        noc::Packet consumed = std::move(pkt);
-        return true;
-    }
     auto *wd = dynamic_cast<WireData *>(pkt.data.get());
     if (!wd)
         sim::panic("%s: foreign packet payload", name().c_str());
@@ -623,19 +598,6 @@ Dtu::deliverLocal(std::unique_ptr<WireData> wd)
 void
 Dtu::sendPacket(noc::TileId dst, std::unique_ptr<WireData> wd)
 {
-    if (reliable_ && isRetxKind(wd->kind) && wd->seq == 0) {
-        // First transmission of a reliable request: stamp the wire
-        // sequence number, save a copy of the packet (payload
-        // included, so corruption on the wire leaves it clean), and
-        // arm the retx timer.
-        wd->seq = wireSeq_++;
-        Retx r;
-        r.seq = wd->seq;
-        r.dst = dst;
-        r.wd = *wd;
-        retx_.push_back(std::move(r));
-        armRetxTimer(wd->seq);
-    }
     noc::Packet pkt;
     pkt.src = tile_;
     pkt.dst = dst;
@@ -643,134 +605,6 @@ Dtu::sendPacket(noc::TileId dst, std::unique_ptr<WireData> wd)
     pkt.data = std::move(wd);
     txQueue_.push_back(std::move(pkt));
     pumpTx();
-}
-
-bool
-Dtu::isRetxKind(WireKind k)
-{
-    switch (k) {
-      case WireKind::MsgXfer:
-      case WireKind::CreditReturn:
-      case WireKind::MemReadReq:
-      case WireKind::MemWriteReq:
-      case WireKind::ExtReq:
-        return true;
-      default:
-        return false;
-    }
-}
-
-Dtu::Retx *
-Dtu::findRetx(std::uint64_t seq)
-{
-    for (Retx &r : retx_)
-        if (r.seq == seq)
-            return &r;
-    return nullptr;
-}
-
-void
-Dtu::eraseRetx(std::uint64_t seq)
-{
-    for (std::size_t i = 0; i < retx_.size(); i++) {
-        if (retx_[i].seq != seq)
-            continue;
-        if (i + 1 != retx_.size())
-            retx_[i] = std::move(retx_.back());
-        retx_.pop_back();
-        return;
-    }
-}
-
-void
-Dtu::armRetxTimer(std::uint64_t seq)
-{
-    Retx *r = findRetx(seq);
-    if (r == nullptr)
-        return;
-    sim::Cycles to = timing_.retxTimeoutCycles << r->attempts;
-    r->timer = eq_.schedule(clk_.cyclesToTicks(to),
-                            [this, seq]() { retxTimeout(seq); });
-}
-
-void
-Dtu::retxTimeout(std::uint64_t seq)
-{
-    Retx *r = findRetx(seq);
-    if (r == nullptr)
-        return;
-    if (r->attempts + 1 >= timing_.retxMaxAttempts) {
-        // Give up: surface Error::Timeout to whoever is waiting. For
-        // MsgXfer the inflight completion restores the send credit; a
-        // lost CreditReturn has no waiter (the credit is gone until
-        // the controller reclaims it).
-        std::uint64_t req_id = r->wd.reqId;
-        WireKind kind = r->wd.kind;
-        if (kind == WireKind::CreditReturn) {
-            lostCreditReturns_[(static_cast<std::uint64_t>(r->dst)
-                                << 32) |
-                               r->wd.creditEp]++;
-        }
-        eraseRetx(seq);
-        timeouts_->inc();
-        trc_->instant(sim::TraceCat::Dtu, tile_, sim::kTraceTidDtu,
-                      "retx_timeout");
-        if (kind == WireKind::CreditReturn)
-            return;
-        Inflight inf;
-        if (!takeInflight(req_id, inf))
-            return;
-        completeInflight(std::move(inf), Error::Timeout, nullptr);
-        return;
-    }
-    r->attempts++;
-    retransmits_->inc();
-    trc_->instant(sim::TraceCat::Dtu, tile_, sim::kTraceTidDtu,
-                  "retransmit");
-    // The retransmitted packet is a fresh copy of the save.
-    auto copy = std::make_unique<WireData>(r->wd);
-    noc::Packet pkt;
-    pkt.src = tile_;
-    pkt.dst = r->dst;
-    pkt.bytes = copy->wireBytes();
-    pkt.data = std::move(copy);
-    txQueue_.push_back(std::move(pkt));
-    pumpTx();
-    armRetxTimer(seq);
-}
-
-void
-Dtu::retxComplete(std::uint64_t seq)
-{
-    if (!reliable_ || seq == 0)
-        return;
-    Retx *r = findRetx(seq);
-    if (r == nullptr)
-        return;
-    r->timer.cancel();
-    eraseRetx(seq);
-}
-
-void
-Dtu::rememberOutcome(noc::TileId src, std::uint64_t seq, Error e)
-{
-    auto &window = seen_[src];
-    window.push_back(SeenEntry{seq, e});
-    if (window.size() > kSeenWindow)
-        window.pop_front();
-}
-
-const Error *
-Dtu::findOutcome(noc::TileId src, std::uint64_t seq) const
-{
-    auto it = seen_.find(src);
-    if (it == seen_.end())
-        return nullptr;
-    const auto &window = it->second;
-    for (std::size_t i = 0; i < window.size(); i++)
-        if (window[i].seq == seq)
-            return &window[i].outcome;
-    return nullptr;
 }
 
 void
@@ -804,46 +638,18 @@ Dtu::handlePacket(WireData &wd, noc::TileId src)
 
       case WireKind::MsgDelivered:
       case WireKind::MsgNack: {
-        retxComplete(wd.seq);
         Inflight inf;
-        if (!takeInflight(wd.reqId, inf)) {
-            // Duplicate response (the request was retransmitted but
-            // the first response got through) or a late response
-            // after retx exhaustion. Only legal in reliable mode.
-            if (!reliable_)
-                sim::panic("%s: stray delivery ack", name().c_str());
-            straysDropped_->inc();
-            break;
-        }
+        if (!takeInflight(wd.reqId, inf))
+            sim::panic("%s: stray delivery ack", name().c_str());
         completeInflight(std::move(inf),
                          wd.kind == WireKind::MsgNack ? wd.error
                                                       : Error::None,
-                         &wd);
+                         wd);
         break;
       }
 
-      case WireKind::CreditReturn: {
-        if (reliable_ && wd.seq != 0) {
-            if (findOutcome(src, wd.seq)) {
-                duplicates_->inc();
-            } else {
-                rememberOutcome(src, wd.seq, Error::None);
-                addCredit(wd.creditEp);
-            }
-            // Always (re-)acknowledge so the sender stops resending.
-            auto ca = std::make_unique<WireData>();
-            ca->kind = WireKind::CreditAck;
-            ca->reqId = wd.reqId;
-            ca->seq = wd.seq;
-            respond(src, std::move(ca));
-        } else {
-            addCredit(wd.creditEp);
-        }
-        break;
-      }
-
-      case WireKind::CreditAck:
-        retxComplete(wd.seq);
+      case WireKind::CreditReturn:
+        addCredit(wd.creditEp);
         break;
 
       case WireKind::MemReadReq: {
@@ -852,7 +658,6 @@ Dtu::handlePacket(WireData &wd, noc::TileId src)
         auto resp = std::make_unique<WireData>();
         resp->kind = WireKind::MemReadResp;
         resp->reqId = wd.reqId;
-        resp->seq = wd.seq;
         resp->error = Error::PmpFault;
         respond(src, std::move(resp));
         break;
@@ -862,7 +667,6 @@ Dtu::handlePacket(WireData &wd, noc::TileId src)
         auto resp = std::make_unique<WireData>();
         resp->kind = WireKind::MemWriteAck;
         resp->reqId = wd.reqId;
-        resp->seq = wd.seq;
         resp->error = Error::PmpFault;
         respond(src, std::move(resp));
         break;
@@ -871,15 +675,10 @@ Dtu::handlePacket(WireData &wd, noc::TileId src)
       case WireKind::MemReadResp:
       case WireKind::MemWriteAck:
       case WireKind::ExtResp: {
-        retxComplete(wd.seq);
         Inflight inf;
-        if (!takeInflight(wd.reqId, inf)) {
-            if (!reliable_)
-                sim::panic("%s: stray response", name().c_str());
-            straysDropped_->inc();
-            break;
-        }
-        completeInflight(std::move(inf), wd.error, &wd);
+        if (!takeInflight(wd.reqId, inf))
+            sim::panic("%s: stray response", name().c_str());
+        completeInflight(std::move(inf), wd.error, wd);
         break;
       }
 
@@ -893,7 +692,6 @@ Dtu::handlePacket(WireData &wd, noc::TileId src)
             auto resp = std::make_unique<WireData>();
             resp->kind = WireKind::ExtResp;
             resp->reqId = req->reqId;
-            resp->seq = req->seq;
             switch (req->extOp) {
               case ExtOp::SetEp:
                 configEp(req->epStart, std::move(req->eps.at(0)));
@@ -934,29 +732,10 @@ Dtu::addCredit(EpId credit_ep)
 void
 Dtu::handleMsgXfer(WireData &wd, noc::TileId src)
 {
-    if (reliable_ && wd.seq != 0) {
-        if (const Error *out = findOutcome(src, wd.seq)) {
-            // Retransmitted copy of a message we already processed:
-            // do not store it again, just re-send the old response.
-            duplicates_->inc();
-            auto resp = std::make_unique<WireData>();
-            resp->kind = *out == Error::None ? WireKind::MsgDelivered
-                                             : WireKind::MsgNack;
-            resp->reqId = wd.reqId;
-            resp->seq = wd.seq;
-            resp->error = *out;
-            respond(src, std::move(resp));
-            return;
-        }
-    }
-
     auto nack = [&](Error e) {
-        if (reliable_ && wd.seq != 0)
-            rememberOutcome(src, wd.seq, e);
         auto resp = std::make_unique<WireData>();
         resp->kind = WireKind::MsgNack;
         resp->reqId = wd.reqId;
-        resp->seq = wd.seq;
         resp->error = e;
         respond(src, std::move(resp));
     };
@@ -981,12 +760,9 @@ Dtu::handleMsgXfer(WireData &wd, noc::TileId src)
     rs.msg.seq = nextSeq_++;
     msgsRecv_->inc();
 
-    if (reliable_ && wd.seq != 0)
-        rememberOutcome(src, wd.seq, Error::None);
     auto resp = std::make_unique<WireData>();
     resp->kind = WireKind::MsgDelivered;
     resp->reqId = wd.reqId;
-    resp->seq = wd.seq;
     respond(src, std::move(resp));
 
     onMessageStored(wd.dstEp, rep.act);
@@ -1063,7 +839,7 @@ registerDtuInvariants(sim::Invariants &inv,
         [dtus](sim::Invariants &v) {
             for (const Dtu *d : dtus)
                 if (!d->engineQuiescent())
-                    v.fail("%s: tx/inflight/retx/cmd engine busy at "
+                    v.fail("%s: tx/inflight/cmd engine busy at "
                            "quiescence",
                            d->name().c_str());
         },
@@ -1082,7 +858,6 @@ registerDtuInvariants(sim::Invariants &inv,
                     // (unacknowledged) messages: occupied remote
                     // slots attributed by (srcTile, creditEp).
                     std::uint64_t held = 0;
-                    std::uint64_t lost = 0;
                     for (const Dtu *r : dtus) {
                         for (EpId j = 0; j < kNumEps; j++) {
                             const Endpoint &re = r->ep(j);
@@ -1094,24 +869,16 @@ registerDtuInvariants(sim::Invariants &inv,
                                     rs.msg.creditEp == i)
                                     held++;
                         }
-                        lost += r->lostCreditReturns(d->tileId(), i);
                     }
                     std::uint64_t avail = e.send.credits;
-                    std::uint64_t slack =
-                        d->timeoutCreditRestores(i);
                     std::uint64_t max = e.send.maxCredits;
-                    if (avail + held > max + slack ||
-                        avail + held + lost < max)
+                    if (avail + held != max)
                         v.fail("%s: send ep %u credit imbalance: "
-                               "avail %llu + held %llu vs max %llu "
-                               "(lost %llu, timeout restores %llu)",
+                               "avail %llu + held %llu vs max %llu",
                                d->name().c_str(), i,
                                static_cast<unsigned long long>(avail),
                                static_cast<unsigned long long>(held),
-                               static_cast<unsigned long long>(max),
-                               static_cast<unsigned long long>(lost),
-                               static_cast<unsigned long long>(
-                                   slack));
+                               static_cast<unsigned long long>(max));
                 }
             }
         },

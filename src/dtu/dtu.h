@@ -26,9 +26,8 @@
  * Message payload ownership (DESIGN.md section 4g): a payload is a
  * plain byte vector with one owner at a time. A SEND moves it into
  * the wire packet, the packet moves it into the receive-ring slot,
- * and a READ response's bytes move into the ReadCallback. Only the
- * reliable wire protocol copies: its retransmission save keeps its
- * own copy of each packet. Because the command pipeline is fully
+ * and a READ response's bytes move into the ReadCallback; nothing on
+ * the path copies them. Because the command pipeline is fully
  * serialized (one command owns the engine from enqueue to completion
  * callback), all per-command state lives in a single member struct
  * and the stage closures capture nothing but `this`, so the
@@ -39,7 +38,6 @@
 #ifndef M3VSIM_DTU_DTU_H_
 #define M3VSIM_DTU_DTU_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "dtu/ep.h"
@@ -81,19 +79,6 @@ constexpr sim::Cycles kExtPerEp = 12;
 /** Internal loopback latency for tile-local delivery. */
 constexpr sim::Cycles kLoopback = 16;
 
-/** Reliable-mode retransmission parameters. */
-struct DtuTiming
-{
-    /**
-     * Reliable mode only: initial retransmission timeout in DTU
-     * cycles. Doubles per attempt (bounded exponential backoff).
-     */
-    sim::Cycles retxTimeoutCycles = 2000;
-
-    /** Reliable mode only: attempts before Error::Timeout. */
-    unsigned retxMaxAttempts = 8;
-};
-
 /** The per-tile data transfer unit. */
 class Dtu : public sim::SimObject, public noc::HopTarget
 {
@@ -105,11 +90,9 @@ class Dtu : public sim::SimObject, public noc::HopTarget
         sim::UniqueFunction<void(Error, std::vector<Endpoint>)>;
 
     Dtu(sim::EventQueue &eq, std::string name, noc::Noc &noc,
-        noc::TileId tile, std::uint64_t freq_hz,
-        DtuTiming timing = {});
+        noc::TileId tile, std::uint64_t freq_hz);
 
     noc::TileId tileId() const { return tile_; }
-    const DtuTiming &timing() const { return timing_; }
     const sim::Clock &clock() const { return clk_; }
 
     //
@@ -206,42 +189,13 @@ class Dtu : public sim::SimObject, public noc::HopTarget
 
     /**
      * True when nothing is in motion: no queued commands, no packets
-     * waiting for the NoC, no requests awaiting a response, and no
-     * reliable packet in retransmission. Holds for every DTU once the
-     * simulation drains (a quiescence invariant, see
-     * registerDtuInvariants()).
+     * waiting for the NoC and no requests awaiting a response. Holds
+     * for every DTU once the simulation drains (a quiescence
+     * invariant, see registerDtuInvariants()).
      */
     bool engineQuiescent() const
     {
-        return txQueue_.empty() && inflight_.empty() &&
-               retx_.empty() && !cmdBusy();
-    }
-
-    /**
-     * Reliable mode: times a send through @p ep hit Error::Timeout
-     * with the credit restored locally even though the message may
-     * have been delivered (the ack was lost). Each such restore can
-     * leave the channel holding one credit above its cap until the
-     * receiver's slot is acknowledged — the upward slack in the
-     * conservation law.
-     */
-    std::uint64_t timeoutCreditRestores(EpId ep) const
-    {
-        auto it = timeoutRestores_.find(ep);
-        return it == timeoutRestores_.end() ? 0 : it->second;
-    }
-
-    /**
-     * Reliable mode: CreditReturns from this DTU to send endpoint
-     * @p ep on tile @p dst that exhausted retransmission — the credit
-     * is permanently lost until the controller reclaims it (the
-     * downward slack in the conservation law).
-     */
-    std::uint64_t lostCreditReturns(noc::TileId dst, EpId ep) const
-    {
-        auto it = lostCreditReturns_.find(
-            (static_cast<std::uint64_t>(dst) << 32) | ep);
-        return it == lostCreditReturns_.end() ? 0 : it->second;
+        return txQueue_.empty() && inflight_.empty() && !cmdBusy();
     }
 
     /**
@@ -260,35 +214,10 @@ class Dtu : public sim::SimObject, public noc::HopTarget
     bool acceptPacket(noc::Packet &pkt,
                       sim::UniqueFunction<void()> on_space) override;
 
-    /**
-     * True when the attached NoC carries a fault plan: the wire
-     * protocol then runs with sequence numbers, retransmission, and
-     * duplicate suppression. Decided once at construction so the
-     * fault-free fast path stays branch-identical.
-     */
-    bool reliable() const { return reliable_; }
-
     // Statistics (registry-backed, under "<name>.*").
     std::uint64_t msgsSent() const { return msgsSent_->value(); }
     std::uint64_t msgsReceived() const { return msgsRecv_->value(); }
     std::uint64_t nacksReceived() const { return nacks_->value(); }
-    std::uint64_t retransmits() const
-    {
-        return retransmits_->value();
-    }
-    std::uint64_t timeouts() const { return timeouts_->value(); }
-    std::uint64_t duplicatesDropped() const
-    {
-        return duplicates_->value();
-    }
-    std::uint64_t corruptDropped() const
-    {
-        return corruptDropped_->value();
-    }
-    std::uint64_t straysDropped() const
-    {
-        return straysDropped_->value();
-    }
     std::uint64_t creditsReclaimed() const
     {
         return creditsReclaimed_->value();
@@ -392,21 +321,8 @@ class Dtu : public sim::SimObject, public noc::HopTarget
     /** Ring the notification hook for a stored message. */
     void notifyMsg(EpId ep, ActId act);
 
-    //
-    // Reliable wire protocol (active iff the NoC has a fault plan).
-    //
-    static bool isRetxKind(WireKind k);
-    void armRetxTimer(std::uint64_t seq);
-    void retxTimeout(std::uint64_t seq);
-    void retxComplete(std::uint64_t seq);
-    /** Record the outcome of request @p seq from @p src for dedup. */
-    void rememberOutcome(noc::TileId src, std::uint64_t seq, Error e);
-    /** Outcome of an already-seen request, or nullptr if fresh. */
-    const Error *findOutcome(noc::TileId src, std::uint64_t seq) const;
-
     noc::Noc &noc_;
     noc::TileId tile_;
-    DtuTiming timing_;
     std::vector<Endpoint> eps_;
 
     bool cmdBusy_ = false;
@@ -431,62 +347,16 @@ class Dtu : public sim::SimObject, public noc::HopTarget
     std::vector<Inflight> inflight_;
 
     bool takeInflight(std::uint64_t req_id, Inflight &out);
-    /** Route a response/timeout into the waiting command or extCb. */
-    void completeInflight(Inflight inf, Error e, WireData *resp);
+    /** Route a response into the waiting command or extCb. */
+    void completeInflight(Inflight inf, Error e, WireData &resp);
 
     /** Packets waiting to be injected into the NoC. */
     sim::RingDeque<noc::Packet> txQueue_;
     void pumpTx();
 
-    /** Reliable mode: is the wire protocol running with retx? */
-    bool reliable_ = false;
-
-    /** Per-DTU wire sequence counter (reliable mode). */
-    std::uint64_t wireSeq_ = 1;
-
-    /**
-     * An unacknowledged reliable packet awaiting retransmission. The
-     * saved WireData is a copy of the transmitted packet, payload
-     * included, so damage to the packet in flight never reaches it;
-     * each retransmission sends a fresh copy of the save. Flat
-     * vector: few packets are ever outstanding.
-     */
-    struct Retx
-    {
-        std::uint64_t seq = 0;
-        noc::TileId dst = 0;
-        WireData wd;
-        unsigned attempts = 0;
-        sim::EventHandle timer;
-    };
-    std::vector<Retx> retx_;
-
-    Retx *findRetx(std::uint64_t seq);
-    void eraseRetx(std::uint64_t seq);
-
-    /** Credit-conservation slack bookkeeping (reliable mode only;
-     *  see timeoutCreditRestores() / lostCreditReturns()). */
-    std::unordered_map<EpId, std::uint64_t> timeoutRestores_;
-    std::unordered_map<std::uint64_t, std::uint64_t>
-        lostCreditReturns_;
-
-    /** Receiver-side duplicate-suppression window, per source tile. */
-    struct SeenEntry
-    {
-        std::uint64_t seq = 0;
-        Error outcome = Error::None;
-    };
-    static constexpr std::size_t kSeenWindow = 128;
-    std::unordered_map<noc::TileId, sim::RingDeque<SeenEntry>> seen_;
-
     sim::Counter *msgsSent_;
     sim::Counter *msgsRecv_;
     sim::Counter *nacks_;
-    sim::Counter *retransmits_;
-    sim::Counter *timeouts_;
-    sim::Counter *duplicates_;
-    sim::Counter *corruptDropped_;
-    sim::Counter *straysDropped_;
     sim::Counter *creditsReclaimed_;
     sim::UniqueFunction<void(EpId, ActId)> msgNotify_;
 
@@ -501,12 +371,10 @@ class Dtu : public sim::SimObject, public noc::HopTarget
  *  - per send endpoint, credits never exceed the configured maximum,
  *    and per receive slot, unread implies occupied (every boundary);
  *  - at quiescence every engine has drained (no queued command, tx
- *    packet, in-flight request, or retransmission);
+ *    packet or in-flight request);
  *  - at quiescence every non-reply send endpoint's credits are
- *    conserved across the system: available + held-in-remote-slots
- *    equals the maximum, with explicit slack for credits lost to
- *    retransmission exhaustion and restored on a timed-out-but-
- *    delivered send (both zero in fault-free runs).
+ *    conserved exactly across the system: available +
+ *    held-in-remote-slots equals the maximum.
  * All DTUs that exchange traffic must be in @p dtus or the
  * attribution scan under-counts held credits.
  */

@@ -29,11 +29,6 @@ MemoryTile::alloc(std::size_t size, std::size_t align)
 bool
 MemoryTile::acceptPacket(noc::Packet &pkt, sim::UniqueFunction<void()>)
 {
-    if (pkt.corrupted) {
-        // Link CRC failure: drop; the requester retransmits.
-        noc::Packet consumed = std::move(pkt);
-        return true;
-    }
     auto *wd = dynamic_cast<WireData *>(pkt.data.get());
     if (!wd)
         sim::panic("%s: foreign packet payload", name().c_str());
@@ -47,13 +42,10 @@ MemoryTile::acceptPacket(noc::Packet &pkt, sim::UniqueFunction<void()>)
         PhysAddr addr = owned->addr;
         std::size_t size = owned->size;
         std::uint64_t req_id = owned->reqId;
-        std::uint64_t seq = owned->seq;
-        dram_.access(addr, size,
-                     [this, src, addr, size, req_id, seq]() {
+        dram_.access(addr, size, [this, src, addr, size, req_id]() {
             auto resp = std::make_unique<WireData>();
             resp->kind = WireKind::MemReadResp;
             resp->reqId = req_id;
-            resp->seq = seq;
             resp->data.resize(size);
             if (size > 0)
                 dram_.read(addr, resp->data.data(), size);
@@ -72,7 +64,6 @@ MemoryTile::acceptPacket(noc::Packet &pkt, sim::UniqueFunction<void()>)
             auto resp = std::make_unique<WireData>();
             resp->kind = WireKind::MemWriteAck;
             resp->reqId = req_id;
-            resp->seq = req->seq;
             sendResp(src, std::move(resp));
         });
         break;

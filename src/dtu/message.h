@@ -42,10 +42,9 @@ struct Message
     /**
      * Call-correlation nonce: chosen by the sender per SEND command
      * (0 when unused) and echoed verbatim into the reply by REPLY.
-     * os::Env::call uses it to tell its own reply apart from the
-     * late reply of an earlier call whose send timed out on the same
-     * receive endpoint. Fits in the 16-byte wire header alongside
-     * @ref seq, so it does not change wireBytes().
+     * The controller's cross-shard calls use it to match a reply to
+     * its request after a timed-out attempt. Header metadata, so it
+     * does not change wireBytes().
      */
     std::uint64_t nonce = 0;
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * WireData pooling and fault-injection payload damage.
+ * WireData pooling.
  *
  * The message path builds one WireData header per packet. With plain
  * `new` that is a per-message heap allocation — the pool below
@@ -73,17 +73,6 @@ WireData::operator delete(void *ptr, std::size_t sz) noexcept
     WirePool &p = pool();
     std::lock_guard<std::mutex> lock(p.mu);
     p.free.push_back(ptr);
-}
-
-void
-WireData::corruptPayload()
-{
-    // Damage whichever payload this packet carries. The packet owns
-    // its bytes: a retransmission save keeps a separate clean copy.
-    std::vector<std::uint8_t> &bytes =
-        kind == WireKind::MsgXfer ? msg.payload : data;
-    for (std::size_t i = 0; i < bytes.size(); i += 64)
-        bytes[i] ^= 0xA5;
 }
 
 } // namespace m3v::dtu

@@ -37,7 +37,6 @@ enum class WireKind : std::uint8_t
     MsgDelivered, ///< receiver stored the message (flow-control ack)
     MsgNack,      ///< receiver could not store it (error code inside)
     CreditReturn, ///< receiver acknowledged: return one credit
-    CreditAck,    ///< reliable mode: CreditReturn acknowledgement
     MemReadReq,   ///< DMA read request to a memory/remote tile
     MemReadResp,  ///< data response
     MemWriteReq,  ///< DMA write request (carries data)
@@ -59,26 +58,10 @@ struct WireData : noc::PacketData
     static void *operator new(std::size_t sz);
     static void operator delete(void *p, std::size_t sz) noexcept;
 
-    /**
-     * Fault injection flipped this packet's CRC: damage its payload
-     * bytes. The packet owns them; a retransmission save holds its
-     * own copy, which stays clean (wire.cc).
-     */
-    void corruptPayload() override;
-
     WireKind kind = WireKind::MsgXfer;
 
     /** Correlates requests and responses. */
     std::uint64_t reqId = 0;
-
-    /**
-     * Wire-level sequence number, stamped per sending DTU in reliable
-     * mode (0 otherwise). Retransmissions reuse the original seq; the
-     * receiver keeps a per-source window of recently seen seqs to
-     * suppress duplicates. Fits in the 16-byte header, so it does not
-     * change wireBytes().
-     */
-    std::uint64_t seq = 0;
 
     // --- MsgXfer / MsgNack ---
     EpId dstEp = kInvalidEp;

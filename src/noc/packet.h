@@ -30,16 +30,6 @@ struct PacketData
     PacketData &operator=(const PacketData &) = default;
     PacketData &operator=(PacketData &&) = default;
     virtual ~PacketData() = default;
-
-    /**
-     * A faulty link flipped bits in this packet's payload. Called by
-     * the output port that decides the corruption, alongside setting
-     * Packet::corrupted. Implementations must mutate only their own
-     * copy of any shared payload (copy-on-write): other holders of
-     * the same bytes — notably a sender's retransmission buffer —
-     * must keep the clean original. Default: no payload to damage.
-     */
-    virtual void corruptPayload() {}
 };
 
 /** A packet in flight on the NoC. */
@@ -50,13 +40,6 @@ struct Packet
 
     /** Wire size in bytes (payload only; header is added per hop). */
     std::size_t bytes = 0;
-
-    /**
-     * Set by a faulty link (sim::FaultPlan): the payload failed its
-     * CRC. Receivers discard such packets; reliable senders recover
-     * via retransmission.
-     */
-    bool corrupted = false;
 
     /** Opaque payload interpreted by the receiving component. */
     std::unique_ptr<PacketData> data;

@@ -24,11 +24,7 @@ OutPort::OutPort(sim::EventQueue &eq, const sim::Clock &clk,
     : eq_(eq), clk_(clk), params_(params), name_(std::move(name))
 {
     forwarded_ = eq.metrics().counter(name_ + ".forwarded");
-    dropped_ = eq.metrics().counter(name_ + ".dropped");
     stalled_ = eq.metrics().counter(name_ + ".stalls");
-    trc_ = &eq.tracer();
-    if (params_.faults)
-        faultSite_ = params_.faults->makeSite(name_);
 }
 
 bool
@@ -65,24 +61,6 @@ OutPort::startDrain()
     sim::Cycles ser =
         (wire_bytes + params_.linkBytesPerCycle - 1) /
         params_.linkBytesPerCycle;
-    if (faultSite_.active()) {
-        // The fault decision for this packet is taken once, when it
-        // reaches the head of the queue. A dropped packet still
-        // occupies the link for its serialization time (the flits
-        // leave; they just never arrive).
-        sim::Tick now = eq_.now();
-        dropHead_ = faultSite_.shouldDrop(now);
-        if (!dropHead_ && !head.corrupted &&
-            faultSite_.shouldCorrupt(now)) {
-            head.corrupted = true;
-            // Actually damage the payload bytes (on the packet's own
-            // copy-on-write view; a retransmission buffer sharing the
-            // extent keeps the clean original).
-            if (head.data)
-                head.data->corruptPayload();
-        }
-        ser += faultSite_.delayCycles(now);
-    }
     sim::Tick delay =
         clk_.cyclesToTicks(params_.pipelineCycles + ser);
     if (delay < launchEarly_)
@@ -98,14 +76,6 @@ OutPort::tryHandOver()
 {
     if (queue_.empty())
         sim::panic("%s: drain with empty queue", name_.c_str());
-    if (dropHead_) {
-        dropHead_ = false;
-        if (launchEarly_ == 0)
-            completeDrop();
-        else
-            eq_.schedule(launchEarly_, [this]() { completeDrop(); });
-        return;
-    }
     Packet &head = queue_.front();
     bool ok = target_->acceptPacket(head, [this]() { tryHandOver(); });
     if (!ok) {
@@ -119,26 +89,10 @@ OutPort::tryHandOver()
 }
 
 void
-OutPort::completeDrop()
-{
-    queue_.pop_front();
-    dropped_->inc();
-    trc_->instant(sim::TraceCat::Fault, sim::kTracePidNoc, 0,
-                  "pkt_drop");
-    finishHead();
-}
-
-void
 OutPort::completeForward()
 {
     queue_.pop_front();
     forwarded_->inc();
-    finishHead();
-}
-
-void
-OutPort::finishHead()
-{
     notifySpaceWaiters();
     if (!queue_.empty()) {
         startDrain();

@@ -19,7 +19,6 @@
 
 #include "noc/packet.h"
 #include "sim/clock.h"
-#include "sim/fault.h"
 #include "sim/ring_deque.h"
 #include "sim/sim_object.h"
 #include "sim/stats.h"
@@ -71,16 +70,6 @@ struct NocParams
      * All other parameters keep their defaults.
      */
     static NocParams forTiles(unsigned totalTiles);
-
-    /**
-     * Optional fault plan. When set, every output port becomes a
-     * fault site (named after the port) that can drop, corrupt, or
-     * delay the packets it drains, and the DTUs attached to the
-     * fabric switch their wire protocol into reliable mode
-     * (retransmission + duplicate suppression). Null by default: the
-     * fast path is then byte-identical to a fault-free build.
-     */
-    sim::FaultPlan *faults = nullptr;
 };
 
 /**
@@ -119,9 +108,6 @@ class OutPort
 
     std::uint64_t forwarded() const { return forwarded_->value(); }
 
-    /** Packets this port dropped under a fault plan. */
-    std::uint64_t dropped() const { return dropped_->value(); }
-
     /** Backpressure events: upstream found the queue full and parked
      *  a space waiter (per-hop credit exhaustion). */
     std::uint64_t stalls() const { return stalled_->value(); }
@@ -137,9 +123,7 @@ class OutPort
   private:
     void startDrain();
     void tryHandOver();
-    void completeDrop();
     void completeForward();
-    void finishHead();
     void notifySpaceWaiters();
 
     sim::EventQueue &eq_;
@@ -151,14 +135,9 @@ class OutPort
     sim::RingDeque<Packet> queue_;
     bool draining_ = false;
     sim::Tick launchEarly_ = 0;
-    /** Fault decision for the head packet, taken at drain start. */
-    bool dropHead_ = false;
     std::vector<sim::UniqueFunction<void()>> spaceWaiters_;
     sim::Counter *forwarded_;
-    sim::Counter *dropped_;
     sim::Counter *stalled_;
-    sim::Tracer *trc_;
-    sim::FaultSite faultSite_;
 };
 
 /**

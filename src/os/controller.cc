@@ -473,7 +473,7 @@ Controller::handleCtrlReq(int slot)
 
     if (want_reply) {
         // Retransmission of a request we already executed: replay the
-        // remembered reply without re-executing (idempotence on retx).
+        // remembered reply without re-executing (idempotence on retry).
         if (const CtrlResp *dup = recallDup(req.nonce)) {
             xhandled_->inc();
             Error rerr = Error::None;
@@ -586,7 +586,7 @@ Controller::revokeTree(ActId act, CapSel sel, bool keep_root,
     // fail) and snapshot its cross-shard edges.
     RevokePlan plan;
     if (!caps_->planRevoke(act, sel, keep_root, &plan)) {
-        // Nothing to do (already revoked / double revoke / retx).
+        // Nothing to do (already revoked / double revoke / retry).
         co_await thread.compute(kCapCost);
         co_return;
     }

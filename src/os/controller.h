@@ -262,7 +262,7 @@ class Controller
     /** Replies fetched while polling for a different nonce (a nested
      *  service loop drained them); consumed by their own call. */
     std::vector<std::pair<std::uint64_t, Bytes>> replyStash_;
-    /** Recent (nonce, reply) pairs for request dedup on retx. */
+    /** Recent (nonce, reply) pairs to dedup a retried request. */
     std::vector<std::pair<std::uint64_t, CtrlResp>> recent_;
     std::vector<PendingObtain> pendingObtains_;
     std::uint64_t nonceCtr_ = 0;

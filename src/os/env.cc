@@ -135,11 +135,8 @@ sim::Task
 Env::call(dtu::EpId sep, dtu::EpId rep, Bytes req, Bytes *resp,
           Error *err)
 {
-    // A fresh correlation nonce for this call: the reply echoes it,
-    // so a late reply of an earlier call cannot be misattributed.
-    const std::uint64_t nonce = ++callNonce_;
     Error e = Error::Aborted;
-    co_await send(sep, std::move(req), rep, &e, nonce);
+    co_await send(sep, std::move(req), rep, &e);
     if (e != Error::None) {
         if (err)
             *err = e;
@@ -153,11 +150,6 @@ Env::call(dtu::EpId sep, dtu::EpId rep, Bytes req, Bytes *resp,
         int slot = dtu_->fetch(act_, rep);
         if (slot >= 0) {
             const dtu::Message &m = dtu_->slotMsg(rep, slot);
-            if (m.nonce != nonce) {
-                staleDrops_++;
-                co_await ackMsg(rep, slot);
-                continue;
-            }
             // Copy the payload out of the receive buffer (word loads).
             co_await thread_->compute(
                 static_cast<sim::Cycles>(m.payload.size() / 8 + 2));

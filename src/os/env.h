@@ -92,19 +92,13 @@ class Env
     sim::Task ackMsg(dtu::EpId rep, int slot);
 
     /**
-     * Full RPC: send with a fresh correlation nonce, await the reply
-     * that echoes it (dtu::Message::nonce), copy it out, acknowledge.
-     * A reply with another nonce is the late reply of an earlier call
-     * whose send failed with dtu::Error::Timeout after the request
-     * was delivered (reliable mode: every ack was lost): it is acked
-     * and counted as a stale drop. The reply EP must be used by one
-     * caller at a time.
+     * Full RPC: send, await the reply, copy it out, acknowledge. The
+     * reply EP must be used by one caller at a time. A call whose
+     * send fails returns at once; the NoC loses nothing, so its
+     * request was never delivered and no late reply can follow.
      */
     sim::Task call(dtu::EpId sep, dtu::EpId rep, Bytes req,
                    Bytes *resp, dtu::Error *err);
-
-    /** Late replies of earlier calls dropped by call(). */
-    std::uint64_t staleRepliesDropped() const { return staleDrops_; }
 
     //
     // Memory gates.
@@ -163,9 +157,6 @@ class Env
     dtu::VirtAddr msgBuf_ = 0;
     dtu::EpId syscSep_ = dtu::kInvalidEp;
     dtu::EpId syscRep_ = dtu::kInvalidEp;
-    std::uint64_t staleDrops_ = 0;
-    /** Correlation nonce of the last call (0 = none yet). */
-    std::uint64_t callNonce_ = 0;
 
   private:
     /** One DTU command: @p setup MMIO cycles, @p launch(done), wait for

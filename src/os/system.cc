@@ -76,7 +76,7 @@ System::System(sim::EventQueue &eq, SystemParams params)
             eq, tname + ".core", model, userTile(i)));
         vdtus_.push_back(std::make_unique<core::VDtu>(
             eq, tname + ".vdtu", *noc_, userTile(i),
-            model.freqHz, params_.vdtu, params_.dtuTiming));
+            model.freqHz, params_.vdtu));
         muxes_.push_back(std::make_unique<core::TileMux>(
             eq, tname + ".tilemux", *cores_[i], *vdtus_[i], params_.mux));
     }
@@ -230,8 +230,7 @@ System::addCtrlTile(unsigned s)
                                           ctrlTileOf(s));
     c.dtu = std::make_unique<dtu::Dtu>(eq_, cname + ".dtu", *noc_,
                                        ctrlTileOf(s),
-                                       params_.ctrlModel.freqHz,
-                                       params_.dtuTiming);
+                                       params_.ctrlModel.freqHz);
 }
 
 System::App *

@@ -68,8 +68,6 @@ struct SystemParams
     tile::DramParams dram{};
     core::TileMuxParams mux{};
     core::VDtuParams vdtu{};
-    /** DTU retransmission knobs (applied to every tile's DTU). */
-    dtu::DtuTiming dtuTiming{};
 
     /** Per-user-tile PMP window (local memory) in bytes. */
     std::size_t perTilePmp = 4 << 20;

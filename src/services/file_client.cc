@@ -9,33 +9,6 @@ namespace m3v::services {
 using dtu::Error;
 using os::Bytes;
 
-namespace {
-
-/**
- * Operations the server may execute twice without changing the
- * client-visible outcome, so a timed-out RPC (where the request or
- * its reply may have been lost *after* the server acted) can simply
- * be re-sent. NextOut allocates a fresh extent and Mkdir/Unlink
- * mutate the namespace, so their timeouts surface to the caller.
- */
-bool
-isIdempotent(FsReq::Op op)
-{
-    switch (op) {
-      case FsReq::Op::Open:
-      case FsReq::Op::NextIn:
-      case FsReq::Op::Commit:
-      case FsReq::Op::Close:
-      case FsReq::Op::Stat:
-      case FsReq::Op::Readdir:
-        return true;
-      default:
-        return false;
-    }
-}
-
-} // namespace
-
 FileSession::FileSession(os::Env &env, const M3fs::Client &client,
                          unsigned ep_idx)
     : env_(env), sgate_(client.sgateEp), reply_(client.replyEp),
@@ -46,27 +19,11 @@ FileSession::FileSession(os::Env &env, const M3fs::Client &client,
 sim::Task
 FileSession::rpc(FsReq req, FsResp *resp)
 {
-    constexpr unsigned kAttempts = 4;
-    const bool retry_timeout = isIdempotent(req.op);
-    sim::Cycles backoff = 4096;
-    for (unsigned attempt = 1;; attempt++) {
-        Bytes respb;
-        Error err = Error::Aborted;
-        co_await env_.call(sgate_, reply_, os::podBytes(req), &respb,
-                           &err);
-        if (err == Error::None) {
-            *resp = os::podFrom<FsResp>(respb);
-            co_return;
-        }
-        if (err != Error::Timeout || !retry_timeout ||
-            attempt == kAttempts) {
-            *resp = FsResp{err};
-            co_return;
-        }
-        retries_++;
-        co_await env_.thread().compute(backoff);
-        backoff *= 2;
-    }
+    Bytes respb;
+    Error err = Error::Aborted;
+    co_await env_.call(sgate_, reply_, os::podBytes(req), &respb, &err);
+    *resp = err == Error::None ? os::podFrom<FsResp>(respb)
+                               : FsResp{err};
 }
 
 sim::Task

@@ -71,17 +71,9 @@ class FileSession
     /** Number of NextIn/NextOut RPCs performed (extent switches). */
     std::uint64_t extentRpcs() const { return extentRpcs_; }
 
-    /** RPCs re-sent after a transport timeout. */
-    std::uint64_t rpcRetries() const { return retries_; }
-
   private:
-    /**
-     * Send one m3fs RPC. A transport timeout (the reliable DTU layer
-     * exhausted its retransmissions) is retried for idempotent
-     * operations, in at most four attempts with a backoff doubling
-     * from 4096 cycles; any failure that is not retried surfaces in
-     * resp->err, typed instead of a panic.
-     */
+    /** Send one m3fs RPC. A transport failure surfaces in resp->err,
+     *  typed instead of a panic. */
     sim::Task rpc(FsReq req, FsResp *resp);
 
     os::Env &env_;
@@ -98,7 +90,6 @@ class FileSession
     std::uint64_t winLen_ = 0;
     bool winValid_ = false;
     std::uint64_t extentRpcs_ = 0;
-    std::uint64_t retries_ = 0;
     /** Next NextOut allocation hint in blocks. */
     std::uint32_t nextHint_ = 4;
 };

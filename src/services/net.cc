@@ -134,14 +134,6 @@ NetService::body(os::MuxEnv &env)
             pktTx_++;
             break;
           }
-          case NetReqHdr::Op::Close: {
-            auto sit = sockets_.find(req.sock);
-            if (sit != sockets_.end()) {
-                ports_.erase(sit->second.port);
-                sockets_.erase(sit);
-            }
-            break;
-          }
         }
 
         Error rerr = Error::None;
@@ -193,19 +185,6 @@ UdpSocket::sendTo(std::uint32_t dst_ip, std::uint16_t dst_port,
     req.len = static_cast<std::uint32_t>(payload.size());
     NetRespHdr resp;
     co_await rpc(req, std::move(payload), &resp);
-    *err = resp.err;
-}
-
-sim::Task
-UdpSocket::close(Error *err)
-{
-    NetReqHdr req;
-    req.op = NetReqHdr::Op::Close;
-    req.sock = sock_;
-    NetRespHdr resp;
-    co_await rpc(req, {}, &resp);
-    if (resp.err == Error::None)
-        sock_ = 0;
     *err = resp.err;
 }
 

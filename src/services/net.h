@@ -23,7 +23,6 @@ struct NetReqHdr
     {
         Create, ///< create a socket bound to localPort
         SendTo, ///< send the trailing payload
-        Close,
     };
 
     Op op = Op::Create;
@@ -130,19 +129,12 @@ class UdpSocket
     sim::Task sendTo(std::uint32_t dst_ip, std::uint16_t dst_port,
                      os::Bytes payload, dtu::Error *err);
 
-    /** Close the socket (for connection-churn workloads). */
-    sim::Task close(dtu::Error *err);
-
     /** Receive the next datagram for this socket. */
     sim::Task recv(os::Bytes *payload, dtu::Error *err);
 
   private:
-    /**
-     * One request/reply with the net service. A transport failure
-     * (e.g. a typed Timeout: the reliable DTU layer exhausted its
-     * retransmissions) surfaces in resp->err; it is never re-sent,
-     * since a timed-out request is a lost datagram.
-     */
+    /** One request/reply with the net service. A transport failure
+     *  surfaces in resp->err. */
     sim::Task rpc(NetReqHdr hdr, os::Bytes payload,
                   NetRespHdr *resp);
 

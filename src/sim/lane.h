@@ -183,7 +183,7 @@ class LaneScheduler
 
     /**
      * Merge every lane's metrics registry into @p out (counters add,
-     * histograms add bucket-wise, samplers combine) in lane order, so
+     * samplers combine) in lane order, so
      * the merged dump of a sharded model carries the same keys and
      * values as the same model built on one lane.
      */

@@ -14,7 +14,6 @@ kindName(int k)
     switch (k) {
       case 0: return "counter";
       case 1: return "sampler";
-      case 2: return "histogram";
     }
     return "?";
 }
@@ -81,16 +80,6 @@ MetricsRegistry::sampler(const std::string &path)
     return e.s.get();
 }
 
-Histogram *
-MetricsRegistry::histogram(const std::string &path, double lo,
-                           double hi, std::size_t buckets)
-{
-    Entry &e = entryFor(path, Kind::Histogram);
-    if (!e.h)
-        e.h = std::make_unique<Histogram>(lo, hi, buckets);
-    return e.h.get();
-}
-
 std::vector<std::string>
 MetricsRegistry::paths() const
 {
@@ -123,12 +112,6 @@ MetricsRegistry::absorb(const MetricsRegistry &other)
             if (oe.s)
                 sampler(path)->absorb(*oe.s);
             break;
-          case Kind::Histogram:
-            if (oe.h)
-                histogram(path, oe.h->lo(), oe.h->hi(),
-                          oe.h->buckets())
-                    ->absorb(*oe.h);
-            break;
         }
     }
 }
@@ -155,17 +138,6 @@ MetricsRegistry::toJson() const
                 "\"min\": %g, \"max\": %g}",
                 static_cast<unsigned long long>(e.s->count()),
                 e.s->mean(), e.s->stddev(), e.s->min(), e.s->max());
-            break;
-          case Kind::Histogram:
-            out += strprintf(
-                "{\"total\": %llu, \"underflow\": %llu, "
-                "\"overflow\": %llu, \"p50\": %g, \"p90\": %g, "
-                "\"p99\": %g}",
-                static_cast<unsigned long long>(e.h->total()),
-                static_cast<unsigned long long>(e.h->underflow()),
-                static_cast<unsigned long long>(e.h->overflow()),
-                e.h->percentile(0.50), e.h->percentile(0.90),
-                e.h->percentile(0.99));
             break;
         }
     }

@@ -1,7 +1,7 @@
 /**
  * @file
- * The metrics registry: a per-EventQueue catalogue of named counters,
- * samplers, and histograms under hierarchical dotted paths
+ * The metrics registry: a per-EventQueue catalogue of named counters
+ * and samplers under hierarchical dotted paths
  * ("tile3.vdtu.tlb.misses", "noc.r2.port1.forwarded").
  *
  * Components register their instruments once at construction and keep
@@ -45,14 +45,6 @@ class MetricsRegistry
     /** Get-or-create the sampler at @p path. */
     Sampler *sampler(const std::string &path);
 
-    /**
-     * Get-or-create the histogram at @p path. The range arguments are
-     * used only on first registration; later calls return the
-     * existing instrument unchanged.
-     */
-    Histogram *histogram(const std::string &path, double lo, double hi,
-                         std::size_t buckets);
-
     /** All registered paths in sorted order. */
     std::vector<std::string> paths() const;
 
@@ -64,8 +56,8 @@ class MetricsRegistry
 
     /**
      * Render the registry as one flat JSON object, sorted by path.
-     * Counters map to integers; samplers and histograms map to small
-     * objects ({"count":..,"mean":..} / {"total":..,"p50":..}).
+     * Counters map to integers; samplers map to small objects
+     * ({"count":..,"mean":..}).
      */
     std::string toJson() const;
 
@@ -75,8 +67,8 @@ class MetricsRegistry
     /**
      * Fold @p other into this registry: instruments at the same path
      * are combined (counters add, samplers merge their running
-     * statistics, histograms add bucket-wise), unknown paths are
-     * created. Kind or histogram-config mismatches panic. Used to
+     * statistics), unknown paths are created. Kind mismatches panic.
+     * Used to
      * merge per-lane metric shards into one dump — absorbing N shards
      * of a sharded model yields the same JSON as the unsharded model.
      */
@@ -87,7 +79,6 @@ class MetricsRegistry
     {
         Counter,
         Sampler,
-        Histogram,
     };
 
     struct Entry
@@ -95,7 +86,6 @@ class MetricsRegistry
         Kind kind = Kind::Counter;
         std::unique_ptr<Counter> c;
         std::unique_ptr<Sampler> s;
-        std::unique_ptr<Histogram> h;
     };
 
     Entry &entryFor(const std::string &path, Kind kind);

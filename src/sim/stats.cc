@@ -68,82 +68,6 @@ Sampler::absorb(const Sampler &o)
     max_ = std::max(max_, o.max_);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_(0)
-{
-    // Validate before deriving anything: with buckets == 0 the width
-    // computation divides by zero, so it must not run first.
-    if (buckets == 0 || hi <= lo)
-        panic("Histogram: invalid range [%f, %f) x %zu", lo, hi, buckets);
-    width_ = (hi - lo) / static_cast<double>(buckets);
-    counts_.assign(buckets, 0);
-}
-
-void
-Histogram::add(double x)
-{
-    total_++;
-    if (x < lo_) {
-        underflow_++;
-        return;
-    }
-    if (x >= hi_) {
-        overflow_++;
-        return;
-    }
-    auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= counts_.size())
-        idx = counts_.size() - 1;
-    counts_[idx]++;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    underflow_ = overflow_ = total_ = 0;
-}
-
-void
-Histogram::absorb(const Histogram &o)
-{
-    if (o.lo_ != lo_ || o.hi_ != hi_ ||
-        o.counts_.size() != counts_.size())
-        panic("Histogram: absorbing mismatched config "
-              "[%f, %f) x %zu into [%f, %f) x %zu",
-              o.lo_, o.hi_, o.counts_.size(), lo_, hi_,
-              counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); i++)
-        counts_[i] += o.counts_[i];
-    underflow_ += o.underflow_;
-    overflow_ += o.overflow_;
-    total_ += o.total_;
-}
-
-double
-Histogram::bucketLo(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::percentile(double frac) const
-{
-    if (total_ == 0)
-        return lo_;
-    auto target = static_cast<std::uint64_t>(
-        frac * static_cast<double>(total_));
-    std::uint64_t seen = underflow_;
-    if (seen > target)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); i++) {
-        seen += counts_[i];
-        if (seen > target)
-            return bucketLo(i) + width_;
-    }
-    return hi_;
-}
-
 TablePrinter::TablePrinter(std::vector<std::string> headers)
     : headers_(std::move(headers))
 {

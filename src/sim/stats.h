@@ -1,7 +1,7 @@
 /**
  * @file
  * Lightweight statistics collection: counters, samplers (running
- * mean/stddev/min/max), histograms, and a table formatter used by the
+ * mean/stddev/min/max), and a table formatter used by the
  * benchmark harnesses to print paper-style result rows.
  */
 
@@ -68,43 +68,6 @@ class Sampler
     double min_ = 0.0;
     double max_ = 0.0;
     double sum_ = 0.0;
-};
-
-/** A fixed-bucket histogram over [lo, hi) with uniform bucket width. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x);
-    void reset();
-
-    std::uint64_t total() const { return total_; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::size_t buckets() const { return counts_.size(); }
-    std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
-    double lo() const { return lo_; }
-    double hi() const { return hi_; }
-
-    /** Lower edge of bucket i. */
-    double bucketLo(std::size_t i) const;
-
-    /** Value below which the given fraction (0..1) of samples fall. */
-    double percentile(double frac) const;
-
-    /** Fold another histogram in; the bucket configuration must be
-     *  identical (it is for shards of the same instrument). */
-    void absorb(const Histogram &o);
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 /**

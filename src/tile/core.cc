@@ -302,7 +302,9 @@ Core::kernelExitTo(Thread *t)
 {
     if (!inKernel_)
         sim::panic("%s: kernelExitTo outside kernel", name().c_str());
+    exitingTo_ = t;
     eq_.schedule(cyclesToTicks(model_.trapExitCycles), [this, t]() {
+        exitingTo_ = nullptr;
         inKernel_ = false;
         accountTo(Owner::Idle);
         dispatch(t);

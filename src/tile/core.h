@@ -278,6 +278,9 @@ class Core : public sim::SimObject
 
     bool inKernel() const { return inKernel_; }
 
+    /** The thread a pending kernelExitTo() will dispatch, or null. */
+    Thread *exitingTo() const { return exitingTo_; }
+
     /**
      * Make @p t the current thread and continue its execution.
      * Requires that no thread is current. Usually called from kernel
@@ -366,6 +369,7 @@ class Core : public sim::SimObject
 
     Thread *current_ = nullptr;
     bool inKernel_ = false;
+    Thread *exitingTo_ = nullptr;
     IrqHandler irqHandler_;
     std::deque<IrqKind> pendingIrqs_;
     sim::EventHandle timerEvent_;

@@ -578,5 +578,53 @@ TEST(TileMuxWatchdog, CrashInjectionStopsARunningActivity)
     EXPECT_EQ(rig.mux.crashes(), 1u);
 }
 
+sim::Task
+countingBody(Activity &act, int rounds, int *progress)
+{
+    for (int i = 0; i < rounds; i++) {
+        co_await act.thread().compute(2'000);
+        (*progress)++;
+        co_await act.mux().yieldCall(act);
+    }
+    co_await act.mux().exitCall(act);
+}
+
+TEST(TileMuxWatchdog, CrashDuringKernelWorkIsFinal)
+{
+    // Two activities yield to each other. A crash may land while the
+    // kernel works for the victim (its yield or exit TMCall, or the
+    // switch to it); finishing that work must not revive it. Sweep
+    // the crash over the whole run so every kernel window is hit.
+    sim::Tick span = 0;
+    {
+        WatchdogRig rig(TileMuxParams{});
+        Activity *a = rig.mux.createActivity(5, "victim");
+        Activity *b = rig.mux.createActivity(6, "peer");
+        int pa = 0, pb = 0;
+        rig.mux.startActivity(a, countingBody(*a, 4, &pa));
+        rig.mux.startActivity(b, countingBody(*b, 4, &pb));
+        rig.eq.run();
+        ASSERT_EQ(pa, 4);
+        span = rig.eq.now();
+    }
+    for (sim::Tick at = 0; at <= span; at += span / 500) {
+        WatchdogRig rig(TileMuxParams{});
+        Activity *a = rig.mux.createActivity(5, "victim");
+        Activity *b = rig.mux.createActivity(6, "peer");
+        int pa = 0, pb = 0, atCrash = -1;
+        rig.mux.startActivity(a, countingBody(*a, 4, &pa));
+        rig.mux.startActivity(b, countingBody(*b, 4, &pb));
+        rig.eq.schedule(at, [&]() {
+            atCrash = pa;
+            rig.mux.crashActivity(a->id());
+        });
+        rig.eq.run();
+        EXPECT_EQ(a->state(), Activity::State::Dead) << "crash at " << at;
+        EXPECT_EQ(pa, atCrash) << "victim ran on after a crash at "
+                               << at;
+        EXPECT_EQ(pb, 4) << "crash at " << at;
+    }
+}
+
 } // namespace
 } // namespace m3v::core

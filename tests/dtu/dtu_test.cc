@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the base DTU: message passing between endpoints,
  * credits, replies, nacks, memory endpoints against a memory tile,
- * and the external (controller) interface.
+ * the external (controller) interface, and the Error enum's name
+ * table.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +30,18 @@ std::string
 str(const std::vector<std::uint8_t> &v)
 {
     return std::string(v.begin(), v.end());
+}
+
+TEST(DtuErrorTest, EveryErrorHasAUniqueName)
+{
+    std::set<std::string> names;
+    for (std::size_t i = 0; i < kNumErrors; i++) {
+        const char *n = errorName(static_cast<Error>(i));
+        ASSERT_NE(n, nullptr);
+        EXPECT_NE(std::string(n), "?");
+        names.insert(n);
+    }
+    EXPECT_EQ(names.size(), kNumErrors);
 }
 
 class DtuTest : public ::testing::Test

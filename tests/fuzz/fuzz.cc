@@ -21,7 +21,6 @@
 #include "core/tilemux.h"
 #include "core/vdtu.h"
 #include "dtu/memory_tile.h"
-#include "sim/fault.h"
 #include "sim/invariants.h"
 #include "sim/lane.h"
 #include "sim/rng.h"
@@ -431,8 +430,8 @@ modelCheck(Platform &plat, const RunState &rs, const Scenario &sc,
         }
     }
 
-    // At-most-once: duplicate suppression must hold even under
-    // faults — no tag may be observed (fetched or pending) twice.
+    // At-most-once: no tag may be observed (fetched or pending)
+    // twice.
     for (const auto &[tag, count] : observed) {
         if (count > 1)
             appendf(out.errors,
@@ -524,11 +523,6 @@ computeDigest(Platform &plat, const RunState &rs,
         f.add(v.foreignEpDenials());
         f.add(v.msgsSent());
         f.add(v.msgsReceived());
-        f.add(v.retransmits());
-        f.add(v.timeouts());
-        f.add(v.duplicatesDropped());
-        f.add(v.corruptDropped());
-        f.add(v.straysDropped());
         f.add(v.creditsReclaimed());
         for (unsigned li = 0; li < kActsPerTile; li++) {
             f.add(v.ep(kLocalSepBase + li).send.credits);
@@ -606,12 +600,10 @@ opKindName(OpKind k)
 }
 
 Scenario
-makeScenario(std::uint64_t seed, std::uint64_t index, bool faults,
-             bool allow_kills)
+makeScenario(std::uint64_t seed, std::uint64_t index, bool allow_kills)
 {
     Scenario sc;
     sc.seed = mixSeed(seed, index);
-    sc.faults = faults;
     sim::Rng rng(sc.seed);
     unsigned n = 8 + static_cast<unsigned>(rng.nextBounded(17));
     sc.ops.reserve(n);
@@ -663,16 +655,7 @@ runScenario(const Scenario &sc, RigMode mode, unsigned jobs,
     RunState rs;
     Progs progs = partition(sc);
 
-    // The plan is stateful (RNG, counters): fresh per run, same seed
-    // per scenario so every mode/jobs variant sees identical faults.
-    sim::FaultPlan plan(mixSeed(sc.seed, 0xfa17));
-    if (sc.faults) {
-        plan.addDrop("noc.", 0.05);
-        plan.addCorrupt("noc.", 0.05);
-    }
     noc::NocParams np;
-    if (sc.faults)
-        np.faults = &plan;
 
     if (mode == RigMode::Single) {
         sim::EventQueue eq;
@@ -804,9 +787,8 @@ shrinkScenario(const Scenario &sc, RigMode mode, unsigned jobs)
 void
 writeTrace(const Scenario &sc, std::ostream &os)
 {
-    os << "# m3v fuzz trace v1\n";
+    os << "# m3v fuzz trace v2\n";
     os << "seed " << sc.seed << "\n";
-    os << "faults " << (sc.faults ? 1 : 0) << "\n";
     os << "buggy " << (sc.buggy ? 1 : 0) << "\n";
     for (const KillEvent &k : sc.kills)
         os << "kill " << k.tick << " "
@@ -829,10 +811,6 @@ readTrace(std::istream &is, Scenario &sc)
         ls >> word;
         if (word == "seed") {
             ls >> sc.seed;
-        } else if (word == "faults") {
-            int v = 0;
-            ls >> v;
-            sc.faults = v != 0;
         } else if (word == "buggy") {
             int v = 0;
             ls >> v;

@@ -5,15 +5,14 @@
  * A Scenario is a seeded, fully deterministic program: a flat list of
  * operations (noop/send/wait/yield/exit, plus burst/shed/fanin)
  * distributed over six activities on two multiplexed
- * tiles, plus optional crash injections at fixed ticks and optional
- * NoC fault injection. runScenario()
+ * tiles, plus optional crash injections at fixed ticks. runScenario()
  * executes it on a freshly built platform — either on a single event
  * queue or on the sharded LaneScheduler — with the sim::Invariants
  * registries attached, and checks the outcome against a reference
  * model of the message protocol:
  *
  *  - at-most-once: no payload tag is ever observed twice across all
- *    receivers (wire-level duplicate suppression);
+ *    receivers;
  *  - exactly-once: in kill-free runs, every send that completed with
  *    Error::None is either recorded by the receiver or still unread
  *    in its receive ring, unless the receiver exited (reset drops);
@@ -76,15 +75,14 @@ struct KillEvent
 struct Scenario
 {
     std::uint64_t seed = 0;
-    bool faults = false; ///< NoC drop/corrupt fault injection
-    bool buggy = false;  ///< enable the credit-leak test fixture
+    bool buggy = false; ///< enable the credit-leak test fixture
     std::vector<KillEvent> kills;
     std::vector<Op> ops;
 };
 
 /** Generate scenario @p index of stream @p seed. */
 Scenario makeScenario(std::uint64_t seed, std::uint64_t index,
-                      bool faults, bool allow_kills);
+                      bool allow_kills);
 
 enum class RigMode : std::uint8_t
 {

@@ -2,8 +2,7 @@
  * @file
  * Standalone fuzz driver (CI smoke stages and interactive use).
  *
- *   fuzz_driver [--seeds=N] [--seqs=M] [--diff=D] [--faults=off|on|both]
- *               [--buggy] [--inv-stride=S] [--seed-base=B]
+ *   fuzz_driver [--seeds=N] [--seqs=M] [--diff=D] [--buggy] [--inv-stride=S] [--seed-base=B]
  *               [--caps=N] [--caps-ops=M]
  *               [--replay=FILE] [--shrink-out=FILE] [--jobs=J] [-v]
  *
@@ -37,7 +36,6 @@ struct Options
     std::uint64_t seedBase = 1;
     std::uint64_t invStride = 1;
     unsigned jobs = 4;
-    int faults = 2; ///< 0 off, 1 on, 2 both (alternate)
     bool buggy = false;
     bool verbose = false;
     std::string replay;
@@ -89,15 +87,6 @@ parseArgs(int argc, char **argv, Options &opt)
             if (!parseU64(v, j) || j == 0)
                 return false;
             opt.jobs = static_cast<unsigned>(j);
-        } else if ((v = val("--faults="))) {
-            if (!std::strcmp(v, "off"))
-                opt.faults = 0;
-            else if (!std::strcmp(v, "on"))
-                opt.faults = 1;
-            else if (!std::strcmp(v, "both"))
-                opt.faults = 2;
-            else
-                return false;
         } else if ((v = val("--replay="))) {
             opt.replay = v;
         } else if ((v = val("--shrink-out="))) {
@@ -122,10 +111,9 @@ reportFailure(const m3v::fuzz::Scenario &sc,
 {
     std::fprintf(stderr,
                  "FAIL: scenario seed=%llu ops=%zu kills=%zu "
-                 "faults=%d buggy=%d\n",
+                 "buggy=%d\n",
                  static_cast<unsigned long long>(sc.seed),
-                 sc.ops.size(), sc.kills.size(), sc.faults ? 1 : 0,
-                 sc.buggy ? 1 : 0);
+                 sc.ops.size(), sc.kills.size(), sc.buggy ? 1 : 0);
     for (const std::string &e : out.errors)
         std::fprintf(stderr, "  %s\n", e.c_str());
     m3v::fuzz::Scenario small =
@@ -180,9 +168,7 @@ main(int argc, char **argv)
     for (std::uint64_t s = 0; s < opt.seeds; s++) {
         std::uint64_t stream = opt.seedBase + s;
         for (std::uint64_t i = 0; i < opt.seqs; i++) {
-            bool faults = opt.faults == 1 ||
-                          (opt.faults == 2 && i % 2 == 1);
-            Scenario sc = makeScenario(stream, i, faults, true);
+            Scenario sc = makeScenario(stream, i, true);
             sc.buggy = opt.buggy;
             Outcome out =
                 runScenario(sc, RigMode::Single, 1, opt.invStride);
@@ -195,11 +181,8 @@ main(int argc, char **argv)
             }
         }
         for (std::uint64_t i = 0; i < opt.diff; i++) {
-            bool faults = opt.faults == 1 ||
-                          (opt.faults == 2 && i % 2 == 1);
             // Disjoint index range from the single-mode scenarios.
-            Scenario sc =
-                makeScenario(stream, 1u << 20 | i, faults, true);
+            Scenario sc = makeScenario(stream, 1u << 20 | i, true);
             sc.buggy = opt.buggy;
             Outcome out = runDifferential(sc, opt.invStride);
             ran++;

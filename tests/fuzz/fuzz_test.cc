@@ -23,8 +23,7 @@ TEST(Fuzz, SmokeSingleMode)
     for (std::uint64_t seed = 1; seed <= 3; seed++) {
         for (std::uint64_t i = 0; i < 40; i++) {
             Scenario sc =
-                makeScenario(seed, i, /*faults=*/i % 2 == 1,
-                             /*allow_kills=*/true);
+                makeScenario(seed, i, /*allow_kills=*/true);
             Outcome out = runScenario(sc, RigMode::Single);
             EXPECT_FALSE(out.failed())
                 << "seed " << seed << " index " << i << "\n"
@@ -42,8 +41,8 @@ TEST(Fuzz, SmokeSingleMode)
 
 TEST(Fuzz, ScenarioGenerationIsDeterministic)
 {
-    Scenario a = makeScenario(7, 11, true, true);
-    Scenario b = makeScenario(7, 11, true, true);
+    Scenario a = makeScenario(7, 11, true);
+    Scenario b = makeScenario(7, 11, true);
     ASSERT_EQ(a.ops.size(), b.ops.size());
     for (std::size_t i = 0; i < a.ops.size(); i++) {
         EXPECT_EQ(a.ops[i].actIdx, b.ops[i].actIdx);
@@ -60,8 +59,7 @@ TEST(Fuzz, DifferentialLanedJobs1Vs4)
     for (std::uint64_t seed = 1; seed <= 2; seed++) {
         for (std::uint64_t i = 0; i < 6; i++) {
             Scenario sc =
-                makeScenario(seed, 500 + i, /*faults=*/i % 2 == 1,
-                             /*allow_kills=*/true);
+                makeScenario(seed, 500 + i, /*allow_kills=*/true);
             Outcome out = runDifferential(sc);
             EXPECT_FALSE(out.failed())
                 << "seed " << seed << " index " << i << "\n"
@@ -74,7 +72,7 @@ TEST(Fuzz, DifferentialLanedJobs1Vs4)
 
 TEST(Fuzz, TraceRoundTrip)
 {
-    Scenario sc = makeScenario(42, 3, true, true);
+    Scenario sc = makeScenario(42, 3, true);
     sc.kills.push_back({12345, 2});
     std::ostringstream os;
     writeTrace(sc, os);
@@ -82,7 +80,6 @@ TEST(Fuzz, TraceRoundTrip)
     Scenario rt;
     ASSERT_TRUE(readTrace(is, rt));
     EXPECT_EQ(rt.seed, sc.seed);
-    EXPECT_EQ(rt.faults, sc.faults);
     EXPECT_EQ(rt.buggy, sc.buggy);
     ASSERT_EQ(rt.kills.size(), sc.kills.size());
     EXPECT_EQ(rt.kills.back().tick, 12345u);
@@ -105,8 +102,7 @@ TEST(Fuzz, BuggyCreditLeakIsCaughtAndShrinks)
     // minimal reproduction.
     bool caught = false;
     for (std::uint64_t i = 0; i < 50 && !caught; i++) {
-        Scenario sc = makeScenario(999, i, /*faults=*/false,
-                                   /*allow_kills=*/false);
+        Scenario sc = makeScenario(999, i, /*allow_kills=*/false);
         sc.buggy = true;
         Outcome out = runScenario(sc, RigMode::Single);
         if (!out.leaked) {

@@ -9,8 +9,6 @@
  *    launch-early carve-out preserves timing);
  *  - results are bit-identical across worker counts, congested or
  *    not;
- *  - fault injection under a lane plan is deterministic across
- *    worker counts (per-site RNG streams, per-site counters);
  *  - the merged lane metrics carry the single-queue fabric's
  *    delivery keys and values.
  */
@@ -25,7 +23,6 @@
 
 #include "noc/noc.h"
 #include "sim/event_queue.h"
-#include "sim/fault.h"
 #include "sim/lane.h"
 #include "sim/metrics.h"
 
@@ -38,7 +35,7 @@ struct TestPayload : PacketData
     int value;
 };
 
-/** Records (tick, tag, corrupted) of every delivery. */
+/** Records (tick, tag) of every delivery. */
 struct RecordingSink : HopTarget
 {
     sim::EventQueue *eq = nullptr;
@@ -47,20 +44,17 @@ struct RecordingSink : HopTarget
     {
         sim::Tick tick;
         int tag;
-        bool corrupted;
 
         bool
         operator==(const Delivery &o) const
         {
-            return tick == o.tick && tag == o.tag &&
-                   corrupted == o.corrupted;
+            return tick == o.tick && tag == o.tag;
         }
 
         friend std::ostream &
         operator<<(std::ostream &os, const Delivery &d)
         {
-            return os << "{t=" << d.tick << " tag=" << d.tag
-                      << (d.corrupted ? " corrupt" : "") << "}";
+            return os << "{t=" << d.tick << " tag=" << d.tag << "}";
         }
     };
     std::vector<Delivery> received;
@@ -71,8 +65,7 @@ struct RecordingSink : HopTarget
     {
         (void)on_space;
         auto *p = dynamic_cast<TestPayload *>(pkt.data.get());
-        received.push_back(
-            {eq->now(), p ? p->value : -1, pkt.corrupted});
+        received.push_back({eq->now(), p ? p->value : -1});
         Packet consumed = std::move(pkt);
         return true;
     }
@@ -128,15 +121,12 @@ struct RunResult
     std::vector<std::vector<RecordingSink::Delivery>> bySink;
     std::uint64_t delivered = 0;
     std::uint64_t deliveredBytes = 0;
-    std::uint64_t drops = 0;
-    std::uint64_t corrupts = 0;
 
     bool
     operator==(const RunResult &o) const
     {
         return bySink == o.bySink && delivered == o.delivered &&
-               deliveredBytes == o.deliveredBytes &&
-               drops == o.drops && corrupts == o.corrupts;
+               deliveredBytes == o.deliveredBytes;
     }
 };
 
@@ -147,8 +137,6 @@ expectSameResult(const RunResult &got, const RunResult &want,
 {
     EXPECT_EQ(got.delivered, want.delivered) << label;
     EXPECT_EQ(got.deliveredBytes, want.deliveredBytes) << label;
-    EXPECT_EQ(got.drops, want.drops) << label;
-    EXPECT_EQ(got.corrupts, want.corrupts) << label;
     ASSERT_EQ(got.bySink.size(), want.bySink.size()) << label;
     for (std::size_t s = 0; s < got.bySink.size(); s++) {
         EXPECT_EQ(got.bySink[s], want.bySink[s])
@@ -174,10 +162,9 @@ makeUncongestedSchedule(unsigned tiles, unsigned shots)
  *  set, receives the queue's metrics. */
 RunResult
 runSequential(unsigned tiles, const std::vector<Shot> &shots,
-              NocParams params, sim::FaultPlan *plan = nullptr,
+              const NocParams &params,
               sim::MetricsRegistry *metrics = nullptr)
 {
-    params.faults = plan;
     sim::EventQueue eq;
     Noc noc(eq, params);
     std::vector<std::unique_ptr<RecordingSink>> sinks(tiles);
@@ -214,10 +201,6 @@ runSequential(unsigned tiles, const std::vector<Shot> &shots,
         r.bySink.push_back(s->received);
     r.delivered = noc.delivered();
     r.deliveredBytes = noc.deliveredBytes();
-    if (plan) {
-        r.drops = plan->drops().value();
-        r.corrupts = plan->corrupts().value();
-    }
     return r;
 }
 
@@ -225,11 +208,9 @@ runSequential(unsigned tiles, const std::vector<Shot> &shots,
  *  router. @p merged, if set, receives the merged lane metrics. */
 RunResult
 runLaned(unsigned tiles, const std::vector<Shot> &shots,
-         NocParams params, unsigned jobs,
-         sim::FaultPlan *plan = nullptr,
+         const NocParams &params, unsigned jobs,
          sim::MetricsRegistry *merged = nullptr)
 {
-    params.faults = plan;
     unsigned routers = params.meshCols * params.meshRows;
     sim::LaneScheduler sched(routers, jobs, Noc::minLinkLatency(params));
     Noc noc(sched.lane(0), params);
@@ -281,10 +262,6 @@ runLaned(unsigned tiles, const std::vector<Shot> &shots,
         r.bySink.push_back(s->received);
     r.delivered = noc.delivered();
     r.deliveredBytes = noc.deliveredBytes();
-    if (plan) {
-        r.drops = plan->drops().value();
-        r.corrupts = plan->corrupts().value();
-    }
     return r;
 }
 
@@ -323,27 +300,6 @@ TEST(NocLaneTest, CongestedIsInvariantAcrossJobs)
     }
 }
 
-TEST(NocLaneTest, FaultInjectionDeterministicAcrossJobs)
-{
-    constexpr unsigned kTiles = 4;
-    auto shots = makeSchedule(kTiles, 120, 5'000);
-    NocParams params;
-    auto run = [&](unsigned jobs) {
-        sim::FaultPlan plan(1234);
-        plan.addDrop("noc.", 0.10);
-        plan.addCorrupt("noc.", 0.10);
-        return runLaned(kTiles, shots, params, jobs, &plan);
-    };
-    auto ref = run(1);
-    EXPECT_GT(ref.drops, 0u);
-    EXPECT_GT(ref.corrupts, 0u);
-    EXPECT_EQ(ref.delivered + ref.drops, 120u);
-    for (unsigned jobs : {2u, 4u}) {
-        auto got = run(jobs);
-        EXPECT_EQ(got, ref) << "jobs=" << jobs;
-    }
-}
-
 TEST(NocLaneTest, LaneModeCountsPerTileDeliveries)
 {
     constexpr unsigned kTiles = 4;
@@ -366,8 +322,8 @@ TEST(NocLaneTest, MergedMetricsMatchSingleQueueFabric)
     auto shots = makeUncongestedSchedule(kTiles, 60);
     NocParams params;
     sim::MetricsRegistry seq, lan;
-    runSequential(kTiles, shots, params, nullptr, &seq);
-    runLaned(kTiles, shots, params, 2, nullptr, &lan);
+    runSequential(kTiles, shots, params, &seq);
+    runLaned(kTiles, shots, params, 2, &lan);
     for (const char *key : {"noc.delivered", "noc.delivered_bytes"}) {
         const sim::Counter *want = seq.findCounter(key);
         const sim::Counter *got = lan.findCounter(key);

@@ -11,7 +11,6 @@
 
 #include "noc/noc.h"
 #include "sim/event_queue.h"
-#include "sim/fault.h"
 
 namespace m3v::noc {
 namespace {
@@ -26,7 +25,6 @@ struct TestPayload : PacketData
 struct RecordingSink : HopTarget
 {
     std::vector<std::pair<sim::Tick, int>> received;
-    std::vector<bool> corruptFlags;
     sim::EventQueue *eq = nullptr;
     bool full = false;
     std::vector<sim::UniqueFunction<void()>> waiters;
@@ -40,7 +38,6 @@ struct RecordingSink : HopTarget
         }
         auto *p = dynamic_cast<TestPayload *>(pkt.data.get());
         received.emplace_back(eq->now(), p ? p->value : -1);
-        corruptFlags.push_back(pkt.corrupted);
         Packet consumed = std::move(pkt);
         return true;
     }
@@ -289,114 +286,6 @@ TEST_F(NocTest, OnSpaceFiresExactlyOncePerRejectedInject)
     sinks[1]->unblock();
     eq.run();
     EXPECT_EQ(fired, 1);
-}
-
-TEST_F(NocTest, DropFaultsRemovePacketsAndAreCounted)
-{
-    sim::FaultPlan plan(11);
-    plan.addDrop("noc.tile0.inj", 1.0);
-    NocParams params;
-    params.faults = &plan;
-    build(4, params);
-    for (int i = 0; i < 3; i++)
-        send(0, 1, 64, i);
-    send(2, 1, 64, 99); // unaffected site
-    eq.run();
-    ASSERT_EQ(sinks[1]->received.size(), 1u);
-    EXPECT_EQ(sinks[1]->received[0].second, 99);
-    EXPECT_EQ(plan.drops().value(), 3u);
-    EXPECT_EQ(noc->delivered(), 1u);
-}
-
-TEST_F(NocTest, DroppedPacketsFreeTheirQueueSlot)
-{
-    // A lossy link must not wedge the port: packets behind a dropped
-    // one keep flowing and blocked senders are woken.
-    sim::FaultPlan plan(12);
-    plan.addDrop("", 1.0, 0, 1); // drop everything in the first tick
-    NocParams params;
-    params.faults = &plan;
-    build(4, params);
-    for (int i = 0; i < 20; i++)
-        sendRetry(0, 1, 256, i);
-    eq.run();
-    EXPECT_GT(plan.drops().value(), 0u);
-    EXPECT_EQ(sinks[1]->received.size() + plan.drops().value(), 20u);
-}
-
-TEST_F(NocTest, CorruptFaultsDeliverMarkedPackets)
-{
-    sim::FaultPlan plan(13);
-    plan.addCorrupt("noc.tile0.inj", 1.0);
-    NocParams params;
-    params.faults = &plan;
-    build(4, params);
-    send(0, 1, 64, 7);
-    send(2, 1, 64, 8);
-    eq.run();
-    ASSERT_EQ(sinks[1]->received.size(), 2u);
-    for (std::size_t i = 0; i < 2; i++) {
-        bool is_faulty = sinks[1]->received[i].second == 7;
-        EXPECT_EQ(sinks[1]->corruptFlags[i], is_faulty);
-    }
-    EXPECT_EQ(plan.corrupts().value(), 1u);
-}
-
-TEST_F(NocTest, DelayFaultsPostponeDelivery)
-{
-    sim::Tick clean_t;
-    {
-        sim::EventQueue ceq;
-        Noc cnoc(ceq, NocParams{});
-        RecordingSink s0, s1;
-        s1.eq = &ceq;
-        cnoc.attachTile(0, &s0);
-        cnoc.attachTile(1, &s1);
-        cnoc.finalize();
-        Packet pkt = makePacket(0, 1, 64, 1);
-        ASSERT_TRUE(cnoc.inject(pkt, []() {}));
-        ceq.run();
-        ASSERT_EQ(s1.received.size(), 1u);
-        clean_t = s1.received[0].first;
-    }
-    sim::FaultPlan plan(14);
-    plan.addDelay("", 1.0, 500);
-    NocParams params;
-    params.faults = &plan;
-    build(4, params);
-    send(0, 1, 64, 1);
-    eq.run();
-    ASSERT_EQ(sinks[1]->received.size(), 1u);
-    EXPECT_GT(sinks[1]->received[0].first, clean_t);
-    EXPECT_GT(plan.delays().value(), 0u);
-}
-
-TEST_F(NocTest, WindowlessPlanLeavesTimingUntouched)
-{
-    // Handing a plan with no windows to the NoC must not change
-    // delivery times relative to no plan at all.
-    build(4);
-    send(0, 3, 128, 1);
-    eq.run();
-    sim::Tick base_t = sinks[3]->received[0].first;
-
-    sim::EventQueue eq2;
-    sim::FaultPlan plan(15);
-    NocParams params;
-    params.faults = &plan;
-    Noc noc2(eq2, params);
-    std::vector<std::unique_ptr<RecordingSink>> sinks2;
-    for (unsigned i = 0; i < 4; i++) {
-        sinks2.push_back(std::make_unique<RecordingSink>());
-        sinks2.back()->eq = &eq2;
-        noc2.attachTile(i, sinks2.back().get());
-    }
-    noc2.finalize();
-    Packet pkt = makePacket(0, 3, 128, 1);
-    ASSERT_TRUE(noc2.inject(pkt, []() {}));
-    eq2.run();
-    ASSERT_EQ(sinks2[3]->received.size(), 1u);
-    EXPECT_EQ(sinks2[3]->received[0].first, base_t);
 }
 
 class NocMeshParamTest

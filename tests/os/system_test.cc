@@ -11,7 +11,6 @@
 #include <string>
 
 #include "os/system.h"
-#include "sim/fault.h"
 
 namespace m3v::os {
 namespace {
@@ -63,13 +62,11 @@ TEST(SystemMeshTest, AutoMeshGrowsForLargePlatforms)
     // capacity: the fabric must grow to forTiles(83) = 5x5 while every
     // other fabric parameter stays put, and boot must still succeed
     // with every tile routed.
-    sim::FaultPlan plan(1);
     noc::NocParams tuned;
     tuned.portQueuePackets = 8;
     tuned.pipelineCycles = 5;
     tuned.headerBytes = 24;
     tuned.linkBytesPerCycle = 32;
-    tuned.faults = &plan;
     for (const noc::NocParams &given : {noc::NocParams{}, tuned}) {
         sim::EventQueue eq;
         SystemParams p;
@@ -87,7 +84,6 @@ TEST(SystemMeshTest, AutoMeshGrowsForLargePlatforms)
         EXPECT_EQ(got.headerBytes, given.headerBytes);
         EXPECT_EQ(got.linkBytesPerCycle, given.linkBytesPerCycle);
         EXPECT_EQ(got.maxTilesPerRouter, given.maxTilesPerRouter);
-        EXPECT_EQ(got.faults, given.faults);
         EXPECT_EQ(sys.fabric().validate(), noc::NocConfigError::None);
         // Opposite corners of the grown mesh are several hops apart.
         EXPECT_GT(sys.fabric().hopCount(sys.userTile(0),

@@ -667,8 +667,6 @@ TEST(LaneSchedulerTest, MergeMetricsMatchesUnsharded)
         m.counter("a.count")->inc(static_cast<std::uint64_t>(base));
         for (int i = 0; i < 10; i++) {
             m.sampler("a.lat")->add(base * 100.0 + i);
-            m.histogram("a.h", 0.0, 1000.0, 10)
-                ->add(base * 100.0 + i);
         }
     };
     LaneScheduler sched(4, 2, 10);

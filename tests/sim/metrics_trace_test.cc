@@ -100,7 +100,6 @@ TEST(MetricsRegistry, KindMismatchPanics)
     MetricsRegistry reg;
     reg.counter("x.y");
     EXPECT_DEATH(reg.sampler("x.y"), "x.y");
-    EXPECT_DEATH(reg.histogram("x.y", 0, 1, 2), "x.y");
     EXPECT_DEATH(reg.counter(""), "empty");
 }
 
@@ -114,16 +113,6 @@ TEST(MetricsRegistry, FindCounter)
     EXPECT_EQ(reg.findCounter("missing"), nullptr);
 }
 
-TEST(MetricsRegistry, HistogramRangeOnlyOnFirstRegistration)
-{
-    MetricsRegistry reg;
-    Histogram *h = reg.histogram("lat", 0.0, 10.0, 10);
-    h->add(5.0);
-    Histogram *again = reg.histogram("lat", 100.0, 200.0, 3);
-    EXPECT_EQ(h, again);
-    EXPECT_EQ(again->total(), 1u);
-}
-
 TEST(MetricsRegistry, JsonIsParseableAndComplete)
 {
     MetricsRegistry reg;
@@ -131,16 +120,12 @@ TEST(MetricsRegistry, JsonIsParseableAndComplete)
     Sampler *s = reg.sampler("rpc.latency_us");
     s->add(1.0);
     s->add(3.0);
-    Histogram *h = reg.histogram("hops", 0.0, 8.0, 8);
-    h->add(2.0);
     std::string json = reg.toJson();
     EXPECT_TRUE(jsonBalanced(json)) << json;
     EXPECT_NE(json.find("\"dtu.msgs_sent\""), std::string::npos);
     EXPECT_NE(json.find("7"), std::string::npos);
     EXPECT_NE(json.find("\"rpc.latency_us\""), std::string::npos);
     EXPECT_NE(json.find("\"mean\""), std::string::npos);
-    EXPECT_NE(json.find("\"hops\""), std::string::npos);
-    EXPECT_NE(json.find("\"p50\""), std::string::npos);
 }
 
 TEST(JsonEscape, ControlAndQuoteCharacters)

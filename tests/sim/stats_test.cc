@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for counters, samplers, histograms and table printing.
+ * Unit tests for counters, samplers and table printing.
  */
 
 #include <gtest/gtest.h>
@@ -61,82 +61,6 @@ TEST(Sampler, ResetClears)
     s.reset();
     EXPECT_EQ(s.count(), 0u);
     EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(Histogram, BucketsAndBounds)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(5.5);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(42.0);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(5), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-}
-
-TEST(Histogram, PercentileMedian)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; i++)
-        h.add(static_cast<double>(i) + 0.5);
-    double p50 = h.percentile(0.5);
-    EXPECT_GE(p50, 49.0);
-    EXPECT_LE(p50, 52.0);
-    double p99 = h.percentile(0.99);
-    EXPECT_GE(p99, 98.0);
-}
-
-TEST(Histogram, PercentileEmptyReturnsLowerBound)
-{
-    Histogram h(2.0, 10.0, 4);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 2.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 2.0);
-}
-
-TEST(Histogram, PercentileAllUnderflow)
-{
-    Histogram h(10.0, 20.0, 5);
-    h.add(1.0);
-    h.add(2.0);
-    h.add(3.0);
-    // Every sample sits below the range; any percentile clamps to
-    // the lower bound rather than walking past the buckets.
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 10.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 10.0);
-}
-
-TEST(Histogram, PercentileFullFractionReturnsUpperBound)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(1.5);
-    h.add(2.5);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0);
-}
-
-TEST(Histogram, PercentileSingleBucket)
-{
-    Histogram h(0.0, 10.0, 1);
-    h.add(5.0);
-    // One bucket spans the whole range; its upper edge is the only
-    // answer the histogram can give.
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 10.0);
-    EXPECT_EQ(h.total(), 1u);
-    EXPECT_EQ(h.underflow(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-}
-
-TEST(Histogram, InvalidConstructionPanics)
-{
-    EXPECT_DEATH(Histogram(0.0, 10.0, 0), "Histogram");
-    EXPECT_DEATH(Histogram(10.0, 10.0, 4), "Histogram");
-    EXPECT_DEATH(Histogram(10.0, 5.0, 4), "Histogram");
 }
 
 TEST(Sampler, ResetMidStreamClearsMoments)
