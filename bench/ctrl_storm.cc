@@ -77,7 +77,6 @@ struct StormResult
     std::uint64_t ops = 0;      ///< completed syscalls
     std::uint64_t errors = 0;   ///< non-None syscall responses
     std::uint64_t xshardSent = 0;
-    std::uint64_t xshardTimeouts = 0;
     std::uint64_t crossOps = 0; ///< ops whose target tile crossed shards
     sim::Tick makespan = 0;     ///< last op completion (simulated)
     double p50Us = 0;
@@ -280,7 +279,6 @@ runStorm(const StormConfig &cfg)
         res.digest = fnv(res.digest, c.xshardSent());
         res.digest = fnv(res.digest, c.xshardHandled());
         res.xshardSent += c.xshardSent();
-        res.xshardTimeouts += c.xshardTimeouts();
     }
     return res;
 }
@@ -402,7 +400,6 @@ main(int argc, char **argv)
         summary.add(key + "_p99_us", r.p99Us);
         summary.addU64(key + "_makespan_tick", r.makespan);
         summary.addU64(key + "_xshard_sent", r.xshardSent);
-        summary.addU64(key + "_xshard_timeouts", r.xshardTimeouts);
         summary.addU64(key + "_digest", r.digest);
     }
     summary.write(summary_out);

@@ -360,9 +360,9 @@ TileMux::onIrq(tile::IrqKind kind)
             current_->state_ = Activity::State::Ready;
             if (kind == tile::IrqKind::Timer) {
                 if (current_->thread().inExternalWait()) {
-                    // Blocked on the DTU (e.g. a command sitting in
-                    // retransmission backoff), not hogging the core:
-                    // a wait slice is not a hog slice.
+                    // Blocked on the DTU (e.g. a command waiting for
+                    // the NoC), not hogging the core: a wait slice is
+                    // not a hog slice.
                     current_->hogSlices_ = 0;
                 } else {
                     current_->hogSlices_++;

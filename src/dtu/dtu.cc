@@ -23,7 +23,6 @@ errorName(Error e)
       case Error::PmpFault: return "PmpFault";
       case Error::MsgTooBig: return "MsgTooBig";
       case Error::Aborted: return "Aborted";
-      case Error::Timeout: return "Timeout";
     }
     return "Unknown";
 }

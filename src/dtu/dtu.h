@@ -125,7 +125,8 @@ class Dtu : public sim::SimObject, public noc::HopTarget
      * SEND: transfer @p payload from buffer @p buf through send
      * endpoint @p ep_id; replies (if any) arrive at @p reply_ep.
      * @p nonce is stamped into the message and echoed back by the
-     * receiver's REPLY (see Message::nonce); 0 means "unused".
+     * receiver's REPLY, so calls sharing one reply EP can tell their
+     * replies apart (see Message::nonce); 0 means "unused".
      */
     void cmdSend(ActId act, EpId ep_id, VirtAddr buf,
                  std::vector<std::uint8_t> payload, EpId reply_ep,

@@ -42,9 +42,10 @@ struct Message
     /**
      * Call-correlation nonce: chosen by the sender per SEND command
      * (0 when unused) and echoed verbatim into the reply by REPLY.
-     * The controller's cross-shard calls use it to match a reply to
-     * its request after a timed-out attempt. Header metadata, so it
-     * does not change wireBytes().
+     * The controller's cross-shard calls share one reply EP, and a
+     * call nested inside another may fetch the outer call's reply:
+     * the nonce tells whose reply it is. Header metadata, so it does
+     * not change wireBytes().
      */
     std::uint64_t nonce = 0;
 

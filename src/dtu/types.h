@@ -66,13 +66,11 @@ enum class Error : std::uint8_t
     MsgTooBig,
     /** Command aborted (activity switch). */
     Aborted,
-    /** Retransmissions exhausted without an acknowledgement. */
-    Timeout,
 };
 
 /** Number of Error enumerators (keep in sync with the enum). */
 constexpr std::size_t kNumErrors =
-    static_cast<std::size_t>(Error::Timeout) + 1;
+    static_cast<std::size_t>(Error::Aborted) + 1;
 
 /** Human-readable error name (for logs and tests). */
 const char *errorName(Error e);

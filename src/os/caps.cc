@@ -88,8 +88,9 @@ CapMgr::planRevoke(dtu::ActId act, CapSel sel, bool keep_root,
         return false;
     Capability *root = table->get(sel);
     // Idempotence: a missing root (already revoked, double revoke, a
-    // retransmitted revoke request) and a root another in-progress
-    // revoke owns are both "nothing left for this plan to do".
+    // crash reap's one-way revoke racing a syscall's) and a root
+    // another in-progress revoke owns are both "nothing left for this
+    // plan to do".
     if (!root || (root->revoking && !keep_root))
         return false;
 

@@ -13,9 +13,6 @@ using dtu::Error;
 
 namespace {
 
-/** Bound on the stash of out-of-order replies / dedup memory. */
-constexpr std::size_t kStashCap = 64;
-
 /** The activity that capability @p sel names, or nullptr when @p sel
  *  is not an activity capability. */
 const ActObj *
@@ -70,21 +67,21 @@ Controller::Controller(BareEnv &env, CapMgr &caps, const DtuMap &dtus,
     reclaimed_ = m.counter(p + "credits_reclaimed");
     xsent_ = m.counter(p + "xshard_sent");
     xacked_ = m.counter(p + "xshard_acked");
-    xtimeouts_ = m.counter(p + "xshard_timeouts");
     xhandled_ = m.counter(p + "xshard_handled");
     xonewaySent_ = m.counter(p + "oneway_sent");
     xonewayHandled_ = m.counter(p + "oneway_handled");
     xonewayDropped_ = m.counter(p + "oneway_dropped");
+    xstashed_ = m.counter(p + "xshard_stashed");
 
-    // Main-loop poll list, in priority order: cross-shard replies
-    // complete a peer's blocked call, cross-shard requests complete
-    // OUR callers' in-flight syscalls — both beat admitting new
+    // Main-loop poll list, in priority order: cross-shard requests
+    // complete a peer's blocked call, so they beat admitting new
     // syscalls. recvAny() polls in list order, so under syscall
     // saturation this keeps the peer protocol's RTT bounded by one
-    // service time instead of the whole syscall backlog. A single
-    // controller has no peers: it polls its syscall EP alone.
+    // service time instead of the whole syscall backlog. Replies to
+    // our own calls are fetched by the waiting ctrlCall, never here.
+    // A single controller has no peers: it polls its syscall EP alone.
     if (shardMap_.shards > 1)
-        pollEps_ = {kCtrlReplyRep, kCtrlReqRep};
+        pollEps_ = {kCtrlReqRep};
     pollEps_.push_back(kSyscallRep);
     for (EpId ep : pollEps_)
         env.addRecvEp(ep);
@@ -293,13 +290,6 @@ Controller::writeEp(noc::TileId tile, EpId ep,
 // Cross-shard protocol plumbing.
 //
 
-std::uint64_t
-Controller::makeNonce()
-{
-    return (static_cast<std::uint64_t>(shard_ + 1) << 48) |
-           ++nonceCtr_;
-}
-
 bool
 Controller::takeStash(std::uint64_t nonce, CtrlResp *resp)
 {
@@ -311,23 +301,6 @@ Controller::takeStash(std::uint64_t nonce, CtrlResp *resp)
         }
     }
     return false;
-}
-
-void
-Controller::remember(std::uint64_t nonce, const CtrlResp &resp)
-{
-    recent_.emplace_back(nonce, resp);
-    if (recent_.size() > kStashCap)
-        recent_.erase(recent_.begin());
-}
-
-const CtrlResp *
-Controller::recallDup(std::uint64_t nonce) const
-{
-    for (const auto &[n, resp] : recent_)
-        if (n == nonce)
-            return &resp;
-    return nullptr;
 }
 
 Controller::PendingObtain
@@ -360,7 +333,6 @@ Controller::ctrlOneway(unsigned shard, CtrlReq req)
 {
     EpId sep = peerSep(shard);
     req.srcShard = shard_;
-    req.nonce = makeNonce();
     sim::Counter *sent = xonewaySent_;
     sim::Counter *dropped = xonewayDropped_;
     env_->dtu().cmdSend(env_->actId(), sep, env_->msgBuf(),
@@ -370,8 +342,7 @@ Controller::ctrlOneway(unsigned shard, CtrlReq req)
                                 sent->inc();
                             else
                                 dropped->inc();
-                        },
-                        req.nonce);
+                        });
 }
 
 void
@@ -403,64 +374,59 @@ Controller::ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp)
     EpId sep = peerSep(shard);
     req.srcShard = shard_;
     req.flags |= CtrlReq::kWantReply;
-    req.nonce = makeNonce();
-    xsent_->inc();
-
+    const std::uint64_t nonce =
+        (static_cast<std::uint64_t>(shard_ + 1) << 48) | ++nonceCtr_;
     auto &thread = env_->thread();
-    sim::EventQueue &eq = env_->dtu().eventQueue();
-    const std::vector<EpId> wait_eps{kCtrlReplyRep, kCtrlReqRep};
 
-    for (unsigned attempt = 0; attempt < kXshardRetries; attempt++) {
+    for (;;) {
         Error serr = Error::Aborted;
         co_await env_->send(sep, podBytes(req), kCtrlReplyRep, &serr,
-                            req.nonce);
-        if (serr != Error::None) {
-            // Out of credits (peer overloaded): back off and retry —
-            // the same nonce keeps the retransmission idempotent.
-            co_await thread.compute(kDispatchCost);
-            continue;
+                            nonce);
+        if (serr == Error::None)
+            break;
+        if (serr != Error::NoCredits) {
+            resp->err = serr;
+            co_return;
         }
-        sim::Tick deadline = eq.now() + kXshardTimeout;
-        for (;;) {
-            // A nested service loop may have drained our reply while
-            // this call was suspended.
-            if (takeStash(req.nonce, resp)) {
+        // Out of credits (peer busy): back off and send again.
+        co_await thread.compute(kDispatchCost);
+    }
+    xsent_->inc();
+
+    const std::vector<EpId> wait_eps{kCtrlReplyRep, kCtrlReqRep};
+    for (;;) {
+        // A nested service loop may have drained our reply while
+        // this call was suspended.
+        if (takeStash(nonce, resp)) {
+            xacked_->inc();
+            co_return;
+        }
+        co_await thread.compute(thread.core().model().mmioReadCycles * 2);
+        int rslot = env_->dtu().fetch(env_->actId(), kCtrlReplyRep);
+        if (rslot >= 0) {
+            const dtu::Message &m = env_->msgAt(kCtrlReplyRep, rslot);
+            if (m.nonce == nonce) {
+                *resp = podFrom<CtrlResp>(m.payload);
+                co_await env_->ackMsg(kCtrlReplyRep, rslot);
                 xacked_->inc();
                 co_return;
             }
-            co_await thread.compute(
-                thread.core().model().mmioReadCycles * 2);
-            int rslot = env_->dtu().fetch(env_->actId(), kCtrlReplyRep);
-            if (rslot >= 0) {
-                const dtu::Message &m = env_->msgAt(kCtrlReplyRep, rslot);
-                if (m.nonce == req.nonce) {
-                    *resp = podFrom<CtrlResp>(m.payload);
-                    co_await env_->ackMsg(kCtrlReplyRep, rslot);
-                    xacked_->inc();
-                    co_return;
-                }
-                // Another outstanding call's reply (ours is nested
-                // below it): stash it for its owner and keep polling.
-                replyStash_.emplace_back(m.nonce, m.payload);
-                if (replyStash_.size() > kStashCap)
-                    replyStash_.erase(replyStash_.begin());
-                co_await env_->ackMsg(kCtrlReplyRep, rslot);
-                continue;
-            }
-            // Service incoming peer requests while waiting: two
-            // shards calling into each other must not deadlock.
-            int qslot = env_->dtu().fetch(env_->actId(), kCtrlReqRep);
-            if (qslot >= 0) {
-                co_await handleCtrlReq(qslot);
-                continue;
-            }
-            if (eq.now() >= deadline)
-                break;
-            co_await env_->waitEpsUntil(wait_eps, deadline);
+            // Another outstanding call's reply (ours is nested below
+            // it): stash it for its owner and keep polling.
+            replyStash_.emplace_back(m.nonce, m.payload);
+            xstashed_->inc();
+            co_await env_->ackMsg(kCtrlReplyRep, rslot);
+            continue;
         }
+        // Service incoming peer requests while waiting: two shards
+        // calling into each other must not deadlock.
+        int qslot = env_->dtu().fetch(env_->actId(), kCtrlReqRep);
+        if (qslot >= 0) {
+            co_await handleCtrlReq(qslot);
+            continue;
+        }
+        co_await env_->waitEps(wait_eps);
     }
-    xtimeouts_->inc();
-    resp->err = Error::Timeout;
 }
 
 sim::Task
@@ -470,17 +436,6 @@ Controller::handleCtrlReq(int slot)
     const dtu::Message &m = env_->msgAt(kCtrlReqRep, slot);
     CtrlReq req = podFrom<CtrlReq>(m.payload);
     const bool want_reply = (req.flags & CtrlReq::kWantReply) != 0;
-
-    if (want_reply) {
-        // Retransmission of a request we already executed: replay the
-        // remembered reply without re-executing (idempotence on retry).
-        if (const CtrlResp *dup = recallDup(req.nonce)) {
-            xhandled_->inc();
-            Error rerr = Error::None;
-            co_await env_->reply(kCtrlReqRep, slot, podBytes(*dup), &rerr);
-            co_return;
-        }
-    }
 
     co_await thread.compute(kDispatchCost);
     // Every op but Revoke (which pays per removed cap) is one
@@ -549,14 +504,13 @@ Controller::handleCtrlReq(int slot)
     }
 
     if (want_reply) {
-        remember(req.nonce, resp);
         xhandled_->inc();
         Error rerr = Error::None;
         co_await env_->reply(kCtrlReqRep, slot, podBytes(resp), &rerr);
+        // The caller waits for this reply with no deadline.
         if (rerr != Error::None)
-            sim::warn("controller %u: ctrl reply to shard %u failed: "
-                      "%s",
-                      shard_, req.srcShard, dtu::errorName(rerr));
+            sim::panic("controller %u: ctrl reply to shard %u failed: %s",
+                       shard_, req.srcShard, dtu::errorName(rerr));
     } else {
         xonewayHandled_->inc();
         co_await env_->ackMsg(kCtrlReqRep, slot);
@@ -586,7 +540,7 @@ Controller::revokeTree(ActId act, CapSel sel, bool keep_root,
     // fail) and snapshot its cross-shard edges.
     RevokePlan plan;
     if (!caps_->planRevoke(act, sel, keep_root, &plan)) {
-        // Nothing to do (already revoked / double revoke / retry).
+        // Nothing to do (already revoked / double revoke).
         co_await thread.compute(kCapCost);
         co_return;
     }
@@ -655,16 +609,10 @@ sim::Task
 Controller::run()
 {
     auto &thread = env_->thread();
-    while (running_) {
+    for (;;) {
         EpId which = dtu::kInvalidEp;
         int slot = -1;
         co_await env_->recvAny(pollEps_, &which, &slot);
-        if (which == kCtrlReplyRep) {
-            // Late reply of a timed-out cross-shard call: drop it so
-            // it cannot wedge the poll loop.
-            co_await env_->ackMsg(which, slot);
-            continue;
-        }
         if (which == kCtrlReqRep) {
             co_await handleCtrlReq(slot);
             continue;
@@ -860,9 +808,9 @@ Controller::handle(ActId caller, const SyscallReq &req,
         PendingObtain pend = takePendingObtain(caller, dst);
         CapTable *ct = caps_->tableIfExists(caller);
         if (cresp.err != Error::None || pend.killed || !ct) {
-            // The share record may exist on the source side (reply
-            // lost, caller reaped): release it. DropShare is
-            // idempotent, so over-notifying is safe.
+            // The source side recorded the share but the caller was
+            // reaped while it waited: release the record. DropShare
+            // is idempotent, so over-notifying is safe.
             if (cresp.err == Error::None && !pend.killed) {
                 RemoteRef child{static_cast<std::uint8_t>(shard_),
                                 caller, dst};

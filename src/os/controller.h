@@ -17,8 +17,9 @@
  * section 4i): one instance per tile quadrant, each owning the
  * capability tables of the activities homed in its quadrant. A
  * syscall whose operands live on another shard is forwarded over the
- * cross-shard controller protocol (shard.h) — ordinary DTU messages
- * between controller tiles with the PR 6 retry/timeout discipline.
+ * cross-shard controller protocol (shard.h) — ordinary request/reply
+ * DTU messages between controller tiles. The NoC is lossless and
+ * credit flow-controlled, so a call simply waits for its reply.
  * While a controller waits for a peer's reply it keeps servicing
  * incoming peer requests, so two shards calling into each other
  * cannot deadlock. A single controller is simply one shard with an
@@ -70,12 +71,6 @@ constexpr sim::Cycles kDispatchCost = 120;
 /** Capability-table manipulation cost per touched cap. */
 constexpr sim::Cycles kCapCost = 150;
 
-/** Reply deadline per cross-shard call attempt. */
-constexpr sim::Tick kXshardTimeout = 200 * sim::kTicksPerUs;
-
-/** Send attempts per cross-shard call before giving up. */
-constexpr unsigned kXshardRetries = 3;
-
 /** One communication controller shard. */
 class Controller
 {
@@ -108,9 +103,6 @@ class Controller
     /** The controller's main loop (runs as the bare tile's thread). */
     sim::Task run();
 
-    /** Stop the main loop after the current syscall. */
-    void stop() { running_ = false; }
-
     /**
      * Reap a crashed or watchdog-killed activity (the TileMux crash
      * upcall lands here): invalidate every endpoint the activity owns
@@ -142,7 +134,8 @@ class Controller
 
     std::uint64_t xshardSent() const { return xsent_->value(); }
     std::uint64_t xshardAcked() const { return xacked_->value(); }
-    std::uint64_t xshardTimeouts() const { return xtimeouts_->value(); }
+    /** Always 0: a cross-shard call waits for its reply. */
+    std::uint64_t xshardTimeouts() const { return 0; }
     std::uint64_t xshardHandled() const { return xhandled_->value(); }
     std::uint64_t onewaySent() const { return xonewaySent_->value(); }
     std::uint64_t onewayHandled() const { return xonewayHandled_->value(); }
@@ -203,11 +196,10 @@ class Controller
     //
 
     /**
-     * RPC to a peer shard: send with a fresh nonce, poll for the
-     * matching reply, service incoming peer requests while waiting
-     * (deadlock avoidance), retransmit on timeout (the receiver
-     * dedups by nonce). When every attempt fails, resp->err is
-     * Error::Timeout.
+     * RPC to a peer shard: send with a fresh nonce and wait for the
+     * matching reply, servicing incoming peer requests meanwhile
+     * (deadlock avoidance). A send out of credits backs off and
+     * retries; any other send error is returned in resp->err.
      */
     sim::Task ctrlCall(unsigned shard, CtrlReq req, CtrlResp *resp);
 
@@ -235,10 +227,7 @@ class Controller
                          const RemoteRef &requester,
                          std::size_t *removed);
 
-    std::uint64_t makeNonce();
     bool takeStash(std::uint64_t nonce, CtrlResp *resp);
-    void remember(std::uint64_t nonce, const CtrlResp &resp);
-    const CtrlResp *recallDup(std::uint64_t nonce) const;
     noc::TileId actTile(dtu::ActId id) const;
     PendingObtain takePendingObtain(dtu::ActId act, CapSel sel);
 
@@ -248,7 +237,6 @@ class Controller
     ShardMap shardMap_;
     unsigned shard_ = 0;
 
-    bool running_ = true;
     /** Activity home tiles, ActId-indexed (kNoTile = unregistered). */
     std::vector<noc::TileId> actTiles_;
     /** Sidecall send EPs, TileId-indexed (kInvalidEp = none). */
@@ -260,10 +248,9 @@ class Controller
     std::vector<dtu::EpId> pollEps_;
 
     /** Replies fetched while polling for a different nonce (a nested
-     *  service loop drained them); consumed by their own call. */
+     *  service loop drained them); consumed by their own, still
+     *  waiting, call. */
     std::vector<std::pair<std::uint64_t, Bytes>> replyStash_;
-    /** Recent (nonce, reply) pairs to dedup a retried request. */
-    std::vector<std::pair<std::uint64_t, CtrlResp>> recent_;
     std::vector<PendingObtain> pendingObtains_;
     std::uint64_t nonceCtr_ = 0;
 
@@ -276,11 +263,11 @@ class Controller
     sim::Counter *reclaimed_;
     sim::Counter *xsent_;
     sim::Counter *xacked_;
-    sim::Counter *xtimeouts_;
     sim::Counter *xhandled_;
     sim::Counter *xonewaySent_;
     sim::Counter *xonewayHandled_;
     sim::Counter *xonewayDropped_;
+    sim::Counter *xstashed_;
 };
 
 } // namespace m3v::os

@@ -292,25 +292,12 @@ BareEnv::waitImpl(dtu::EpId ep)
 }
 
 sim::Task
-BareEnv::waitEpsUntil(const std::vector<dtu::EpId> &eps,
-                      sim::Tick deadline)
+BareEnv::waitEps(const std::vector<dtu::EpId> &eps)
 {
-    sim::EventQueue &eq = dtu_->eventQueue();
     for (dtu::EpId ep : eps)
         if (dtu_->unread(act_, ep) > 0)
             co_return;
-    if (eq.now() >= deadline)
-        co_return;
     waiting_ = true;
-    // Timeout alarm: wakes the thread at the deadline unless a
-    // message notification got there first (the handle is inert after
-    // it fires, and a stale alarm is just a spurious wakeup).
-    eq.schedule(deadline - eq.now(), [this] {
-        if (waiting_) {
-            waiting_ = false;
-            thread_->wake();
-        }
-    });
     co_await thread_->externalWait();
 }
 

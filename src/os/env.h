@@ -66,7 +66,8 @@ class Env
 
     /** Send @p msg through send EP @p sep; replies arrive at
      *  @p reply_ep (kInvalidEp for one-way messages). @p nonce is
-     *  echoed back in the reply (see dtu::Message::nonce); 0 means
+     *  echoed back in the reply, which lets calls sharing one reply
+     *  EP match their replies (see dtu::Message::nonce); 0 means
      *  "unused". */
     sim::Task send(dtu::EpId sep, Bytes msg, dtu::EpId reply_ep,
                    dtu::Error *err, std::uint64_t nonce = 0);
@@ -198,14 +199,12 @@ class BareEnv : public Env
     void addRecvEp(dtu::EpId ep) { reps_.push_back(ep); }
 
     /**
-     * Block until one of @p eps has an unread message or the simulated
-     * clock reaches @p deadline, whichever happens first. Wakeups may
-     * be spurious (a message on another EP); callers re-check state.
-     * The cross-shard controller call loop uses this to bound its
-     * reply wait while staying responsive to incoming peer requests.
+     * Block until one of @p eps has an unread message. Wakeups may be
+     * spurious (a message on another EP); callers re-check state. The
+     * cross-shard controller call loop uses this to wait for its reply
+     * while staying responsive to incoming peer requests.
      */
-    sim::Task waitEpsUntil(const std::vector<dtu::EpId> &eps,
-                           sim::Tick deadline);
+    sim::Task waitEps(const std::vector<dtu::EpId> &eps);
 
     sim::Task yield() override;
     sim::Task exit() override;

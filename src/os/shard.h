@@ -101,10 +101,10 @@ class DtuMap
 };
 
 /**
- * A cross-shard controller request. Requests carry an origin-unique
- * nonce: the reply echoes it (correlation under the PR 6 timed-call
- * discipline), and the receiver dedups retransmitted requests by it,
- * making every operation idempotent on retry.
+ * A cross-shard controller request. A request that wants a reply is
+ * sent with an origin-unique DTU nonce (dtu::Message::nonce), which
+ * the reply echoes: that is how a call matches its reply when nested
+ * calls share the reply EP. One-way notifications carry none.
  */
 struct CtrlReq
 {
@@ -136,8 +136,6 @@ struct CtrlReq
     Op op = Op::Revoke;
     /** Bit 0: a reply is expected. Bit 1: op-specific (see Op). */
     std::uint32_t flags = 0;
-    /** Origin-unique correlation/idempotence key. */
-    std::uint64_t nonce = 0;
     /** Shard this request originates from. */
     std::uint32_t srcShard = 0;
 

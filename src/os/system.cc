@@ -407,26 +407,24 @@ registerControllerInvariants(sim::Invariants &inv, System &sys)
         sim::Invariants::When::QuiescentOnly);
 
     // Cross-shard message conservation: at quiescence every RPC was
-    // acked or charged to a timeout, every one-way notification that
-    // left a controller was handled by its peer, and no obtain is
-    // still waiting for its capability.
+    // acked (a call waits for its reply, so an unanswered one is a
+    // hang and shows here), every one-way notification that left a
+    // controller was handled by its peer, and no obtain is still
+    // waiting for its capability.
     inv.addCheck(
         "ctrl.shard.messages",
         [&sys](sim::Invariants &iv) {
             std::uint64_t oneway_sent = 0, oneway_handled = 0;
             for (unsigned s = 0; s < sys.ctrlShards(); s++) {
                 Controller &c = sys.controllerOf(s);
-                if (c.xshardSent() !=
-                    c.xshardAcked() + c.xshardTimeouts()) {
+                if (c.xshardSent() != c.xshardAcked()) {
                     iv.fail("shard %u: %llu cross-shard calls sent "
-                            "but %llu acked + %llu timed out",
+                            "but %llu acked",
                             s,
                             static_cast<unsigned long long>(
                                 c.xshardSent()),
                             static_cast<unsigned long long>(
-                                c.xshardAcked()),
-                            static_cast<unsigned long long>(
-                                c.xshardTimeouts()));
+                                c.xshardAcked()));
                 }
                 if (c.pendingObtains() != 0) {
                     iv.fail("shard %u: %zu obtains still pending at "
@@ -448,18 +446,15 @@ registerControllerInvariants(sim::Invariants &inv, System &sys)
 
     // Share-record pairing: a capability is reachable from another
     // shard only through a matched (remoteChildren, remoteParent)
-    // record pair. An abandoned call (timeout) or dropped one-way
-    // legitimately orphans one side, so the check stands down when
-    // any shard saw either.
+    // record pair. A dropped one-way notification legitimately
+    // orphans one side, so the check stands down when any shard saw
+    // one.
     inv.addCheck(
         "ctrl.shard.shares",
         [&sys](sim::Invariants &iv) {
-            for (unsigned s = 0; s < sys.ctrlShards(); s++) {
-                Controller &c = sys.controllerOf(s);
-                if (c.xshardTimeouts() != 0 ||
-                    c.onewayDropped() != 0)
+            for (unsigned s = 0; s < sys.ctrlShards(); s++)
+                if (sys.controllerOf(s).onewayDropped() != 0)
                     return;
-            }
             // The capability at the far end of a share record.
             auto capAt = [&sys](const RemoteRef &r) -> Capability * {
                 CapTable *t = sys.capsOf(r.shard).tableIfExists(r.act);

@@ -263,13 +263,15 @@ class System
  *  - selector disjointness: every capability held by shard s carries
  *    s in its selector's shard byte, and no activity owns tables on
  *    two shards;
- *  - message conservation: every cross-shard request was acked or
- *    timed out, every one-way notification that left a controller was
- *    handled by its peer, and no obtain is left pending;
+ *  - message conservation: every cross-shard request was acked (a
+ *    call waits for its reply, so an unanswered one shows up here as
+ *    sent != acked), every one-way notification that left a
+ *    controller was handled by its peer, and no obtain is left
+ *    pending;
  *  - share-record pairing: a capability is reachable from another
  *    shard only through a matched (remoteChildren, remoteParent)
- *    record pair (skipped when timeouts/drops occurred — an abandoned
- *    call legitimately orphans one side).
+ *    record pair (skipped when a one-way notification was dropped —
+ *    the lost severing legitimately orphans one side).
  */
 void registerControllerInvariants(sim::Invariants &inv, System &sys);
 

@@ -8,7 +8,7 @@
  *  - pid = tile id; tid = activity id for activity-level events
  *    (TMCall spans, switch instants);
  *  - tid = kTraceTidDtu for the tile's DTU engine track (command
- *    spans, retransmission instants);
+ *    spans);
  *  - tid = kTraceTidMux for the TileMux kernel track (IRQ instants,
  *    switches, watchdog kills);
  *  - pid = kTracePidNoc with tid = router id for NoC hop instants;
@@ -47,9 +47,9 @@ enum class TraceCat : std::uint32_t
     Sched = 1u << 0,  ///< activity switches, scheduling
     TmCall = 1u << 1, ///< TMCall enter/exit spans
     Irq = 1u << 2,    ///< timer / core-request interrupts
-    Dtu = 1u << 3,    ///< DTU command lifetime, retransmissions
+    Dtu = 1u << 3,    ///< DTU command lifetime
     Noc = 1u << 4,    ///< NoC hops
-    Fault = 1u << 5,  ///< fault injection, watchdog, crashes
+    Fault = 1u << 5,  ///< watchdog kills, crashes
     M3x = 1u << 6,    ///< M3x baseline kernel events
 };
 

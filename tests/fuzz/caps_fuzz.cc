@@ -432,6 +432,9 @@ runCapsScenario(std::uint64_t seed, std::size_t ops_per_driver,
         out.digest = fnv(out.digest, c.xshardSent());
         out.digest = fnv(out.digest, c.xshardHandled());
         out.digest = fnv(out.digest, c.activitiesReaped());
+        const std::string stashed =
+            sys.controllerOf(s).env().name() + ".kernel.xshard_stashed";
+        out.stashed += eq.metrics().findCounter(stashed)->value();
     }
     out.digest = fnv(out.digest, out.opsOk);
     return out;

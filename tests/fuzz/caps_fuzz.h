@@ -30,6 +30,9 @@ struct CapsOutcome
     sim::Tick endTick = 0;
     /** Events the scenario executed (not digested). */
     std::uint64_t events = 0;
+    /** Cross-shard replies a nested call fetched for an outer call and
+     *  stashed, summed over the shards (not digested). */
+    std::uint64_t stashed = 0;
     /** Invariant violations, model mismatches, digest divergences. */
     std::vector<std::string> errors;
 

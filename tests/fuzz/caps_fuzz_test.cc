@@ -48,7 +48,9 @@ TEST(CapsFuzzTest, ScenariosMatchModelOneShard)
 /** The four-shard outcome of seeds 1-3 down to the event: the
  *  digest covers the final capability forest and the shard counters,
  *  the end tick and event count cover the timing of every syscall
- *  and cross-shard message on the way there. */
+ *  and cross-shard message on the way there. The stash count pins
+ *  the nested-reply path: a cross-shard call that, while serving a
+ *  peer's request, fetches the reply of the call it is nested in. */
 TEST(CapsFuzzTest, FourShardOutcomesPinned)
 {
     struct Pin
@@ -58,12 +60,14 @@ TEST(CapsFuzzTest, FourShardOutcomesPinned)
         std::uint64_t opsOk;
         sim::Tick endTick;
         std::uint64_t events;
+        std::uint64_t stashed;
     };
     const Pin pins[] = {
-        {1, 0xeaaa3f2e0fedb336ull, 179, 1343112500, 18578},
-        {2, 0x1f442c4dab2cbf32ull, 180, 1340822500, 18683},
-        {3, 0x30674510c1390355ull, 183, 1360562500, 19021},
+        {1, 0x16836a881d5f1482ull, 179, 1072757500, 17533, 5},
+        {2, 0x1f442c4dab2cbf32ull, 180, 1133217500, 17727, 4},
+        {3, 0x30674510c1390355ull, 183, 1151787500, 18032, 4},
     };
+    std::uint64_t stashed = 0;
     for (const Pin &p : pins) {
         CapsOutcome out = runCapsScenario(p.seed, 60, 4);
         EXPECT_FALSE(out.failed()) << "seed " << p.seed << ":\n"
@@ -72,7 +76,10 @@ TEST(CapsFuzzTest, FourShardOutcomesPinned)
         EXPECT_EQ(out.opsOk, p.opsOk) << "seed " << p.seed;
         EXPECT_EQ(out.endTick, p.endTick) << "seed " << p.seed;
         EXPECT_EQ(out.events, p.events) << "seed " << p.seed;
+        EXPECT_EQ(out.stashed, p.stashed) << "seed " << p.seed;
+        stashed += out.stashed;
     }
+    EXPECT_GT(stashed, 0u);
 }
 
 TEST(CapsFuzzTest, JobsDifferentialDigestParity)

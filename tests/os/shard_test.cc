@@ -174,7 +174,6 @@ TEST_F(ShardSystemTest, CrossShardDelegateAndUse)
     EXPECT_GE(sys.controllerOf(0).xshardSent(), 1u);
     EXPECT_GE(sys.controllerOf(0).xshardAcked(), 1u);
     EXPECT_GE(sys.controllerOf(3).xshardHandled(), 1u);
-    EXPECT_EQ(sys.controllerOf(0).xshardTimeouts(), 0u);
 }
 
 TEST_F(ShardSystemTest, CrossShardObtain)
@@ -292,7 +291,8 @@ TEST_F(ShardSystemTest, CrossShardRevokeInvalidatesRemoteUse)
 TEST_F(ShardSystemTest, DoubleRevokeIdempotent)
 {
     // Revoking an already-revoked subtree is a typed no-op on both
-    // shards (retransmissions of revoke requests must not double-free).
+    // shards: a second revoke of the same subtree (say, one racing a
+    // crash reap's one-way revoke) must not double-free.
     auto *a = sys.createApp(0, "a");
     auto *b = sys.createApp(7, "b");
     auto storage = sys.makeMgate(a, 64 << 10, dtu::kPermRW);
@@ -677,46 +677,8 @@ TEST_F(ShardSystemTest, CrossShardMapForReachesHomeTileMux)
     EXPECT_EQ(sys.controllerOf(0).xshardAcked(), 1u);
     EXPECT_EQ(sys.controllerOf(3).xshardHandled(), 1u);
     // Pinned simulated timing of the forward + sidecall round trip.
-    EXPECT_EQ(eq.now(), 274'902'500u);
-    EXPECT_EQ(eq.executed(), 196u);
-}
-
-TEST_F(ShardSystemTest, UnansweredPeerCallTimesOut)
-{
-    // Shard 3's controller never runs, so nothing answers shard 0's
-    // cross-shard calls. A CreateAct on tile 6 (shard 3) retries until
-    // its attempts are spent and fails typed with Error::Timeout.
-    // Unanswered requests keep their credits: the third call runs out
-    // of them and takes the send-error back-off path.
-    sys.controllerOf(3).stop();
-    auto *a = sys.createApp(0, "a");
-
-    bool done = false;
-    sys.start(a, [&](MuxEnv &env) -> sim::Task {
-        SyscallReq req;
-        req.op = SyscallReq::Op::CreateAct;
-        req.arg0 = 6;
-        SyscallResp resp;
-        co_await env.syscall(req, &resp);
-        EXPECT_EQ(resp.err, Error::Timeout);
-        EXPECT_EQ(sys.controllerOf(0).xshardTimeouts(), 1u);
-        for (int i = 0; i < 2; i++) {
-            co_await env.syscall(req, &resp);
-            EXPECT_EQ(resp.err, Error::Timeout);
-        }
-        done = true;
-    });
-
-    runAndCheck();
-    EXPECT_TRUE(done);
-    const Controller &c0 = sys.controllerOf(0);
-    EXPECT_EQ(c0.xshardTimeouts(), 3u);
-    EXPECT_EQ(c0.xshardSent(), 3u);
-    EXPECT_EQ(c0.xshardAcked(), 0u);
-    EXPECT_EQ(sys.controllerOf(3).xshardHandled(), 0u);
-    // Pinned simulated timing of three exhausted calls.
-    EXPECT_EQ(eq.now(), 1'717'547'500u);
-    EXPECT_EQ(eq.executed(), 345u);
+    EXPECT_EQ(eq.now(), 99'347'500u);
+    EXPECT_EQ(eq.executed(), 182u);
 }
 
 } // namespace
