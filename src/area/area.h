@@ -45,9 +45,6 @@ class Component
 
     const std::string &name() const { return name_; }
 
-    /** Leaf resources owned directly by this component. */
-    const AreaNumbers &own() const { return own_; }
-
     Component &addChild(std::string name, AreaNumbers own = {});
 
     const std::vector<std::unique_ptr<Component>> &children() const

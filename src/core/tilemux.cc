@@ -275,18 +275,11 @@ TileMux::translCall(Activity &act, dtu::VirtAddr va)
                            name().c_str(), act.name().c_str(),
                            static_cast<unsigned long long>(va));
             }
-            dtu::PhysAddr pa = pm->phys;
-            std::uint8_t perms = pm->perms;
-            // The TLB insert is a zero-cycle kernel step of its own:
-            // folding it into the walk above would drop one event per
-            // transl TMCall and move every pinned event count.
-            core_.kernelWork(0, [this, &act, va, pa, perms]() {
-                if (reapedInKernel(act))
-                    return;
-                vdtu_.tlbInsert(act.id(), va, pa, perms);
-                act.state_ = Activity::State::Running;
-                core_.kernelExitTo(&act.thread_);
-            });
+            if (reapedInKernel(act))
+                return;
+            vdtu_.tlbInsert(act.id(), va, pm->phys, pm->perms);
+            act.state_ = Activity::State::Running;
+            core_.kernelExitTo(&act.thread_);
         });
     });
     trc_->end(sim::TraceCat::TmCall, pid_, act.id());

@@ -80,7 +80,7 @@ M3xSystem::M3xSystem(sim::EventQueue &eq, M3xParams params)
         trc_->setThreadName(kernelTile(), sim::kTraceTidMux,
                             "kernel");
     }
-    noc_ = std::make_unique<noc::Noc>(eq, params_.noc);
+    noc_ = std::make_unique<noc::Noc>(eq, noc::NocParams{});
     tiles_.resize(params_.userTiles);
     for (unsigned i = 0; i < params_.userTiles; i++) {
         auto tname = "m3x.tile" + std::to_string(i);

@@ -74,7 +74,6 @@ constexpr dtu::EpId kEpsPerAct = 8;
 struct M3xParams
 {
     unsigned userTiles = 12;
-    noc::NocParams noc{};
     tile::DramParams dram{};
 };
 

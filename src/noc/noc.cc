@@ -11,20 +11,6 @@
 
 namespace m3v::noc {
 
-const char *
-nocConfigErrorName(NocConfigError e)
-{
-    switch (e) {
-    case NocConfigError::None:
-        return "none";
-    case NocConfigError::TooManyTilesPerRouter:
-        return "too many tiles per router";
-    case NocConfigError::DuplicateTile:
-        return "duplicate tile id";
-    }
-    return "unknown";
-}
-
 /**
  * Per-tile plumbing: an injection port (tile -> router) and an exit
  * adapter (router -> tile sink) that counts deliveries. Both live on
@@ -61,7 +47,7 @@ struct Noc::TileAttachment
 };
 
 Noc::Noc(sim::EventQueue &eq, NocParams params)
-    : SimObject(eq, "noc"), params_(params), clk_(params.freqHz)
+    : SimObject(eq, "noc"), params_(params), clk_(kNocFreqHz)
 {
     delivered_.push_back(statCounter("delivered"));
     deliveredBytes_.push_back(statCounter("delivered_bytes"));
@@ -80,13 +66,12 @@ Noc::Noc(sim::EventQueue &eq, NocParams params)
 Noc::~Noc() = default;
 
 sim::Tick
-Noc::minLinkLatency(const NocParams &params)
+Noc::minLinkLatency(const NocParams &)
 {
-    sim::Clock clk(params.freqHz);
+    sim::Clock clk(kNocFreqHz);
     sim::Cycles header_ser =
-        (params.headerBytes + params.linkBytesPerCycle - 1) /
-        params.linkBytesPerCycle;
-    return clk.cyclesToTicks(params.pipelineCycles + header_ser);
+        (kPacketHeaderBytes + kLinkBytesPerCycle - 1) / kLinkBytesPerCycle;
+    return clk.cyclesToTicks(kRouterPipelineCycles + header_ser);
 }
 
 sim::Tick
@@ -171,20 +156,19 @@ Noc::attachTile(TileId id, HopTarget *sink)
     att->router = nextRouter();
     att->exit.sink = sink;
 
-    // O(1) id -> attachment lookup (inject() runs per packet). A
-    // re-attached id keeps its first mapping; validate() reports the
-    // duplicate before finalize() would build routes for it.
+    // O(1) id -> attachment lookup (inject() runs per packet).
     if (id >= tileIndexOf_.size())
         tileIndexOf_.resize(id + 1, SIZE_MAX);
-    if (tileIndexOf_[id] == SIZE_MAX)
-        tileIndexOf_[id] = tiles_.size();
+    if (tileIndexOf_[id] != SIZE_MAX)
+        sim::panic("Noc: tile %u attached twice", id);
+    tileIndexOf_[id] = tiles_.size();
 
     // The tile lives on its home router's queue (this Noc's own queue
     // without a lane plan), so both handover directions stay
     // queue-local; only mesh links between routers on different lanes
     // cross (see finalize()). Every queue counts into the same
-    // noc.delivered keys, so merged lane metrics sum to the
-    // single-queue values.
+    // noc.delivered keys, so delivered() and deliveredBytes(), which
+    // sum them over the queues, equal the single-queue values.
     Router &r = *routers_[att->router];
     att->exitPortIdx = r.addPort();
     sim::EventQueue &q = r.eventQueue();
@@ -205,32 +189,11 @@ Noc::attachTile(TileId id, HopTarget *sink)
     return assigned;
 }
 
-NocConfigError
-Noc::validate() const
-{
-    std::size_t mapped = 0;
-    for (std::size_t idx : tileIndexOf_)
-        if (idx != SIZE_MAX)
-            mapped++;
-    if (mapped != tiles_.size())
-        return NocConfigError::DuplicateTile;
-    std::vector<std::size_t> per_router(routers_.size(), 0);
-    for (const auto &t : tiles_)
-        per_router[t->router]++;
-    for (std::size_t c : per_router)
-        if (c > params_.maxTilesPerRouter)
-            return NocConfigError::TooManyTilesPerRouter;
-    return NocConfigError::None;
-}
-
 void
 Noc::finalize()
 {
     if (finalized_)
         return;
-    if (NocConfigError e = validate(); e != NocConfigError::None)
-        sim::panic("Noc: invalid configuration: %s",
-                   nocConfigErrorName(e));
     finalized_ = true;
 
     unsigned cols = params_.meshCols;

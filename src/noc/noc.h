@@ -31,24 +31,6 @@ namespace m3v::noc {
 
 class LaneLink;
 
-/**
- * Typed configuration errors reported by Noc::validate(). finalize()
- * refuses to build a fabric whose validation fails, so a silently
- * degraded topology (e.g. 256 tiles crowding a 2x2 mesh past its
- * per-router credit accounting) can never reach simulation.
- */
-enum class NocConfigError
-{
-    None,
-    /** Tiles outnumber routers * maxTilesPerRouter. */
-    TooManyTilesPerRouter,
-    /** The same TileId was attached twice. */
-    DuplicateTile,
-};
-
-/** Stable name for a NocConfigError (for messages and tests). */
-const char *nocConfigErrorName(NocConfigError e);
-
 /** The network-on-chip fabric. */
 class Noc : public sim::SimObject
 {
@@ -90,27 +72,19 @@ class Noc : public sim::SimObject
      * the serialization of an empty (header-only) packet. The
      * lookahead of a lane-crossing mesh link. The static overload
      * lets callers size a LaneScheduler before constructing the Noc
-     * against one of its lanes.
+     * against one of its lanes; the latency depends on no parameter.
      */
     sim::Tick minLinkLatency() const;
-    static sim::Tick minLinkLatency(const NocParams &params);
+    static sim::Tick minLinkLatency(const NocParams &);
 
     /**
      * Attach a component to the fabric. Tiles are assigned to routers
-     * round-robin. Must precede finalize(). Returns the router the
-     * tile was assigned to.
+     * round-robin. Must precede finalize(); panics on an id that is
+     * already attached. Returns the router the tile was assigned to.
      */
     unsigned attachTile(TileId id, HopTarget *sink);
 
-    /**
-     * Check the attached topology against the parameters without
-     * building it: the typed-error form of the checks finalize()
-     * enforces. Callable any time after the attach phase.
-     */
-    NocConfigError validate() const;
-
-    /** Build mesh links and routing tables. Call once after attach;
-     *  panics (with the typed error's name) if validate() fails. */
+    /** Build mesh links and routing tables. Call once after attach. */
     void finalize();
 
     /**

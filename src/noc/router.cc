@@ -57,12 +57,10 @@ OutPort::startDrain()
     // its serialization time on the outgoing link.
     draining_ = true;
     Packet &head = queue_.front();
-    std::size_t wire_bytes = head.bytes + params_.headerBytes;
+    std::size_t wire_bytes = head.bytes + kPacketHeaderBytes;
     sim::Cycles ser =
-        (wire_bytes + params_.linkBytesPerCycle - 1) /
-        params_.linkBytesPerCycle;
-    sim::Tick delay =
-        clk_.cyclesToTicks(params_.pipelineCycles + ser);
+        (wire_bytes + kLinkBytesPerCycle - 1) / kLinkBytesPerCycle;
+    sim::Tick delay = clk_.cyclesToTicks(kRouterPipelineCycles + ser);
     if (delay < launchEarly_)
         sim::panic("%s: drain %llu shorter than lane latency %llu",
                    name_.c_str(),

@@ -4,8 +4,8 @@
  * and packet-level backpressure between hops.
  *
  * Each output port owns a bounded queue and drains one packet at a
- * time: a packet occupies the port for pipelineCycles plus its
- * serialization time (bytes / linkBytesPerCycle). If the downstream
+ * time: a packet occupies the port for kRouterPipelineCycles plus its
+ * serialization time (bytes / kLinkBytesPerCycle). If the downstream
  * element (next router or tile sink) cannot accept the packet, the
  * port stalls (head-of-line blocking) until space is signalled.
  */
@@ -28,39 +28,27 @@ namespace m3v::noc {
 
 class Router;
 
-/** Timing and sizing parameters of the NoC fabric. */
+/** NoC clock (all routers and links). */
+constexpr std::uint64_t kNocFreqHz = 100'000'000;
+
+/** Link width: bytes serialized per NoC cycle. */
+constexpr std::size_t kLinkBytesPerCycle = 16;
+
+/** Router pipeline depth in cycles (route + arbitrate + xbar). */
+constexpr sim::Cycles kRouterPipelineCycles = 3;
+
+/** Per-packet wire header bytes (flit header overhead). */
+constexpr std::size_t kPacketHeaderBytes = 16;
+
+/** Sizing parameters of the NoC fabric. */
 struct NocParams
 {
-    /** NoC clock (all routers and links). */
-    std::uint64_t freqHz = 100'000'000;
-
-    /** Link width: bytes serialized per NoC cycle. */
-    std::size_t linkBytesPerCycle = 16;
-
-    /** Router pipeline depth in cycles (route + arbitrate + xbar). */
-    sim::Cycles pipelineCycles = 3;
-
     /** Output-port queue capacity in packets. */
     std::size_t portQueuePackets = 4;
-
-    /** Per-packet wire header bytes (flit header overhead). */
-    std::size_t headerBytes = 16;
 
     /** Mesh dimensions (routers). The paper's platform is 2x2. */
     unsigned meshCols = 2;
     unsigned meshRows = 2;
-
-    /**
-     * Upper bound on tiles star-attached to one router. attachTile
-     * distributes tiles round-robin; when the tile count exceeds
-     * routers * maxTilesPerRouter the per-router credit accounting
-     * degrades silently, so Noc::validate() reports
-     * NocConfigError::TooManyTilesPerRouter instead (and finalize()
-     * refuses the build). The paper's platform puts at most three
-     * tiles on a router; 16 leaves headroom for dense configs while
-     * still catching a 256-tile platform on a 2x2 mesh.
-     */
-    std::size_t maxTilesPerRouter = 16;
 
     /**
      * Mesh dimensions for a platform of @p totalTiles tiles: the

@@ -18,24 +18,6 @@
 namespace m3v::os {
 
 /**
- * Default controller shard count for a platform: 1 for paper-sized
- * configs (a single controller: the sharded controller with no
- * peers), growing with the user tile count the way the mesh grows —
- * 4 shards at 64 tiles, 8 at 256, 16 at 1024.
- */
-inline unsigned
-autoCtrlShards(unsigned user_tiles)
-{
-    if (user_tiles >= 1024)
-        return 16;
-    if (user_tiles >= 256)
-        return 8;
-    if (user_tiles >= 64)
-        return 4;
-    return 1;
-}
-
-/**
  * The static partition of user tiles into controller quadrants:
  * contiguous blocks of tiles, shard s owning tiles
  * [s*U/S, (s+1)*U/S). Activities are homed with their tile; their

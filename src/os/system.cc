@@ -41,29 +41,12 @@ appWrapper(MuxEnv *env, std::function<sim::Task(MuxEnv &)> body)
 System::System(sim::EventQueue &eq, SystemParams params)
     : eq_(eq), params_(std::move(params))
 {
-    // Resolve the controller shard count first: it adds tiles to the
-    // platform. Explicit param > automatic.
     unsigned shards = params_.ctrlShards;
-    if (shards == 0)
-        shards = autoCtrlShards(params_.userTiles);
-    shards = std::min(std::max(1u, shards), params_.userTiles);
+    if (shards == 0 || shards > params_.userTiles)
+        sim::fatal("System: %u controller shards for %u user tiles",
+                   shards, params_.userTiles);
     shardMap_ = ShardMap{shards, params_.userTiles};
-
-    // Platform bring-up sizes the fabric before building it: when the
-    // full tile complement would over-subscribe the configured mesh,
-    // grow it to the forTiles() geometry (only the mesh size changes)
-    // rather than hit the typed config error at finalize().
-    unsigned total =
-        params_.userTiles + 1 + params_.memTiles + (shards - 1);
-    std::size_t cap =
-        static_cast<std::size_t>(params_.noc.meshCols) *
-        params_.noc.meshRows * params_.noc.maxTilesPerRouter;
-    if (total > cap) {
-        noc::NocParams grown = noc::NocParams::forTiles(total);
-        params_.noc.meshCols = grown.meshCols;
-        params_.noc.meshRows = grown.meshRows;
-    }
-    noc_ = std::make_unique<noc::Noc>(eq, params_.noc);
+    noc_ = std::make_unique<noc::Noc>(eq, noc::NocParams{});
 
     // User tiles: core + vDTU + TileMux.
     for (unsigned i = 0; i < params_.userTiles; i++) {

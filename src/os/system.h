@@ -47,23 +47,12 @@ struct SystemParams
     unsigned memTiles = 2;
 
     /**
-     * The NoC. When the platform's total tile count (user +
-     * controller + memory) would exceed this mesh's capacity
-     * (routers * maxTilesPerRouter), System replaces the mesh by
-     * NocParams::forTiles(total), keeping every timing parameter.
-     * Platforms that fit are untouched, so the paper-sized configs
-     * keep their 2x2 star-mesh.
+     * Controller shard count (DESIGN.md section 4i): 1 (the paper's
+     * single controller) up to userTiles; any other count is a fatal
+     * config error. Shards 1..n-1 run on extra controller tiles
+     * appended after the memory tiles.
      */
-    noc::NocParams noc{};
-
-    /**
-     * Controller shard count (DESIGN.md section 4i): 0 = automatic —
-     * autoCtrlShards() (1 below 64 user tiles, so every paper-sized
-     * config has a single controller; 4–16 for 64–1024 tiles).
-     * Shards 1..n-1 run on extra controller tiles appended after the
-     * memory tiles.
-     */
-    unsigned ctrlShards = 0;
+    unsigned ctrlShards = 1;
 
     tile::DramParams dram{};
     core::TileMuxParams mux{};
@@ -128,7 +117,7 @@ class System
         return params_.userTiles + 1 + i;
     }
 
-    /** Number of controller shards (resolved at construction). */
+    /** Number of controller shards. */
     unsigned ctrlShards() const { return shardMap_.shards; }
     const ShardMap &shardMap() const { return shardMap_; }
 

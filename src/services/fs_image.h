@@ -2,7 +2,7 @@
  * @file
  * The m3fs on-storage metadata model: an extent-based in-memory file
  * system (paper section 6.3). Files are sequences of extents —
- * contiguous block runs of up to maxExtentBlocks blocks (the paper's
+ * contiguous block runs of up to max_extent_blocks blocks (the paper's
  * benchmarks cap extents at 64 blocks). Directories map names to
  * inodes. A bitmap allocator hands out contiguous runs.
  *
@@ -51,7 +51,6 @@ class FsImage
 
     std::size_t blockSize() const { return blockSize_; }
     std::size_t freeBlocks() const { return free_; }
-    std::uint32_t maxExtentBlocks() const { return maxExtent_; }
 
     /** Resolve an absolute path ("/a/b"); kNoIno if missing. */
     Ino lookup(const std::string &path);
@@ -72,7 +71,7 @@ class FsImage
 
     /**
      * Allocate a fresh extent of up to @p want_blocks (capped by
-     * maxExtentBlocks, at least one block) and append it to the
+     * max_extent_blocks, at least one block) and append it to the
      * inode. Returns false when full.
      */
     bool appendExtent(Ino ino, Extent *out,

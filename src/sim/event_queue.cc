@@ -366,14 +366,4 @@ EventQueue::peekNextTick(Tick *out)
     return true;
 }
 
-bool
-EventQueue::runCapped(std::uint64_t max_events)
-{
-    for (std::uint64_t i = 0; i < max_events; i++) {
-        if (!popAndRun())
-            return true;
-    }
-    return livePending_ == 0;
-}
-
 } // namespace m3v::sim

@@ -140,12 +140,6 @@ class EventQueue
     void runUntil(Tick when);
 
     /**
-     * Run until the queue drains or @p max_events have executed.
-     * Returns true if no live events remain.
-     */
-    bool runCapped(std::uint64_t max_events);
-
-    /**
      * Run events with tick strictly below @p limit, leaving now() at
      * the last executed event, with one queue lookup per event. If
      * live events remain, stores the first one's tick (>= limit) in

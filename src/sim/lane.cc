@@ -6,8 +6,6 @@
 #include <thread>
 
 #include "sim/log.h"
-#include "sim/metrics.h"
-#include "sim/trace.h"
 
 namespace m3v::sim {
 
@@ -239,27 +237,6 @@ LaneScheduler::executed() const
     for (const auto &l : lanes_)
         sum += l->executed();
     return sum;
-}
-
-void
-LaneScheduler::mergeMetrics(MetricsRegistry &out)
-{
-    for (auto &l : lanes_)
-        out.absorb(l->metrics());
-}
-
-void
-LaneScheduler::enableAllTracing()
-{
-    for (auto &l : lanes_)
-        l->tracer().enableAll();
-}
-
-void
-LaneScheduler::mergeTrace(Tracer &out)
-{
-    for (auto &l : lanes_)
-        out.absorb(l->tracer());
 }
 
 void

@@ -181,20 +181,6 @@ class LaneScheduler
     /** Total events executed across all lanes. */
     std::uint64_t executed() const;
 
-    /**
-     * Merge every lane's metrics registry into @p out (counters add,
-     * samplers combine) in lane order, so
-     * the merged dump of a sharded model carries the same keys and
-     * values as the same model built on one lane.
-     */
-    void mergeMetrics(MetricsRegistry &out);
-
-    /** Enable all trace categories on every lane's tracer. */
-    void enableAllTracing();
-
-    /** Merge every lane's trace into @p out, in lane order. */
-    void mergeTrace(Tracer &out);
-
   private:
     struct Msg
     {

@@ -6,20 +6,6 @@
 
 namespace m3v::sim {
 
-namespace {
-
-const char *
-kindName(int k)
-{
-    switch (k) {
-      case 0: return "counter";
-      case 1: return "sampler";
-    }
-    return "?";
-}
-
-} // namespace
-
 std::string
 jsonEscape(const std::string &s)
 {
@@ -42,50 +28,20 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-MetricsRegistry::Entry &
-MetricsRegistry::entryFor(const std::string &path, Kind kind)
-{
-    if (path.empty())
-        panic("MetricsRegistry: empty path");
-    auto it = entries_.find(path);
-    if (it != entries_.end()) {
-        if (it->second.kind != kind)
-            panic("MetricsRegistry: '%s' registered as %s, requested "
-                  "as %s",
-                  path.c_str(),
-                  kindName(static_cast<int>(it->second.kind)),
-                  kindName(static_cast<int>(kind)));
-        return it->second;
-    }
-    Entry e;
-    e.kind = kind;
-    return entries_.emplace(path, std::move(e)).first->second;
-}
-
 Counter *
 MetricsRegistry::counter(const std::string &path)
 {
-    Entry &e = entryFor(path, Kind::Counter);
-    if (!e.c)
-        e.c = std::make_unique<Counter>();
-    return e.c.get();
-}
-
-Sampler *
-MetricsRegistry::sampler(const std::string &path)
-{
-    Entry &e = entryFor(path, Kind::Sampler);
-    if (!e.s)
-        e.s = std::make_unique<Sampler>();
-    return e.s.get();
+    if (path.empty())
+        panic("MetricsRegistry: empty path");
+    return &counters_[path];
 }
 
 std::vector<std::string>
 MetricsRegistry::paths() const
 {
     std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto &[path, entry] : entries_)
+    out.reserve(counters_.size());
+    for (const auto &[path, c] : counters_)
         out.push_back(path);
     return out;
 }
@@ -93,27 +49,8 @@ MetricsRegistry::paths() const
 const Counter *
 MetricsRegistry::findCounter(const std::string &path) const
 {
-    auto it = entries_.find(path);
-    if (it == entries_.end() || it->second.kind != Kind::Counter)
-        return nullptr;
-    return it->second.c.get();
-}
-
-void
-MetricsRegistry::absorb(const MetricsRegistry &other)
-{
-    for (const auto &[path, oe] : other.entries_) {
-        switch (oe.kind) {
-          case Kind::Counter:
-            if (oe.c)
-                counter(path)->absorb(*oe.c);
-            break;
-          case Kind::Sampler:
-            if (oe.s)
-                sampler(path)->absorb(*oe.s);
-            break;
-        }
-    }
+    auto it = counters_.find(path);
+    return it == counters_.end() ? nullptr : &it->second;
 }
 
 std::string
@@ -121,25 +58,13 @@ MetricsRegistry::toJson() const
 {
     std::string out = "{";
     bool first = true;
-    for (const auto &[path, e] : entries_) {
+    for (const auto &[path, c] : counters_) {
         if (!first)
             out += ",";
         first = false;
         out += "\n  \"" + jsonEscape(path) + "\": ";
-        switch (e.kind) {
-          case Kind::Counter:
-            out += strprintf("%llu",
-                             static_cast<unsigned long long>(
-                                 e.c->value()));
-            break;
-          case Kind::Sampler:
-            out += strprintf(
-                "{\"count\": %llu, \"mean\": %g, \"stddev\": %g, "
-                "\"min\": %g, \"max\": %g}",
-                static_cast<unsigned long long>(e.s->count()),
-                e.s->mean(), e.s->stddev(), e.s->min(), e.s->max());
-            break;
-        }
+        out += strprintf("%llu",
+                         static_cast<unsigned long long>(c.value()));
     }
     out += "\n}\n";
     return out;

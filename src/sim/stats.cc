@@ -12,25 +12,9 @@ void
 Sampler::add(double x)
 {
     n_++;
-    sum_ += x;
-    if (n_ == 1) {
-        mean_ = x;
-        m2_ = 0.0;
-        min_ = x;
-        max_ = x;
-        return;
-    }
     double delta = x - mean_;
     mean_ += delta / static_cast<double>(n_);
     m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-void
-Sampler::reset()
-{
-    *this = Sampler();
 }
 
 double
@@ -45,27 +29,6 @@ double
 Sampler::stddev() const
 {
     return std::sqrt(variance());
-}
-
-void
-Sampler::absorb(const Sampler &o)
-{
-    if (o.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = o;
-        return;
-    }
-    double na = static_cast<double>(n_);
-    double nb = static_cast<double>(o.n_);
-    double delta = o.mean_ - mean_;
-    double nt = na + nb;
-    mean_ += delta * nb / nt;
-    m2_ += o.m2_ + delta * delta * na * nb / nt;
-    n_ += o.n_;
-    sum_ += o.sum_;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Lightweight statistics collection: counters, samplers (running
- * mean/stddev/min/max), and a table formatter used by the
+ * mean/stddev), and a table formatter used by the
  * benchmark harnesses to print paper-style result rows.
  */
 
@@ -19,11 +19,7 @@ class Counter
 {
   public:
     void inc(std::uint64_t n = 1) { value_ += n; }
-    void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
-
-    /** Fold another counter in (shard merging at dump time). */
-    void absorb(const Counter &o) { value_ += o.value_; }
 
   private:
     std::uint64_t value_ = 0;
@@ -39,14 +35,8 @@ class Sampler
     /** Record one sample. */
     void add(double x);
 
-    /** Remove all samples. */
-    void reset();
-
     std::uint64_t count() const { return n_; }
     double mean() const { return n_ ? mean_ : 0.0; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
 
     /** Population variance (0 for fewer than 2 samples). */
     double variance() const;
@@ -54,20 +44,10 @@ class Sampler
     /** Population standard deviation. */
     double stddev() const;
 
-    /**
-     * Fold another sampler in (Chan et al. parallel combination of
-     * Welford states). Exact for count/sum/min/max; mean/variance
-     * combine within floating-point error.
-     */
-    void absorb(const Sampler &o);
-
   private:
     std::uint64_t n_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
 };
 
 /**

@@ -102,19 +102,6 @@ Tracer::closeOpenSpans()
     }
 }
 
-void
-Tracer::absorb(Tracer &other)
-{
-    other.closeOpenSpans();
-    events_.insert(events_.end(), other.events_.begin(),
-                   other.events_.end());
-    for (const auto &[pid, name] : other.processNames_)
-        processNames_.emplace(pid, name);
-    for (const auto &[key, name] : other.threadNames_)
-        threadNames_.emplace(key, name);
-    droppedEnds_ += other.droppedEnds_;
-}
-
 std::string
 Tracer::toJson()
 {

@@ -85,7 +85,6 @@ class Tracer
 
     /** Replace the category mask (bitwise OR of TraceCat). */
     void setMask(std::uint32_t mask) { mask_ = mask; }
-    std::uint32_t mask() const { return mask_; }
 
     void enableAll() { mask_ = kTraceAll; }
 
@@ -128,16 +127,6 @@ class Tracer
 
     /** Write toJson() to @p file (panics on I/O failure). */
     void writeJsonFile(const std::string &file);
-
-    /**
-     * Fold @p other's events into this tracer: other's still-open
-     * spans are closed at its own current time first, then its events
-     * and track names are appended. Tracks are disjoint across lanes
-     * (pid = tile id), so simple concatenation in lane order keeps
-     * every per-track B/E sequence intact and the merged trace
-     * deterministic. @p other keeps its events (it is only closed).
-     */
-    void absorb(Tracer &other);
 
   private:
     struct Event

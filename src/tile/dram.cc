@@ -31,7 +31,7 @@ forEachPiece(std::size_t addr, std::size_t bytes, Fn fn)
 
 Dram::Dram(sim::EventQueue &eq, std::string name, DramParams params)
     : SimObject(eq, std::move(name)), params_(params),
-      clk_(params.freqHz),
+      clk_(kDramFreqHz),
       chunks_((params.capacityBytes + kChunkBytes - 1) / kChunkBytes)
 {
     requests_ = statCounter("requests");

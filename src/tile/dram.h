@@ -32,12 +32,12 @@ constexpr sim::Cycles kDramAccessCycles = 30;
 /** DRAM transfer bandwidth in bytes per controller cycle. */
 constexpr std::size_t kDramBytesPerCycle = 16;
 
+/** Memory controller clock. */
+constexpr std::uint64_t kDramFreqHz = 200'000'000;
+
 /** DDR4 interface parameters. */
 struct DramParams
 {
-    /** Memory controller clock. */
-    std::uint64_t freqHz = 200'000'000;
-
     /** Backing-store capacity. */
     std::size_t capacityBytes = 64 * 1024 * 1024;
 };

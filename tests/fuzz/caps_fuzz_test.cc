@@ -63,9 +63,9 @@ TEST(CapsFuzzTest, FourShardOutcomesPinned)
         std::uint64_t stashed;
     };
     const Pin pins[] = {
-        {1, 0x16836a881d5f1482ull, 179, 1072757500, 17533, 5},
-        {2, 0x1f442c4dab2cbf32ull, 180, 1133217500, 17727, 4},
-        {3, 0x30674510c1390355ull, 183, 1151787500, 18032, 4},
+        {1, 0x16836a881d5f1482ull, 179, 1072757500, 17529, 5},
+        {2, 0x1f442c4dab2cbf32ull, 180, 1133217500, 17723, 4},
+        {3, 0x30674510c1390355ull, 183, 1151787500, 18028, 4},
     };
     std::uint64_t stashed = 0;
     for (const Pin &p : pins) {

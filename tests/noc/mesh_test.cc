@@ -3,8 +3,8 @@
  * Tests for the generalized k-ary 2D mesh fabric: XY route
  * enumeration against the installed routing tables (cycle-free,
  * minimal hops, dimension-ordered), per-hop credit
- * exhaustion and backpressure, the typed configuration errors of
- * Noc::validate(), NocParams::forTiles() sizing, and a 64-tile
+ * exhaustion and backpressure, the re-attached tile panic,
+ * NocParams::forTiles() sizing, and a 64-tile
  * chaos-parallel run on the router lane plan that must be
  * digest-identical for jobs in {1, 2, 4}.
  */
@@ -132,42 +132,13 @@ TEST(MeshTopologyTest, ForTilesSizesSquareMeshes)
     EXPECT_EQ(NocParams::forTiles(1024).meshRows, 16u);
 }
 
-TEST(MeshConfigTest, OverSubscribedRouterIsTypedError)
+TEST(MeshConfigTest, DuplicateTilePanics)
 {
-    NocParams p;
-    p.maxTilesPerRouter = 1;
     sim::EventQueue eq;
-    Noc noc(eq, p); // 2x2: capacity 4 tiles
-    std::vector<DropSink> sinks(5);
-    for (unsigned i = 0; i < 5; i++)
-        noc.attachTile(i, &sinks[i]);
-    EXPECT_EQ(noc.validate(),
-              NocConfigError::TooManyTilesPerRouter);
-    EXPECT_DEATH(noc.finalize(), "too many tiles");
-}
-
-TEST(MeshConfigTest, DuplicateTileIsTypedError)
-{
-    NocParams p;
-    sim::EventQueue eq;
-    Noc noc(eq, p);
+    Noc noc(eq, NocParams{});
     DropSink a, b;
     noc.attachTile(3, &a);
-    noc.attachTile(3, &b);
-    EXPECT_EQ(noc.validate(), NocConfigError::DuplicateTile);
-    EXPECT_DEATH(noc.finalize(), "duplicate tile");
-}
-
-TEST(MeshConfigTest, ValidTopologyReportsNone)
-{
-    NocParams p;
-    sim::EventQueue eq;
-    Noc noc(eq, p);
-    std::vector<DropSink> sinks(8);
-    for (unsigned i = 0; i < 8; i++)
-        noc.attachTile(i, &sinks[i]);
-    EXPECT_EQ(noc.validate(), NocConfigError::None);
-    noc.finalize();
+    EXPECT_DEATH(noc.attachTile(3, &b), "tile 3 attached twice");
 }
 
 /**

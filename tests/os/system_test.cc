@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "os/system.h"
 
@@ -48,48 +49,63 @@ TEST_F(SystemTest, BuildsPlatform)
 
 TEST(SystemMeshTest, DefaultPlatformKeepsPaperMesh)
 {
-    // The paper-sized config fits the 2x2 star-mesh; mesh growth
-    // must leave it untouched.
     sim::EventQueue eq;
     System sys(eq);
-    EXPECT_EQ(sys.params().noc.meshCols, 2u);
-    EXPECT_EQ(sys.params().noc.meshRows, 2u);
+    EXPECT_EQ(sys.fabric().params().meshCols, 2u);
+    EXPECT_EQ(sys.fabric().params().meshRows, 2u);
 }
 
-TEST(SystemMeshTest, AutoMeshGrowsForLargePlatforms)
+TEST(SystemMeshTest, LargePlatformBootsOnPaperMesh)
 {
-    // 80 user tiles + controller + 2 memory tiles = 83 > the 2x2
-    // capacity: the fabric must grow to forTiles(83) = 5x5 while every
-    // other fabric parameter stays put, and boot must still succeed
-    // with every tile routed.
-    noc::NocParams tuned;
-    tuned.portQueuePackets = 8;
-    tuned.pipelineCycles = 5;
-    tuned.headerBytes = 24;
-    tuned.linkBytesPerCycle = 32;
-    for (const noc::NocParams &given : {noc::NocParams{}, tuned}) {
-        sim::EventQueue eq;
-        SystemParams p;
-        p.userTiles = 80;
-        // Small PMP windows: 80 tiles must fit the default DRAM.
-        p.perTilePmp = 64 << 10;
-        p.noc = given;
-        System sys(eq, p);
-        const noc::NocParams &got = sys.params().noc;
-        EXPECT_EQ(got.meshCols, 5u);
-        EXPECT_EQ(got.meshRows, 5u);
-        EXPECT_EQ(got.freqHz, given.freqHz);
-        EXPECT_EQ(got.portQueuePackets, given.portQueuePackets);
-        EXPECT_EQ(got.pipelineCycles, given.pipelineCycles);
-        EXPECT_EQ(got.headerBytes, given.headerBytes);
-        EXPECT_EQ(got.linkBytesPerCycle, given.linkBytesPerCycle);
-        EXPECT_EQ(got.maxTilesPerRouter, given.maxTilesPerRouter);
-        EXPECT_EQ(sys.fabric().validate(), noc::NocConfigError::None);
-        // Opposite corners of the grown mesh are several hops apart.
-        EXPECT_GT(sys.fabric().hopCount(sys.userTile(0),
-                                        sys.memTileId(1)),
-                  0u);
-        eq.run();
+    // 80 user tiles + controller + 2 memory tiles all star-attach to
+    // the paper's 2x2 mesh under one controller, and every tile is
+    // routed from every router.
+    sim::EventQueue eq;
+    SystemParams p;
+    p.userTiles = 80;
+    // Small PMP windows: 80 tiles must fit the default DRAM.
+    p.perTilePmp = 64 << 10;
+    System sys(eq, p);
+    EXPECT_EQ(sys.ctrlShards(), 1u);
+    EXPECT_EQ(sys.fabric().params().meshCols, 2u);
+    EXPECT_EQ(sys.fabric().params().meshRows, 2u);
+    std::vector<noc::TileId> tiles;
+    for (unsigned i = 0; i < p.userTiles; i++)
+        tiles.push_back(sys.userTile(i));
+    tiles.push_back(sys.ctrlTile());
+    tiles.push_back(sys.memTileId(0));
+    tiles.push_back(sys.memTileId(1));
+    for (noc::TileId t : tiles) {
+        for (unsigned r = 0; r < 4; r++) {
+            // XY routing reaches the tile's home router (where the
+            // route is the exit port) within two hops on a 2x2 mesh.
+            unsigned at = r;
+            for (int hop = 0; hop < 2; hop++)
+                at = sys.fabric().routeStep(at, t);
+            EXPECT_EQ(sys.fabric().routeStep(at, t), at)
+                << "tile " << t << " from router " << r;
+        }
+    }
+    EXPECT_GT(sys.fabric().hopCount(sys.userTile(0), sys.userTile(3)),
+              0u);
+    eq.run();
+}
+
+TEST(SystemConfigTest, ShardCountOutsideUserTilesIsFatal)
+{
+    // A shard count is a config value, never clamped: 0 and more
+    // shards than user tiles both stop the build. (Kept out of
+    // os_shard_test, which ci/check.sh runs under TSan unfiltered.)
+    for (unsigned shards : {0u, 9u}) {
+        EXPECT_EXIT(
+            {
+                sim::EventQueue eq;
+                SystemParams p;
+                p.ctrlShards = shards;
+                System sys(eq, p);
+            },
+            ::testing::ExitedWithCode(1), "controller shards")
+            << shards;
     }
 }
 

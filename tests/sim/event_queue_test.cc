@@ -118,33 +118,6 @@ TEST(EventQueue, RunUntilAdvancesTimeWithoutEvents)
     EXPECT_EQ(eq.now(), 500u);
 }
 
-TEST(EventQueue, RunCappedLimitsExecution)
-{
-    EventQueue eq;
-    int count = 0;
-    for (int i = 0; i < 10; i++)
-        eq.schedule(static_cast<Tick>(i), [&]() { count++; });
-    EXPECT_FALSE(eq.runCapped(4));
-    EXPECT_EQ(count, 4);
-    EXPECT_TRUE(eq.runCapped(100));
-    EXPECT_EQ(count, 10);
-}
-
-TEST(EventQueue, RunCappedDrainedWhenOnlyCancelledRemain)
-{
-    EventQueue eq;
-    int count = 0;
-    eq.schedule(1, [&]() { count++; });
-    EventHandle h = eq.schedule(2, [&]() { count++; });
-    h.cancel();
-    // One live event left; the budget covers it, so the queue is
-    // drained — the cancelled event must not make runCapped report
-    // leftover work.
-    EXPECT_TRUE(eq.runCapped(1));
-    EXPECT_EQ(count, 1);
-    EXPECT_TRUE(eq.empty());
-}
-
 TEST(EventQueue, RunUntilIgnoresCancelledFrontEvents)
 {
     EventQueue eq;

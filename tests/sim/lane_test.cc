@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the parallel event core: the LaneScheduler's
- * conservative windows and outbox merge, shard merging of
- * metrics/traces, and the runCells sweep helper.
+ * conservative windows and outbox merge, and the runCells sweep
+ * helper.
  *
  * The determinism tests run the same model at several worker counts
  * and require bit-identical results — the core guarantee of the
@@ -20,9 +20,7 @@
 
 #include "sim/event_queue.h"
 #include "sim/lane.h"
-#include "sim/metrics.h"
 #include "sim/rng.h"
-#include "sim/trace.h"
 
 namespace m3v::sim {
 namespace {
@@ -657,54 +655,6 @@ TEST(LaneSchedulerTest, PerLaneRngStreamsAreStable)
     };
     auto ref = run(1);
     EXPECT_EQ(run(4), ref);
-}
-
-TEST(LaneSchedulerTest, MergeMetricsMatchesUnsharded)
-{
-    // Shard a counting workload over 4 lanes, merge the shards, and
-    // compare against the same instruments bumped on one lane.
-    auto populate = [](MetricsRegistry &m, int base) {
-        m.counter("a.count")->inc(static_cast<std::uint64_t>(base));
-        for (int i = 0; i < 10; i++) {
-            m.sampler("a.lat")->add(base * 100.0 + i);
-        }
-    };
-    LaneScheduler sched(4, 2, 10);
-    for (unsigned l = 0; l < 4; l++) {
-        sched.lane(l).schedule(0, [&sched, populate, l]() {
-            populate(sched.lane(l).metrics(),
-                     static_cast<int>(l) + 1);
-        });
-    }
-    sched.run();
-    MetricsRegistry merged;
-    sched.mergeMetrics(merged);
-
-    MetricsRegistry flat;
-    for (int base = 1; base <= 4; base++)
-        populate(flat, base);
-    EXPECT_EQ(merged.toJson(), flat.toJson());
-}
-
-TEST(LaneSchedulerTest, MergeTraceConcatenatesLaneTracks)
-{
-    LaneScheduler sched(2, 1, 10);
-    sched.enableAllTracing();
-    sched.lane(0).schedule(5, [&]() {
-        sched.lane(0).tracer().begin(TraceCat::Sched, 0, 0, "w0");
-        sched.lane(0).tracer().end(TraceCat::Sched, 0, 0);
-    });
-    sched.lane(1).schedule(7, [&]() {
-        sched.lane(1).tracer().instant(TraceCat::Noc, 1, 0, "hop");
-    });
-    sched.run();
-    EventQueue host;
-    Tracer merged(host);
-    sched.mergeTrace(merged);
-    EXPECT_EQ(merged.events(), 3u);
-    std::string json = merged.toJson();
-    EXPECT_NE(json.find("\"w0\""), std::string::npos);
-    EXPECT_NE(json.find("\"hop\""), std::string::npos);
 }
 
 TEST(RunCellsTest, AllCellsRunOnceAnyJobs)
