@@ -52,6 +52,17 @@ constexpr unsigned kUserTiles = 16;
 constexpr unsigned kDriversPerTile = 3;
 constexpr unsigned kDrivers = kUserTiles * kDriversPerTile;
 
+/**
+ * Aggregate simulated arrival rate (syscalls/s): ~4x one controller's
+ * capacity and ~1.4x four shards', so every shard count is saturated
+ * (syscalls/s measures capacity, not the arrival rate) while the p99
+ * gap still shows 4 shards nearly absorbing the storm.
+ */
+constexpr double kRatePerSec = 8e5;
+/** Zipf skew of the target-tile draw. */
+constexpr double kTheta = 2.5;
+constexpr std::uint64_t kSeed = 42;
+
 std::uint64_t
 fnv(std::uint64_t h, std::uint64_t v)
 {
@@ -66,9 +77,6 @@ struct StormConfig
 {
     unsigned shards = 1;
     std::uint64_t totalOps = 120000;
-    double ratePerSec = 0; ///< aggregate arrival rate; 0 = default
-    double theta = 2.5;    ///< Zipf skew of the target-tile draw
-    std::uint64_t seed = 42;
 };
 
 struct StormResult
@@ -114,13 +122,12 @@ struct DriverState
 
 sim::Task
 driverBody(sim::EventQueue &eq, MuxEnv &env, System &sys,
-           DriverState &d, const StormConfig &cfg,
-           std::uint64_t nops, StormResult &res)
+           DriverState &d, std::uint64_t nops, StormResult &res)
 {
-    sim::OpenLoopSource src(cfg.seed ^ (0xC7A1 + d.idx),
-                            cfg.ratePerSec / kDrivers);
-    sim::Rng rng(cfg.seed ^ (0x570B + d.idx));
-    workloads::Zipfian zipf(kUserTiles, cfg.theta);
+    sim::OpenLoopSource src(kSeed ^ (0xC7A1 + d.idx),
+                            kRatePerSec / kDrivers);
+    sim::Rng rng(kSeed ^ (0x570B + d.idx));
+    workloads::Zipfian zipf(kUserTiles, kTheta);
 
     for (std::uint64_t i = 0; i < nops; i++) {
         sim::Tick at = src.next();
@@ -239,9 +246,9 @@ runStorm(const StormConfig &cfg)
     std::uint64_t per = cfg.totalOps / kDrivers;
     for (unsigned i = 0; i < kDrivers; i++) {
         DriverState &d = drivers[i];
-        sys.start(apps[i], [&eq, &sys, &d, &cfg, per,
+        sys.start(apps[i], [&eq, &sys, &d, per,
                             &res](MuxEnv &env) -> sim::Task {
-            return driverBody(eq, env, sys, d, cfg, per, res);
+            return driverBody(eq, env, sys, d, per, res);
         });
     }
     eq.run();
@@ -293,22 +300,9 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; i++) {
         if (!std::strncmp(argv[i], "--ops=", 6))
             base.totalOps = std::strtoull(argv[i] + 6, nullptr, 10);
-        else if (!std::strncmp(argv[i], "--rate=", 7))
-            base.ratePerSec = std::atof(argv[i] + 7);
-        else if (!std::strncmp(argv[i], "--theta=", 8))
-            base.theta = std::atof(argv[i] + 8);
-        else if (!std::strncmp(argv[i], "--seed=", 7))
-            base.seed = std::strtoull(argv[i] + 7, nullptr, 10);
         else if (!std::strncmp(argv[i], "--summary-out=", 14))
             summary_out = argv[i] + 14;
         // Unknown args ignored (harness compatibility).
-    }
-    if (base.ratePerSec <= 0) {
-        // Default: ~4x one controller's capacity and ~1.4x four
-        // shards' — every shard count is saturated (so syscalls/sec
-        // measures capacity, not the arrival rate) while the p99 gap
-        // still shows 4 shards nearly absorbing the storm.
-        base.ratePerSec = 8e5;
     }
 
     bench::banner("ctrl_storm",
@@ -316,7 +310,7 @@ main(int argc, char **argv)
     std::printf("ops=%llu, rate=%.2gM syscalls/s aggregate, "
                 "zipf theta=%.2f, tiles=%u\n",
                 static_cast<unsigned long long>(base.totalOps),
-                base.ratePerSec / 1e6, base.theta, kUserTiles);
+                kRatePerSec / 1e6, kTheta, kUserTiles);
 
     const std::vector<unsigned> shard_counts = {1, 2, 4};
     const std::vector<unsigned> jobs_sweep = {1, 2, 4};

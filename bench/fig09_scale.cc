@@ -611,7 +611,7 @@ runMeshOnce(unsigned tiles, unsigned jobs)
 {
     noc::NocParams np = noc::NocParams::forTiles(tiles);
     unsigned routers = np.meshCols * np.meshRows;
-    sim::Tick min_link = noc::Noc::minLinkLatency(np);
+    sim::Tick min_link = noc::Noc::minLinkLatency();
     sim::LaneScheduler sched(routers, jobs, min_link);
     noc::Noc fabric(sched.lane(0), np);
     std::vector<unsigned> lane_of_router(routers);

@@ -74,12 +74,6 @@ Noc::minLinkLatency(const NocParams &)
     return clk.cyclesToTicks(kRouterPipelineCycles + header_ser);
 }
 
-sim::Tick
-Noc::minLinkLatency() const
-{
-    return minLinkLatency(params_);
-}
-
 void
 Noc::setRouterLanePlan(sim::LaneScheduler &sched,
                        std::vector<unsigned> lane_of_router)

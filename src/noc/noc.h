@@ -70,12 +70,12 @@ class Noc : public sim::SimObject
     /**
      * Minimum time any packet occupies a link: router pipeline plus
      * the serialization of an empty (header-only) packet. The
-     * lookahead of a lane-crossing mesh link. The static overload
-     * lets callers size a LaneScheduler before constructing the Noc
-     * against one of its lanes; the latency depends on no parameter.
+     * lookahead of a lane-crossing mesh link. Static, so callers can
+     * size a LaneScheduler before constructing the Noc against one of
+     * its lanes. The latency is built from constants; the parameter
+     * is unused.
      */
-    sim::Tick minLinkLatency() const;
-    static sim::Tick minLinkLatency(const NocParams &);
+    static sim::Tick minLinkLatency(const NocParams & = {});
 
     /**
      * Attach a component to the fabric. Tiles are assigned to routers

@@ -7,20 +7,18 @@
 namespace m3v::os {
 
 CapSel
-CapTable::insertRoot(std::shared_ptr<KObject> obj)
+CapTable::insertRoot(const KObject &obj)
 {
     CapSel sel = next_++;
-    caps_.emplace(sel, std::make_unique<Capability>(sel, owner_,
-                                                    std::move(obj)));
+    caps_.emplace(sel, std::make_unique<Capability>(sel, owner_, obj));
     return sel;
 }
 
 CapSel
-CapTable::insertChild(std::shared_ptr<KObject> obj, Capability &parent)
+CapTable::insertChild(const KObject &obj, Capability &parent)
 {
     CapSel sel = next_++;
-    auto cap = std::make_unique<Capability>(sel, owner_,
-                                            std::move(obj));
+    auto cap = std::make_unique<Capability>(sel, owner_, obj);
     cap->parent = &parent;
     parent.children.push_back(cap.get());
     caps_.emplace(sel, std::move(cap));
@@ -28,18 +26,13 @@ CapTable::insertChild(std::shared_ptr<KObject> obj, Capability &parent)
 }
 
 CapSel
-CapTable::insertShared(const KObject &obj, const RemoteRef &parent,
-                       CapSel sel)
+CapTable::insertShared(const KObject &obj, const RemoteRef &parent)
 {
-    if (sel == kInvalidSel)
-        sel = next_++;
-    auto cap = std::make_unique<Capability>(
-        sel, owner_, std::make_shared<KObject>(obj));
+    CapSel sel = next_++;
+    auto cap = std::make_unique<Capability>(sel, owner_, obj);
     cap->hasRemoteParent = true;
     cap->remoteParent = parent;
-    if (!caps_.emplace(sel, std::move(cap)).second)
-        sim::panic("CapTable: reserved selector %u already in use",
-                   sel);
+    caps_.emplace(sel, std::move(cap));
     return sel;
 }
 
@@ -161,17 +154,6 @@ CapMgr::executeRevoke(
     return removed;
 }
 
-std::size_t
-CapMgr::revoke(dtu::ActId act, CapSel sel,
-               const std::function<void(Capability &)> &on_revoke,
-               bool keep_root)
-{
-    RevokePlan plan;
-    if (!planRevoke(act, sel, keep_root, &plan))
-        return 0;
-    return executeRevoke(plan, on_revoke);
-}
-
 void
 CapMgr::dropTable(dtu::ActId act,
                   const std::function<void(Capability &)> &on_revoke)
@@ -179,13 +161,18 @@ CapMgr::dropTable(dtu::ActId act,
     CapTable *table = tableIfExists(act);
     if (!table)
         return;
+    auto revoke = [&](CapSel sel) {
+        RevokePlan plan;
+        if (planRevoke(act, sel, false, &plan))
+            executeRevoke(plan, on_revoke);
+    };
     // Revoke every root (and thereby all delegated descendants).
     std::vector<CapSel> roots;
     for (auto &[sel, cap] : table->caps_)
         if (!cap->parent && !cap->revoking)
             roots.push_back(sel);
     for (CapSel sel : roots)
-        revoke(act, sel, on_revoke, false);
+        revoke(sel);
     // Caps derived from other tables (delegated *to* this activity)
     // or detached by a concurrent plan may remain; they are reaped by
     // revoking their local parents, which dropTable must not wait
@@ -200,7 +187,7 @@ CapMgr::dropTable(dtu::ActId act,
         }
         if (!leaf)
             break;
-        revoke(act, leaf->sel(), on_revoke, false);
+        revoke(leaf->sel());
     }
     if (table->caps_.empty())
         tables_[act].reset();

@@ -1,7 +1,7 @@
 /**
  * @file
  * The controller's capability system (paper section 3.3): activities
- * obtain, exchange and revoke capabilities through system calls; only
+ * derive, delegate and revoke capabilities through system calls; only
  * the controller establishes communication channels from them.
  *
  * Capabilities form a derivation tree: delegating or deriving creates
@@ -55,7 +55,11 @@ struct MemObj
     std::uint8_t perms = 0;
 };
 
-/** A receive gate: a receive endpoint location. */
+/**
+ * A receive gate: the receive endpoint the system builder configured
+ * for it, and its slot geometry. Activating the capability installs
+ * a receive endpoint of that geometry; it does not move the gate.
+ */
 struct RgateObj
 {
     noc::TileId tile = 0;
@@ -81,8 +85,9 @@ struct ActObj
 };
 
 /**
- * A kernel object, referenced by one or more capabilities. Its kind
- * follows from the object it is built from.
+ * A kernel object, held by value in every capability that names it:
+ * deriving or delegating a capability copies it, within a shard as
+ * across shards. Its kind follows from the object it is built from.
  */
 struct KObject
 {
@@ -122,17 +127,14 @@ struct RemoteRef
 class Capability
 {
   public:
-    Capability(CapSel sel, dtu::ActId owner,
-               std::shared_ptr<KObject> obj)
-        : sel_(sel), owner_(owner), obj_(std::move(obj))
+    Capability(CapSel sel, dtu::ActId owner, const KObject &obj)
+        : sel_(sel), owner_(owner), obj_(obj)
     {
     }
 
     CapSel sel() const { return sel_; }
     dtu::ActId owner() const { return owner_; }
-    KObject &obj() { return *obj_; }
-    const KObject &obj() const { return *obj_; }
-    std::shared_ptr<KObject> objPtr() const { return obj_; }
+    const KObject &obj() const { return obj_; }
 
     Capability *parent = nullptr;
     std::vector<Capability *> children;
@@ -154,7 +156,7 @@ class Capability
     bool hasRemoteParent = false;
     RemoteRef remoteParent{};
 
-    /** Children delegated/obtained into other shards. */
+    /** Children delegated into other shards. */
     std::vector<RemoteRef> remoteChildren;
 
     /** Remove the share record matching @p ref (idempotent). */
@@ -172,7 +174,7 @@ class Capability
   private:
     CapSel sel_;
     dtu::ActId owner_;
-    std::shared_ptr<KObject> obj_;
+    KObject obj_;
 };
 
 /** Per-activity capability table with derivation-tree maintenance. */
@@ -190,29 +192,19 @@ class CapTable
     dtu::ActId owner() const { return owner_; }
 
     /** Insert a root capability; returns its selector. */
-    CapSel insertRoot(std::shared_ptr<KObject> obj);
+    CapSel insertRoot(const KObject &obj);
 
     /**
      * Insert a capability derived from @p parent (possibly in another
      * table); returns the new selector.
      */
-    CapSel insertChild(std::shared_ptr<KObject> obj,
-                       Capability &parent);
-
-    /**
-     * Reserve a selector without inserting (cross-shard obtain: the
-     * destination selector must be on the wire before the cap
-     * exists). Pair with insertShared().
-     */
-    CapSel reserveSel() { return next_++; }
+    CapSel insertChild(const KObject &obj, Capability &parent);
 
     /**
      * Insert a copy of @p obj derived from @p parent, a capability on
-     * another shard (cross-shard delegate or obtain), under @p sel
-     * from reserveSel() or, if kInvalidSel, a fresh selector.
+     * another shard (cross-shard delegate); returns the new selector.
      */
-    CapSel insertShared(const KObject &obj, const RemoteRef &parent,
-                        CapSel sel = kInvalidSel);
+    CapSel insertShared(const KObject &obj, const RemoteRef &parent);
 
     Capability *get(CapSel sel);
     const Capability *get(CapSel sel) const;
@@ -275,16 +267,6 @@ class CapMgr
     CapTable *tableIfExists(dtu::ActId act);
 
     bool hasTable(dtu::ActId act) const;
-
-    /**
-     * Revoke the subtree rooted at (act, sel) across this shard's
-     * tables in one step (planRevoke + executeRevoke), invoking
-     * @p on_revoke for every removed capability. If @p keep_root,
-     * only the children are revoked. Returns the number removed.
-     */
-    std::size_t revoke(dtu::ActId act, CapSel sel,
-                       const std::function<void(Capability &)> &on_revoke,
-                       bool keep_root = false);
 
     /** Remove an entire activity's table (activity exit). */
     void dropTable(dtu::ActId act,

@@ -94,7 +94,7 @@ Controller::grant(ActId act, const KObject &obj)
     if (!t)
         sim::panic("controller %u: grant to activity %u without a "
                    "capability table", shard_, act);
-    return t->insertRoot(std::make_shared<KObject>(obj));
+    return t->insertRoot(obj);
 }
 
 void
@@ -166,12 +166,6 @@ Controller::reapActivity(ActId id)
         }
         actTiles_[id] = kNoTile;
     }
-
-    // Obtains still in flight on behalf of this activity must not
-    // materialize into a recreated table: kill them.
-    for (PendingObtain &p : pendingObtains_)
-        if (p.act == id)
-            p.killed = true;
 
     // Revoke the whole capability table. The derivation tree may
     // reach into other activities' tables (children of the victim's
@@ -301,20 +295,6 @@ Controller::takeStash(std::uint64_t nonce, CtrlResp *resp)
         }
     }
     return false;
-}
-
-Controller::PendingObtain
-Controller::takePendingObtain(ActId act, CapSel sel)
-{
-    for (std::size_t i = 0; i < pendingObtains_.size(); i++) {
-        if (pendingObtains_[i].act == act &&
-            pendingObtains_[i].sel == sel) {
-            PendingObtain p = pendingObtains_[i];
-            pendingObtains_.erase(pendingObtains_.begin() + i);
-            return p;
-        }
-    }
-    return PendingObtain{};
 }
 
 EpId
@@ -455,18 +435,6 @@ Controller::handleCtrlReq(int slot)
         break;
       }
 
-      case CtrlReq::Op::Obtain: {
-        Capability *c = liveCap(req.act, req.sel);
-        if (!c) {
-            resp.err = Error::InvalidEp;
-            break;
-        }
-        c->remoteChildren.push_back(origin(req));
-        resp.obj = c->obj();
-        resp.val = 1;
-        break;
-      }
-
       case CtrlReq::Op::Revoke: {
         std::size_t removed = 0;
         co_await revokeTree(req.act, req.sel,
@@ -523,18 +491,6 @@ Controller::revokeTree(ActId act, CapSel sel, bool keep_root,
                        std::size_t *removed)
 {
     auto &thread = env_->thread();
-
-    // A revoke can target the reserved destination of an obtain whose
-    // cap is still in flight from the source shard: kill the pending
-    // obtain so the cap is never inserted, instead of missing it.
-    for (PendingObtain &p : pendingObtains_) {
-        if (p.act == act && p.sel == sel && !p.killed) {
-            p.killed = true;
-            *removed += 1;
-            co_await thread.compute(kCapCost);
-            co_return;
-        }
-    }
 
     // Phase one: mark the local subtree (new delegations from it now
     // fail) and snapshot its cross-shard edges.
@@ -677,8 +633,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
             break;
         }
         resp->val = table.insertChild(
-            std::make_shared<KObject>(
-                MemObj{pm.tile, pm.addr + off, size, perms}),
+            KObject(MemObj{pm.tile, pm.addr + off, size, perms}),
             *parent);
         break;
       }
@@ -707,11 +662,6 @@ Controller::handle(ActId caller, const SyscallReq &req,
             resp->err = Error::InvalidEp;
             break;
         }
-        if (cap->obj().kind == CapKind::RecvGate) {
-            cap->obj().rgate.tile = tile;
-            cap->obj().rgate.act = target;
-            cap->obj().rgate.ep = ep;
-        }
         // Record the activation before the EP write suspends us: a
         // crash reap may free the cap meanwhile (and then also
         // invalidates the EP).
@@ -739,7 +689,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
                 resp->err = Error::InvalidEp;
                 break;
             }
-            resp->val = t->insertChild(cap->objPtr(), *cap);
+            resp->val = t->insertChild(cap->obj(), *cap);
             break;
         }
         CtrlReq creq;
@@ -770,57 +720,6 @@ Controller::handle(ActId caller, const SyscallReq &req,
         }
         src->remoteChildren.push_back(child);
         resp->val = cresp.val;
-        break;
-      }
-
-      case SyscallReq::Op::Obtain: {
-        const ActObj *act = actObjAt(table, req.arg0);
-        if (!act) {
-            resp->err = Error::InvalidEp;
-            break;
-        }
-        RemoteRef parent{
-            static_cast<std::uint8_t>(shardMap_.shardOfTile(act->tile)),
-            act->id, static_cast<CapSel>(req.arg1)};
-        if (parent.shard == shard_) {
-            Capability *scap = liveCap(parent.act, parent.sel);
-            if (!scap) {
-                resp->err = Error::InvalidEp;
-                break;
-            }
-            resp->val = table.insertChild(scap->objPtr(), *scap);
-            break;
-        }
-        // Cross-shard: reserve the destination selector, ship it to
-        // the source shard (which records the share), and insert the
-        // returned object copy — unless a revoke raced us and killed
-        // the pending obtain.
-        CapSel dst = table.reserveSel();
-        pendingObtains_.push_back(PendingObtain{caller, dst, false});
-        CtrlReq creq;
-        creq.op = CtrlReq::Op::Obtain;
-        creq.act = parent.act;
-        creq.sel = parent.sel;
-        creq.act2 = caller;
-        creq.sel2 = dst;
-        CtrlResp cresp;
-        co_await ctrlCall(parent.shard, creq, &cresp);
-        PendingObtain pend = takePendingObtain(caller, dst);
-        CapTable *ct = caps_->tableIfExists(caller);
-        if (cresp.err != Error::None || pend.killed || !ct) {
-            // The source side recorded the share but the caller was
-            // reaped while it waited: release the record. DropShare
-            // is idempotent, so over-notifying is safe.
-            if (cresp.err == Error::None && !pend.killed) {
-                RemoteRef child{static_cast<std::uint8_t>(shard_),
-                                caller, dst};
-                cutEdges(CutEdges{{}, {{parent, child}}});
-            }
-            resp->err = cresp.err != Error::None ? cresp.err
-                                                 : Error::InvalidEp;
-            break;
-        }
-        resp->val = ct->insertShared(cresp.obj, parent, dst);
         break;
       }
 
@@ -859,8 +758,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
             resp->err = Error::InvalidEp;
             break;
         }
-        CapSel sel =
-            ct->insertRoot(std::make_shared<KObject>(ActObj{id, tile}));
+        CapSel sel = ct->insertRoot(KObject(ActObj{id, tile}));
         resp->val = (static_cast<std::uint64_t>(sel) << 32) | id;
         break;
       }

@@ -140,22 +140,8 @@ class Controller
     std::uint64_t onewaySent() const { return xonewaySent_->value(); }
     std::uint64_t onewayHandled() const { return xonewayHandled_->value(); }
     std::uint64_t onewayDropped() const { return xonewayDropped_->value(); }
-    std::size_t pendingObtains() const
-    {
-        return pendingObtains_.size();
-    }
 
   private:
-    /** An obtain whose destination selector is reserved but whose cap
-     *  is still in flight from the source shard; a concurrent revoke
-     *  kills it by setting @p killed. */
-    struct PendingObtain
-    {
-        dtu::ActId act = dtu::kInvalidAct;
-        CapSel sel = kInvalidSel;
-        bool killed = false;
-    };
-
     /** Cross-shard edges of reaped caps, cut with one-way notes. */
     struct CutEdges
     {
@@ -185,7 +171,7 @@ class Controller
     dtu::ActId createAct(noc::TileId tile);
 
     /** The cap at (@p act, @p sel) if it exists and is not being
-     *  revoked: a valid delegation or obtain source. */
+     *  revoked: a valid delegation or derivation source. */
     Capability *liveCap(dtu::ActId act, CapSel sel);
 
     /** This shard's end of a cross-shard edge at @p cap. */
@@ -229,7 +215,6 @@ class Controller
 
     bool takeStash(std::uint64_t nonce, CtrlResp *resp);
     noc::TileId actTile(dtu::ActId id) const;
-    PendingObtain takePendingObtain(dtu::ActId act, CapSel sel);
 
     BareEnv *env_;
     CapMgr *caps_;
@@ -251,7 +236,6 @@ class Controller
      *  service loop drained them); consumed by their own, still
      *  waiting, call. */
     std::vector<std::pair<std::uint64_t, Bytes>> replyStash_;
-    std::vector<PendingObtain> pendingObtains_;
     std::uint64_t nonceCtr_ = 0;
 
     /** CreateAct id allocation (interleaved across shards). */

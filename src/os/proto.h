@@ -126,9 +126,6 @@ struct SyscallReq
                      ///< capability. Used by control-plane storms: the
                      ///< activity owns a capability table but no
                      ///< execution context.
-        Obtain,      ///< pull a copy of a capability out of another
-                     ///< activity's table (arg0 = that activity's cap,
-                     ///< arg1 = source selector) into the caller's
         DestroyAct,  ///< revoke an activity capability (arg0) and drop
                      ///< the activity's whole capability table
     };

@@ -3,7 +3,7 @@
  * Controller sharding support (DESIGN.md section 4i): the static
  * tile-quadrant-to-shard map, the direct tile-to-DTU table the
  * controllers use for privileged cleanup, and the wire format of the
- * cross-shard controller protocol (delegate/obtain/revoke between
+ * cross-shard controller protocol (delegate/revoke/create between
  * per-quadrant controllers, carried over ordinary DTU messages).
  */
 
@@ -95,9 +95,6 @@ struct CtrlReq
         /** Insert a copy of a capability into a table of this shard,
          *  as the remote child of (srcShard, act2, sel2). */
         Delegate,
-        /** Record a remote child on (act, sel) and return a copy of
-         *  its object for insertion at (act2, sel2) on the origin. */
-        Obtain,
         /** Two-phase revoke of the subtree rooted at (act, sel);
          *  flags bit 1 set = keep the root. */
         Revoke,
@@ -138,13 +135,12 @@ struct CtrlReq
     static constexpr std::uint32_t kKeepRoot = 1u << 1;
 };
 
-/** Reply to a cross-shard controller request. */
+/** Reply to a cross-shard controller request: an error and one
+ *  op-specific value (a selector, an ActId or a removed-cap count). */
 struct CtrlResp
 {
     dtu::Error err = dtu::Error::None;
     std::uint64_t val = 0;
-    /** Object payload (Obtain). */
-    KObject obj{};
 };
 
 } // namespace m3v::os

@@ -254,9 +254,8 @@ class System
  *    two shards;
  *  - message conservation: every cross-shard request was acked (a
  *    call waits for its reply, so an unanswered one shows up here as
- *    sent != acked), every one-way notification that left a
- *    controller was handled by its peer, and no obtain is left
- *    pending;
+ *    sent != acked) and every one-way notification that left a
+ *    controller was handled by its peer;
  *  - share-record pairing: a capability is reachable from another
  *    shard only through a matched (remoteChildren, remoteParent)
  *    record pair (skipped when a one-way notification was dropped —

@@ -62,7 +62,7 @@ struct Key
 /**
  * The sharded reference model: the capability forest as it should
  * exist across all shard partitions, maintained op-by-op from
- * the syscall results. Edges may cross shards (delegation, obtain);
+ * the syscall results. Delegation edges may cross shards;
  * the model is shard-agnostic about edges but keyed by the shard
  * that owns each node, exactly like the partitioned CapMgrs.
  */
@@ -141,14 +141,6 @@ struct Model
     }
 };
 
-/** A capability the driver holds in its own table. */
-struct Owned
-{
-    CapSel sel = kInvalidSel;
-    /** Boot-created mgate root: revoked with keep_root only. */
-    bool root = false;
-};
-
 /** A controller-side activity the driver created and populates. */
 struct Storm
 {
@@ -156,7 +148,6 @@ struct Storm
     dtu::ActId id = dtu::kInvalidAct;
     noc::TileId tile = 0;
     unsigned shard = 0;
-    std::vector<CapSel> sels; ///< delegated caps in its table
 };
 
 struct Driver
@@ -165,29 +156,10 @@ struct Driver
     unsigned shard = 0;
     dtu::ActId id = dtu::kInvalidAct;
     std::uint64_t rng = 0;
-    std::vector<Owned> own;
+    /** Boot-created mgate roots: revoked with keep_root only. */
+    std::vector<CapSel> roots;
     std::vector<Storm> storms;
 };
-
-/** Drop every owned/storm selector that the model just removed. */
-void
-pruneRemoved(Driver &d, const std::vector<Key> &removed)
-{
-    std::set<Key> gone(removed.begin(), removed.end());
-    d.own.erase(std::remove_if(d.own.begin(), d.own.end(),
-                               [&](const Owned &o) {
-                                   return gone.count(Key{
-                                       d.shard, d.id, o.sel});
-                               }),
-                d.own.end());
-    for (Storm &s : d.storms)
-        s.sels.erase(std::remove_if(s.sels.begin(), s.sels.end(),
-                                    [&](CapSel sel) {
-                                        return gone.count(Key{
-                                            s.shard, s.id, sel});
-                                    }),
-                     s.sels.end());
-}
 
 sim::Task
 driverBody(MuxEnv &env, System &sys, Driver &d, Model &model,
@@ -217,12 +189,12 @@ driverBody(MuxEnv &env, System &sys, Driver &d, Model &model,
             s.shard = sys.shardMap().shardOfTile(tile);
             d.storms.push_back(s);
             model.ensure(Key{d.shard, d.id, s.actSel});
-        } else if (r < 55 && !d.storms.empty() && !d.own.empty()) {
+        } else if (r < 55 && !d.storms.empty()) {
             Storm &s = d.storms[splitmix(d.rng) % d.storms.size()];
-            Owned &o = d.own[splitmix(d.rng) % d.own.size()];
+            CapSel root = d.roots[splitmix(d.rng) % d.roots.size()];
             req.op = SyscallReq::Op::Delegate;
             req.arg0 = s.actSel;
-            req.arg1 = o.sel;
+            req.arg1 = root;
             co_await env.syscall(req, &resp);
             if (resp.err != Error::None) {
                 appendf(out.errors, "d%u op%zu: Delegate -> %s",
@@ -236,38 +208,13 @@ driverBody(MuxEnv &env, System &sys, Driver &d, Model &model,
                         "d%u op%zu: delegated sel %u minted by "
                         "shard %u, expected %u",
                         d.idx, i, child, selShard(child), s.shard);
-            s.sels.push_back(child);
-            model.insertChild(Key{d.shard, d.id, o.sel},
+            model.insertChild(Key{d.shard, d.id, root},
                               Key{s.shard, s.id, child});
-        } else if (r < 70) {
-            std::vector<Storm *> eligible;
-            for (Storm &c : d.storms)
-                if (!c.sels.empty())
-                    eligible.push_back(&c);
-            if (eligible.empty())
-                continue;
-            Storm *s = eligible[splitmix(d.rng) % eligible.size()];
-            CapSel src = s->sels[splitmix(d.rng) % s->sels.size()];
-            req.op = SyscallReq::Op::Obtain;
-            req.arg0 = s->actSel;
-            req.arg1 = src;
-            co_await env.syscall(req, &resp);
-            if (resp.err != Error::None) {
-                appendf(out.errors, "d%u op%zu: Obtain -> %s",
-                        d.idx, i, dtu::errorName(resp.err));
-                continue;
-            }
-            out.opsOk++;
-            auto dst = static_cast<CapSel>(resp.val);
-            d.own.push_back(Owned{dst, false});
-            model.insertChild(Key{s->shard, s->id, src},
-                              Key{d.shard, d.id, dst});
-        } else if (r < 88 && !d.own.empty()) {
-            std::size_t pick = splitmix(d.rng) % d.own.size();
-            Owned o = d.own[pick];
+        } else if (r < 88) {
+            CapSel root = d.roots[splitmix(d.rng) % d.roots.size()];
             req.op = SyscallReq::Op::Revoke;
-            req.arg0 = o.sel;
-            req.arg1 = o.root ? 1 : 0;
+            req.arg0 = root;
+            req.arg1 = 1;
             co_await env.syscall(req, &resp);
             if (resp.err != Error::None) {
                 appendf(out.errors, "d%u op%zu: Revoke -> %s",
@@ -276,7 +223,7 @@ driverBody(MuxEnv &env, System &sys, Driver &d, Model &model,
             }
             out.opsOk++;
             std::vector<Key> removed = model.removeSubtree(
-                Key{d.shard, d.id, o.sel}, o.root);
+                Key{d.shard, d.id, root}, true);
             if (resp.val != removed.size())
                 appendf(out.errors,
                         "d%u op%zu: Revoke removed %llu caps, "
@@ -284,7 +231,6 @@ driverBody(MuxEnv &env, System &sys, Driver &d, Model &model,
                         d.idx, i,
                         static_cast<unsigned long long>(resp.val),
                         removed.size());
-            pruneRemoved(d, removed);
         } else if (!d.storms.empty()) {
             std::size_t pick = splitmix(d.rng) % d.storms.size();
             Storm s = d.storms[pick];
@@ -312,13 +258,8 @@ driverBody(MuxEnv &env, System &sys, Driver &d, Model &model,
             for (auto &[k, n] : model.nodes)
                 if (k.act == s.id)
                     table.push_back(k);
-            for (const Key &k : table) {
-                std::vector<Key> more =
-                    model.removeSubtree(k, false);
-                removed.insert(removed.end(), more.begin(),
-                               more.end());
-            }
-            pruneRemoved(d, removed);
+            for (const Key &k : table)
+                model.removeSubtree(k, false);
             d.storms.erase(d.storms.begin() + pick);
         }
         // else: no eligible target this round; the op is a no-op.
@@ -376,7 +317,7 @@ runCapsScenario(std::uint64_t seed, std::size_t ops_per_driver,
         d.rng = seed * 0x9e3779b97f4a7c15ull + i + 1;
         for (int r = 0; r < 3; r++) {
             auto h = sys.makeMgate(apps[i], 64 << 10, dtu::kPermRW);
-            d.own.push_back(Owned{h.sel, true});
+            d.roots.push_back(h.sel);
         }
     }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Capability fuzzing for the controller (DESIGN.md section 4i):
- * random create/delegate/obtain/revoke/destroy op streams on an
+ * random create/delegate/revoke/destroy op streams on an
  * eight-tile platform with one or more controller shards, checked
  * against a sharded reference model of the capability forest, the
  * controller conservation invariants, and a jobs=1-vs-4 digest

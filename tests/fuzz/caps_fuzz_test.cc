@@ -49,8 +49,10 @@ TEST(CapsFuzzTest, ScenariosMatchModelOneShard)
  *  digest covers the final capability forest and the shard counters,
  *  the end tick and event count cover the timing of every syscall
  *  and cross-shard message on the way there. The stash count pins
- *  the nested-reply path: a cross-shard call that, while serving a
- *  peer's request, fetches the reply of the call it is nested in. */
+ *  how often a cross-shard call, while serving a peer's request,
+ *  fetched the reply of the call it is nested in (none of these
+ *  seeds does; ShardRaceTest.NestedCallStashesOuterReply asserts
+ *  that path). */
 TEST(CapsFuzzTest, FourShardOutcomesPinned)
 {
     struct Pin
@@ -63,11 +65,10 @@ TEST(CapsFuzzTest, FourShardOutcomesPinned)
         std::uint64_t stashed;
     };
     const Pin pins[] = {
-        {1, 0x16836a881d5f1482ull, 179, 1072757500, 17529, 5},
-        {2, 0x1f442c4dab2cbf32ull, 180, 1133217500, 17723, 4},
-        {3, 0x30674510c1390355ull, 183, 1151787500, 18028, 4},
+        {1, 0xd5b36e2d2abb928full, 236, 1043827500, 18802, 0},
+        {2, 0xca8b69d9fb7899e7ull, 234, 956257500, 18674, 0},
+        {3, 0xa8582d70eae41207ull, 237, 1034097500, 18987, 0},
     };
-    std::uint64_t stashed = 0;
     for (const Pin &p : pins) {
         CapsOutcome out = runCapsScenario(p.seed, 60, 4);
         EXPECT_FALSE(out.failed()) << "seed " << p.seed << ":\n"
@@ -77,9 +78,7 @@ TEST(CapsFuzzTest, FourShardOutcomesPinned)
         EXPECT_EQ(out.endTick, p.endTick) << "seed " << p.seed;
         EXPECT_EQ(out.events, p.events) << "seed " << p.seed;
         EXPECT_EQ(out.stashed, p.stashed) << "seed " << p.seed;
-        stashed += out.stashed;
     }
-    EXPECT_GT(stashed, 0u);
 }
 
 TEST(CapsFuzzTest, JobsDifferentialDigestParity)

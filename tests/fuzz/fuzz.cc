@@ -683,8 +683,7 @@ runScenario(const Scenario &sc, RigMode mode, unsigned jobs,
         modelCheck(plat, rs, sc, progs, out);
         out.digest = computeDigest(plat, rs, noc);
     } else {
-        sim::LaneScheduler sched(kNumLanes, jobs,
-                                 noc::Noc::minLinkLatency(np));
+        sim::LaneScheduler sched(kNumLanes, jobs, noc::Noc::minLinkLatency());
         noc::Noc noc(sched.lane(kNumLanes - 1), np);
         noc.setRouterLanePlan(sched, {0, 1, 2, 3});
         Platform plat(sched.lane(0), sched.lane(1), sched.lane(2),

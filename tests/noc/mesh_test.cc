@@ -224,7 +224,7 @@ runChaosMesh(unsigned jobs)
     p.portQueuePackets = 2;
     unsigned routers = p.meshCols * p.meshRows;
 
-    sim::Tick min_link = Noc::minLinkLatency(p);
+    sim::Tick min_link = Noc::minLinkLatency();
     sim::LaneScheduler sched(routers, jobs, min_link);
     Noc noc(sched.lane(0), p);
     std::vector<unsigned> lane_of_router(routers);

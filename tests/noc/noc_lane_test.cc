@@ -212,7 +212,7 @@ runLaned(unsigned tiles, const std::vector<Shot> &shots,
          const NocParams &params, unsigned jobs)
 {
     unsigned routers = params.meshCols * params.meshRows;
-    sim::LaneScheduler sched(routers, jobs, Noc::minLinkLatency(params));
+    sim::LaneScheduler sched(routers, jobs, Noc::minLinkLatency());
     Noc noc(sched.lane(0), params);
     std::vector<unsigned> lane_of_router(routers);
     for (unsigned r = 0; r < routers; r++)

@@ -11,13 +11,23 @@
 namespace m3v::os {
 namespace {
 
-std::shared_ptr<KObject>
+KObject
 memObj(std::size_t size)
 {
-    auto obj = std::make_shared<KObject>();
-    obj->kind = CapKind::MemGate;
-    obj->mem = MemObj{0, 0, size, dtu::kPermRW};
-    return obj;
+    return KObject(MemObj{0, 0, size, dtu::kPermRW});
+}
+
+/** Revoke the way the controller does: plan (mark), then execute
+ *  (reap). Returns the number of caps removed. */
+std::size_t
+revoke(CapMgr &mgr, dtu::ActId act, CapSel sel,
+       const std::function<void(Capability &)> &on_revoke,
+       bool keep_root = false)
+{
+    RevokePlan plan;
+    if (!mgr.planRevoke(act, sel, keep_root, &plan))
+        return 0;
+    return mgr.executeRevoke(plan, on_revoke);
 }
 
 TEST(CapTable, InsertAndGet)
@@ -48,7 +58,7 @@ TEST(CapMgr, RevokeRemovesSubtree)
     t.insertChild(memObj(512), *t.get(c1));
     int revoked = 0;
     std::size_t n =
-        mgr.revoke(1, root, [&](Capability &) { revoked++; }, false);
+        revoke(mgr, 1, root, [&](Capability &) { revoked++; });
     EXPECT_EQ(n, 3u);
     EXPECT_EQ(revoked, 3);
     EXPECT_EQ(t.size(), 0u);
@@ -61,14 +71,14 @@ TEST(CapMgr, RevokeKeepRootSparesRoot)
     CapSel root = t.insertRoot(memObj(4096));
     t.insertChild(memObj(1024), *t.get(root));
     t.insertChild(memObj(1024), *t.get(root));
-    std::size_t n = mgr.revoke(1, root, [](Capability &) {}, true);
+    std::size_t n = revoke(mgr, 1, root, [](Capability &) {}, true);
     EXPECT_EQ(n, 2u);
     ASSERT_NE(t.get(root), nullptr);
     EXPECT_TRUE(t.get(root)->children.empty());
     EXPECT_FALSE(t.get(root)->revoking);
     // The kept root stays a live revocation root.
     t.insertChild(memObj(1024), *t.get(root));
-    EXPECT_EQ(mgr.revoke(1, root, [](Capability &) {}, true), 1u);
+    EXPECT_EQ(revoke(mgr, 1, root, [](Capability &) {}, true), 1u);
 }
 
 TEST(CapMgr, DelegationCrossesTablesAndRevokes)
@@ -77,15 +87,14 @@ TEST(CapMgr, DelegationCrossesTablesAndRevokes)
     CapTable &ta = mgr.createTable(1);
     CapTable &tb = mgr.createTable(2);
     CapSel root = ta.insertRoot(memObj(4096));
-    // Delegate: child in B's table sharing the object.
-    CapSel dsel = tb.insertChild(ta.get(root)->objPtr(),
-                                 *ta.get(root));
+    // Delegate: child in B's table holding a copy of the object.
+    CapSel dsel = tb.insertChild(ta.get(root)->obj(), *ta.get(root));
     ASSERT_NE(tb.get(dsel), nullptr);
 
     // Revoking A's root removes B's delegated cap too.
     int revoked = 0;
     std::size_t n =
-        mgr.revoke(1, root, [&](Capability &) { revoked++; });
+        revoke(mgr, 1, root, [&](Capability &) { revoked++; });
     EXPECT_EQ(n, 2u);
     EXPECT_EQ(tb.get(dsel), nullptr);
     EXPECT_EQ(ta.get(root), nullptr);
@@ -99,9 +108,9 @@ TEST(CapMgr, DeepDelegationChainRevokesAll)
     Capability *prev = first.get(prev_sel);
     for (dtu::ActId act = 2; act <= 6; act++) {
         CapTable &t = mgr.createTable(act);
-        prev = t.get(t.insertChild(prev->objPtr(), *prev));
+        prev = t.get(t.insertChild(prev->obj(), *prev));
     }
-    std::size_t n = mgr.revoke(1, prev_sel, [](Capability &) {});
+    std::size_t n = revoke(mgr, 1, prev_sel, [](Capability &) {});
     EXPECT_EQ(n, 6u);
     for (dtu::ActId act = 2; act <= 6; act++)
         EXPECT_EQ(mgr.tableIfExists(act)->size(), 0u);
@@ -113,7 +122,7 @@ TEST(CapMgr, DropTableRevokesDelegatedDescendants)
     CapTable &ta = mgr.createTable(1);
     CapTable &tb = mgr.createTable(2);
     CapSel root = ta.insertRoot(memObj(4096));
-    tb.insertChild(ta.get(root)->objPtr(), *ta.get(root));
+    tb.insertChild(ta.get(root)->obj(), *ta.get(root));
     mgr.dropTable(1, [](Capability &) {});
     EXPECT_FALSE(mgr.hasTable(1));
     EXPECT_EQ(tb.size(), 0u);
@@ -126,7 +135,7 @@ TEST(CapMgr, SiblingSubtreesAreIndependent)
     CapSel root = t.insertRoot(memObj(8192));
     CapSel a = t.insertChild(memObj(4096), *t.get(root));
     CapSel b = t.insertChild(memObj(4096), *t.get(root));
-    mgr.revoke(1, a, [](Capability &) {});
+    revoke(mgr, 1, a, [](Capability &) {});
     EXPECT_EQ(t.get(a), nullptr);
     ASSERT_NE(t.get(b), nullptr);
     ASSERT_NE(t.get(root), nullptr);
