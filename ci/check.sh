@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tier-1 verification: build and run the full test suite twice —
+# Tier-1 verification: check that every header compiles on its own,
+# then build and run the full test suite twice —
 # once plain (the configuration the benchmarks use) and once under
 # ASan + UBSan (M3VSIM_SANITIZE=ON), crash/robustness tests included —
 # then run the parallel-execution tests under TSan
@@ -48,6 +49,19 @@ check_filter() {
             exit 1
         fi
     done
+}
+
+headers_standalone() {
+    # Every header under src/ compiles on its own, so none relies on
+    # what an includer happened to include before it.
+    bad=0
+    for h in $(find src -name '*.h' | sort); do
+        if ! g++ -std=c++20 -fsyntax-only -Isrc "$h"; then
+            echo "FAIL: $h does not compile on its own" >&2
+            bad=1
+        fi
+    done
+    [ "$bad" -eq 0 ]
 }
 
 plain_build() {
@@ -191,6 +205,7 @@ tsan_fuzz() {
     build-tsan/tests/fuzz/fuzz_driver --seeds=2 --seqs=0 --diff=15
 }
 
+stage "headers compile standalone" headers_standalone
 stage "plain build + ctest" plain_build
 stage "fuzz smoke: protocol fuzzer, fixed seeds" fuzz_smoke
 stage "fig09 smoke: 4 tiles, jobs=1 vs jobs=4" fig09_jobs

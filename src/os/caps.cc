@@ -6,6 +6,20 @@
 
 namespace m3v::os {
 
+std::optional<dtu::Endpoint>
+endpointFor(const KObject &obj, dtu::ActId owner)
+{
+    if (const auto *m = std::get_if<MemObj>(&obj))
+        return dtu::Endpoint::makeMem(owner, m->tile, m->addr, m->size,
+                                      m->perms);
+    if (const auto *s = std::get_if<SgateObj>(&obj))
+        return dtu::Endpoint::makeSend(owner, s->tile, s->ep, s->label,
+                                       s->credits, s->maxMsg);
+    if (const auto *r = std::get_if<RgateObj>(&obj))
+        return dtu::Endpoint::makeRecv(owner, r->slotSize, r->slots);
+    return std::nullopt;
+}
+
 CapSel
 CapTable::insertRoot(const KObject &obj)
 {

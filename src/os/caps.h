@@ -28,23 +28,17 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "dtu/ep.h"
 #include "dtu/types.h"
 #include "noc/packet.h"
 #include "os/proto.h"
 
 namespace m3v::os {
-
-/** Kinds of kernel objects capabilities can refer to. */
-enum class CapKind : std::uint8_t
-{
-    Activity,
-    RecvGate,
-    SendGate,
-    MemGate,
-};
 
 /** A region of physical memory on some tile. */
 struct MemObj
@@ -56,25 +50,25 @@ struct MemObj
 };
 
 /**
- * A receive gate: the receive endpoint the system builder configured
- * for it, and its slot geometry. Activating the capability installs
- * a receive endpoint of that geometry; it does not move the gate.
+ * A receive gate: the slot geometry of its receive endpoint.
+ * Activating the capability installs a receive endpoint of that
+ * geometry; it does not move the gate.
  */
 struct RgateObj
 {
-    noc::TileId tile = 0;
-    dtu::ActId act = dtu::kInvalidAct;
-    dtu::EpId ep = dtu::kInvalidEp;
     std::size_t slotSize = 256;
     std::size_t slots = 8;
 };
 
-/** A send gate targeting a receive gate. */
+/** A send gate: the receive endpoint (tile, ep) it targets, and the
+ *  label, credits and maximum message size of its send endpoint. */
 struct SgateObj
 {
-    RgateObj target;
+    noc::TileId tile = 0;
+    dtu::EpId ep = dtu::kInvalidEp;
     std::uint64_t label = 0;
     std::uint32_t credits = 1;
+    std::size_t maxMsg = 512;
 };
 
 /** An activity reference. */
@@ -85,24 +79,20 @@ struct ActObj
 };
 
 /**
- * A kernel object, held by value in every capability that names it:
- * deriving or delegating a capability copies it, within a shard as
- * across shards. Its kind follows from the object it is built from.
+ * A kernel object (paper section 3.3): exactly one of the four kinds
+ * a capability can name, held by value in every capability that names
+ * it. Deriving or delegating a capability copies it, within a shard as
+ * across shards.
  */
-struct KObject
-{
-    KObject() = default;
-    explicit KObject(MemObj m) : kind(CapKind::MemGate), mem(m) {}
-    explicit KObject(RgateObj r) : kind(CapKind::RecvGate), rgate(r) {}
-    explicit KObject(SgateObj s) : kind(CapKind::SendGate), sgate(s) {}
-    explicit KObject(ActObj a) : kind(CapKind::Activity), act(a) {}
+using KObject = std::variant<ActObj, RgateObj, SgateObj, MemObj>;
 
-    CapKind kind;
-    MemObj mem;
-    RgateObj rgate;
-    SgateObj sgate;
-    ActObj act;
-};
+/**
+ * The DTU endpoint a capability for @p obj activates into for
+ * @p owner, or nothing for an activity (it names no endpoint). Boot
+ * and the Activate syscall both build endpoints here.
+ */
+std::optional<dtu::Endpoint> endpointFor(const KObject &obj,
+                                         dtu::ActId owner);
 
 /**
  * One end of a cross-shard derivation edge: (shard, activity,

@@ -1,7 +1,9 @@
 #include "os/controller.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
+#include <variant>
 
 #include "sim/log.h"
 
@@ -19,8 +21,7 @@ const ActObj *
 actObjAt(CapTable &table, std::uint64_t sel)
 {
     const Capability *c = table.get(static_cast<CapSel>(sel));
-    return c && c->obj().kind == CapKind::Activity ? &c->obj().act
-                                                   : nullptr;
+    return c ? std::get_if<ActObj>(&c->obj()) : nullptr;
 }
 
 /** The origin end (srcShard, act2, sel2) of a peer request's edge. */
@@ -29,28 +30,6 @@ origin(const CtrlReq &req)
 {
     return RemoteRef{static_cast<std::uint8_t>(req.srcShard), req.act2,
                      req.sel2};
-}
-
-/** The DTU endpoint a capability activates into for @p owner. */
-dtu::Endpoint
-endpointFor(const KObject &obj, ActId owner)
-{
-    switch (obj.kind) {
-      case CapKind::MemGate:
-        return dtu::Endpoint::makeMem(owner, obj.mem.tile,
-                                      obj.mem.addr, obj.mem.size,
-                                      obj.mem.perms);
-      case CapKind::SendGate:
-        return dtu::Endpoint::makeSend(
-            owner, obj.sgate.target.tile, obj.sgate.target.ep,
-            obj.sgate.label, obj.sgate.credits);
-      case CapKind::RecvGate:
-        return dtu::Endpoint::makeRecv(owner, obj.rgate.slotSize,
-                                       obj.rgate.slots);
-      case CapKind::Activity:
-        break;
-    }
-    sim::panic("Controller: cannot activate this capability kind");
 }
 
 } // namespace
@@ -619,21 +598,22 @@ Controller::handle(ActId caller, const SyscallReq &req,
       case SyscallReq::Op::DeriveMem: {
         Capability *parent =
             liveCap(caller, static_cast<CapSel>(req.arg0));
-        if (!parent || parent->obj().kind != CapKind::MemGate) {
+        const MemObj *pm =
+            parent ? std::get_if<MemObj>(&parent->obj()) : nullptr;
+        if (!pm) {
             resp->err = Error::InvalidEp;
             break;
         }
         std::uint64_t off = req.arg1;
         std::uint64_t size = req.arg2;
         auto perms = static_cast<std::uint8_t>(req.arg3);
-        const MemObj &pm = parent->obj().mem;
-        if (size > pm.size || off > pm.size - size ||
-            (perms & ~pm.perms) != 0) {
+        if (size > pm->size || off > pm->size - size ||
+            (perms & ~pm->perms) != 0) {
             resp->err = Error::OutOfBounds;
             break;
         }
         resp->val = table.insertChild(
-            KObject(MemObj{pm.tile, pm.addr + off, size, perms}),
+            KObject(MemObj{pm->tile, pm->addr + off, size, perms}),
             *parent);
         break;
       }
@@ -658,7 +638,9 @@ Controller::handle(ActId caller, const SyscallReq &req,
         }
         Capability *cap = table.get(sel);
         auto ep = static_cast<EpId>(req.arg1);
-        if (!cap || tile == kNoTile) {
+        std::optional<dtu::Endpoint> cfg =
+            cap ? endpointFor(cap->obj(), target) : std::nullopt;
+        if (!cfg || tile == kNoTile) {
             resp->err = Error::InvalidEp;
             break;
         }
@@ -668,8 +650,7 @@ Controller::handle(ActId caller, const SyscallReq &req,
         cap->activated = true;
         cap->actTile = tile;
         cap->actEp = ep;
-        co_await writeEp(tile, ep, endpointFor(cap->obj(), target),
-                         &resp->err);
+        co_await writeEp(tile, ep, cfg, &resp->err);
         break;
       }
 

@@ -147,16 +147,10 @@ struct SyscallResp
     std::uint64_t val = 0;
 };
 
-/** Sidecalls from the controller to a TileMux instance (only
- *  MapPage; the op field keeps the message's wire size). */
+/** The one sidecall from the controller to a TileMux instance:
+ *  install the page-table entry virt -> phys for activity @p act. */
 struct SidecallReq
 {
-    enum class Op : std::uint32_t
-    {
-        MapPage, ///< install a page-table entry for an activity
-    };
-
-    Op op = Op::MapPage;
     dtu::ActId act = dtu::kInvalidAct;
     std::uint64_t virt = 0;
     std::uint64_t phys = 0;

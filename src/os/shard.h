@@ -15,6 +15,10 @@
 
 #include "os/caps.h"
 
+namespace m3v::dtu {
+class Dtu;
+} // namespace m3v::dtu
+
 namespace m3v::os {
 
 /**
@@ -127,8 +131,10 @@ struct CtrlReq
     std::uint64_t b = 0;
     std::uint64_t c = 0;
 
-    /** Object payload (Delegate). KObjects are POD and copied across
-     *  shards — shards share no pointers (Corey explicit shares). */
+    /** Object payload (Delegate): the variant's 40 bytes, one kind's
+     *  fields and its index. A KObject is trivially copyable and is
+     *  copied across shards — shards share no pointers (Corey
+     *  explicit shares). */
     KObject obj{};
 
     static constexpr std::uint32_t kWantReply = 1u << 0;

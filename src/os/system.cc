@@ -274,17 +274,7 @@ System::makeRgate(App *app, std::size_t slot_size, std::size_t slots)
 {
     RgateHandle h;
     h.ep = allocEp(app->tileIdx);
-    vdtus_[app->tileIdx]->configEp(
-        h.ep,
-        Endpoint::makeRecv(app->act->id(), slot_size, slots));
-    RgateObj r;
-    r.tile = userTile(app->tileIdx);
-    r.act = app->act->id();
-    r.ep = h.ep;
-    r.slotSize = slot_size;
-    r.slots = slots;
-    h.sel = grantActivated(
-        app, KObject(r), h.ep);
+    h.sel = grantActivated(app, RgateObj{slot_size, slots}, h.ep);
     return h;
 }
 
@@ -295,18 +285,10 @@ System::makeSgate(App *sender, App *recv_owner, EpId rep,
 {
     SgateHandle h;
     h.ep = allocEp(sender->tileIdx);
-    vdtus_[sender->tileIdx]->configEp(
-        h.ep, Endpoint::makeSend(sender->act->id(),
-                                 userTile(recv_owner->tileIdx), rep,
-                                 label, credits, max_msg));
-    SgateObj s;
-    s.target.tile = userTile(recv_owner->tileIdx);
-    s.target.act = recv_owner->act->id();
-    s.target.ep = rep;
-    s.label = label;
-    s.credits = credits;
-    h.sel = grantActivated(
-        sender, KObject(s), h.ep);
+    h.sel = grantActivated(sender,
+                           SgateObj{userTile(recv_owner->tileIdx), rep,
+                                    label, credits, max_msg},
+                           h.ep);
     return h;
 }
 
@@ -319,18 +301,15 @@ System::makeMgate(App *app, std::size_t size, std::uint8_t perms,
     h.size = size;
     h.memIdx = mem_idx;
     h.ep = allocEp(app->tileIdx);
-    vdtus_[app->tileIdx]->configEp(
-        h.ep, Endpoint::makeMem(app->act->id(), memTileId(mem_idx),
-                                h.addr, size, perms));
     h.sel = grantActivated(
-        app,
-        KObject(MemObj{memTileId(mem_idx), h.addr, size, perms}), h.ep);
+        app, MemObj{memTileId(mem_idx), h.addr, size, perms}, h.ep);
     return h;
 }
 
 CapSel
 System::grantActivated(App *app, const KObject &obj, EpId ep)
 {
+    vdtus_[app->tileIdx]->configEp(ep, *endpointFor(obj, app->act->id()));
     noc::TileId tile = userTile(app->tileIdx);
     unsigned s = shardMap_.shardOfTile(tile);
     CapSel sel = controllerOf(s).grant(app->act->id(), obj);

@@ -219,8 +219,9 @@ class System
      *  ctrls_; the call order fixes the tile's NoC attachment). */
     void addCtrlTile(unsigned s);
 
-    /** Boot-grant @p app a capability for @p obj, recorded as already
-     *  activated into EP @p ep on its tile. */
+    /** Configure EP @p ep on @p app's tile from the gate @p obj and
+     *  boot-grant @p app a capability for it, recorded as already
+     *  activated into that EP. */
     CapSel grantActivated(App *app, const KObject &obj, dtu::EpId ep);
 
     sim::EventQueue &eq_;

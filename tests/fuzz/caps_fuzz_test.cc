@@ -65,9 +65,9 @@ TEST(CapsFuzzTest, FourShardOutcomesPinned)
         std::uint64_t stashed;
     };
     const Pin pins[] = {
-        {1, 0xd5b36e2d2abb928full, 236, 1043827500, 18802, 0},
-        {2, 0xca8b69d9fb7899e7ull, 234, 956257500, 18674, 0},
-        {3, 0xa8582d70eae41207ull, 237, 1034097500, 18987, 0},
+        {1, 0xd5b36e2d2abb928full, 236, 1031667500, 18808, 0},
+        {2, 0x94e1a3a0d57cc59bull, 234, 930037500, 18671, 0},
+        {3, 0x05a045e974b14efbull, 237, 1049047500, 18981, 0},
     };
     for (const Pin &p : pins) {
         CapsOutcome out = runCapsScenario(p.seed, 60, 4);

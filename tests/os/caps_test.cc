@@ -35,7 +35,7 @@ TEST(CapTable, InsertAndGet)
     CapTable t(1);
     CapSel sel = t.insertRoot(memObj(4096));
     ASSERT_NE(t.get(sel), nullptr);
-    EXPECT_EQ(t.get(sel)->obj().kind, CapKind::MemGate);
+    EXPECT_TRUE(std::holds_alternative<MemObj>(t.get(sel)->obj()));
     EXPECT_EQ(t.get(999), nullptr);
     EXPECT_EQ(t.size(), 1u);
 }

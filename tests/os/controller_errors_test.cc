@@ -160,6 +160,46 @@ TEST_F(SyscallErrorTest, ActivateForWithoutActivityCapFails)
     EXPECT_TRUE(done);
 }
 
+TEST_F(SyscallErrorTest, ActivatingActivityCapFails)
+{
+    // An activity capability names no endpoint: Activate and
+    // ActivateFor of one fail without recording an activation, so
+    // revoking it later leaves the EP that was named alone.
+    auto *other = sys.createApp(1, "other");
+    auto mg = sys.makeMgate(app, 4096, dtu::kPermRW);
+    os::CapSel act_sel = sys.grantActCap(app, other);
+    bool done = false;
+    run([&, mg, act_sel](os::MuxEnv &env) -> sim::Task {
+        SyscallReq req;
+        SyscallResp resp;
+        req.op = SyscallReq::Op::Activate;
+        req.arg0 = act_sel;
+        req.arg1 = mg.ep;
+        co_await env.syscall(req, &resp);
+        EXPECT_EQ(resp.err, Error::InvalidEp);
+
+        req.op = SyscallReq::Op::ActivateFor;
+        req.arg0 = act_sel;
+        req.arg1 = 30;
+        req.arg2 = act_sel;
+        co_await env.syscall(req, &resp);
+        EXPECT_EQ(resp.err, Error::InvalidEp);
+
+        req.op = SyscallReq::Op::Revoke;
+        req.arg0 = act_sel;
+        req.arg1 = 0;
+        co_await env.syscall(req, &resp);
+        EXPECT_EQ(resp.err, Error::None);
+        EXPECT_EQ(resp.val, 1u);
+
+        dtu::Error err = Error::Aborted;
+        co_await env.writeMem(mg.ep, 0, Bytes(64, 1), &err);
+        EXPECT_EQ(err, Error::None);
+        done = true;
+    });
+    EXPECT_TRUE(done);
+}
+
 TEST_F(SyscallErrorTest, RevokeOfUnknownSelectorRemovesNothing)
 {
     bool done = false;

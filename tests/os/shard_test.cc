@@ -167,6 +167,77 @@ TEST_F(ShardSystemTest, CrossShardDelegateAndUse)
     EXPECT_GE(sys.controllerOf(3).xshardHandled(), 1u);
 }
 
+TEST_F(ShardSystemTest, DelegatedSendGateKeepsMaxMessageSize)
+{
+    // A (tile 0, shard 0) holds a send gate to S's receive gate built
+    // with a 1500-byte message limit, as the network service builds
+    // its gates. A delegates it to B (tile 7, shard 3); B activates
+    // its copy and sends 1000 bytes, over the default 512-byte limit.
+    auto *a = sys.createApp(0, "a");
+    auto *b = sys.createApp(7, "b");
+    auto *srv = sys.createApp(1, "srv");
+    auto s_rep = sys.makeRgate(srv, 2048, 4);
+    auto a_to_s = sys.makeSgate(a, srv, s_rep.ep, 42, 1, 1500);
+    CapSel b_act = sys.grantActCap(a, b);
+    auto b_rep = sys.makeRgate(b);
+    auto a_sg = sys.makeSgate(a, b, b_rep.ep, 1, 2);
+    dtu::EpId b_sep = sys.allocEp(7);
+
+    bool a_done = false, b_done = false, s_done = false;
+    sys.start(a, [&, a_to_s, b_act, a_sg](MuxEnv &env) -> sim::Task {
+        SyscallReq req;
+        req.op = SyscallReq::Op::Delegate;
+        req.arg0 = b_act;
+        req.arg1 = a_to_s.sel;
+        SyscallResp resp;
+        co_await env.syscall(req, &resp);
+        EXPECT_EQ(resp.err, Error::None);
+        EXPECT_EQ(selShard(static_cast<CapSel>(resp.val)), 3u);
+        Error err = Error::Aborted;
+        co_await env.send(a_sg.ep, podBytes(resp.val),
+                          dtu::kInvalidEp, &err);
+        EXPECT_EQ(err, Error::None);
+        a_done = true;
+    });
+    sys.start(b, [&, b_rep, b_sep](MuxEnv &env) -> sim::Task {
+        int slot = -1;
+        co_await env.recvOn(b_rep.ep, &slot);
+        auto sel =
+            static_cast<CapSel>(u64At(env.msgAt(b_rep.ep, slot)
+                                          .payload));
+        co_await env.ackMsg(b_rep.ep, slot);
+
+        SyscallReq req;
+        req.op = SyscallReq::Op::Activate;
+        req.arg0 = sel;
+        req.arg1 = b_sep;
+        SyscallResp resp;
+        co_await env.syscall(req, &resp);
+        EXPECT_EQ(resp.err, Error::None);
+
+        Error err = Error::Aborted;
+        co_await env.send(b_sep, Bytes(1000, 7), dtu::kInvalidEp,
+                          &err);
+        EXPECT_EQ(err, Error::None);
+        b_done = true;
+    });
+    sys.start(srv, [&, s_rep](MuxEnv &env) -> sim::Task {
+        int slot = -1;
+        co_await env.recvOn(s_rep.ep, &slot);
+        const dtu::Message &msg = env.msgAt(s_rep.ep, slot);
+        EXPECT_EQ(msg.label, 42u);
+        EXPECT_EQ(msg.payload, Bytes(1000, 7));
+        co_await env.ackMsg(s_rep.ep, slot);
+        s_done = true;
+    });
+
+    runAndCheck();
+    EXPECT_TRUE(a_done);
+    EXPECT_TRUE(b_done);
+    EXPECT_TRUE(s_done);
+    EXPECT_GE(sys.controllerOf(3).xshardHandled(), 1u);
+}
+
 TEST_F(ShardSystemTest, CrossShardRevokeInvalidatesRemoteUse)
 {
     // A delegates to B, B activates, A revokes: the revoke crosses
@@ -703,7 +774,7 @@ TEST_F(ShardSystemTest, CrossShardMapForReachesHomeTileMux)
     EXPECT_EQ(sys.controllerOf(0).xshardAcked(), 1u);
     EXPECT_EQ(sys.controllerOf(3).xshardHandled(), 1u);
     // Pinned simulated timing of the forward + sidecall round trip.
-    EXPECT_EQ(eq.now(), 99'067'500u);
+    EXPECT_EQ(eq.now(), 98'877'500u);
     EXPECT_EQ(eq.executed(), 181u);
 }
 

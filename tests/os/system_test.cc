@@ -271,6 +271,62 @@ TEST_F(SystemTest, DeriveActivateRevokeFlow)
     EXPECT_TRUE(client_done);
 }
 
+TEST_F(SystemTest, DelegatedRecvGateActivatesWithItsGeometry)
+{
+    // A server delegates its receive gate (512-byte slots, 4 of them)
+    // to a client; the client activates its copy into a free EP,
+    // which then has the gate's slot size and slot count.
+    auto *server = sys.createApp(0, "srv");
+    auto *client = sys.createApp(1, "cli");
+    auto gate = sys.makeRgate(server, 512, 4);
+    CapSel client_act_cap = sys.grantActCap(server, client);
+    auto cli_rep = sys.makeRgate(client);
+    auto srv_sg = sys.makeSgate(server, client, cli_rep.ep, 1, 2);
+    dtu::EpId client_ep = sys.allocEp(1);
+
+    bool server_done = false, client_done = false;
+    sys.start(server, [&, gate, client_act_cap,
+                       srv_sg](MuxEnv &env) -> sim::Task {
+        SyscallReq req;
+        req.op = SyscallReq::Op::Delegate;
+        req.arg0 = client_act_cap;
+        req.arg1 = gate.sel;
+        SyscallResp resp;
+        co_await env.syscall(req, &resp);
+        EXPECT_EQ(resp.err, Error::None);
+        Error err = Error::Aborted;
+        co_await env.send(srv_sg.ep, podBytes(resp.val),
+                          dtu::kInvalidEp, &err);
+        EXPECT_EQ(err, Error::None);
+        server_done = true;
+    });
+    sys.start(client, [&, cli_rep, client_ep](MuxEnv &env) -> sim::Task {
+        int slot = -1;
+        co_await env.recvOn(cli_rep.ep, &slot);
+        auto sel = podFrom<std::uint64_t>(
+            env.msgAt(cli_rep.ep, slot).payload);
+        co_await env.ackMsg(cli_rep.ep, slot);
+
+        SyscallReq req;
+        req.op = SyscallReq::Op::Activate;
+        req.arg0 = sel;
+        req.arg1 = client_ep;
+        SyscallResp resp;
+        co_await env.syscall(req, &resp);
+        EXPECT_EQ(resp.err, Error::None);
+        client_done = true;
+    });
+
+    eq.run();
+    EXPECT_TRUE(server_done);
+    EXPECT_TRUE(client_done);
+    const dtu::Endpoint &ep = sys.vdtu(1).ep(client_ep);
+    EXPECT_EQ(ep.kind, dtu::EpKind::Receive);
+    EXPECT_EQ(ep.act, client->act->id());
+    EXPECT_EQ(ep.recv.slotSize, 512u);
+    EXPECT_EQ(ep.recv.slots.size(), 4u);
+}
+
 TEST_F(SystemTest, SharedTileAppsMultiplex)
 {
     // Two compute-heavy apps on one tile finish in about twice the
