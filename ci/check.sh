@@ -96,6 +96,32 @@ fig09_jobs() {
     rm -f "$OUT1" "$OUT4"
 }
 
+cells_speedup() {
+    # Concurrent cells share no lock (each thread recycles its own
+    # packet headers), so the 8-tile Figure 9 sweep must print the
+    # same figure at --jobs=1 and --jobs=4, and run more than 1.5x
+    # faster at --jobs=4 (host wall of the sweep, from stderr).
+    OUT1=$(mktemp) OUT4=$(mktemp) ERR1=$(mktemp) ERR4=$(mktemp)
+    M3V_FIG09_TILES=8 build/bench/fig09_scale --jobs=1 >"$OUT1" \
+        2>"$ERR1"
+    M3V_FIG09_TILES=8 build/bench/fig09_scale --jobs=4 >"$OUT4" \
+        2>"$ERR4"
+    cmp "$OUT1" "$OUT4" || {
+        echo "FAIL: 8-tile fig09 output differs between --jobs=1" \
+             "and --jobs=4" >&2
+        exit 1
+    }
+    W1=$(sed -n 's/^trace sweep: \([0-9.]*\) ms.*/\1/p' "$ERR1")
+    W4=$(sed -n 's/^trace sweep: \([0-9.]*\) ms.*/\1/p' "$ERR4")
+    echo "fig09 8-tile sweep: jobs=1 $W1 ms, jobs=4 $W4 ms"
+    awk -v a="$W1" -v b="$W4" \
+        'BEGIN { exit !(b > 0 && a / b > 1.5) }' || {
+        echo "FAIL: 8-tile fig09 jobs=4 speedup <= 1.5" >&2
+        exit 1
+    }
+    rm -f "$OUT1" "$OUT4" "$ERR1" "$ERR4"
+}
+
 mesh_speedup() {
     # Measured parallel speedup of the router-sharded 64-tile mesh on
     # the plain build.
@@ -192,10 +218,13 @@ tsan_shards() {
     # The caps-fuzz differential runs four sharded-controller cells on
     # jobs=4 worker threads through runCells — per-cell Systems must
     # stay thread-local and the merged digests identical with the race
-    # detector watching.
-    cmake --build build-tsan -j --target os_shard_test caps_fuzz_test
+    # detector watching. The message-path test frees packet headers on
+    # another thread than the one that allocated them.
+    cmake --build build-tsan -j --target os_shard_test caps_fuzz_test \
+        dtu_msgpath_test
     build-tsan/tests/os/os_shard_test
     build-tsan/tests/fuzz/caps_fuzz_test
+    build-tsan/tests/dtu/dtu_msgpath_test
 }
 
 tsan_fuzz() {
@@ -210,10 +239,13 @@ stage "plain build + ctest" plain_build
 stage "fuzz smoke: protocol fuzzer, fixed seeds" fuzz_smoke
 stage "fig09 smoke: 4 tiles, jobs=1 vs jobs=4" fig09_jobs
 # Below four hardware threads a jobs=4 run cannot express real
-# parallelism, so the speedup assertion is skipped.
+# parallelism, so the speedup assertions are skipped.
 if [ "$(nproc)" -ge 4 ]; then
+    stage "cells: 8-tile fig09 jobs=4 speedup" cells_speedup
     stage "mesh: 64-tile jobs=4 speedup" mesh_speedup
 else
+    skip "cells: 8-tile fig09 jobs=4 speedup" \
+        "fewer than 4 hardware threads"
     skip "mesh: 64-tile jobs=4 speedup" "fewer than 4 hardware threads"
 fi
 stage "sanitized build (ASan + UBSan) + ctest" asan_build

@@ -29,6 +29,14 @@
 # loops) are neither reached nor unreached in the report, and the
 # src/ total leaves them out. The report's first line says so.
 #
+# A second section sees coroutine bodies at function granularity.
+# It builds the product binaries (the nine bench/ binaries, the three
+# examples and m3vbench) in build-reach/ at -O0 with one section per
+# function and links them with --gc-sections, so a binary keeps only
+# the functions something in it can call. It then appends every
+# external m3v:: function that the src/ libraries define and no
+# product binary keeps, with their count.
+#
 # It is a report, not a gate: it exits 0 whatever the coverage is,
 # and non-zero only when a build or run step fails.
 #
@@ -138,4 +146,59 @@ with open(report, "w") as fh:
     fh.write("\n".join(rows) + "\n")
 print(rows[-1])
 print(f"report written to {report}")
+EOF
+
+echo "== link-level reachability (-O0, --gc-sections) =="
+REACH_DIR=build-reach
+REACH_FLAGS="-O0 -ffunction-sections -fdata-sections"
+BENCHES="fig06_micro fig07_fs fig08_udp fig09_scale fig10_cloud \
+voice_assistant ablations table1_area ctrl_storm"
+EXAMPLES="quickstart cloud_service find_trace"
+cmake -B "$REACH_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="$REACH_FLAGS" \
+    -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections >/dev/null
+cmake --build "$REACH_DIR" -j "$JOBS" --target $BENCHES $EXAMPLES
+cmake -S perfbench -B "$REACH_DIR/perfbench" -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="$REACH_FLAGS" \
+    -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections >/dev/null
+cmake --build "$REACH_DIR/perfbench" -j "$JOBS" --target m3vbench
+PRODUCTS="$REACH_DIR/perfbench/m3vbench"
+for b in $BENCHES; do PRODUCTS="$PRODUCTS $REACH_DIR/bench/$b"; done
+for e in $EXAMPLES; do PRODUCTS="$PRODUCTS $REACH_DIR/examples/$e"; done
+python3 - "$REPORT" "$REACH_DIR"/src/*/libm3v_*.a -- $PRODUCTS <<'EOF'
+import re, subprocess, sys
+
+report = sys.argv[1]
+split = sys.argv.index("--")
+libs, products = sys.argv[2:split], sys.argv[split + 1:]
+
+def functions(path, external):
+    """Mangled names of the function symbols path defines."""
+    args = ["nm", "--defined-only"] + (["-g"] if external else [])
+    out = subprocess.run(args + [path], check=True,
+                         capture_output=True, text=True).stdout
+    return {f[2] for f in (ln.split() for ln in out.splitlines())
+            if len(f) == 3 and f[1] in "TtWw"}
+
+# Members of namespace m3v and the lambdas inside them; a std::
+# template instantiated on an m3v type is not one.
+defined = sorted(m for p in libs for m in functions(p, True)
+                 if re.match(r"_ZZ?N[KVRO]*3m3v", m))
+kept = set().union(*(functions(p, False) for p in products))
+names = subprocess.run(["c++filt"], input="\n".join(defined),
+                       check=True, capture_output=True,
+                       text=True).stdout.splitlines()
+# Constructor and destructor variants share one name: count it once.
+m3v = set(names)
+unkept = sorted(m3v - {n for m, n in zip(defined, names)
+                        if m in kept})
+rows = ["", "link-level reachability: external m3v:: functions the "
+        "src/ libraries define that no product binary keeps (-O0, "
+        "--gc-sections; coroutine bodies included)"]
+rows += [f"  {n}" for n in unkept]
+rows.append(f"TOTAL unkept: {len(unkept)} of {len(m3v)} external "
+            f"m3v:: functions")
+with open(report, "a") as fh:
+    fh.write("\n".join(rows) + "\n")
+print(rows[-1])
 EOF

@@ -46,17 +46,19 @@ enum class WireKind : std::uint8_t
 };
 
 /** The DTU packet payload carried opaquely through the NoC. */
-struct WireData : noc::PacketData
+struct WireData final : noc::PacketData
 {
     /**
      * WireData headers are pooled: the message path creates and
-     * destroys one per packet in steady state, and a global freelist
-     * (wire.cc) recycles them so the hot path allocates nothing
-     * beyond the payload buffer it carries. Thread-safe (one mutex)
-     * because packets are created and destroyed on different lanes.
+     * destroys one per packet in steady state, and a per-thread
+     * freelist (wire.cc) recycles them so the hot path allocates
+     * nothing beyond the payload buffer it carries. A header joins the
+     * list of the thread that frees it; a thread keeps at most this
+     * many free headers and returns the rest to the heap.
      */
+    static constexpr std::size_t kFreeHeadersPerThread = 4096;
     static void *operator new(std::size_t sz);
-    static void operator delete(void *p, std::size_t sz) noexcept;
+    static void operator delete(void *p) noexcept;
 
     WireKind kind = WireKind::MsgXfer;
 

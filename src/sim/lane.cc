@@ -1,8 +1,8 @@
 #include "sim/lane.h"
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
-#include <mutex>
 #include <thread>
 
 #include "sim/log.h"
@@ -247,15 +247,10 @@ runCells(unsigned jobs, std::vector<UniqueFunction<void()>> cells)
             c();
         return;
     }
-    std::mutex mu;
-    std::size_t next = 0;
+    std::atomic<std::size_t> next{0};
     auto worker = [&]() {
         for (;;) {
-            std::size_t i;
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                i = next++;
-            }
+            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= cells.size())
                 return;
             cells[i]();

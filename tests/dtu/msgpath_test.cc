@@ -6,7 +6,9 @@
  *  - after warm-up, a send/fetch/ack loop allocates only the payload
  *    buffer the sender hands in;
  *  - every stored message rings the notification hook inline, even
- *    several in one tick for one (ep, act), and schedules no event.
+ *    several in one tick for one (ep, act), and schedules no event;
+ *  - each thread recycles wire headers through its own bounded
+ *    freelist, including headers another thread allocated.
  *
  * This binary counts heap allocations through tests/alloc_count.h.
  */
@@ -16,10 +18,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_count.h"
 #include "dtu/dtu.h"
+#include "dtu/wire.h"
 
 namespace m3v::dtu {
 namespace {
@@ -157,6 +161,52 @@ TEST(MsgPathDoorbellTest, SameTickStoresEachRingInline)
     ASSERT_TRUE(dtu.deviceMessage(kRep, bytes("c")));
     EXPECT_EQ(rung, (std::vector<EpId>{kRep, kRep, kRep}));
     EXPECT_EQ(eq.pending(), 0u);
+}
+
+/**
+ * A header freed on another thread than the one that allocated it
+ * joins the freeing thread's freelist: that thread's next header
+ * comes from the list, not from the heap.
+ */
+TEST(WireFreeListTest, HeaderFreedOnAnotherThreadIsReusedThere)
+{
+    WireData *hdr = nullptr;
+    std::thread([&] { hdr = new WireData; }).join();
+    std::uint64_t heap = ~0ull;
+    std::thread([&] {
+        delete hdr;
+        std::uint64_t a0 = test::allocCount.load();
+        WireData *again = new WireData;
+        heap = test::allocCount.load() - a0;
+        delete again;
+    }).join();
+    EXPECT_EQ(heap, 0u) << "a header freed here was not reused here";
+}
+
+/**
+ * A thread keeps at most WireData::kFreeHeadersPerThread free
+ * headers: of the bound plus k headers it frees, k go back to the
+ * heap, so allocating as many again makes exactly k heap calls.
+ */
+TEST(WireFreeListTest, FreeListKeepsAtMostTheBound)
+{
+    constexpr std::uint64_t kExtra = 16;
+    std::uint64_t heap = 0;
+    std::thread([&] {
+        std::vector<WireData *> hdrs(WireData::kFreeHeadersPerThread +
+                                     kExtra);
+        for (auto &h : hdrs)
+            h = new WireData;
+        for (WireData *h : hdrs)
+            delete h;
+        std::uint64_t a0 = test::allocCount.load();
+        for (auto &h : hdrs)
+            h = new WireData;
+        heap = test::allocCount.load() - a0;
+        for (WireData *h : hdrs)
+            delete h;
+    }).join();
+    EXPECT_EQ(heap, kExtra);
 }
 
 } // namespace
